@@ -17,7 +17,7 @@
 //!    one digest per file.
 //! 2. **Simulation pass** — trace-granular: each file streams chunk by
 //!    chunk through the [`SWEEP_GEOMETRIES`] cache simulators and a
-//!    [`ReuseProfiler`] miss-rate-curve tower, all fed from the same
+//!    [`ReuseProfiler`] miss-rate curve, all fed from the same
 //!    resident chunk. With [`ChunkDecode::Pipelined`] (the default) a
 //!    producer thread runs one chunk ahead of simulation: it issues an
 //!    `madvise(WILLNEED)` prefetch for chunk *i + 1*, then decodes
@@ -378,7 +378,7 @@ pub struct TraceSummary {
     pub digest: u64,
     /// Stats per [`SWEEP_GEOMETRIES`] entry, in declaration order.
     pub geometries: Vec<(&'static str, CacheStats)>,
-    /// One-pass miss-rate-vs-capacity curve from the LRU tower.
+    /// One-pass miss-rate-vs-capacity curve from the reuse profiler.
     pub curve: MissCurve,
 }
 
@@ -543,8 +543,8 @@ fn digest_pass(
 type FileSimResult = (Vec<(&'static str, CacheStats)>, MissCurve);
 
 /// Simulation pass: every file runs through the [`SWEEP_GEOMETRIES`]
-/// simulators plus the reuse-distance tower, all fed from one decode of
-/// each chunk.
+/// simulators plus the reuse-distance profiler, all fed from one
+/// decode of each chunk.
 fn sim_pass(
     corpus: &Corpus,
     budget: &ResidencyBudget,

@@ -2,14 +2,14 @@
 //!
 //! The paper sizes its caches by picking a handful of geometries and
 //! simulating each one separately. A reuse-distance profile gets the
-//! whole curve from a single trace walk: a log2 tower of true-LRU
-//! caches (32 B up to 32 KB, one line size) measures the hit count at
-//! every power-of-two capacity simultaneously.
+//! whole curve from a single trace walk: one exact LRU recency stack,
+//! with hits binned by log2 stack depth, gives the hit count at every
+//! power-of-two capacity (32 B up to 32 KB, one line size) at once.
 //!
 //! The experiment replays each of the six high-value-locality
-//! benchmarks **once**, feeding the [`ReuseProfiler`] tower and eleven
-//! fully-associative [`CacheSim`] instances (one per tower level) in
-//! the same broadcast walk, then cross-checks the tower's hit counts
+//! benchmarks **once**, feeding the [`ReuseProfiler`] and eleven
+//! fully-associative [`CacheSim`] instances (one per profiler level) in
+//! the same broadcast walk, then cross-checks the profiler's hit counts
 //! against the independently simulated caches at every level — the
 //! one-pass curve must be *exact*, not an approximation. Both sides
 //! land in the metrics log as classes (`tower-*`, `fa-*`) so the

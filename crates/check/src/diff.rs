@@ -11,12 +11,14 @@
 use crate::oracle_cache::{OracleCache, OraclePolicy, OracleReplacement, OracleStats};
 use crate::oracle_encode::LinearScanEncoder;
 use crate::oracle_replay::{scalar_replay, DigestSink};
+use crate::oracle_reuse::OracleReuse;
 use fvl_cache::{CacheGeometry, CacheSim, CacheStats, ReplacementKind, Simulator, WritePolicy};
 use fvl_core::{FrequentValueSet, HybridCache, HybridConfig, OnlineHybrid};
 use fvl_mem::{
     AccessSink, AddrCodec, MappedTrace, PackedTrace, SimdLevel, SimdPolicy, Trace, Word,
     CHUNK_ACCESSES,
 };
+use fvl_profile::{ReuseProfiler, DEFAULT_LINE_BYTES, TOWER_LEVELS};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -32,6 +34,15 @@ pub const GEOMETRIES: [(u64, u32, u32); 2] = [(1024, 16, 1), (512, 16, 2)];
 /// sets and force every policy's victim logic to fire.
 pub const ZOO_GEOMETRIES: [(u64, u32, u32); 4] =
     [(1024, 16, 1), (512, 16, 2), (512, 16, 4), (512, 16, 8)];
+
+/// The `(line bytes, levels)` shapes the reuse-profiler differential
+/// runs over. Word-sized lines at 1, 4 and 8 levels have top
+/// capacities of 1, 8 and 128 lines, which a generated trace fills and
+/// evicts from, hitting in every depth bucket on the way; the default
+/// 32-byte × [`TOWER_LEVELS`] shape is the one every experiment and
+/// corpus sweep uses.
+pub const REUSE_SHAPES: [(u32, usize); 4] =
+    [(4, 1), (4, 4), (4, 8), (DEFAULT_LINE_BYTES, TOWER_LEVELS)];
 
 fn policies() -> [(WritePolicy, OraclePolicy); 2] {
     [
@@ -800,6 +811,30 @@ pub fn diff_sweep(trace: &Trace) -> Option<String> {
     None
 }
 
+/// Diffs the bucketed single-stack [`ReuseProfiler`] against the
+/// [`OracleReuse`] `Vec` stack over every [`REUSE_SHAPES`] shape: the
+/// hit and miss counts must agree at every level.
+pub fn diff_reuse(trace: &Trace) -> Option<String> {
+    for &(line_bytes, levels) in &REUSE_SHAPES {
+        let mut profiler = ReuseProfiler::with_shape(line_bytes, levels);
+        trace.replay_into(&mut profiler);
+        let mut oracle = OracleReuse::new(line_bytes, levels);
+        scalar_replay(trace, &mut oracle);
+        for level in 0..levels {
+            let got = (profiler.hits(level), profiler.misses(level));
+            let want = (oracle.hits(level), oracle.misses(level));
+            if got != want {
+                return Some(format!(
+                    "ReuseProfiler {line_bytes}B x {levels} levels diverged at {} lines: \
+                     optimized (hits, misses) {got:?} vs oracle {want:?}",
+                    1u64 << level
+                ));
+            }
+        }
+    }
+    None
+}
+
 /// Runs every differential runner over one trace and collects the
 /// divergences. Each runner is wrapped in a panic guard: a broken
 /// optimized path may trip an internal assertion (e.g. the load-value
@@ -807,7 +842,7 @@ pub fn diff_sweep(trace: &Trace) -> Option<String> {
 /// divergence.
 pub fn check_trace(trace: &Trace) -> Vec<String> {
     type Runner = fn(&Trace) -> Option<String>;
-    let runners: [(&str, Runner); 7] = [
+    let runners: [(&str, Runner); 8] = [
         ("replay", diff_replay),
         ("simd", diff_simd),
         ("cache", diff_cache),
@@ -815,6 +850,7 @@ pub fn check_trace(trace: &Trace) -> Vec<String> {
         ("hybrid", diff_hybrid),
         ("sweep", diff_sweep),
         ("corpus", diff_corpus),
+        ("reuse", diff_reuse),
     ];
     let mut failures = Vec::new();
     for (name, runner) in runners {

@@ -7,10 +7,11 @@
 //! This crate closes the loop with independent machinery:
 //!
 //! * **Reference oracles** ([`OracleCache`], [`LinearScanEncoder`],
-//!   [`scalar_replay`]) — deliberately naive, obviously-correct
-//!   reimplementations of the cache simulator, the frequent-value
-//!   encoder, and the trace replayer. Written for readability, not
-//!   speed, and sharing no code with the optimized paths.
+//!   [`scalar_replay`], [`OracleReuse`]) — deliberately naive,
+//!   obviously-correct reimplementations of the cache simulator, the
+//!   frequent-value encoder, the trace replayer, and the
+//!   reuse-distance profiler. Written for readability, not speed, and
+//!   sharing no code with the optimized paths.
 //! * A **deterministic trace generator** ([`generate`], [`corpus`]) —
 //!   seeded, wall-clock-free, producing adversarial access patterns:
 //!   DMC index aliasing, values at the frequent/non-frequent boundary,
@@ -23,7 +24,8 @@
 //!   trace through oracle-vs-optimized pairs — `Trace` vs `PackedTrace`
 //!   broadcast, array vs linear-scan encode, `OnlineHybrid` vs an
 //!   offline-profiled hybrid, parallel `sweep` vs a serial oracle
-//!   sweep — asserting stat-for-stat equality.
+//!   sweep, the bucketed `ReuseProfiler` stack vs a `Vec` stack —
+//!   asserting stat-for-stat equality.
 //!
 //! The `conformance` binary runs the fixed-seed corpus and writes a
 //! shrunk repro trace to `target/conformance/repro.fvltrc` on failure;
@@ -52,6 +54,7 @@ mod gen;
 mod oracle_cache;
 mod oracle_encode;
 mod oracle_replay;
+mod oracle_reuse;
 mod rng;
 mod runner;
 mod shrink;
@@ -60,6 +63,7 @@ pub use gen::{corpus, generate, Pattern};
 pub use oracle_cache::{OracleCache, OraclePolicy, OracleReplacement, OracleStats};
 pub use oracle_encode::LinearScanEncoder;
 pub use oracle_replay::{scalar_replay, DigestSink};
+pub use oracle_reuse::OracleReuse;
 pub use rng::SplitMix64;
 pub use runner::{
     run_boundary_corpus, run_corpus, run_policy_corpus, run_serve_corpus, CaseFailure,

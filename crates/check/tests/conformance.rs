@@ -8,10 +8,11 @@
 #![cfg(not(feature = "mutation"))]
 
 use fvl_check::{
-    corpus, diff, generate, normalize_events, run_boundary_corpus, run_corpus, shrink, Pattern,
-    BOUNDARY_ACCESS_COUNTS, DEFAULT_CASES, DEFAULT_TRACE_ACCESSES,
+    corpus, diff, generate, normalize_events, run_boundary_corpus, run_corpus, scalar_replay,
+    shrink, OracleReuse, Pattern, BOUNDARY_ACCESS_COUNTS, DEFAULT_CASES, DEFAULT_TRACE_ACCESSES,
 };
 use fvl_mem::{Access, AccessKind, Trace, TraceEvent};
+use std::collections::HashSet;
 
 #[test]
 fn full_fixed_seed_corpus_is_green() {
@@ -120,6 +121,44 @@ fn every_runner_individually_passes_an_adversarial_trace() {
     assert_eq!(diff::diff_encode(&trace), None);
     assert_eq!(diff::diff_hybrid(&trace), None);
     assert_eq!(diff::diff_sweep(&trace), None);
+    assert_eq!(diff::diff_reuse(&trace), None);
+}
+
+#[test]
+fn corpus_fills_and_evicts_every_reuse_bucket() {
+    // The word-line shapes of the reuse differential only prove the
+    // bucket bookkeeping if the generated traces reach every depth
+    // bucket and overflow the top capacity.
+    let traces = corpus(DEFAULT_CASES, DEFAULT_TRACE_ACCESSES);
+    for &(line_bytes, levels) in diff::REUSE_SHAPES.iter().filter(|s| s.0 == 4) {
+        let top_capacity = 1usize << (levels - 1);
+        let mut bucket_hits = vec![0u64; levels];
+        let mut evicting_traces = 0;
+        for trace in &traces {
+            let mut oracle = OracleReuse::new(line_bytes, levels);
+            scalar_replay(trace, &mut oracle);
+            for (level, hits) in bucket_hits.iter_mut().enumerate() {
+                let below = if level == 0 {
+                    0
+                } else {
+                    oracle.hits(level - 1)
+                };
+                *hits += oracle.hits(level) - below;
+            }
+            let lines: HashSet<u32> = trace.iter_accesses().map(|a| a.addr / line_bytes).collect();
+            if lines.len() > top_capacity {
+                evicting_traces += 1;
+            }
+        }
+        assert!(
+            bucket_hits.iter().all(|&h| h > 0),
+            "{levels} levels: some bucket never hit: {bucket_hits:?}"
+        );
+        assert!(
+            evicting_traces > DEFAULT_CASES / 2,
+            "{levels} levels: only {evicting_traces} traces overflow {top_capacity} lines"
+        );
+    }
 }
 
 #[test]

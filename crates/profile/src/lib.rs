@@ -18,7 +18,7 @@
 //! * [`MissAttribution`] — the share of cache misses involving the top
 //!   frequent values (Figure 4).
 //! * [`ReuseProfiler`] — the full miss-rate-vs-cache-size curve in one
-//!   streaming pass, via a log2 tower of true-LRU caches.
+//!   streaming pass, from one exact LRU stack binned by log2 depth.
 //! * [`overlap_top`] — ranking overlap across program inputs (Table 2).
 //!
 //! # Example

@@ -2,19 +2,31 @@
 //! curve in one trace walk.
 //!
 //! A fully associative LRU cache of capacity `C` lines hits an access
-//! exactly when the access's *reuse distance* (distinct lines touched
-//! since the last touch of its line) is below `C`. Sweeping cache size
-//! therefore only needs the reuse-distance distribution — and instead
-//! of maintaining an exact distance tree, [`ReuseProfiler`] keeps a
-//! *log2 tower* of small true-LRU caches (capacities 1, 2, 4, …,
-//! 2^(L-1) lines) and updates all of them per access. Each level's hit
-//! count is exactly what a fully associative LRU cache of that size
-//! would score, so one streaming pass yields the whole
-//! miss-rate-vs-size curve — the fundamental object of the
-//! cache-utilization literature, and the curve the `ext6` experiment
-//! cross-checks against `CacheSim` at every tower geometry.
+//! exactly when the access's *stack depth* (distinct lines touched
+//! since the last touch of its line) is below `C`. LRU has the
+//! inclusion property (Mattson et al., "Evaluation techniques for
+//! storage hierarchies", 1970): a cache of capacity `C` holds exactly
+//! the top `C` lines of one recency stack, so a single stack answers
+//! every capacity at once. [`ReuseProfiler`] keeps that one exact
+//! stack, cut off at the largest capacity it reports (2^(L-1) lines
+//! for `L` levels), and files every hit under the log2 bucket of its
+//! depth. A cache of 2^l lines hits exactly the accesses in buckets
+//! `0..=l`, so one streaming pass yields the whole miss-rate-vs-size
+//! curve — the fundamental object of the cache-utilization literature,
+//! and the curve the `ext6` experiment cross-checks against `CacheSim`
+//! at every level.
 //!
-//! Every level is a few KB of state, so the profiler streams over
+//! Finding a line's depth takes no scan. Bucket 0 is depth 0 and
+//! bucket `b` covers depths 2^(b-1) .. 2^b - 1; every resident line
+//! carries its bucket, and the profiler points at the deepest line of
+//! each bucket. Moving a line from bucket `B` to the front pushes every
+//! shallower line one step deeper, which changes the bucket of exactly
+//! one line per bucket below `B` — its deepest — so an access costs one
+//! hash lookup plus O(B) index updates. A miss on a full stack evicts
+//! the deepest line of the top bucket.
+//!
+//! State grows with the distinct lines seen, up to the top capacity,
+//! and nothing is reserved up front, so the profiler streams over
 //! corpora of any size (it is an [`AccessSink`], so the out-of-core
 //! chunked replay feeds it directly).
 
@@ -22,100 +34,24 @@ use fvl_mem::{Access, AccessSink, WORD_BYTES};
 use std::collections::HashMap;
 use std::fmt;
 
-/// Levels in the default tower: capacities 2^0 .. 2^10 lines, i.e.
+/// Levels in the default profiler: capacities 2^0 .. 2^10 lines, i.e.
 /// 32 B .. 32 KiB of data at the default 32-byte line.
 pub const TOWER_LEVELS: usize = 11;
 
 /// Default line size (bytes) — the paper's DMC line size.
 pub const DEFAULT_LINE_BYTES: u32 = 32;
 
-/// Slot index meaning "none" in the intrusive LRU lists.
+/// Slot index meaning "none" in the recency list and the bucket bounds.
 const NIL: u32 = u32::MAX;
 
-/// One true-LRU cache of the tower: a line → slot map plus an
-/// intrusive doubly-linked recency list over slot arrays, so touch,
-/// insert, and evict are all O(1).
-struct LruLevel {
-    capacity: usize,
-    hits: u64,
-    map: HashMap<u32, u32>,
-    lines: Vec<u32>,
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    head: u32,
-    tail: u32,
-}
-
-impl LruLevel {
-    fn new(capacity: usize) -> LruLevel {
-        LruLevel {
-            capacity,
-            hits: 0,
-            map: HashMap::with_capacity(capacity * 2),
-            lines: Vec::with_capacity(capacity),
-            prev: Vec::with_capacity(capacity),
-            next: Vec::with_capacity(capacity),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    /// Unlinks `slot` from the recency list.
-    fn unlink(&mut self, slot: u32) {
-        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
-        if p == NIL {
-            self.head = n;
-        } else {
-            self.next[p as usize] = n;
-        }
-        if n == NIL {
-            self.tail = p;
-        } else {
-            self.prev[n as usize] = p;
-        }
-    }
-
-    /// Links `slot` in as the most-recently-used entry.
-    fn push_front(&mut self, slot: u32) {
-        self.prev[slot as usize] = NIL;
-        self.next[slot as usize] = self.head;
-        if self.head != NIL {
-            self.prev[self.head as usize] = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
-    }
-
-    /// Touches `line`, returning whether it was resident (a hit for a
-    /// fully associative LRU cache of this capacity).
-    fn access(&mut self, line: u32) -> bool {
-        if let Some(&slot) = self.map.get(&line) {
-            self.hits += 1;
-            if self.head != slot {
-                self.unlink(slot);
-                self.push_front(slot);
-            }
-            return true;
-        }
-        let slot = if self.lines.len() < self.capacity {
-            let slot = self.lines.len() as u32;
-            self.lines.push(line);
-            self.prev.push(NIL);
-            self.next.push(NIL);
-            slot
-        } else {
-            let victim = self.tail;
-            self.unlink(victim);
-            self.map.remove(&self.lines[victim as usize]);
-            self.lines[victim as usize] = line;
-            victim
-        };
-        self.map.insert(line, slot);
-        self.push_front(slot);
-        false
-    }
+/// One resident line: a node of the intrusive doubly-linked recency
+/// list (most recent first) plus the line's log2 depth bucket.
+#[derive(Copy, Clone)]
+struct Node {
+    line: u32,
+    prev: u32,
+    next: u32,
+    bucket: u32,
 }
 
 /// One point of a [`MissCurve`]: the exact fully-associative-LRU hit
@@ -142,12 +78,13 @@ pub struct MissCurve {
     pub line_bytes: u32,
     /// Total accesses profiled.
     pub accesses: u64,
-    /// One point per tower level, capacity ascending.
+    /// One point per level, capacity ascending.
     pub points: Vec<CurvePoint>,
 }
 
-/// Streaming reuse-distance profiler: a log2 tower of true-LRU caches
-/// updated on every access (see the module docs).
+/// Streaming reuse-distance profiler: one exact LRU recency stack of at
+/// most 2^(levels-1) lines, with a hit histogram over log2 depth
+/// buckets (see the module docs).
 ///
 /// # Example
 ///
@@ -165,19 +102,30 @@ pub struct MissCurve {
 /// assert_eq!(curve.points[1].misses, 2); // capacity 2: cold misses only
 /// ```
 pub struct ReuseProfiler {
-    line_bytes: u32,
-    levels: Vec<LruLevel>,
+    line_shift: u32,
     accesses: u64,
+    /// Hits whose stack depth fell in each log2 bucket.
+    bucket_hits: Vec<u64>,
+    /// Slot of the deepest resident line of each bucket (`NIL` while
+    /// the bucket is empty).
+    deepest: Vec<u32>,
+    /// Resident lines by slot; grows until the stack is full, after
+    /// which an evicted line's slot is reused.
+    nodes: Vec<Node>,
+    /// Line → slot of every resident line.
+    slots: HashMap<u32, u32>,
+    /// Slot of the most recently used line (`NIL` while empty).
+    head: u32,
 }
 
 impl ReuseProfiler {
-    /// The default tower: [`TOWER_LEVELS`] levels of
+    /// The default profiler: [`TOWER_LEVELS`] levels of
     /// [`DEFAULT_LINE_BYTES`]-byte lines (32 B .. 32 KiB).
     pub fn new() -> ReuseProfiler {
         ReuseProfiler::with_shape(DEFAULT_LINE_BYTES, TOWER_LEVELS)
     }
 
-    /// A tower of `levels` caches (capacities 2^0 .. 2^(levels-1)
+    /// A profiler reporting `levels` capacities (2^0 .. 2^(levels-1)
     /// lines) with `line_bytes`-byte lines.
     ///
     /// # Panics
@@ -191,20 +139,24 @@ impl ReuseProfiler {
         );
         assert!((1..=24).contains(&levels), "tower levels out of range");
         ReuseProfiler {
-            line_bytes,
-            levels: (0..levels).map(|l| LruLevel::new(1 << l)).collect(),
+            line_shift: line_bytes.trailing_zeros(),
             accesses: 0,
+            bucket_hits: vec![0; levels],
+            deepest: vec![NIL; levels],
+            nodes: Vec::new(),
+            slots: HashMap::new(),
+            head: NIL,
         }
     }
 
     /// Line size in bytes.
     pub fn line_bytes(&self) -> u32 {
-        self.line_bytes
+        1 << self.line_shift
     }
 
-    /// Number of tower levels.
+    /// Number of levels (capacities) reported.
     pub fn levels(&self) -> usize {
-        self.levels.len()
+        self.bucket_hits.len()
     }
 
     /// Capacity of level `level` in lines (`2^level`).
@@ -214,7 +166,7 @@ impl ReuseProfiler {
 
     /// Capacity of level `level` in bytes.
     pub fn capacity_bytes(&self, level: usize) -> u64 {
-        self.capacity_lines(level) * u64::from(self.line_bytes)
+        self.capacity_lines(level) * u64::from(self.line_bytes())
     }
 
     /// Total accesses profiled so far.
@@ -225,12 +177,12 @@ impl ReuseProfiler {
     /// Hits a fully associative LRU cache of level `level`'s capacity
     /// would have scored.
     pub fn hits(&self, level: usize) -> u64 {
-        self.levels[level].hits
+        self.bucket_hits[..=level].iter().sum()
     }
 
     /// Misses at level `level` (including cold misses).
     pub fn misses(&self, level: usize) -> u64 {
-        self.accesses - self.levels[level].hits
+        self.accesses - self.hits(level)
     }
 
     /// Miss rate at level `level`; 0 before any access.
@@ -245,9 +197,9 @@ impl ReuseProfiler {
     /// Extracts the full miss-rate-vs-cache-size curve.
     pub fn curve(&self) -> MissCurve {
         MissCurve {
-            line_bytes: self.line_bytes,
+            line_bytes: self.line_bytes(),
             accesses: self.accesses,
-            points: (0..self.levels.len())
+            points: (0..self.levels())
                 .map(|l| CurvePoint {
                     capacity_lines: self.capacity_lines(l),
                     capacity_bytes: self.capacity_bytes(l),
@@ -256,6 +208,88 @@ impl ReuseProfiler {
                     miss_rate: self.miss_rate(l),
                 })
                 .collect(),
+        }
+    }
+
+    /// Unlinks `slot` from the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.nodes[prev as usize].next = next;
+        }
+        if next != NIL {
+            self.nodes[next as usize].prev = prev;
+        }
+    }
+
+    /// Moves the deepest line of each bucket in `0..buckets` one bucket
+    /// down: the effect of putting a line in front of all of them.
+    fn spill(&mut self, buckets: usize) {
+        for bucket in 0..buckets {
+            let node = &mut self.nodes[self.deepest[bucket] as usize];
+            node.bucket = bucket as u32 + 1;
+            self.deepest[bucket] = node.prev;
+        }
+    }
+
+    /// Links unlinked `slot` in at depth 0.
+    fn push_front(&mut self, slot: u32) {
+        let head = self.head;
+        let node = &mut self.nodes[slot as usize];
+        node.prev = NIL;
+        node.next = head;
+        node.bucket = 0;
+        if head != NIL {
+            self.nodes[head as usize].prev = slot;
+        }
+        self.head = slot;
+        self.deepest[0] = slot;
+    }
+
+    /// Moves resident `slot`, whose line sits in `bucket`, to depth 0.
+    fn move_to_front(&mut self, slot: u32, bucket: usize) {
+        if self.deepest[bucket] == slot {
+            self.deepest[bucket] = self.nodes[slot as usize].prev;
+        }
+        self.unlink(slot);
+        self.spill(bucket);
+        self.push_front(slot);
+    }
+
+    /// Puts non-resident `line` at depth 0, evicting the deepest line
+    /// when the stack is full.
+    fn insert(&mut self, line: u32) {
+        let top = self.levels() - 1;
+        let resident = self.nodes.len();
+        if resident < 1 << top {
+            // Every line steps one deeper; each full bucket (all of
+            // `0..full`) spills its deepest line, and when the stack
+            // is a power of two deep that line opens bucket `full`.
+            let full = (usize::BITS - resident.leading_zeros()) as usize;
+            if resident.is_power_of_two() {
+                self.deepest[full] = self.deepest[full - 1];
+            }
+            self.spill(full);
+            let slot = resident as u32;
+            self.nodes.push(Node {
+                line,
+                prev: NIL,
+                next: NIL,
+                bucket: 0,
+            });
+            self.slots.insert(line, slot);
+            self.push_front(slot);
+        } else {
+            // Full: the deepest line leaves, and its slot comes back to
+            // the front holding `line`.
+            let victim = self.deepest[top];
+            let node = &mut self.nodes[victim as usize];
+            let evicted = std::mem::replace(&mut node.line, line);
+            self.slots.remove(&evicted);
+            self.slots.insert(line, victim);
+            self.move_to_front(victim, top);
         }
     }
 }
@@ -268,10 +302,21 @@ impl Default for ReuseProfiler {
 
 impl AccessSink for ReuseProfiler {
     fn on_access(&mut self, access: Access) {
-        let line = access.addr / self.line_bytes;
+        let line = access.addr >> self.line_shift;
         self.accesses += 1;
-        for level in &mut self.levels {
-            level.access(line);
+        // A repeat of the most recent line is a depth-0 hit that moves
+        // nothing: skip the lookup.
+        if self.head != NIL && self.nodes[self.head as usize].line == line {
+            self.bucket_hits[0] += 1;
+            return;
+        }
+        match self.slots.get(&line) {
+            Some(&slot) => {
+                let bucket = self.nodes[slot as usize].bucket as usize;
+                self.bucket_hits[bucket] += 1;
+                self.move_to_front(slot, bucket);
+            }
+            None => self.insert(line),
         }
     }
 }
@@ -279,8 +324,8 @@ impl AccessSink for ReuseProfiler {
 impl fmt::Debug for ReuseProfiler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReuseProfiler")
-            .field("line_bytes", &self.line_bytes)
-            .field("levels", &self.levels.len())
+            .field("line_bytes", &self.line_bytes())
+            .field("levels", &self.levels())
             .field("accesses", &self.accesses)
             .finish()
     }
@@ -289,60 +334,105 @@ impl fmt::Debug for ReuseProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
-    /// Exact reuse-distance oracle: full LRU stack as a Vec.
-    fn oracle_hits(lines: &[u32], capacity: usize) -> u64 {
+    /// Exact per-level hit counts from a naive `Vec` LRU stack: each
+    /// access's depth is its position in the stack, and the stack is
+    /// cut off at the top capacity, past which every level misses.
+    fn oracle_hits(lines: &[u32], levels: usize) -> Vec<u64> {
+        let top_capacity = 1usize << (levels - 1);
         let mut stack: Vec<u32> = Vec::new();
-        let mut hits = 0;
+        let mut hits = vec![0u64; levels];
         for &line in lines {
             if let Some(depth) = stack.iter().position(|&l| l == line) {
-                if depth < capacity {
-                    hits += 1;
+                for (level, h) in hits.iter_mut().enumerate() {
+                    if depth < 1 << level {
+                        *h += 1;
+                    }
                 }
                 stack.remove(depth);
             }
             stack.insert(0, line);
+            stack.truncate(top_capacity);
         }
         hits
     }
 
-    fn profile(lines: &[u32]) -> ReuseProfiler {
-        let mut p = ReuseProfiler::with_shape(32, 6);
-        for &line in lines {
-            p.on_access(Access::load(line * 32, 0));
+    /// A mixed-locality line stream over a footprint of `footprint`
+    /// distinct lines: sequential sweeps, a hot set, wide random
+    /// jumps, and a stride.
+    fn mixed_stream(footprint: u32, len: u32) -> Vec<u32> {
+        let mut x = 7u32;
+        (0..len)
+            .map(|i| {
+                x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+                match i % 4 {
+                    0 => i % footprint,                 // sweep
+                    1 => (x >> 8) % 8,                  // hot set
+                    2 => (x >> 8) % footprint,          // wide set
+                    _ => (i / 2 * 7) % (footprint / 3), // stride
+                }
+            })
+            .collect()
+    }
+
+    fn profile(line_bytes: u32, levels: usize, lines: &[u32]) -> ReuseProfiler {
+        let mut p = ReuseProfiler::with_shape(line_bytes, levels);
+        for (i, &line) in lines.iter().enumerate() {
+            // Any word of the line: the profiler must fold it away.
+            let word = i as u32 % (line_bytes / WORD_BYTES);
+            p.on_access(Access::load(line * line_bytes + word * WORD_BYTES, 0));
         }
         p
     }
 
     #[test]
     fn matches_the_stack_distance_oracle() {
-        // Mixed locality: sequential sweeps, hot loop, random-ish jumps.
-        let mut lines = Vec::new();
-        let mut x = 7u32;
-        for i in 0..2000u32 {
-            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-            lines.push(match i % 4 {
-                0 => i % 40,       // sweep
-                1 => x % 8,        // hot set
-                2 => x % 100,      // wider set
-                _ => (i / 2) % 17, // strided
-            });
-        }
-        let p = profile(&lines);
-        for level in 0..p.levels() {
-            assert_eq!(
-                p.hits(level),
-                oracle_hits(&lines, 1 << level),
-                "capacity {}",
-                1 << level
-            );
+        // (levels, footprint in lines, accesses). Every row but the
+        // last touches more distinct lines than the top capacity
+        // 2^(levels-1), so the stack fills and the top bucket evicts.
+        // At 24 levels that would take 2^23 + 1 distinct lines
+        // (hundreds of MiB of stack and map); that row instead drives
+        // hits into buckets 11-13, deeper than the default shape
+        // reaches, with every bucket above them left empty.
+        let shapes: [(usize, u32, u32); 6] = [
+            (1, 24, 2_000),
+            (2, 24, 2_000),
+            (3, 24, 3_000),
+            (6, 160, 6_000),
+            (11, 3_000, 40_000),
+            (24, 6_000, 24_000),
+        ];
+        for (levels, footprint, len) in shapes {
+            let lines = mixed_stream(footprint, len);
+            let want = oracle_hits(&lines, levels);
+            let distinct = lines.iter().collect::<HashSet<_>>().len();
+            let top_capacity = 1usize << (levels - 1);
+            for line_bytes in [4, 32] {
+                let p = profile(line_bytes, levels, &lines);
+                let got: Vec<u64> = (0..levels).map(|l| p.hits(l)).collect();
+                assert_eq!(got, want, "{levels} levels, {line_bytes} B lines");
+                assert_eq!(p.accesses(), u64::from(len));
+                assert_eq!(p.nodes.len(), distinct.min(top_capacity));
+            }
+            if levels < 24 {
+                assert!(
+                    distinct > top_capacity,
+                    "{levels} levels: top bucket evicts"
+                );
+            } else {
+                assert!(
+                    (11..=13).all(|b| want[b] > want[b - 1]),
+                    "buckets 11-13 hit"
+                );
+            }
         }
     }
 
     #[test]
     fn hits_grow_monotonically_with_capacity() {
         let lines: Vec<u32> = (0..500u32).map(|i| (i * i) % 61).collect();
-        let p = profile(&lines);
+        let p = profile(32, 6, &lines);
         for level in 1..p.levels() {
             assert!(p.hits(level) >= p.hits(level - 1), "level {level}");
         }
@@ -373,6 +463,19 @@ mod tests {
         assert_eq!(p.accesses(), 0);
         assert_eq!(p.miss_rate(0), 0.0);
         assert_eq!(p.curve().points[TOWER_LEVELS - 1].misses, 0);
+    }
+
+    #[test]
+    fn state_grows_with_the_lines_seen() {
+        // The largest shape reserves nothing before the first access.
+        let mut p = ReuseProfiler::with_shape(32, 24);
+        assert_eq!(p.nodes.capacity(), 0);
+        assert_eq!(p.slots.capacity(), 0);
+        for line in 0..100u32 {
+            p.on_access(Access::load(line * 32, 0));
+        }
+        assert_eq!(p.nodes.len(), 100);
+        assert_eq!(p.slots.len(), 100);
     }
 
     #[test]
