@@ -26,6 +26,10 @@
 //! `--metrics` export is deterministic too, unless `--metrics-timing`
 //! opts into wall-clock and cache hit/miss fields (see
 //! `fvl_bench::metrics`).
+//!
+//! A local run exits 1, after printing every report and writing the
+//! exports, when an experiment's cross-check between two independent
+//! computations disagrees (ext6's one-pass tower against `CacheSim`).
 
 use fvl_bench::engine::Engine;
 use fvl_bench::experiments;
@@ -199,11 +203,15 @@ fn main() -> ExitCode {
         },
         if smoke { ", smoke" } else { "" },
     );
+    let mut failed_checks = Vec::new();
     for (name, runner) in selected {
         let start = Instant::now();
         let report = runner(&ctx);
         println!("{report}");
         eprintln!("{name} completed in {:.1?}", start.elapsed());
+        if report.cross_check_failed {
+            failed_checks.push(name);
+        }
     }
     eprintln!(
         "engine: {} worker{} — {}",
@@ -269,6 +277,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("metrics: wrote {path}");
+    }
+    if !failed_checks.is_empty() {
+        eprintln!("error: cross-check failed in {}", failed_checks.join(", "));
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -138,16 +138,23 @@ pub fn run(ctx: &ExperimentContext) -> Report {
         curve_table,
     );
     report.table("cross-check against independent CacheSim runs", check_table);
-    report.note(format!(
-        "the one-pass LRU-tower curve matches per-geometry CacheSim hit/miss \
-         counts exactly in {total_matches} of {total} (workload x capacity) cells"
-    ));
+    cross_check(&mut report, total_matches, total);
     report.note(
         "one trace walk replaces eleven separate simulations; the curve is what \
          the out-of-core corpus sweep records per trace file"
             .to_string(),
     );
     report
+}
+
+/// Records the tower-vs-`CacheSim` verdict: `matches` of `total` cells
+/// agreed. Any disagreement fails the report.
+fn cross_check(report: &mut Report, matches: usize, total: usize) {
+    report.note(format!(
+        "the one-pass LRU-tower curve matches per-geometry CacheSim hit/miss \
+         counts exactly in {matches} of {total} (workload x capacity) cells"
+    ));
+    report.cross_check_failed = matches != total;
 }
 
 #[cfg(test)]
@@ -167,6 +174,17 @@ mod tests {
             "tower/CacheSim mismatch: {}",
             report.notes[0]
         );
+        assert!(!report.cross_check_failed);
+    }
+
+    #[test]
+    fn a_mismatched_cell_fails_the_report() {
+        for (matches, failed) in [(66, false), (65, true), (0, true)] {
+            let mut report = Report::new("Extension 6", "test");
+            cross_check(&mut report, matches, 66);
+            assert_eq!(report.cross_check_failed, failed, "{matches} of 66");
+            assert!(report.notes[0].contains(&format!("exactly in {matches} of 66")));
+        }
     }
 
     #[test]

@@ -43,6 +43,11 @@ pub struct Report {
     pub tables: Vec<(String, Table)>,
     /// Observations/caveats recorded with the results.
     pub notes: Vec<String>,
+    /// Whether a cross-check between two independent computations in
+    /// this experiment disagreed (ext6: the one-pass tower against
+    /// `CacheSim`). Not rendered; the `experiments` binary exits
+    /// nonzero after printing every report when any has it set.
+    pub cross_check_failed: bool,
 }
 
 impl Report {
@@ -52,6 +57,7 @@ impl Report {
             title: title.into(),
             tables: Vec::new(),
             notes: Vec::new(),
+            cross_check_failed: false,
         }
     }
 

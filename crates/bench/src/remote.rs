@@ -460,6 +460,13 @@ pub fn parse_trace_bytes(bytes: &[u8]) -> io::Result<PackedTrace> {
         .or_else(|_| MappedTrace::from_bytes(bytes.to_vec()).and_then(|m| m.to_packed()))
 }
 
+/// Largest cache, in bytes, [`simulate_packed`] builds: 256× the
+/// largest cache any experiment simulates (64 KiB). The configuration
+/// comes from a daemon client, and the cache's line storage is
+/// allocated up front, so a larger request is refused before any
+/// allocation rather than aborting the process on a failed one.
+pub const MAX_SIM_CACHE_BYTES: u64 = 16 << 20;
+
 /// Simulates `trace` against one cache configuration given as
 /// `key=value` lines (`size`, `line`, `assoc`, `write`=`back`|
 /// `through`, `policy`), returning the counter lines a
@@ -469,7 +476,8 @@ pub fn parse_trace_bytes(bytes: &[u8]) -> io::Result<PackedTrace> {
 ///
 /// # Errors
 ///
-/// A human-readable message for an invalid geometry or policy.
+/// A human-readable message for an invalid geometry or policy, or a
+/// cache larger than [`MAX_SIM_CACHE_BYTES`].
 pub fn simulate_packed(trace: &PackedTrace, config: &str) -> Result<String, String> {
     let kv = parse_kv(config.as_bytes());
     let size: u64 = kv_get(&kv, "size")
@@ -485,6 +493,11 @@ pub fn simulate_packed(trace: &PackedTrace, config: &str) -> Result<String, Stri
         .transpose()?
         .unwrap_or(1);
     let geom = CacheGeometry::new(size, line, assoc).map_err(|e| format!("bad geometry: {e}"))?;
+    if size > MAX_SIM_CACHE_BYTES {
+        return Err(format!(
+            "bad geometry: a {size}-byte cache exceeds the {MAX_SIM_CACHE_BYTES}-byte limit"
+        ));
+    }
     let write = match kv_get(&kv, "write").unwrap_or("back") {
         "back" => WritePolicy::WriteBack,
         "through" => WritePolicy::WriteThrough,

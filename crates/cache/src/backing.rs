@@ -1,6 +1,6 @@
 //! Backing main memory with off-chip traffic accounting.
 
-use fvl_mem::{Addr, SimMemory, Word, WORD_BYTES};
+use fvl_mem::{Addr, SimMemory, Word};
 use std::fmt;
 
 /// The simulated DRAM behind a cache hierarchy.
@@ -36,19 +36,17 @@ impl MainMemory {
     }
 
     /// Reads `buf.len()` consecutive words starting at the line address
-    /// `line_addr` (a line fetch). Counts outbound traffic.
+    /// `line_addr` (a line fetch), one page lookup per line. Counts
+    /// outbound traffic.
     pub fn read_line(&mut self, line_addr: Addr, buf: &mut [Word]) {
-        for (i, slot) in buf.iter_mut().enumerate() {
-            *slot = self.mem.read(line_addr + i as u32 * WORD_BYTES);
-        }
+        self.mem.read_line(line_addr, buf);
         self.words_out += buf.len() as u64;
     }
 
-    /// Writes a full line back (a write-back). Counts inbound traffic.
+    /// Writes a full line back (a write-back), one page lookup per
+    /// line. Counts inbound traffic.
     pub fn write_line(&mut self, line_addr: Addr, data: &[Word]) {
-        for (i, &w) in data.iter().enumerate() {
-            self.mem.write(line_addr + i as u32 * WORD_BYTES, w);
-        }
+        self.mem.write_line(line_addr, data);
         self.words_in += data.len() as u64;
     }
 

@@ -28,6 +28,14 @@ pub enum GeometryError {
         /// Associativity.
         associativity: u32,
     },
+    /// The cache holds more lines (and so possibly more sets) than a
+    /// `u32` can count.
+    TooManyLines {
+        /// Total size in bytes.
+        size_bytes: u64,
+        /// Line size in bytes.
+        line_bytes: u32,
+    },
 }
 
 impl fmt::Display for GeometryError {
@@ -42,6 +50,11 @@ impl fmt::Display for GeometryError {
             GeometryError::Indivisible { size_bytes, line_bytes, associativity } => write!(
                 f,
                 "cannot divide {size_bytes} bytes into sets of {associativity} lines of {line_bytes} bytes"
+            ),
+            GeometryError::TooManyLines { size_bytes, line_bytes } => write!(
+                f,
+                "{size_bytes} bytes of {line_bytes}-byte lines is more than {} lines",
+                u32::MAX
             ),
         }
     }
@@ -82,8 +95,9 @@ impl CacheGeometry {
     /// # Errors
     ///
     /// Returns a [`GeometryError`] if any parameter is not a power of
-    /// two, the line size is below one word, or the parameters don't
-    /// divide evenly into at least one set.
+    /// two, the line size is below one word, the parameters don't
+    /// divide evenly into at least one set, or the line count does not
+    /// fit in a `u32`.
     pub fn new(
         size_bytes: u64,
         line_bytes: u32,
@@ -118,6 +132,13 @@ impl CacheGeometry {
                 associativity,
             });
         }
+        if size_bytes / line_bytes as u64 > u64::from(u32::MAX) {
+            return Err(GeometryError::TooManyLines {
+                size_bytes,
+                line_bytes,
+            });
+        }
+        // Fewer sets than lines, so the count fits too.
         let sets = (size_bytes / set_bytes) as u32;
         Ok(CacheGeometry {
             size_bytes,
@@ -376,6 +397,39 @@ mod tests {
             CacheGeometry::new(64, 64, 2),
             Err(GeometryError::Indivisible { .. })
         ));
+    }
+
+    #[test]
+    fn line_and_set_counts_must_fit_in_u32() {
+        // (size, line, assoc, lines if accepted). Each rejected row once
+        // truncated a count to 0: 2^38 sets, or 2^32 lines of 4 sets.
+        let rows: [(u64, u32, u32, Option<u32>); 5] = [
+            (1 << 40, 4, 1, None),
+            (1 << 34, 4, 1 << 30, None),
+            (1 << 34, 4, 1, None),
+            (1 << 33, 4, 1, Some(1 << 31)),
+            (1 << 33, 4, 1 << 31, Some(1 << 31)),
+        ];
+        for (size, line, assoc, lines) in rows {
+            let result = CacheGeometry::new(size, line, assoc);
+            match lines {
+                Some(lines) => {
+                    let g = result.expect("fits in u32");
+                    assert_eq!(g.lines(), lines, "{size}/{line}/{assoc}");
+                    assert_eq!(g.sets() as u64 * assoc as u64, lines as u64);
+                }
+                None => assert_eq!(
+                    result,
+                    Err(GeometryError::TooManyLines {
+                        size_bytes: size,
+                        line_bytes: line
+                    }),
+                    "{size}/{line}/{assoc}"
+                ),
+            }
+        }
+        let e = CacheGeometry::new(1 << 40, 4, 1).unwrap_err();
+        assert!(e.to_string().contains("more than 4294967295 lines"), "{e}");
     }
 
     #[test]

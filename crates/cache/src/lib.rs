@@ -5,7 +5,8 @@
 //!
 //! * [`CacheGeometry`] — size / line size / associativity arithmetic.
 //! * [`DataCache`] — a set-associative cache that stores real line
-//!   *data* (the frequent value cache needs values, not just tags).
+//!   *data* (the frequent value cache needs values, not just tags) in
+//!   flat per-line arrays, filling misses in place.
 //! * [`replacement`] — the replacement-policy zoo ([`ReplacementKind`]:
 //!   true LRU, seeded random, SHiP-lite RRIP, value-pinned LRU).
 //! * [`MainMemory`] — backing store with word-level traffic accounting.

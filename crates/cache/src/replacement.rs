@@ -8,7 +8,7 @@
 //!
 //! | Policy | [`ReplacementKind`] | Source |
 //! |---|---|---|
-//! | True LRU | `Lru` | Classic stamp-per-line LRU; the set-associative generalization of the paper's §4 direct-mapped DMC and the policy of the original `DataCache`. |
+//! | True LRU | `Lru` | A per-set doubly linked recency list (O(1) fill, touch, invalidate and victim at any associativity); the set-associative generalization of the paper's §4 direct-mapped DMC and the policy of the original `DataCache`. |
 //! | Seeded random | `Random` | Control policy: a [SplitMix64](https://prng.di.unimi.it/splitmix64.c) stream drawn once per eviction, deterministic from its seed. |
 //! | RRIP (SHiP-lite) | `Rrip` | Saturating re-reference interval prediction with a signature history counter table, after the 2-bit RRPV + SHCT design in SNIPPETS.md Snippet 3 (`Cache.c`, CRC-2 SHiP). |
 //! | Pinned LRU | `PinnedLru` | Age-based LRU that never evicts lines whose words are all `0`/all-ones, after the GPGPU-Sim `ValueCache` in SNIPPETS.md Snippet 1, which pins value slots 0 (all zeros) and 1 (max value). |
@@ -198,6 +198,7 @@ pub enum Replacement {
 }
 
 impl ReplacementPolicy for Replacement {
+    #[inline]
     fn fill(&mut self, set: u32, way: u32, line_addr: Addr, data: &[Word]) {
         match self {
             Replacement::Lru(p) => p.fill(set, way, line_addr, data),
@@ -207,6 +208,9 @@ impl ReplacementPolicy for Replacement {
         }
     }
 
+    // Runs on every hit; inlining it lets LRU's "already the most
+    // recent way" check skip the call.
+    #[inline(always)]
     fn touch(&mut self, set: u32, way: u32) {
         match self {
             Replacement::Lru(p) => p.touch(set, way),
@@ -216,6 +220,7 @@ impl ReplacementPolicy for Replacement {
         }
     }
 
+    #[inline]
     fn write(&mut self, set: u32, way: u32, data: &[Word]) {
         match self {
             Replacement::Lru(p) => p.write(set, way, data),
@@ -225,6 +230,7 @@ impl ReplacementPolicy for Replacement {
         }
     }
 
+    #[inline]
     fn invalidate(&mut self, set: u32, way: u32) {
         match self {
             Replacement::Lru(p) => p.invalidate(set, way),
@@ -234,6 +240,7 @@ impl ReplacementPolicy for Replacement {
         }
     }
 
+    #[inline]
     fn victim(&mut self, set: u32) -> u32 {
         match self {
             Replacement::Lru(p) => p.victim(set),
@@ -244,72 +251,116 @@ impl ReplacementPolicy for Replacement {
     }
 }
 
-/// True LRU: a global clock stamps every fill and touch; the victim is
-/// the way with the smallest stamp. Bit-identical to the stamp scheme
-/// the pre-zoo `DataCache` carried inline.
+/// Link value marking the end of a recency list (and an unlinked way).
+const NIL: u32 = u32::MAX;
+/// Index of the more recent neighbour in a way's links, and of the
+/// most recent way in a set's ends.
+const NEWER: usize = 0;
+/// Index of the less recent neighbour in a way's links, and of the
+/// least recent way in a set's ends.
+const OLDER: usize = 1;
+
+/// True LRU: each set keeps its filled ways in a doubly linked recency
+/// list, so fill, touch, invalidate and victim are O(1) at any
+/// associativity. The victim is the list's least recent end: the way
+/// filled or touched longest ago.
 #[derive(Clone, Debug)]
 pub struct TrueLru {
     assoc: u32,
-    stamps: Vec<u64>,
-    clock: u64,
+    /// Per way: its `[NEWER, OLDER]` neighbours in its set's list, or
+    /// [`NIL`].
+    links: Vec<[u32; 2]>,
+    /// Per set: its `[NEWER, OLDER]` ends, the most and the least
+    /// recently used way, or [`NIL`] when the list is empty.
+    ends: Vec<[u32; 2]>,
 }
 
 impl TrueLru {
-    /// LRU state for `sets` sets of `assoc` ways, all stamps zero.
+    /// LRU state for `sets` sets of `assoc` ways, every list empty.
     pub fn new(sets: u32, assoc: u32) -> Self {
         TrueLru {
             assoc,
-            stamps: vec![0; sets as usize * assoc as usize],
-            clock: 0,
+            links: vec![[NIL; 2]; sets as usize * assoc as usize],
+            ends: vec![[NIL; 2]; sets as usize],
         }
     }
 
+    /// The links of `set`'s ways and the set's ends.
     #[inline]
-    fn idx(&self, set: u32, way: u32) -> usize {
-        (set * self.assoc + way) as usize
+    fn set_mut(&mut self, set: u32) -> (&mut [[u32; 2]], &mut [u32; 2]) {
+        let assoc = self.assoc as usize;
+        let base = set as usize * assoc;
+        (
+            &mut self.links[base..base + assoc],
+            &mut self.ends[set as usize],
+        )
+    }
+
+    /// Removes `way` from its set's list; a no-op if it is not listed
+    /// (the head has no newer way, every other listed way has one).
+    fn unlink(&mut self, set: u32, way: u32) {
+        let (links, ends) = self.set_mut(set);
+        let [newer, older] = links[way as usize];
+        if newer == NIL && ends[NEWER] != way {
+            return;
+        }
+        match newer {
+            NIL => ends[NEWER] = older,
+            n => links[n as usize][OLDER] = older,
+        }
+        match older {
+            NIL => ends[OLDER] = newer,
+            o => links[o as usize][NEWER] = newer,
+        }
+        links[way as usize] = [NIL; 2];
+    }
+
+    /// Makes `way` the most recent of its set, linking it if needed.
+    #[inline]
+    fn promote(&mut self, set: u32, way: u32) {
+        if self.ends[set as usize][NEWER] == way {
+            return;
+        }
+        self.unlink(set, way);
+        let (links, ends) = self.set_mut(set);
+        let head = ends[NEWER];
+        links[way as usize] = [NIL, head];
+        match head {
+            NIL => ends[OLDER] = way,
+            h => links[h as usize][NEWER] = way,
+        }
+        ends[NEWER] = way;
     }
 }
 
 impl ReplacementPolicy for TrueLru {
+    #[inline]
     fn fill(&mut self, set: u32, way: u32, _line_addr: Addr, _data: &[Word]) {
-        self.clock += 1;
-        let idx = self.idx(set, way);
-        self.stamps[idx] = self.clock;
+        self.promote(set, way);
     }
 
+    #[inline]
     fn touch(&mut self, set: u32, way: u32) {
-        self.clock += 1;
-        let idx = self.idx(set, way);
-        self.stamps[idx] = self.clock;
+        self.promote(set, way);
     }
 
     fn write(&mut self, _set: u32, _way: u32, _data: &[Word]) {}
 
     fn invalidate(&mut self, set: u32, way: u32) {
-        let idx = self.idx(set, way);
-        self.stamps[idx] = 0;
+        self.unlink(set, way);
     }
 
     fn victim(&mut self, set: u32) -> u32 {
-        let start = self.idx(set, 0);
-        let ways = &self.stamps[start..start + self.assoc as usize];
         // `seeded-bugs` is a TEST-ONLY mutation used by the `fvl-check`
-        // conformance harness: the victim scan keeps the *largest* stamp
-        // (MRU) instead of the smallest, inverting the eviction order in
+        // conformance harness: the victim is the list's most recent end
+        // instead of its least recent, inverting the eviction order in
         // every set with more than one way. Inert at associativity 1.
         #[cfg(feature = "seeded-bugs")]
-        let best = ways
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &stamp)| stamp)
-            .map(|(way, _)| way as u32);
+        let way = self.ends[set as usize][NEWER];
         #[cfg(not(feature = "seeded-bugs"))]
-        let best = ways
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &stamp)| stamp)
-            .map(|(way, _)| way as u32);
-        best.expect("associativity is at least 1")
+        let way = self.ends[set as usize][OLDER];
+        debug_assert_ne!(way, NIL, "victim asked of an empty set");
+        way
     }
 }
 
@@ -598,6 +649,34 @@ mod tests {
         assert_eq!(lru.victim(0), 1);
         lru.touch(0, 1);
         assert_eq!(lru.victim(0), 2);
+    }
+
+    #[test]
+    fn lru_list_survives_invalidation_and_refill_in_place() {
+        let mut lru = TrueLru::new(2, 4);
+        for way in 0..4 {
+            lru.fill(1, way, 0, &[0]);
+        }
+        // Recency, least recent first: 0 1 2 3. Unlink the tail, a
+        // middle way and the head, then an already-unlinked way.
+        lru.invalidate(1, 0);
+        assert_eq!(lru.victim(1), 1);
+        lru.invalidate(1, 2);
+        lru.invalidate(1, 3);
+        lru.invalidate(1, 3);
+        assert_eq!(lru.victim(1), 1);
+        for way in [0, 2, 3] {
+            lru.fill(1, way, 0, &[0]);
+        }
+        lru.touch(1, 1); // 0 2 3 1
+        assert_eq!(lru.victim(1), 0);
+        // The victim refilled in place becomes the most recent.
+        lru.fill(1, 0, 0, &[0]); // 2 3 1 0
+        assert_eq!(lru.victim(1), 2);
+        // The other set's list is independent.
+        lru.fill(0, 3, 0, &[0]);
+        lru.fill(0, 1, 0, &[0]);
+        assert_eq!(lru.victim(0), 3);
     }
 
     #[test]

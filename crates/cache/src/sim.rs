@@ -6,7 +6,7 @@ use crate::data_cache::DataCache;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementKind;
 use crate::stats::CacheStats;
-use fvl_mem::{Access, AccessBlock, AccessKind, AccessSink, Addr, Word, ACCESS_BLOCK};
+use fvl_mem::{Access, AccessBlock, AccessKind, AccessSink, Addr, ACCESS_BLOCK};
 use std::fmt;
 
 /// How stores propagate to memory.
@@ -30,7 +30,12 @@ pub enum WritePolicy {
 /// With associativity 1 this is the paper's baseline DMC. The simulator
 /// stores real data and, by default, *verifies* on every load that the
 /// value it would return matches the value recorded in the trace — a
-/// built-in coherence oracle that catches controller bugs immediately.
+/// built-in coherence oracle that catches controller bugs immediately,
+/// and the only run-time check of the data path (the `fvl-check`
+/// oracle diffs counters, not values). A miss is filled in place: the
+/// dirty victim is written back from the cache's own line storage and
+/// the new line fetched straight into it, one page lookup per line,
+/// with no allocation.
 ///
 /// # Example
 ///
@@ -53,14 +58,12 @@ pub struct CacheSim {
     classifier: Option<MissClassifier>,
     policy: WritePolicy,
     verify_values: bool,
-    line_buf: Vec<Word>,
     flushed: bool,
 }
 
 impl CacheSim {
     /// Creates a simulator over an all-zero main memory.
     pub fn new(geom: CacheGeometry) -> Self {
-        let wpl = geom.words_per_line() as usize;
         CacheSim {
             cache: DataCache::new(geom),
             memory: MainMemory::new(),
@@ -68,7 +71,6 @@ impl CacheSim {
             classifier: None,
             policy: WritePolicy::WriteBack,
             verify_values: true,
-            line_buf: vec![0; wpl],
             flushed: false,
         }
     }
@@ -215,16 +217,17 @@ impl CacheSim {
                     AccessKind::Load => self.stats.read_misses += 1,
                     AccessKind::Store => self.stats.write_misses += 1,
                 }
-                self.memory.read_line(line_addr, &mut self.line_buf);
                 self.stats.fetches += 1;
-                let evicted = self.cache.install(line_addr, &self.line_buf, false);
-                if let Some(line) = evicted {
-                    if line.dirty {
-                        self.memory.write_line(line.line_addr, &line.data);
-                        self.stats.writebacks += 1;
-                    }
-                }
-                let slot = self.cache.probe_at(set, line_addr).expect("just installed");
+                let (memory, stats) = (&mut self.memory, &mut self.stats);
+                let slot = self
+                    .cache
+                    .fill_with(set, line_addr, false, |victim, words| {
+                        if let Some(victim) = victim.filter(|v| v.dirty) {
+                            memory.write_line(victim.line_addr, words);
+                            stats.writebacks += 1;
+                        }
+                        memory.read_line(line_addr, words);
+                    });
                 match kind {
                     AccessKind::Load => {
                         let value = self.cache.read_word(slot, addr);
@@ -316,6 +319,54 @@ mod tests {
         let mut s = sim(1024, 16, 1);
         s.on_access(Access::store(0x200, 1));
         s.on_access(Access::load(0x200, 2)); // inconsistent trace
+    }
+
+    #[test]
+    fn stored_words_survive_eviction_and_wrong_refetches_panic() {
+        // The miss path's value check, on both sides of the map-indexed
+        // probe: a stored word must come back through memory after its
+        // line is evicted (dirty under write-back, written through
+        // otherwise), and a refetch that disagrees with the trace must
+        // trip the "memory returned" assertion.
+        let fully = 2 * DataCache::INDEXED_ASSOC;
+        let geometries = [
+            CacheGeometry::new(1024, 16, 1).unwrap(),
+            CacheGeometry::new(1024, 16, 4).unwrap(),
+            CacheGeometry::fully_associative(fully, 16).unwrap(),
+        ];
+        for geom in geometries {
+            for policy in [WritePolicy::WriteBack, WritePolicy::WriteThrough] {
+                let assoc = geom.associativity();
+                // Consecutive lines of one set.
+                let stride = geom.sets() * geom.line_bytes();
+                let run = |refetched: u32| {
+                    let mut s = CacheSim::new(geom).with_write_policy(policy);
+                    s.on_access(Access::store(0x40, 0xabcd));
+                    s.on_access(Access::load(0x40, 0xabcd));
+                    for k in 1..=assoc {
+                        s.on_access(Access::load(0x40 + k * stride, 0));
+                    }
+                    assert!(s.cache.probe(0x40).is_none(), "{geom} {policy:?}: evicted");
+                    assert_eq!(s.memory().peek(0x40), 0xabcd, "{geom} {policy:?}");
+                    s.on_access(Access::load(0x40, refetched));
+                    s
+                };
+                let s = run(0xabcd);
+                let (writebacks, misses) = match policy {
+                    WritePolicy::WriteBack => (1, u64::from(assoc) + 2),
+                    WritePolicy::WriteThrough => (0, u64::from(assoc) + 3),
+                };
+                assert_eq!(s.stats().writebacks, writebacks, "{geom} {policy:?}");
+                assert_eq!(s.stats().misses(), misses, "{geom} {policy:?}");
+                let panic = std::panic::catch_unwind(|| run(0xabce))
+                    .expect_err("a wrong refetched value must panic");
+                let message = panic.downcast_ref::<String>().expect("formatted message");
+                assert!(
+                    message.contains("memory returned"),
+                    "{geom} {policy:?}: {message}"
+                );
+            }
+        }
     }
 
     #[test]

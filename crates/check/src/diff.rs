@@ -29,11 +29,19 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 pub const GEOMETRIES: [(u64, u32, u32); 2] = [(1024, 16, 1), (512, 16, 2)];
 
 /// The cache organizations the replacement-policy zoo differentials run
-/// over: one shape per associativity in {1, 2, 4, 8}, all with 16-byte
-/// lines and few enough sets (64 down to 4) that generated traces fill
-/// sets and force every policy's victim logic to fire.
-pub const ZOO_GEOMETRIES: [(u64, u32, u32); 4] =
-    [(1024, 16, 1), (512, 16, 2), (512, 16, 4), (512, 16, 8)];
+/// over: one shape per associativity in {1, 2, 4, 8, 32}, all with
+/// 16-byte lines and few enough sets (64 down to 1) that generated
+/// traces fill sets and force every policy's victim logic to fire. The
+/// 32-way shape is fully associative and sits above
+/// [`fvl_cache::DataCache::INDEXED_ASSOC`], so it diffs the map-indexed
+/// probe; the others diff the tag scan.
+pub const ZOO_GEOMETRIES: [(u64, u32, u32); 5] = [
+    (1024, 16, 1),
+    (512, 16, 2),
+    (512, 16, 4),
+    (512, 16, 8),
+    (512, 16, 32),
+];
 
 /// The `(line bytes, levels)` shapes the reuse-profiler differential
 /// runs over. Word-sized lines at 1, 4 and 8 levels have top

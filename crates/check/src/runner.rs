@@ -24,11 +24,12 @@ pub const BOUNDARY_ACCESS_COUNTS: [u64; 8] = [0, 1, 63, 64, 65, 8191, 8192, 8193
 /// fewer, not smaller, traces than the main corpus.
 pub const SERVE_CASES: usize = 12;
 
-/// The two set-associative shapes the per-policy CI matrix leg sweeps:
-/// the shallowest and deepest associative zoo geometries (2-way and
-/// 8-way, 16-byte lines), chosen so each policy's victim logic fires
-/// both with one fallback way and with seven.
-pub const POLICY_GEOMETRIES: [(u64, u32, u32); 2] = [(512, 16, 2), (512, 16, 8)];
+/// The associative shapes the per-policy CI matrix leg sweeps: the
+/// 2-way, 8-way and fully-associative 32-way zoo geometries (16-byte
+/// lines), chosen so each policy's victim logic fires with one fallback
+/// way, with seven, and with thirty-one behind the map-indexed probe
+/// (above [`fvl_cache::DataCache::INDEXED_ASSOC`]).
+pub const POLICY_GEOMETRIES: [(u64, u32, u32); 3] = [(512, 16, 2), (512, 16, 8), (512, 16, 32)];
 
 /// One failing corpus case, with its already-shrunk reproduction trace.
 #[derive(Clone, Debug)]

@@ -7,9 +7,11 @@
 
 #![cfg(not(feature = "mutation"))]
 
+use fvl_cache::{CacheGeometry, DataCache};
 use fvl_check::{
     corpus, diff, generate, normalize_events, run_boundary_corpus, run_corpus, scalar_replay,
-    shrink, OracleReuse, Pattern, BOUNDARY_ACCESS_COUNTS, DEFAULT_CASES, DEFAULT_TRACE_ACCESSES,
+    shrink, OracleCache, OraclePolicy, OracleReuse, Pattern, BOUNDARY_ACCESS_COUNTS, DEFAULT_CASES,
+    DEFAULT_TRACE_ACCESSES, POLICY_GEOMETRIES,
 };
 use fvl_mem::{Access, AccessKind, Trace, TraceEvent};
 use std::collections::HashSet;
@@ -159,6 +161,37 @@ fn corpus_fills_and_evicts_every_reuse_bucket() {
             "{levels} levels: only {evicting_traces} traces overflow {top_capacity} lines"
         );
     }
+}
+
+#[test]
+fn corpus_fills_and_evicts_the_map_indexed_shape() {
+    // The map-indexed probe runs only above DataCache::INDEXED_ASSOC
+    // ways. The zoo's widest shape must sit there as one
+    // fully-associative set, in both differential tables, and the
+    // generated corpus must overfill that set so every policy's victim
+    // logic fires behind the map.
+    let &(size, line, assoc) = diff::ZOO_GEOMETRIES
+        .iter()
+        .max_by_key(|g| g.2)
+        .expect("zoo is non-empty");
+    assert!(assoc > DataCache::INDEXED_ASSOC);
+    let geom = CacheGeometry::new(size, line, assoc).expect("valid geometry");
+    assert_eq!(geom.sets(), 1, "fully associative");
+    assert!(POLICY_GEOMETRIES.contains(&(size, line, assoc)));
+    let traces = corpus(DEFAULT_CASES, DEFAULT_TRACE_ACCESSES);
+    let evicting = traces
+        .iter()
+        .filter(|trace| {
+            let mut oracle = OracleCache::new(size, line, assoc, OraclePolicy::WriteBack);
+            scalar_replay(trace, &mut oracle);
+            // Every fetch past the first `assoc` displaces a line.
+            oracle.stats().fetches > u64::from(assoc)
+        })
+        .count();
+    assert!(
+        evicting > DEFAULT_CASES / 2,
+        "only {evicting} of {DEFAULT_CASES} traces evict from the {assoc}-way set"
+    );
 }
 
 #[test]

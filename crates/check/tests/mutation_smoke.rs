@@ -9,9 +9,10 @@
 //!    are silently discarded instead of written back),
 //! 3. a swapped load/store bit in `fvl-mem`'s packed-trace decoder
 //!    (every packed load replays as a store and vice versa),
-//! 4. an inverted LRU victim scan in `fvl-cache`'s replacement policy
-//!    (the most recently used way is evicted instead of the least) —
-//!    inert at 1-way associativity, where there is only one way,
+//! 4. an inverted LRU victim in `fvl-cache`'s replacement policy (the
+//!    head of the set's recency list, the most recently used way, is
+//!    evicted instead of its tail) — inert at 1-way associativity,
+//!    where there is only one way,
 //! 5. an off-by-one continuation-bit check in `fvl-mem`'s varint
 //!    decoder (`byte < 0x7f` instead of `byte < 0x80`), which
 //!    misreads any v2.1 address token whose final varint byte is
@@ -89,7 +90,7 @@ fn dropped_dirty_bit_is_caught() {
     assert!(caught, "dropped dirty bit went undetected");
 }
 
-/// Bug 4 — inverted LRU victim scan. A load-only trace (dirty-bit bug
+/// Bug 4 — inverted LRU victim. A load-only trace (dirty-bit bug
 /// inert) replayed as a plain `Trace` (decoder bug inert) through the
 /// 512B 2-way LRU cell alone. Lines 0x000, 0x400, 0x800 and 0xC00 all
 /// map to set 0 there under both the correct and the truncated
@@ -107,14 +108,28 @@ fn wrong_victim_bug_is_caught() {
     ]);
     assert!(
         diff::diff_cache_with(&trace, &[(512, 16, 2)], ReplacementKind::Lru).is_some(),
-        "inverted LRU victim scan went undetected"
+        "inverted LRU victim went undetected"
     );
     // The same trace through the direct-mapped cell is clean: a 1-way
     // set has a single way, so the failure is attributable to the
-    // victim scan alone.
+    // victim choice alone.
     assert_eq!(
         diff::diff_cache_with(&trace, &[(1024, 16, 1)], ReplacementKind::Lru),
         None
+    );
+    // Behind the map-indexed probe too: 33 distinct lines overfill the
+    // single set of the fully-associative 32-way cell (one set, so the
+    // mask bug is inert there), and the re-load of the first line hits
+    // only in the mutant, which evicted the 32nd instead.
+    let overfill = Trace::from_events(
+        (0..=32u32)
+            .chain([0])
+            .map(|line| TraceEvent::Access(Access::load(line * 0x10, 0)))
+            .collect(),
+    );
+    assert!(
+        diff::diff_cache_with(&overfill, &[(512, 16, 32)], ReplacementKind::Lru).is_some(),
+        "inverted LRU victim went undetected behind the map-indexed probe"
     );
 }
 

@@ -102,11 +102,80 @@ impl SimMemory {
             // Writing zero into an unmaterialized page is a no-op.
             return;
         }
+        let slot = self.materialize(page);
+        self.arena[slot as usize][idx] = value;
+    }
+
+    /// Appends a zero page for `page` and returns its arena slot.
+    fn materialize(&mut self, page: u32) -> u32 {
         let slot = u32::try_from(self.arena.len()).expect("fewer than 2^32 pages");
         self.arena.push(Box::new([0; PAGE_WORDS]));
         self.table.insert(page, slot);
         self.last.set(Some((page, slot)));
-        self.arena[slot as usize][idx] = value;
+        slot
+    }
+
+    /// Splits the `len` words starting at `addr` into runs that each
+    /// stay within one page: `(page, first word index, run length)`.
+    fn page_runs(addr: Addr, len: usize) -> impl Iterator<Item = (u32, usize, usize)> {
+        let (mut page, mut idx) = Self::split(addr);
+        let mut left = len;
+        std::iter::from_fn(move || {
+            if left == 0 {
+                return None;
+            }
+            let run = left.min(PAGE_WORDS - idx);
+            let item = (page, idx, run);
+            left -= run;
+            page = page.wrapping_add(1);
+            idx = 0;
+            Some(item)
+        })
+    }
+
+    /// Reads `buf.len()` consecutive words starting at `addr` (a cache
+    /// line fetch) with one page lookup per page the range touches
+    /// instead of one per word. Identical to reading each word with
+    /// [`SimMemory::read`].
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `addr` is not 4-byte aligned.
+    pub fn read_line(&self, addr: Addr, buf: &mut [Word]) {
+        let mut rest = buf;
+        for (page, idx, run) in Self::page_runs(addr, rest.len()) {
+            let (chunk, tail) = rest.split_at_mut(run);
+            match self.lookup(page) {
+                Some(slot) => chunk.copy_from_slice(&self.arena[slot as usize][idx..idx + run]),
+                None => chunk.fill(0),
+            }
+            rest = tail;
+        }
+    }
+
+    /// Writes `data` to consecutive words starting at `addr` (a cache
+    /// line write-back) with one page lookup per page the range
+    /// touches. Identical to writing each word with
+    /// [`SimMemory::write`]: a page is materialized only if a nonzero
+    /// word lands in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `addr` is not 4-byte aligned.
+    pub fn write_line(&mut self, addr: Addr, data: &[Word]) {
+        let mut rest = data;
+        for (page, idx, run) in Self::page_runs(addr, rest.len()) {
+            let (chunk, tail) = rest.split_at(run);
+            let slot = match self.lookup(page) {
+                Some(slot) => Some(slot),
+                None if chunk.iter().all(|&w| w == 0) => None,
+                None => Some(self.materialize(page)),
+            };
+            if let Some(slot) = slot {
+                self.arena[slot as usize][idx..idx + run].copy_from_slice(chunk);
+            }
+            rest = tail;
+        }
     }
 
     /// Number of materialized 4 KiB pages.
@@ -197,6 +266,49 @@ mod tests {
         // Writes to the original do not leak into the clone.
         mem.write(4, 999);
         assert_eq!(copy.read(4), 1);
+    }
+
+    #[test]
+    fn line_larger_than_a_page_round_trips_across_pages() {
+        // 3000 words from mid-page span four pages: a partial first
+        // run, two whole pages, and a partial last run.
+        let mut mem = SimMemory::new();
+        let base = 0x2000 + 600 * 4;
+        let line: Vec<Word> = (1..=3000).collect();
+        mem.write_line(base, &line);
+        assert_eq!(mem.resident_pages(), 4);
+        let mut back = vec![0; line.len()];
+        mem.read_line(base, &mut back);
+        assert_eq!(back, line);
+        for (i, &w) in line.iter().enumerate() {
+            assert_eq!(mem.read(base + i as u32 * 4), w, "word {i}");
+        }
+        // Reading past the written range returns the untouched zeros,
+        // including from a page that was never materialized.
+        let mut wider = vec![9; 2 * PAGE_WORDS];
+        mem.read_line(base + 2 * 4096, &mut wider);
+        let written = line.len() - 2 * PAGE_WORDS;
+        assert_eq!(&wider[..written], &line[2 * PAGE_WORDS..]);
+        assert!(wider[written..].iter().all(|&w| w == 0));
+        assert_eq!(mem.resident_pages(), 4, "reads materialize nothing");
+    }
+
+    #[test]
+    fn zero_line_write_back_to_untouched_pages_allocates_nothing() {
+        let mut mem = SimMemory::new();
+        mem.write_line(0x8000, &[0; 8]);
+        mem.write_line(0x1_0000, &[0; 2 * PAGE_WORDS]);
+        assert_eq!(mem.resident_pages(), 0);
+        // A single nonzero word materializes exactly its own page.
+        let mut line = vec![0; 2 * PAGE_WORDS];
+        line[PAGE_WORDS + 5] = 7;
+        mem.write_line(0x1_0000, &line);
+        assert_eq!(mem.resident_pages(), 1);
+        assert_eq!(mem.read(0x1_0000 + 4096 + 5 * 4), 7);
+        // Zeros into a resident page overwrite it.
+        mem.write_line(0x1_1000, &[0; 8]);
+        assert_eq!(mem.read(0x1_1000 + 5 * 4), 0);
+        assert_eq!(mem.resident_pages(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! untrusted length (the hostile-length test sends only a 13-byte
 //! header, so the rejection can only come from the declared length).
 
-use fvl_bench::remote::{RemoteClient, SessionSpec};
+use fvl_bench::remote::{RemoteClient, RemoteError, SessionSpec, MAX_SIM_CACHE_BYTES};
 use fvl_mem::frame::{self, ErrorCode, FrameKind, FrameReadError, MAX_FRAME_LEN};
 use fvl_serve::{Daemon, DaemonHandle, ServeConfig};
 use std::io::{Read, Write};
@@ -248,5 +248,54 @@ fn mid_frame_disconnect_leaves_the_daemon_serving() {
     )
     .expect("daemon still serving after the mid-frame disconnect");
     client.bye().expect("clean close");
+    handle.shutdown();
+}
+
+/// A cache configuration the daemon must not build is a typed
+/// BAD_FRAME refusal, answered before any allocation: one larger than
+/// `MAX_SIM_CACHE_BYTES` (2^28 four-byte lines, several GiB of line
+/// storage), and two whose line count overflows a `u32` (2^38 sets;
+/// 2^32 lines of 2^30 ways). The session keeps serving, and so does
+/// the daemon.
+#[test]
+fn oversized_cache_configs_are_refused_before_allocating() {
+    let handle = daemon();
+    let mut upload = Vec::new();
+    fvl_bench::corpus::synth_trace(1000, 7)
+        .write_v22_to(&mut upload)
+        .expect("in-memory write");
+    let session = || {
+        let mut client = RemoteClient::connect(
+            handle.local_addr(),
+            &SessionSpec::smoke("corrupt"),
+            Duration::from_secs(10),
+        )
+        .expect("session opens");
+        assert_eq!(client.upload_trace(&upload).expect("upload"), 1000);
+        client
+    };
+    let valid = "size=1024\nline=16\nassoc=1\n";
+    let mut client = session();
+    for config in [
+        format!("size={}\nline=4\n", 64 * MAX_SIM_CACHE_BYTES),
+        "size=1099511627776\nline=4\nassoc=1\n".to_string(),
+        "size=17179869184\nline=4\nassoc=1073741824\n".to_string(),
+    ] {
+        match client.simulate(&config) {
+            Err(RemoteError::Rejected(code, msg)) => {
+                assert_eq!(code, ErrorCode::BadFrame, "{config:?}");
+                assert!(msg.contains("bad geometry"), "{config:?}: {msg}");
+            }
+            other => panic!("{config:?}: expected a typed refusal, got {other:?}"),
+        }
+    }
+    let same_session = client.simulate(valid).expect("session still serves");
+    client.bye().expect("clean close");
+    let mut next = session();
+    assert_eq!(
+        next.simulate(valid).expect("daemon still serves"),
+        same_session
+    );
+    next.bye().expect("clean close");
     handle.shutdown();
 }
