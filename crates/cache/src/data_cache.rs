@@ -26,11 +26,11 @@ pub struct EvictedLine {
 /// The valid line a [`DataCache::fill_with`] displaces. Its words are
 /// the slice handed to the fill closure alongside it.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
-pub(crate) struct Victim {
+pub struct Victim {
     /// Address of the first byte of the displaced line.
-    pub(crate) line_addr: Addr,
+    pub line_addr: Addr,
     /// Whether the displaced line was modified since it was fetched.
-    pub(crate) dirty: bool,
+    pub dirty: bool,
 }
 
 /// A read-only view of a valid cache line (for occupancy statistics).
@@ -54,7 +54,8 @@ pub struct LineRef<'a> {
 /// arena of `lines × words_per_line`. [`crate::CacheSim`] fills a miss
 /// in place: the victim's words go to memory straight from the arena
 /// and the new line's words come back into the same slice, so its miss
-/// path allocates nothing. Above
+/// path allocates nothing. The DMC+FVC hybrid in `fvl-core` fills its
+/// misses through the same [`DataCache::fill_with`]. Above
 /// [`DataCache::INDEXED_ASSOC`] ways the cache also keeps a line-address
 /// → slot map, so probes and the duplicate-install check stay O(1);
 /// with true LRU's O(1) recency list, the cost per access no longer
@@ -250,19 +251,25 @@ impl DataCache {
     }
 
     /// Makes room for `line_addr` in `set` and fills the chosen way in
-    /// place — the miss path. `load` receives the displaced line's
-    /// [`Victim`] (if the way held a valid line) and the way's words:
-    /// the victim's on entry, to be written back from there, and the
+    /// place — the miss path of [`crate::CacheSim`] and of the DMC+FVC
+    /// hybrid. `load` receives the displaced line's [`Victim`] (if the
+    /// way held a valid line) and the way's words: the victim's on
+    /// entry, to be written back (or re-encoded) from there, and the
     /// new line's on return, fetched straight into them. The line is
     /// then resident with the given dirty bit. Returns its slot. The
-    /// way is chosen as [`DataCache::install`] documents.
+    /// way is chosen as [`DataCache::install`] documents, and nothing
+    /// is allocated.
+    ///
+    /// `set` and `line_addr` must come from the same address, as
+    /// [`CacheGeometry::set_index`] and [`CacheGeometry::line_addr`]
+    /// split it.
     ///
     /// # Panics
     ///
     /// Panics if `line_addr` is already resident (installing a
     /// duplicate would break the one-copy invariant) or the policy
     /// picks a way out of range, before any line state changes.
-    pub(crate) fn fill_with(
+    pub fn fill_with(
         &mut self,
         set: u32,
         line_addr: Addr,
@@ -319,8 +326,8 @@ impl DataCache {
 
     /// Installs a line, evicting the policy's chosen victim if the set
     /// is full. Returns the evicted line (valid victims only): the
-    /// allocating form of the in-place fill [`crate::CacheSim`]'s miss
-    /// path uses, for controllers that keep the evicted line.
+    /// allocating wrapper over [`DataCache::fill_with`], for
+    /// controllers that keep the evicted line.
     ///
     /// Invalid ways are always filled first, lowest index first; the
     /// replacement policy only picks among full sets. This rule is part

@@ -50,7 +50,7 @@ mod victim;
 
 pub use backing::MainMemory;
 pub use classify::{MissClass, MissClassifier};
-pub use data_cache::{DataCache, EvictedLine, LineRef};
+pub use data_cache::{DataCache, EvictedLine, LineRef, Victim};
 pub use geometry::{CacheGeometry, GeometryError};
 pub use replacement::{Replacement, ReplacementKind, ReplacementPolicy};
 pub use sim::{CacheSim, WritePolicy};

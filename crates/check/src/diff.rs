@@ -10,16 +10,17 @@
 
 use crate::oracle_cache::{OracleCache, OraclePolicy, OracleReplacement, OracleStats};
 use crate::oracle_encode::LinearScanEncoder;
+use crate::oracle_hybrid::{OracleHybrid, OracleHybridOptions, OracleHybridStats};
 use crate::oracle_replay::{scalar_replay, DigestSink};
 use crate::oracle_reuse::OracleReuse;
 use fvl_cache::{CacheGeometry, CacheSim, CacheStats, ReplacementKind, Simulator, WritePolicy};
-use fvl_core::{FrequentValueSet, HybridCache, HybridConfig, OnlineHybrid};
+use fvl_core::{FrequentValueSet, HybridCache, HybridConfig, HybridStats, OnlineHybrid};
 use fvl_mem::{
-    AccessSink, AddrCodec, MappedTrace, PackedTrace, SimdLevel, SimdPolicy, Trace, Word,
+    AccessSink, Addr, AddrCodec, MappedTrace, PackedTrace, SimdLevel, SimdPolicy, Trace, Word,
     CHUNK_ACCESSES,
 };
 use fvl_profile::{ReuseProfiler, DEFAULT_LINE_BYTES, TOWER_LEVELS};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The cache organizations every cache-level differential runs over:
@@ -51,6 +52,75 @@ pub const ZOO_GEOMETRIES: [(u64, u32, u32); 5] = [
 /// corpus sweep uses.
 pub const REUSE_SHAPES: [(u32, usize); 4] =
     [(4, 1), (4, 4), (4, 8), (DEFAULT_LINE_BYTES, TOWER_LEVELS)];
+
+/// The DMC shapes the hybrid oracle differential runs over: every
+/// [`ZOO_GEOMETRIES`] shape (4-word lines) plus a direct-mapped cache
+/// of the paper's 32-byte, 8-word line.
+pub const HYBRID_GEOMETRIES: [(u64, u32, u32); 6] = [
+    ZOO_GEOMETRIES[0],
+    ZOO_GEOMETRIES[1],
+    ZOO_GEOMETRIES[2],
+    ZOO_GEOMETRIES[3],
+    ZOO_GEOMETRIES[4],
+    (1024, 32, 1),
+];
+
+/// FVC lines in the hybrid oracle differential: few enough that the
+/// generated corpus displaces FVC lines, dirty ones included.
+pub const HYBRID_FVC_ENTRIES: u32 = 8;
+
+/// Accesses between occupancy samples in the hybrid oracle
+/// differential, small enough that a generated trace samples the FVC
+/// dozens of times.
+pub const HYBRID_SAMPLE_EVERY: u64 = 16;
+
+/// The hybrid policies the oracle differential runs: the paper's
+/// default and ext3's ablations, each named after the `HybridConfig`
+/// builder that selects it.
+pub fn hybrid_variants() -> [(&'static str, OracleHybridOptions); 6] {
+    let paper = OracleHybridOptions {
+        sample_every: HYBRID_SAMPLE_EVERY,
+        ..OracleHybridOptions::default()
+    };
+    [
+        ("default", paper),
+        (
+            "write_allocate_fvc(false)",
+            OracleHybridOptions {
+                write_allocate: false,
+                ..paper
+            },
+        ),
+        (
+            "count_write_alloc_as_miss(true)",
+            OracleHybridOptions {
+                count_write_alloc_as_miss: true,
+                ..paper
+            },
+        ),
+        (
+            "min_frequent_words(0)",
+            OracleHybridOptions {
+                min_frequent_words: 0,
+                ..paper
+            },
+        ),
+        (
+            "min_frequent_words(4)",
+            OracleHybridOptions {
+                min_frequent_words: 4,
+                ..paper
+            },
+        ),
+        (
+            "fvc_associativity(2)",
+            OracleHybridOptions {
+                fvc_associativity: 2,
+                ..paper
+            },
+        ),
+    ]
+}
 
 fn policies() -> [(WritePolicy, OraclePolicy); 2] {
     [
@@ -579,8 +649,9 @@ pub fn diff_cache(trace: &Trace) -> Option<String> {
 }
 
 /// The frequency ranking of the values a trace touches: count
-/// descending, value ascending, truncated to `k`.
-fn value_ranking(trace: &Trace, k: usize) -> Vec<Word> {
+/// descending, value ascending, truncated to `k`. The value-centric
+/// differentials take their frequent value sets from it.
+pub fn value_ranking(trace: &Trace, k: usize) -> Vec<Word> {
     let mut counts: BTreeMap<Word, u64> = BTreeMap::new();
     for access in trace.iter_accesses() {
         *counts.entry(access.value).or_insert(0) += 1;
@@ -758,6 +829,150 @@ pub fn diff_hybrid(trace: &Trace) -> Option<String> {
     None
 }
 
+/// The optimized hybrid built with the oracle's policy knobs.
+fn hybrid_like(
+    geom: CacheGeometry,
+    values: FrequentValueSet,
+    options: &OracleHybridOptions,
+) -> HybridCache {
+    HybridCache::new(
+        HybridConfig::new(geom, HYBRID_FVC_ENTRIES, values)
+            .write_allocate_fvc(options.write_allocate)
+            .count_write_alloc_as_miss(options.count_write_alloc_as_miss)
+            .min_frequent_words(options.min_frequent_words)
+            .fvc_associativity(options.fvc_associativity)
+            .occupancy_sample_every(options.sample_every),
+    )
+}
+
+/// The first [`HybridStats`] field that differs from the oracle's, as
+/// `(name, optimized, oracle)`. The occupancy sum is compared bit for
+/// bit: both sides must add the same exact fractions.
+fn hybrid_stats_mismatch(
+    got: &HybridStats,
+    want: &OracleHybridStats,
+) -> Option<(&'static str, String, String)> {
+    let o = &got.overall;
+    let counters = [
+        ("read_hits", o.read_hits, want.read_hits),
+        ("read_misses", o.read_misses, want.read_misses),
+        ("write_hits", o.write_hits, want.write_hits),
+        ("write_misses", o.write_misses, want.write_misses),
+        ("writebacks", o.writebacks, want.writebacks),
+        ("fetches", o.fetches, want.fetches),
+        ("dmc_hits", got.dmc_hits, want.dmc_hits),
+        ("fvc_read_hits", got.fvc_read_hits, want.fvc_read_hits),
+        ("fvc_write_hits", got.fvc_write_hits, want.fvc_write_hits),
+        (
+            "fvc_write_allocs",
+            got.fvc_write_allocs,
+            want.fvc_write_allocs,
+        ),
+        ("transfer_moves", got.transfer_moves, want.transfer_moves),
+        (
+            "dmc_to_fvc_inserts",
+            got.dmc_to_fvc_inserts,
+            want.dmc_to_fvc_inserts,
+        ),
+        (
+            "fvc_insert_skips",
+            got.fvc_insert_skips,
+            want.fvc_insert_skips,
+        ),
+        ("fvc_evictions", got.fvc_evictions, want.fvc_evictions),
+        (
+            "fvc_dirty_evictions",
+            got.fvc_dirty_evictions,
+            want.fvc_dirty_evictions,
+        ),
+        (
+            "occupancy_samples",
+            got.occupancy_samples,
+            want.occupancy_samples,
+        ),
+        (
+            "occupancy_percent_sum (bits)",
+            got.occupancy_percent_sum.to_bits(),
+            want.occupancy_percent_sum.to_bits(),
+        ),
+    ];
+    counters
+        .into_iter()
+        .find(|&(_, g, w)| g != w)
+        .map(|(name, g, w)| (name, g.to_string(), w.to_string()))
+}
+
+/// Diffs the optimized [`HybridCache`] against the naive
+/// [`OracleHybrid`] over [`HYBRID_GEOMETRIES`] × [`hybrid_variants`];
+/// see [`diff_hybrid_oracle_with`].
+pub fn diff_hybrid_oracle(trace: &Trace) -> Option<String> {
+    diff_hybrid_oracle_with(trace, &HYBRID_GEOMETRIES, &hybrid_variants())
+}
+
+/// Diffs the optimized [`HybridCache`] against the naive
+/// [`OracleHybrid`] over the given DMC shapes and policy variants,
+/// with the trace's own top-7 values and a [`HYBRID_FVC_ENTRIES`]-line
+/// FVC. After the flush the two must agree on every [`HybridStats`]
+/// field, on the traffic in words, and on the memory image: every word
+/// of every line the trace touches.
+///
+/// Exposed separately from [`diff_hybrid_oracle`] so mutation tests can
+/// attribute a divergence to one (shape, variant) cell.
+pub fn diff_hybrid_oracle_with(
+    trace: &Trace,
+    geometries: &[(u64, u32, u32)],
+    variants: &[(&str, OracleHybridOptions)],
+) -> Option<String> {
+    let ranking = value_ranking(trace, 7);
+    if ranking.is_empty() {
+        return None; // no accesses: nothing to cache
+    }
+    let values = match FrequentValueSet::new(ranking.clone()) {
+        Ok(set) => set,
+        Err(e) => return Some(format!("FrequentValueSet rejected the ranking: {e}")),
+    };
+    for &(size, line, assoc) in geometries {
+        let geom = CacheGeometry::new(size, line, assoc).expect("valid geometry");
+        let lines: BTreeSet<Addr> = trace
+            .iter_accesses()
+            .map(|a| geom.line_addr(a.addr))
+            .collect();
+        for &(name, options) in variants {
+            let shape = format!("{size}B/{line}B/{assoc}-way {name}");
+            let mut hybrid = hybrid_like(geom, values.clone(), &options);
+            trace.replay_into(&mut hybrid);
+            let mut oracle =
+                OracleHybrid::new(size, line, assoc, HYBRID_FVC_ENTRIES, &ranking, options);
+            scalar_replay(trace, &mut oracle);
+            if let Some((field, got, want)) =
+                hybrid_stats_mismatch(hybrid.hybrid_stats(), oracle.stats())
+            {
+                return Some(format!(
+                    "HybridCache {shape} diverged on {field}: optimized {got} vs oracle {want}"
+                ));
+            }
+            let (got, want) = (hybrid.traffic_words(), oracle.traffic_words());
+            if got != want {
+                return Some(format!(
+                    "HybridCache {shape} moved {got} words vs oracle {want}"
+                ));
+            }
+            let words = lines
+                .iter()
+                .flat_map(|&line_addr| (0..line / 4).map(move |w| line_addr + 4 * w));
+            for addr in words {
+                let (got, want) = (hybrid.memory().peek(addr), oracle.peek(addr));
+                if got != want {
+                    return Some(format!(
+                        "HybridCache {shape} flushed {got:#x} at {addr:#x}, oracle {want:#x}"
+                    ));
+                }
+            }
+        }
+    }
+    None
+}
+
 /// Diffs the lock-free parallel sweeps against a serial oracle sweep:
 /// [`fvl_bench::sweep::parallel`] and batched
 /// [`fvl_bench::sweep::parallel_broadcast`] must both report, per
@@ -850,12 +1065,13 @@ pub fn diff_reuse(trace: &Trace) -> Option<String> {
 /// divergence.
 pub fn check_trace(trace: &Trace) -> Vec<String> {
     type Runner = fn(&Trace) -> Option<String>;
-    let runners: [(&str, Runner); 8] = [
+    let runners: [(&str, Runner); 9] = [
         ("replay", diff_replay),
         ("simd", diff_simd),
         ("cache", diff_cache),
         ("encode", diff_encode),
         ("hybrid", diff_hybrid),
+        ("hybrid-oracle", diff_hybrid_oracle),
         ("sweep", diff_sweep),
         ("corpus", diff_corpus),
         ("reuse", diff_reuse),

@@ -7,11 +7,12 @@
 //! This crate closes the loop with independent machinery:
 //!
 //! * **Reference oracles** ([`OracleCache`], [`LinearScanEncoder`],
-//!   [`scalar_replay`], [`OracleReuse`]) — deliberately naive,
-//!   obviously-correct reimplementations of the cache simulator, the
-//!   frequent-value encoder, the trace replayer, and the
-//!   reuse-distance profiler. Written for readability, not speed, and
-//!   sharing no code with the optimized paths.
+//!   [`scalar_replay`], [`OracleReuse`], [`OracleHybrid`]) —
+//!   deliberately naive, obviously-correct reimplementations of the
+//!   cache simulator, the frequent-value encoder, the trace replayer,
+//!   the reuse-distance profiler, and the DMC+FVC hybrid. Written for
+//!   readability, not speed, and sharing no code with the optimized
+//!   paths.
 //! * A **deterministic trace generator** ([`generate`], [`corpus`]) —
 //!   seeded, wall-clock-free, producing adversarial access patterns:
 //!   DMC index aliasing, values at the frequent/non-frequent boundary,
@@ -23,8 +24,9 @@
 //! * **Differential runners** ([`diff`]) replaying every generated
 //!   trace through oracle-vs-optimized pairs — `Trace` vs `PackedTrace`
 //!   broadcast, array vs linear-scan encode, `OnlineHybrid` vs an
-//!   offline-profiled hybrid, parallel `sweep` vs a serial oracle
-//!   sweep, the bucketed `ReuseProfiler` stack vs a `Vec` stack —
+//!   offline-profiled hybrid, `HybridCache` vs the decoded-word
+//!   `OracleHybrid`, parallel `sweep` vs a serial oracle sweep, the
+//!   bucketed `ReuseProfiler` stack vs a `Vec` stack —
 //!   asserting stat-for-stat equality.
 //!
 //! The `conformance` binary runs the fixed-seed corpus and writes a
@@ -33,7 +35,7 @@
 //! diffing the `fvl-serve` wire path — frame-codec byte round-trips and
 //! loopback daemon sessions — against in-process execution.
 //! `tests/mutation_smoke.rs` (behind the `mutation` feature) proves the
-//! net has teeth by catching seven deliberately seeded simulator bugs.
+//! net has teeth by catching eight deliberately seeded simulator bugs.
 //!
 //! # Example
 //!
@@ -53,6 +55,7 @@ pub mod diff;
 mod gen;
 mod oracle_cache;
 mod oracle_encode;
+mod oracle_hybrid;
 mod oracle_replay;
 mod oracle_reuse;
 mod rng;
@@ -62,6 +65,7 @@ mod shrink;
 pub use gen::{corpus, generate, Pattern};
 pub use oracle_cache::{OracleCache, OraclePolicy, OracleReplacement, OracleStats};
 pub use oracle_encode::LinearScanEncoder;
+pub use oracle_hybrid::{OracleHybrid, OracleHybridOptions, OracleHybridStats};
 pub use oracle_replay::{scalar_replay, DigestSink};
 pub use oracle_reuse::OracleReuse;
 pub use rng::SplitMix64;

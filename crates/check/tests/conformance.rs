@@ -10,8 +10,8 @@
 use fvl_cache::{CacheGeometry, DataCache};
 use fvl_check::{
     corpus, diff, generate, normalize_events, run_boundary_corpus, run_corpus, scalar_replay,
-    shrink, OracleCache, OraclePolicy, OracleReuse, Pattern, BOUNDARY_ACCESS_COUNTS, DEFAULT_CASES,
-    DEFAULT_TRACE_ACCESSES, POLICY_GEOMETRIES,
+    shrink, OracleCache, OracleHybrid, OracleHybridStats, OraclePolicy, OracleReuse, Pattern,
+    BOUNDARY_ACCESS_COUNTS, DEFAULT_CASES, DEFAULT_TRACE_ACCESSES, POLICY_GEOMETRIES,
 };
 use fvl_mem::{Access, AccessKind, Trace, TraceEvent};
 use std::collections::HashSet;
@@ -122,6 +122,7 @@ fn every_runner_individually_passes_an_adversarial_trace() {
     assert_eq!(diff::diff_cache(&trace), None);
     assert_eq!(diff::diff_encode(&trace), None);
     assert_eq!(diff::diff_hybrid(&trace), None);
+    assert_eq!(diff::diff_hybrid_oracle(&trace), None);
     assert_eq!(diff::diff_sweep(&trace), None);
     assert_eq!(diff::diff_reuse(&trace), None);
 }
@@ -191,6 +192,61 @@ fn corpus_fills_and_evicts_the_map_indexed_shape() {
     assert!(
         evicting > DEFAULT_CASES / 2,
         "only {evicting} of {DEFAULT_CASES} traces evict from the {assoc}-way set"
+    );
+}
+
+#[test]
+fn corpus_exercises_every_hybrid_path() {
+    // The hybrid oracle differential only proves the FVC bookkeeping
+    // if the generated traces drive every path of the policy: FVC
+    // hits of both kinds, write-allocates, transfers, inserts and
+    // skipped inserts, clean and dirty FVC victims, and occupancy
+    // samples over a non-empty FVC.
+    let traces = corpus(16, DEFAULT_TRACE_ACCESSES);
+    let mut paths = OracleHybridStats::default();
+    let mut dirty_victim_shapes = 0;
+    for (size, line, assoc) in diff::HYBRID_GEOMETRIES {
+        let mut shape_dirty_victims = 0;
+        for (_, options) in diff::hybrid_variants() {
+            for trace in &traces {
+                let values = diff::value_ranking(trace, 7);
+                let mut oracle = OracleHybrid::new(
+                    size,
+                    line,
+                    assoc,
+                    diff::HYBRID_FVC_ENTRIES,
+                    &values,
+                    options,
+                );
+                scalar_replay(trace, &mut oracle);
+                let s = oracle.stats();
+                paths.fvc_read_hits += s.fvc_read_hits;
+                paths.fvc_write_hits += s.fvc_write_hits;
+                paths.fvc_write_allocs += s.fvc_write_allocs;
+                paths.transfer_moves += s.transfer_moves;
+                paths.dmc_to_fvc_inserts += s.dmc_to_fvc_inserts;
+                paths.fvc_insert_skips += s.fvc_insert_skips;
+                paths.fvc_evictions += s.fvc_evictions;
+                paths.occupancy_samples += s.occupancy_samples;
+                shape_dirty_victims += s.fvc_dirty_evictions;
+            }
+        }
+        if shape_dirty_victims > 0 {
+            dirty_victim_shapes += 1;
+        }
+    }
+    assert!(paths.fvc_read_hits > 0, "{paths:?}");
+    assert!(paths.fvc_write_hits > 0, "{paths:?}");
+    assert!(paths.fvc_write_allocs > 0, "{paths:?}");
+    assert!(paths.transfer_moves > 0, "{paths:?}");
+    assert!(paths.dmc_to_fvc_inserts > 0, "{paths:?}");
+    assert!(paths.fvc_insert_skips > 0, "{paths:?}");
+    assert!(paths.fvc_evictions > 0, "{paths:?}");
+    assert!(paths.occupancy_samples > 0, "{paths:?}");
+    assert_eq!(
+        dirty_victim_shapes,
+        diff::HYBRID_GEOMETRIES.len(),
+        "every DMC shape must displace a dirty FVC line"
     );
 }
 

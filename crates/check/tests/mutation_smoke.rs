@@ -1,6 +1,6 @@
 //! Mutation smoke test: prove the differential net has teeth.
 //!
-//! Compiled only under the `mutation` feature, which turns on seven
+//! Compiled only under the `mutation` feature, which turns on eight
 //! deliberately seeded bugs in the optimized crates:
 //!
 //! 1. an off-by-one set-index mask in `fvl-cache`'s geometry (the top
@@ -27,7 +27,10 @@
 //!    (`read_frame` shortens every declared payload length by one), so
 //!    each non-empty frame read back over the wire loses its final
 //!    byte and leaves a stray byte in the stream that desynchronizes
-//!    every later header.
+//!    every later header, and
+//! 8. a skipped partial write-back in `fvl-core`'s DMC+FVC hybrid (a
+//!    dirty FVC victim's frequent words are dropped instead of written
+//!    back), so the values the FVC absorbed are lost from memory.
 //!
 //! Each test below isolates one bug with a trace (and, for the
 //! cache-level bugs, a geometry/policy scope) constructed so the others
@@ -270,6 +273,43 @@ fn frame_length_bug_is_caught() {
         Err(_) => Some("diff_corpus panicked".to_string()),
     };
     assert_eq!(caught, None);
+}
+
+/// Bug 8 — skipped partial write-back of a dirty FVC victim. Two
+/// stores of the trace's one frequent value to lines 0x000 and 0x080,
+/// which share the one way of FVC set 0 in the 8-entry direct-mapped
+/// FVC. Under the paper's default policy both stores write-allocate in
+/// the FVC, so the second displaces the first while it is dirty: the
+/// correct hybrid writes the stored word back, the mutant drops it,
+/// and its traffic and flushed memory image diverge from the
+/// `OracleHybrid`. The DMC never holds a line, so the `fvl-cache`
+/// bugs (1, 2 and 4) cannot fire, and the trace is replayed as a plain
+/// `Trace`, so no decoder or frame codec (bugs 3, 5, 6 and 7) is
+/// involved.
+#[test]
+fn skipped_fvc_write_back_is_caught() {
+    diff::silence_panics();
+    let trace = Trace::from_events(vec![
+        TraceEvent::Access(Access::store(0x000, 5)),
+        TraceEvent::Access(Access::store(0x080, 5)),
+    ]);
+    let variants = diff::hybrid_variants();
+    let (paper, two_way) = (variants[0], variants[5]);
+    assert_eq!((paper.0, two_way.0), ("default", "fvc_associativity(2)"));
+    let caught = match catch_unwind(AssertUnwindSafe(|| {
+        diff::diff_hybrid_oracle_with(&trace, &[(1024, 16, 1)], &[paper])
+    })) {
+        Ok(result) => result.is_some(),
+        Err(_) => true,
+    };
+    assert!(caught, "skipped FVC partial write-back went undetected");
+    // Attribution: with a 2-way FVC both lines stay resident, no FVC
+    // line is displaced, and the same cell is clean — the divergence
+    // needs a dirty FVC victim.
+    assert_eq!(
+        diff::diff_hybrid_oracle_with(&trace, &[(1024, 16, 1)], &[two_way]),
+        None
+    );
 }
 
 /// End to end: a small corpus run must go red, and every failure must

@@ -14,11 +14,13 @@ use fvl_obs::{Counter, Sample};
 /// Probes of an [`crate::Fvc`] (direct-mapped or set-associative).
 pub static FVC_LOOKUPS: Counter = Counter::new();
 
-/// Full lines compressed into code arrays ([`crate::FvcLine::encode`]).
+/// Full lines encoded into codes: each DMC victim the hybrid encodes
+/// for its FVC, and each [`crate::FvcLine::encode`].
 pub static LINES_ENCODED: Counter = Counter::new();
 
-/// Compressed lines expanded back into word data
-/// ([`crate::FvcLine::merge_into`]).
+/// Encoded lines merged back into word data: each line the hybrid
+/// moves from its FVC to its DMC, and each
+/// [`crate::FvcLine::merge_into`].
 pub static LINES_DECODED: Counter = Counter::new();
 
 /// Accesses dispatched through the DMC+FVC hybrid controller.

@@ -100,6 +100,17 @@ enum Phase {
 /// warmed state conceptually — the controller simply starts consulting
 /// the FVC for lines it evicts from then on).
 ///
+/// # Known defect
+///
+/// The latched [`HybridCache`] starts on a fresh, all-zero memory with
+/// its load-value check off, so no store made during the profiling
+/// window reaches it: its loads can return values the program never
+/// held, and ext1's online column is computed from them. The hybrid
+/// phase also inherits [`HybridCache`]'s touch after every DMC fill.
+/// Fixing this (hand the profiling memory image to the hybrid and turn
+/// the check back on) changes experiment output; see EXPERIMENTS.md,
+/// "Known divergences and why".
+///
 /// # Example
 ///
 /// ```

@@ -1,10 +1,10 @@
 //! The daemon: listener, shared state, graceful drain.
 //!
-//! One [`Daemon`] owns a TCP or Unix listener and a [`Shared`] block —
+//! One [`Daemon`] owns a TCP or Unix listener and a `Shared` block —
 //! the capture-once [`TraceStore`] every session deduplicates through,
 //! the [`Admission`] caps, the fault plan, and the drain flag. Each
 //! accepted connection gets its own thread running the
-//! [`crate::session`] state machine; the accept loop itself is
+//! `session` state machine; the accept loop itself is
 //! non-blocking so a drain request (SIGTERM in the binary,
 //! [`DaemonHandle::drain`] in tests) is observed within one poll tick.
 //!

@@ -12,7 +12,7 @@
 //!
 //! * [`daemon`] — listener (TCP or Unix socket), shared state,
 //!   graceful drain, the `fvl-serve` binary's engine room.
-//! * [`session`] (private) — the per-connection state machine:
+//! * `session` (private) — the per-connection state machine:
 //!   hello/welcome handshake, jobs, trace uploads, ad-hoc cache
 //!   simulations, metrics export.
 //! * [`admission`] — who gets in ([`ErrorCode::Busy`]) and how much
