@@ -1,6 +1,5 @@
 //! Criterion benches for the replay hot path: packed vs legacy trace
-//! layout, the SIMD replay-kernel lane-width sweep, multi-sink
-//! broadcast vs independent passes, dyn vs
+//! layout, multi-sink broadcast vs independent passes, dyn vs
 //! monomorphized replay, the frequent-value encode micro-kernel,
 //! `SimMemory` access, capture-once vs capture-per-experiment, and
 //! chunked trace-file IO throughput.
@@ -9,9 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use fvl_bench::{ExperimentContext, TraceKey, TraceStore};
 use fvl_cache::{CacheGeometry, CacheSim};
 use fvl_core::FrequentValueSet;
-use fvl_mem::{
-    AccessBlock, AccessSink, MappedTrace, PackedTrace, SimMemory, SimdLevel, Trace, Word,
-};
+use fvl_mem::{AccessSink, MappedTrace, PackedTrace, SimMemory, Trace, Word};
 use fvl_profile::ValueCounter;
 use fvl_workloads::by_name;
 use std::collections::HashMap;
@@ -86,15 +83,6 @@ fn bench_encode(c: &mut Criterion) {
             let mut frequent = 0u64;
             for &v in &probes {
                 frequent += u64::from(set.encode(black_box(v)).is_some());
-            }
-            frequent
-        })
-    });
-    group.bench_function(BenchmarkId::new("top7", "array-scalar"), |b| {
-        b.iter(|| {
-            let mut frequent = 0u64;
-            for &v in &probes {
-                frequent += u64::from(set.encode_scalar(black_box(v)).is_some());
             }
             frequent
         })
@@ -196,61 +184,6 @@ impl AccessSink for DigestSink {
     }
 }
 
-/// A block-capable digest sink: eight independent lane accumulators
-/// indexed by the *global* event count, so the digest is identical no
-/// matter how replay partitions the stream into blocks — and the
-/// serial multiply-add dependence that caps [`DigestSink`] at one
-/// event per chain step is split into eight chains the CPU can
-/// pipeline.
-#[derive(Default)]
-struct WideDigestSink {
-    n: u64,
-    lanes: [u64; 8],
-}
-
-impl WideDigestSink {
-    fn digest(&self) -> u64 {
-        self.lanes.iter().fold(0u64, |a, &l| a.wrapping_add(l))
-    }
-}
-
-impl AccessSink for WideDigestSink {
-    #[inline]
-    fn on_access(&mut self, a: fvl_mem::Access) {
-        let lane = (self.n & 7) as usize;
-        self.lanes[lane] = self.lanes[lane]
-            .wrapping_mul(0x100_0000_01b3)
-            .wrapping_add(u64::from(a.addr) ^ u64::from(a.value));
-        self.n += 1;
-    }
-
-    #[inline]
-    fn on_access_block(&mut self, block: &AccessBlock<'_>) {
-        let addrs = block.addrs();
-        let values = block.values();
-        let mut lanes = self.lanes;
-        let off = (self.n & 7) as usize;
-        let mut a8 = addrs.chunks_exact(8);
-        let mut v8 = values.chunks_exact(8);
-        for (a, v) in (&mut a8).zip(&mut v8) {
-            for j in 0..8 {
-                let lane = (off + j) & 7;
-                lanes[lane] = lanes[lane]
-                    .wrapping_mul(0x100_0000_01b3)
-                    .wrapping_add(u64::from(a[j]) ^ u64::from(v[j]));
-            }
-        }
-        for (i, (&a, &v)) in a8.remainder().iter().zip(v8.remainder()).enumerate() {
-            let lane = (off + i) & 7;
-            lanes[lane] = lanes[lane]
-                .wrapping_mul(0x100_0000_01b3)
-                .wrapping_add(u64::from(a) ^ u64::from(v));
-        }
-        self.lanes = lanes;
-        self.n += addrs.len() as u64;
-    }
-}
-
 /// A large synthetic access-dominated trace (the shape of a real SPEC
 /// capture) whose packed form exceeds typical last-level caches, so
 /// replay streams from DRAM the way reference-input runs do.
@@ -314,53 +247,6 @@ fn bench_layout(c: &mut Criterion) {
             sim.stats().misses()
         })
     });
-    group.finish();
-}
-
-/// The SIMD lane-width sweep: the same packed walk forced through
-/// every replay kernel the host can run (scalar one-event loop,
-/// 8-wide unrolled scalar, 4-lane SSE2, 8-lane AVX2), with a
-/// block-capable sink so the sink's own dependence chain does not
-/// mask the decode kernels. `walk-serial-sink` repeats the best
-/// kernel against the serial one-accumulator sink for comparison
-/// with the `layout/walk` baseline, and `cache-sim` shows the wide
-/// set-index/tag batching end to end.
-fn bench_simd(c: &mut Criterion) {
-    let trace = big_trace(8 << 20);
-    let packed = PackedTrace::from_trace(&trace);
-    let geom = CacheGeometry::new(16 * 1024, 32, 1).unwrap();
-    let best = SimdLevel::detect_best();
-
-    let mut group = c.benchmark_group("simd");
-    group.throughput(Throughput::Elements(trace.accesses()));
-    group.sample_size(10);
-    for level in SimdLevel::available() {
-        group.bench_function(BenchmarkId::new("walk", level.label()), |b| {
-            b.iter(|| {
-                let mut sink = WideDigestSink::default();
-                packed.replay_into_with(level, &mut sink);
-                sink.digest()
-            })
-        });
-    }
-    for level in [SimdLevel::Scalar, best] {
-        group.bench_function(BenchmarkId::new("walk-serial-sink", level.label()), |b| {
-            b.iter(|| {
-                let mut sink = DigestSink::default();
-                packed.replay_into_with(level, &mut sink);
-                sink.acc
-            })
-        });
-    }
-    for level in [SimdLevel::Scalar, best] {
-        group.bench_function(BenchmarkId::new("cache-sim", level.label()), |b| {
-            b.iter(|| {
-                let mut sim = CacheSim::new(geom);
-                packed.replay_into_with(level, &mut sim);
-                sim.stats().misses()
-            })
-        });
-    }
     group.finish();
 }
 
@@ -517,9 +403,9 @@ fn bench_trace_io(c: &mut Criterion) {
 /// branchless split layout is built for. Lanes: the v2 raw-column copy
 /// exactly as the container reader stages it (64 KiB staging buffer,
 /// then lane-by-lane conversion — see `take_u32_column_into`), the
-/// v2.1 LEB128 byte loop, and the v2.2 stream-split decode forced
-/// scalar and at the best detected SIMD level. Column sizes go to
-/// stderr so the throughput numbers can be weighed against density.
+/// v2.1 LEB128 byte loop, and the v2.2 stream-split decode. Column
+/// sizes go to stderr so the throughput numbers can be weighed against
+/// density.
 fn bench_varint(c: &mut Criterion) {
     const N: usize = 64 << 20;
     const CHUNK: usize = 8192;
@@ -556,17 +442,15 @@ fn bench_varint(c: &mut Criterion) {
         split_bounds.push(split.len());
     }
     let raw: Vec<u8> = addrs.iter().flat_map(|a| a.to_le_bytes()).collect();
-    let best = SimdLevel::detect_best();
     eprintln!(
         "varint columns over {} addrs: raw {} B, leb {} B ({:.2} B/addr), \
-         split {} B ({:.2} B/addr); best SIMD {}",
+         split {} B ({:.2} B/addr)",
         addrs.len(),
         raw.len(),
         leb.len(),
         leb.len() as f64 / addrs.len() as f64,
         split.len(),
         split.len() as f64 / addrs.len() as f64,
-        best.label(),
     );
 
     let mut group = c.benchmark_group("varint");
@@ -606,24 +490,21 @@ fn bench_varint(c: &mut Criterion) {
             out.len()
         })
     });
-    for (label, level) in [("v22-scalar", SimdLevel::Scalar), ("v22-simd", best)] {
-        group.bench_function(BenchmarkId::new("decode", label), |b| {
-            let mut out: Vec<u32> = Vec::with_capacity(addrs.len());
-            b.iter(|| {
-                out.clear();
-                for (bounds, chunk) in split_bounds.windows(2).zip(addrs.chunks(CHUNK)) {
-                    fvl_mem::varint::decode_addr_chunk_split_into_with(
-                        black_box(&split[bounds[0]..bounds[1]]),
-                        chunk.len(),
-                        level,
-                        &mut out,
-                    )
-                    .unwrap();
-                }
-                out.len()
-            })
-        });
-    }
+    group.bench_function(BenchmarkId::new("decode", "v22-split"), |b| {
+        let mut out: Vec<u32> = Vec::with_capacity(addrs.len());
+        b.iter(|| {
+            out.clear();
+            for (bounds, chunk) in split_bounds.windows(2).zip(addrs.chunks(CHUNK)) {
+                fvl_mem::varint::decode_addr_chunk_split_into(
+                    black_box(&split[bounds[0]..bounds[1]]),
+                    chunk.len(),
+                    &mut out,
+                )
+                .unwrap();
+            }
+            out.len()
+        })
+    });
     group.finish();
 }
 
@@ -738,7 +619,6 @@ fn bench_mmap(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_layout,
-    bench_simd,
     bench_broadcast,
     bench_dyn_vs_generic,
     bench_encode,

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments <name>... [--quick|--train|--smoke] [--seed N] [--jobs N|--serial]
-//!             [--no-trace-cache] [--legacy-trace] [--simd LEVEL]
+//!             [--legacy-trace]
 //!             [--metrics FILE] [--metrics-csv FILE] [--metrics-timing]
 //!             [--remote ADDR]
 //! experiments all [--smoke]
@@ -14,18 +14,16 @@
 //! one session, one job per experiment, report bytes streamed straight
 //! to stdout. Stdout and the plain `--metrics` export are byte-
 //! identical to the local run with the same (input, seed, smoke)
-//! knobs — CI diffs them. Engine knobs (`--jobs`, `--no-trace-cache`,
-//! `--legacy-trace`, `--simd`) do not apply remotely (the daemon owns
-//! its engine) and are ignored with a note on stderr.
+//! knobs — CI diffs them. Engine knobs (`--jobs`, `--legacy-trace`) do
+//! not apply remotely (the daemon owns its engine) and are ignored with
+//! a note on stderr.
 //!
 //! Reports go to stdout; timing, engine-throughput and trace-store
 //! lines go to stderr, so stdout is bit-identical for any `--jobs`
-//! count, for the trace cache on or off, for either trace
-//! representation (`--legacy-trace` / `FVL_TRACE_REPR`), and for any
-//! replay kernel (`--simd` / `FVL_SIMD`). The
-//! `--metrics` export is deterministic too, unless `--metrics-timing`
-//! opts into wall-clock and cache hit/miss fields (see
-//! `fvl_bench::metrics`).
+//! count and for either trace representation (`--legacy-trace` /
+//! `FVL_TRACE_REPR`). The `--metrics` export is deterministic too,
+//! unless `--metrics-timing` opts into wall-clock and cache hit/miss
+//! fields (see `fvl_bench::metrics`).
 //!
 //! A local run exits 1, after printing every report and writing the
 //! exports, when an experiment's cross-check between two independent
@@ -36,7 +34,7 @@ use fvl_bench::experiments;
 use fvl_bench::metrics::{self, RunInfo};
 use fvl_bench::remote;
 use fvl_bench::ExperimentContext;
-use fvl_mem::{SimdLevel, SimdPolicy, TraceReprKind};
+use fvl_mem::TraceReprKind;
 use fvl_workloads::InputSize;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -45,17 +43,14 @@ use std::time::Instant;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: experiments <name>... [--quick|--train|--smoke] [--seed N] [--jobs N|--serial]\n\
-         \x20                        [--no-trace-cache] [--legacy-trace]\n\
+         \x20                        [--legacy-trace]\n\
          \x20                        [--metrics FILE] [--metrics-csv FILE] [--metrics-timing]\n\
          names: {} | all | list\n\
          --quick uses test inputs (seconds); default is reference inputs (minutes)\n\
          --smoke truncates every test-input trace to ~1000 references (CI)\n\
          --jobs N shards simulation cells over N workers (default: all cores); --serial = --jobs 1\n\
-         --no-trace-cache re-captures each workload per experiment instead of sharing one capture\n\
          --legacy-trace stores traces as Vec<TraceEvent> instead of the packed columnar layout\n\
          \x20             (FVL_TRACE_REPR=packed|legacy sets the same toggle from the environment)\n\
-         --simd LEVEL picks the packed-replay kernel: auto|scalar|wide|unrolled|sse2|avx2\n\
-         \x20             (FVL_SIMD sets the same toggle; unavailable levels fall back to unrolled)\n\
          --metrics FILE writes a versioned JSON metrics export (deterministic across --jobs)\n\
          --metrics-csv FILE writes the per-cell log as CSV\n\
          --metrics-timing adds wall-clock/throughput/cache-counter fields to the JSON export\n\
@@ -82,15 +77,12 @@ fn main() -> ExitCode {
     let mut metrics_json: Option<String> = None;
     let mut metrics_csv: Option<String> = None;
     let mut metrics_timing = false;
-    let mut trace_cache = true;
     // The environment sets the default representation (CI A/B runs);
     // the --legacy-trace flag overrides it.
     let mut repr = std::env::var("FVL_TRACE_REPR")
         .ok()
         .and_then(|s| TraceReprKind::parse(&s))
         .unwrap_or_default();
-    // Likewise FVL_SIMD picks the replay kernel; --simd overrides it.
-    let mut simd_policy = SimdPolicy::from_env();
     let mut remote: Option<String> = None;
     let mut names: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
@@ -120,12 +112,7 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--metrics-timing" => metrics_timing = true,
-            "--no-trace-cache" => trace_cache = false,
             "--legacy-trace" => repr = TraceReprKind::Legacy,
-            "--simd" => match iter.next().and_then(|s| SimdPolicy::parse(&s)) {
-                Some(policy) => simd_policy = policy,
-                None => return usage(),
-            },
             "--remote" => match iter.next() {
                 Some(addr) => remote = Some(addr),
                 None => return usage(),
@@ -161,8 +148,10 @@ fn main() -> ExitCode {
     };
 
     if let Some(addr) = remote {
-        if jobs.is_some() || !trace_cache || repr == TraceReprKind::Legacy {
-            eprintln!("note: engine knobs (--jobs/--no-trace-cache/--legacy-trace) are daemon-side; ignored with --remote");
+        if jobs.is_some() || repr == TraceReprKind::Legacy {
+            eprintln!(
+                "note: engine knobs (--jobs/--legacy-trace) are daemon-side; ignored with --remote"
+            );
         }
         if metrics_timing {
             eprintln!("note: --metrics-timing is local-only; the daemon exports plain metrics");
@@ -179,10 +168,6 @@ fn main() -> ExitCode {
         );
     }
 
-    // Pin the replay kernel before the first replay; the selection is
-    // process-wide and first-wins.
-    let simd_level = fvl_mem::simd::set_policy(simd_policy);
-
     let engine = Arc::new(match jobs {
         Some(n) => Engine::new(n),
         None => Engine::auto(),
@@ -192,7 +177,6 @@ fn main() -> ExitCode {
         .with_seed(seed)
         .with_max_refs(smoke.then_some(fvl_bench::data::SMOKE_REFS))
         .with_engine(Arc::clone(&engine))
-        .with_trace_cache(trace_cache)
         .with_trace_repr(repr);
     println!(
         "# FVC reproduction experiments ({} inputs{}, seed {seed})\n",
@@ -221,12 +205,7 @@ fn main() -> ExitCode {
     );
     let store = ctx.store();
     eprintln!(
-        "trace store: {} — {} distinct capture{}, {} executed, {} served from cache",
-        if store.enabled() {
-            "enabled"
-        } else {
-            "disabled"
-        },
+        "trace store: {} distinct capture{}, {} executed, {} served from cache",
         store.distinct_keys(),
         if store.distinct_keys() == 1 { "" } else { "s" },
         store.total_misses(),
@@ -243,14 +222,6 @@ fn main() -> ExitCode {
         } else {
             store.resident_trace_bytes() as f64 / resident_events as f64
         },
-    );
-    eprintln!(
-        "simd: {} policy — {} kernel, {} lane{} per step (best detected: {})",
-        simd_policy.label(),
-        simd_level.label(),
-        simd_level.lanes(),
-        if simd_level.lanes() == 1 { "" } else { "s" },
-        SimdLevel::detect_best().label(),
     );
     if let Some(path) = metrics_json {
         let run = RunInfo::new(

@@ -42,7 +42,6 @@
 
 use crate::sweep;
 use fvl_cache::{CacheGeometry, CacheSim, CacheStats};
-use fvl_mem::simd::{self, SimdLevel};
 use fvl_mem::{
     AccessSink, AddrCodec, ChunkCacheStats, MappedTrace, PackedTrace, Region, RegionEvent,
     RegionKind, HEAP_BASE, STORE_BIT,
@@ -426,7 +425,6 @@ fn fetch_chunk<'b>(
 fn replay_budgeted(
     trace: &MappedTrace,
     budget: &ResidencyBudget,
-    level: SimdLevel,
     decode: ChunkDecode,
     sinks: &mut [&mut dyn AccessSink],
 ) -> io::Result<()> {
@@ -446,7 +444,7 @@ fn replay_budgeted(
                 for i in 0..trace.chunk_count() {
                     let (chunk, guard) = fetch_chunk(trace, budget, i)?;
                     for sink in sinks.iter_mut() {
-                        chunk.feed_into_with(level, &mut **sink);
+                        chunk.feed_into(&mut **sink);
                     }
                     drop(guard);
                 }
@@ -469,7 +467,7 @@ fn replay_budgeted(
                     });
                     for (chunk, guard) in rx {
                         for sink in sinks.iter_mut() {
-                            chunk.feed_into_with(level, &mut **sink);
+                            chunk.feed_into(&mut **sink);
                         }
                         drop(guard);
                     }
@@ -551,7 +549,6 @@ fn sim_pass(
     mode: ReplayMode,
     decode: ChunkDecode,
 ) -> io::Result<Vec<FileSimResult>> {
-    let level = simd::active_level();
     let results = sweep::parallel(
         corpus,
         (0..corpus.len()).collect::<Vec<_>>(),
@@ -572,9 +569,7 @@ fn sim_pass(
                     sims.iter_mut().map(|s| s as &mut dyn AccessSink).collect();
                 sinks.push(&mut profiler);
                 match mode {
-                    ReplayMode::Mapped => {
-                        replay_budgeted(trace, budget, level, decode, &mut sinks)?
-                    }
+                    ReplayMode::Mapped => replay_budgeted(trace, budget, decode, &mut sinks)?,
                     ReplayMode::InRam => {
                         let packed = trace.to_packed()?;
                         for sink in sinks.iter_mut() {

@@ -271,18 +271,6 @@ impl ExperimentContext {
         self
     }
 
-    /// Enables or disables capture memoization. Disabling swaps in a
-    /// fresh [`TraceStore::disabled`], reproducing the historical
-    /// capture-per-experiment behavior (`--no-trace-cache`).
-    pub fn with_trace_cache(mut self, enabled: bool) -> Self {
-        self.core.store = Arc::new(if enabled {
-            TraceStore::new()
-        } else {
-            TraceStore::disabled()
-        });
-        self
-    }
-
     /// The engine scheduling this batch's cells.
     pub fn engine(&self) -> &Engine {
         self.core.engine()

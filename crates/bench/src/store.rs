@@ -11,13 +11,10 @@
 //! single capture instead of duplicating it.
 //!
 //! The store also counts hits and misses per key. Those counters are
-//! deterministic for a given run configuration: with the cache enabled
-//! every distinct key misses exactly once no matter how many threads
-//! race for it, and with the cache disabled every request misses. The
+//! deterministic for a given run configuration: every distinct key
+//! misses exactly once no matter how many threads race for it. The
 //! `experiments` binary surfaces them in the `--metrics-timing` export
-//! and on stderr (the plain `--metrics` export stays byte-identical
-//! whether the cache is on or off — that equality is itself a CI
-//! check).
+//! and on stderr.
 //!
 //! # Example
 //!
@@ -96,8 +93,7 @@ pub struct KeyStats {
     pub key: TraceKey,
     /// Requests served from the cached capture.
     pub hits: u64,
-    /// Requests that executed the workload (always 1 per key with the
-    /// cache enabled; equal to the request count with it disabled).
+    /// Requests that executed the workload (always 1 per key).
     pub misses: u64,
 }
 
@@ -112,12 +108,7 @@ struct Slot {
 /// Thread-safe, capture-once store of [`WorkloadData`] handles.
 ///
 /// See the [module docs](self) for the motivation and counting rules.
-/// A *disabled* store (built with [`TraceStore::disabled`]) still
-/// counts requests — every one a miss — but never memoizes, which
-/// reproduces the historical capture-per-experiment behavior for A/B
-/// comparison (`experiments --no-trace-cache`).
 pub struct TraceStore {
-    enabled: bool,
     slots: Mutex<HashMap<TraceKey, Arc<Slot>>>,
 }
 
@@ -128,31 +119,15 @@ impl Default for TraceStore {
 }
 
 impl TraceStore {
-    /// Creates an enabled (memoizing) store.
+    /// Creates an empty store.
     pub fn new() -> Self {
         TraceStore {
-            enabled: true,
             slots: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Creates a disabled store: requests are counted but every one
-    /// re-executes its workload.
-    pub fn disabled() -> Self {
-        TraceStore {
-            enabled: false,
-            slots: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Whether the store memoizes captures.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Returns the capture for `key`, running `capture` only when the
-    /// key has never been captured (or on every request when the store
-    /// is disabled).
+    /// key has never been captured.
     ///
     /// Concurrent requests for the same key block on one execution:
     /// the per-key latch is a [`OnceLock`], so exactly one caller runs
@@ -167,10 +142,6 @@ impl TraceStore {
             let mut slots = self.slots.lock().expect("trace store poisoned");
             Arc::clone(slots.entry(key).or_default())
         };
-        if !self.enabled {
-            slot.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(capture());
-        }
         let mut executed = false;
         let data = Arc::clone(slot.latch.get_or_init(|| {
             executed = true;
@@ -261,7 +232,6 @@ impl TraceStore {
 impl fmt::Debug for TraceStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceStore")
-            .field("enabled", &self.enabled)
             .field("distinct_keys", &self.distinct_keys())
             .finish()
     }

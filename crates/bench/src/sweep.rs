@@ -47,9 +47,13 @@ where
         }
         f(&next, &slots);
     });
-    // All workers have joined; every slot at index < n was written once.
     slots
         .into_iter()
+        // SAFETY: the workers claim every index below `n` from the
+        // shared counter until it is exhausted, `f` initializes each
+        // slot it claims, and the scope above joined every worker (a
+        // panicking worker re-panics there, so this line is not
+        // reached), so each slot holds an initialized `R`.
         .map(|slot| unsafe { slot.0.into_inner().assume_init() })
         .collect()
 }

@@ -1,12 +1,8 @@
 //! The trace store's guarantees: one execution per distinct key no
-//! matter how many threads race for it, key separation by every key
-//! component, and byte-identical experiment output with the cache
-//! enabled or disabled.
+//! matter how many threads race for it, and key separation by every
+//! key component.
 
 use fvl_bench::data::WorkloadData;
-use fvl_bench::engine::Engine;
-use fvl_bench::experiments;
-use fvl_bench::metrics::{self, RunInfo};
 use fvl_bench::{ExperimentContext, TraceKey, TraceStore};
 use fvl_workloads::{by_name, InputSize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,17 +42,6 @@ fn concurrent_requests_share_one_execution() {
     assert_eq!(store.distinct_keys(), 1);
     assert_eq!(store.total_misses(), 1);
     assert_eq!(store.total_hits(), 7);
-}
-
-#[test]
-fn disabled_store_executes_every_request() {
-    let store = TraceStore::disabled();
-    let key = TraceKey::new("li", InputSize::Test, 1, CAP);
-    let a = store.get_or_capture(key.clone(), || capture("li", InputSize::Test, 1));
-    let b = store.get_or_capture(key, || capture("li", InputSize::Test, 1));
-    assert!(!Arc::ptr_eq(&a, &b), "disabled store must not memoize");
-    assert_eq!(store.total_misses(), 2);
-    assert_eq!(store.total_hits(), 0);
 }
 
 #[test]
@@ -100,34 +85,4 @@ fn context_capture_routes_through_the_store() {
     assert_eq!(ctx.store().distinct_keys(), 2);
     assert_eq!(ctx.store().total_misses(), 2);
     assert_eq!(ctx.store().total_hits(), 1);
-}
-
-/// Renders every experiment's report plus the deterministic metrics
-/// export for one cache setting.
-fn full_run(trace_cache: bool) -> (String, String) {
-    let engine = Arc::new(Engine::new(2));
-    let ctx = ExperimentContext::smoke()
-        .with_engine(Arc::clone(&engine))
-        .with_trace_cache(trace_cache);
-    let mut out = String::new();
-    for (_, runner) in experiments::all() {
-        out.push_str(&format!("{}\n", runner(&ctx)));
-    }
-    let run = RunInfo::new("test", 1, true);
-    let json = metrics::json_report_full(&engine, &run, Some(ctx.store()), false).render_pretty();
-    (out, json)
-}
-
-#[test]
-fn full_registry_is_byte_identical_with_and_without_cache() {
-    let (cached_out, cached_json) = full_run(true);
-    let (fresh_out, fresh_json) = full_run(false);
-    assert_eq!(
-        cached_out, fresh_out,
-        "reports diverged between cache enabled and --no-trace-cache"
-    );
-    assert_eq!(
-        cached_json, fresh_json,
-        "metrics export diverged between cache enabled and --no-trace-cache"
-    );
 }

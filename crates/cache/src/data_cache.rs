@@ -179,12 +179,12 @@ impl DataCache {
         self.probe_at(self.geom.set_index(addr), self.geom.line_addr(addr))
     }
 
-    /// [`DataCache::probe`] with the address already split: `set` and
-    /// `line_addr` as produced by
-    /// [`CacheGeometry::split_block`](crate::CacheGeometry::split_block),
-    /// so the wide replay path pays the index extraction once per block
-    /// instead of once per probe. Above [`DataCache::INDEXED_ASSOC`]
-    /// ways the map answers from `line_addr` alone.
+    /// [`DataCache::probe`] with the address already split into `set`
+    /// and `line_addr` (as [`CacheGeometry::set_index`] and
+    /// [`CacheGeometry::line_addr`] compute them), so a caller that
+    /// needs both for its miss path extracts them once. Above
+    /// [`DataCache::INDEXED_ASSOC`] ways the map answers from
+    /// `line_addr` alone.
     ///
     /// # Panics
     ///

@@ -224,34 +224,6 @@ impl CacheGeometry {
         }
     }
 
-    /// Batched address split for the wide replay path: computes
-    /// [`CacheGeometry::line_addr`] and [`CacheGeometry::set_index`]
-    /// for every address of a decoded block in one pass over the
-    /// columns. The loop body is two masks and a shift per element
-    /// with no cross-iteration dependency, so it auto-vectorizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the output slices differ in length from `addrs`.
-    #[inline]
-    pub fn split_block(&self, addrs: &[Addr], line_addrs: &mut [Addr], sets: &mut [u32]) {
-        assert_eq!(addrs.len(), line_addrs.len(), "column length mismatch");
-        assert_eq!(addrs.len(), sets.len(), "column length mismatch");
-        let line_mask = !(self.line_bytes - 1);
-        let shift = self.line_shift;
-        // Must match `set_index` exactly, including the TEST-ONLY
-        // `seeded-bugs` mask mutation, so the conformance harness sees
-        // the same (buggy) behavior on every replay path.
-        #[cfg(feature = "seeded-bugs")]
-        let set_mask = self.set_mask >> 1;
-        #[cfg(not(feature = "seeded-bugs"))]
-        let set_mask = self.set_mask;
-        for i in 0..addrs.len() {
-            line_addrs[i] = addrs[i] & line_mask;
-            sets[i] = (addrs[i] >> shift) & set_mask;
-        }
-    }
-
     /// Tag for `addr` (the line address bits above the index).
     #[inline]
     pub fn tag(&self, addr: Addr) -> u32 {
@@ -330,23 +302,6 @@ mod tests {
         assert_eq!(g.word_offset(0x20), 0);
         assert_eq!(g.word_offset(0x24), 1);
         assert_eq!(g.word_offset(0x3c), 7);
-    }
-
-    #[test]
-    fn split_block_matches_per_address_arithmetic() {
-        for (size, line, assoc) in [(16 * 1024, 32, 1), (4 * 1024, 16, 2), (512, 16, 4)] {
-            let g = CacheGeometry::new(size, line, assoc).unwrap();
-            let addrs: Vec<Addr> = (0..100u32)
-                .map(|i| i.wrapping_mul(0x9e37_79b9) & !3)
-                .collect();
-            let mut line_addrs = vec![0; addrs.len()];
-            let mut sets = vec![0; addrs.len()];
-            g.split_block(&addrs, &mut line_addrs, &mut sets);
-            for (i, &a) in addrs.iter().enumerate() {
-                assert_eq!(line_addrs[i], g.line_addr(a), "{a:#x}");
-                assert_eq!(sets[i], g.set_index(a), "{a:#x}");
-            }
-        }
     }
 
     #[test]

@@ -29,14 +29,13 @@
 //!
 //! # Determinism and seeding
 //!
-//! Replay must be byte-identical across `--serial`/`--jobs N` and every
-//! `FVL_SIMD` setting, so every policy is a deterministic function of
-//! the access sequence alone: no wall clock, no OS entropy, no
-//! `HashMap` iteration order. The only randomized policy,
-//! [`SeededRandom`], carries its own SplitMix64 state seeded explicitly
-//! (default [`DEFAULT_RANDOM_SEED`]) and draws exactly one `u64` per
-//! [`victim`](ReplacementPolicy::victim) call, which is what the
-//! `fvl-check` oracle reproduces step for step.
+//! Replay must be byte-identical across `--serial`/`--jobs N`, so
+//! every policy is a deterministic function of the access sequence
+//! alone: no wall clock, no OS entropy, no `HashMap` iteration order.
+//! The only randomized policy, [`SeededRandom`], carries its own
+//! SplitMix64 state seeded explicitly (default [`DEFAULT_RANDOM_SEED`])
+//! and draws exactly one `u64` per [`victim`](ReplacementPolicy::victim)
+//! call, which is what the `fvl-check` oracle reproduces step for step.
 //!
 //! # Example
 //!

@@ -6,7 +6,7 @@ use crate::data_cache::DataCache;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementKind;
 use crate::stats::CacheStats;
-use fvl_mem::{Access, AccessBlock, AccessKind, AccessSink, Addr, ACCESS_BLOCK};
+use fvl_mem::{Access, AccessKind, AccessSink};
 use std::fmt;
 
 /// How stores propagate to memory.
@@ -160,19 +160,11 @@ impl CacheSim {
     /// Figure 4 miss-attribution study). [`AccessSink::on_access`]
     /// delegates here.
     pub fn access(&mut self, access: Access) -> bool {
-        let geom = self.cache.geometry();
-        let (line_addr, set) = (geom.line_addr(access.addr), geom.set_index(access.addr));
-        self.access_split(access, line_addr, set)
-    }
-
-    /// [`CacheSim::access`] with the address already split into its
-    /// line address and set index (as produced per block by
-    /// [`CacheGeometry::split_block`]) — the wide replay path batches
-    /// the extraction and feeds the tag-match state machine here.
-    fn access_split(&mut self, access: Access, line_addr: Addr, set: u32) -> bool {
         #[cfg(feature = "metrics")]
         crate::metrics::DMC_LOOKUPS.incr();
         let addr = access.addr;
+        let geom = self.cache.geometry();
+        let (line_addr, set) = (geom.line_addr(addr), geom.set_index(addr));
         let slot = self.cache.probe_at(set, line_addr);
         let missed = slot.is_none();
         if let Some(c) = &mut self.classifier {
@@ -251,22 +243,6 @@ impl AccessSink for CacheSim {
     #[inline]
     fn on_access(&mut self, access: Access) {
         self.access(access);
-    }
-
-    /// Wide-replay fast path: the line-address/set-index extraction for
-    /// the whole block runs as one vectorizable pass
-    /// ([`CacheGeometry::split_block`]) before the sequential
-    /// tag-match/LRU state machine consumes the precomputed columns.
-    fn on_access_block(&mut self, block: &AccessBlock<'_>) {
-        let n = block.len();
-        let mut line_addrs = [0 as Addr; ACCESS_BLOCK];
-        let mut sets = [0u32; ACCESS_BLOCK];
-        self.cache
-            .geometry()
-            .split_block(block.addrs(), &mut line_addrs[..n], &mut sets[..n]);
-        for i in 0..n {
-            self.access_split(block.get(i), line_addrs[i], sets[i]);
-        }
     }
 
     fn on_finish(&mut self) {
@@ -477,40 +453,6 @@ mod tests {
         assert_eq!(c.compulsory(), 2);
         assert_eq!(c.conflict(), 2); // FA with 4 lines would have kept both
         assert_eq!(s.stats().misses(), 4);
-    }
-
-    #[test]
-    fn block_delivery_matches_per_event_delivery() {
-        use fvl_mem::{PackedTrace, SimdLevel, Trace, TraceEvent};
-        // A trace long enough to span several blocks, mixing hits,
-        // misses, and dirty evictions across both write policies.
-        let events: Vec<TraceEvent> = (0..500u32)
-            .map(|i| {
-                let addr = (i.wrapping_mul(52) % 4096) & !3;
-                if i % 3 == 0 {
-                    TraceEvent::Access(Access::store(addr, i))
-                } else {
-                    TraceEvent::Access(Access::load(addr, 0))
-                }
-            })
-            .collect();
-        let packed = PackedTrace::from_trace(&Trace::from_events(events));
-        for policy in [WritePolicy::WriteBack, WritePolicy::WriteThrough] {
-            let mut scalar = sim(512, 16, 2).with_write_policy(policy);
-            scalar.set_verify_values(false);
-            packed.replay_into_with(SimdLevel::Scalar, &mut scalar);
-            for level in SimdLevel::available() {
-                let mut wide = sim(512, 16, 2).with_write_policy(policy);
-                wide.set_verify_values(false);
-                packed.replay_into_with(level, &mut wide);
-                assert_eq!(wide.stats(), scalar.stats(), "{policy:?} {level:?}");
-                assert_eq!(
-                    wide.traffic_words(),
-                    scalar.traffic_words(),
-                    "{policy:?} {level:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -15,10 +15,7 @@ use crate::oracle_replay::{scalar_replay, DigestSink};
 use crate::oracle_reuse::OracleReuse;
 use fvl_cache::{CacheGeometry, CacheSim, CacheStats, ReplacementKind, Simulator, WritePolicy};
 use fvl_core::{FrequentValueSet, HybridCache, HybridConfig, HybridStats, OnlineHybrid};
-use fvl_mem::{
-    AccessSink, Addr, AddrCodec, MappedTrace, PackedTrace, SimdLevel, SimdPolicy, Trace, Word,
-    CHUNK_ACCESSES,
-};
+use fvl_mem::{AccessSink, Addr, AddrCodec, MappedTrace, PackedTrace, Trace, Word, CHUNK_ACCESSES};
 use fvl_profile::{ReuseProfiler, DEFAULT_LINE_BYTES, TOWER_LEVELS};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -143,8 +140,10 @@ fn mirror(kind: ReplacementKind) -> OracleReplacement {
 
 /// Diffs every replay path against the one-event-at-a-time scalar
 /// reference: monomorphized `Trace` replay, `PackedTrace` replay, the
-/// packed round-trip, and broadcast delivery at single-sink, inline
-/// (≤ 4 sinks) and chunked (> 4 sinks) widths.
+/// packed round-trip, broadcast delivery at single-sink, inline
+/// (≤ 4 sinks) and chunked (> 4 sinks) widths, and replay after the
+/// chunked v2 binary round-trip (the corpus includes lengths
+/// straddling the 64 KiB chunk boundary).
 pub fn diff_replay(trace: &Trace) -> Option<String> {
     let mut reference = DigestSink::new();
     scalar_replay(trace, &mut reference);
@@ -181,116 +180,7 @@ pub fn diff_replay(trace: &Trace) -> Option<String> {
             ));
         }
     }
-    None
-}
 
-/// Diffs every wide (SIMD / unrolled) replay kernel against the scalar
-/// baseline, order-sensitive digest for digest: per-level replay and
-/// broadcast delivery, `ForceScalar`/`ForceWide` policy resolution, the
-/// `CacheSim` batched-index block path over every zoo geometry and
-/// replacement kind, the `FrequentValueSet` compare-and-mask encode, and the
-/// chunked v2 binary round-trip (the corpus includes lengths straddling
-/// the lane widths and the 64 KiB chunk boundary).
-pub fn diff_simd(trace: &Trace) -> Option<String> {
-    let packed = PackedTrace::from_trace(trace);
-    let mut reference = DigestSink::new();
-    packed.replay_into_with(SimdLevel::Scalar, &mut reference);
-
-    for level in SimdLevel::available() {
-        let mut sink = DigestSink::new();
-        packed.replay_into_with(level, &mut sink);
-        if sink != reference {
-            return Some(format!(
-                "replay_into_with({level:?}) diverged from scalar: {sink:?} vs {reference:?}"
-            ));
-        }
-        for sinks in [2usize, 6] {
-            let mut batch: Vec<DigestSink> = vec![DigestSink::new(); sinks];
-            packed.broadcast_into_with(level, &mut batch);
-            if let Some(i) = batch.iter().position(|d| *d != reference) {
-                return Some(format!(
-                    "broadcast_into_with({level:?}) with {sinks} sinks diverged at sink {i}: \
-                     {:?} vs {reference:?}",
-                    batch[i]
-                ));
-            }
-        }
-    }
-
-    // Policy resolution end to end: ForceScalar must be the scalar
-    // loop, ForceWide the widest detected kernel, with equal digests.
-    let mut forced_wide = DigestSink::new();
-    packed.replay_into_with(SimdPolicy::ForceWide.resolve(), &mut forced_wide);
-    let mut forced_scalar = DigestSink::new();
-    packed.replay_into_with(SimdPolicy::ForceScalar.resolve(), &mut forced_scalar);
-    if forced_wide != forced_scalar {
-        return Some(format!(
-            "ForceWide ({:?}) digest diverged from ForceScalar: {forced_wide:?} vs {forced_scalar:?}",
-            SimdPolicy::ForceWide.resolve()
-        ));
-    }
-
-    // The CacheSim block override (batched set-index extraction) must
-    // produce identical stats and traffic on every zoo geometry and
-    // replacement kind: the batched path funnels each block through the
-    // same per-access tag lookup, so no policy may observe a different
-    // access order under wide replay.
-    let best = SimdLevel::detect_best();
-    for (size, line, assoc) in ZOO_GEOMETRIES {
-        for kind in ReplacementKind::ALL {
-            for (policy, _) in policies() {
-                let geom = CacheGeometry::new(size, line, assoc).expect("valid geometry");
-                let mut scalar_sim = CacheSim::new(geom)
-                    .with_write_policy(policy)
-                    .with_replacement(kind);
-                packed.replay_into_with(SimdLevel::Scalar, &mut scalar_sim);
-                let mut wide_sim = CacheSim::new(geom)
-                    .with_write_policy(policy)
-                    .with_replacement(kind);
-                packed.replay_into_with(best, &mut wide_sim);
-                if scalar_sim.stats() != wide_sim.stats()
-                    || scalar_sim.traffic_words() != wide_sim.traffic_words()
-                {
-                    return Some(format!(
-                        "CacheSim {size}B/{line}B/{assoc}-way {policy:?} {kind} block path \
-                         ({best:?}) diverged: {:?} vs scalar {:?}",
-                        wide_sim.stats(),
-                        scalar_sim.stats()
-                    ));
-                }
-            }
-        }
-    }
-
-    // The SIMD compare-and-mask encode must be bit-identical to the
-    // binary search for every value the trace mentions (and misses
-    // just off the ranking).
-    let ranking = value_ranking(trace, 7);
-    if !ranking.is_empty() {
-        let set = match FrequentValueSet::new(ranking.clone()) {
-            Ok(set) => set,
-            Err(e) => return Some(format!("FrequentValueSet rejected the ranking: {e}")),
-        };
-        let probes = trace
-            .iter_accesses()
-            .map(|a| a.value)
-            .chain(ranking.iter().copied())
-            .chain(ranking.iter().map(|v| v.wrapping_add(1)));
-        for value in probes {
-            for level in SimdLevel::available() {
-                if set.encode_with(level, value) != set.encode_scalar(value) {
-                    return Some(format!(
-                        "encode_with({level:?}, {value:#x}) = {:?} diverged from scalar {:?}",
-                        set.encode_with(level, value),
-                        set.encode_scalar(value)
-                    ));
-                }
-            }
-        }
-    }
-
-    // Chunked v2 binary round-trip: the corpus's chunk-boundary lengths
-    // (64 KiB ± 1 access) exercise the chunking edge here.
     let mut encoded = Vec::new();
     packed
         .write_to(&mut encoded)
@@ -298,47 +188,14 @@ pub fn diff_simd(trace: &Trace) -> Option<String> {
     match PackedTrace::read_from(encoded.as_slice()) {
         Ok(decoded) => {
             let mut from_io = DigestSink::new();
-            decoded.replay_into_with(best, &mut from_io);
+            decoded.replay_into(&mut from_io);
             if from_io != reference {
                 return Some(format!(
-                    "wide replay after v2 round-trip diverged: {from_io:?} vs {reference:?}"
+                    "replay after v2 round-trip diverged: {from_io:?} vs {reference:?}"
                 ));
             }
         }
         Err(e) => return Some(format!("v2 round-trip failed to decode: {e}")),
-    }
-
-    // The v2.2 stream-split address codec: every available SIMD level's
-    // shuffle-table decode must reproduce the scalar decode (and the
-    // original column) byte for byte — including the resumable tail the
-    // kernels fall back to near the end of the payload.
-    let addrs = packed.addrs();
-    if !addrs.is_empty() {
-        let mut column = Vec::new();
-        fvl_mem::varint::encode_addr_chunk_split(addrs, &mut column);
-        let scalar = match fvl_mem::varint::decode_addr_chunk_split(&column, addrs.len()) {
-            Ok(decoded) => decoded,
-            Err(e) => return Some(format!("split column failed scalar decode: {e}")),
-        };
-        if scalar != addrs {
-            return Some("split column scalar round-trip changed the addresses".to_string());
-        }
-        for level in SimdLevel::available() {
-            let mut out = Vec::new();
-            if let Err(e) = fvl_mem::varint::decode_addr_chunk_split_into_with(
-                &column,
-                addrs.len(),
-                level,
-                &mut out,
-            ) {
-                return Some(format!("split decode at {level:?} failed: {e}"));
-            }
-            if out != addrs {
-                return Some(format!(
-                    "split decode at {level:?} diverged from the encoded column"
-                ));
-            }
-        }
     }
     None
 }
@@ -1065,9 +922,8 @@ pub fn diff_reuse(trace: &Trace) -> Option<String> {
 /// divergence.
 pub fn check_trace(trace: &Trace) -> Vec<String> {
     type Runner = fn(&Trace) -> Option<String>;
-    let runners: [(&str, Runner); 9] = [
+    let runners: [(&str, Runner); 8] = [
         ("replay", diff_replay),
-        ("simd", diff_simd),
         ("cache", diff_cache),
         ("encode", diff_encode),
         ("hybrid", diff_hybrid),

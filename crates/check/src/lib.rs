@@ -48,6 +48,7 @@
 //! assert_eq!(corpus(4, 100).len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 

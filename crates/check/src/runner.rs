@@ -12,11 +12,11 @@ pub const DEFAULT_CASES: usize = 64;
 /// Access events per generated corpus trace by default.
 pub const DEFAULT_TRACE_ACCESSES: u64 = 600;
 
-/// Trace lengths that sit exactly on the replay paths' internal seams:
-/// empty and single-event traces, the 64-access wide-replay block
-/// boundary (`ACCESS_BLOCK`) minus/at/plus one, and the 64 KiB trace
-/// store chunk boundary (8192 packed accesses at 8 bytes each)
-/// minus/at/plus one.
+/// Trace lengths that sit exactly on the trace paths' internal seams:
+/// empty and single-event traces, 64 accesses minus/at/plus one (a
+/// partial, whole and just-opened final four-token v2.2 control
+/// group), and the 64 KiB trace store chunk boundary (8192 packed
+/// accesses at 8 bytes each) minus/at/plus one.
 pub const BOUNDARY_ACCESS_COUNTS: [u64; 8] = [0, 1, 63, 64, 65, 8191, 8192, 8193];
 
 /// Default case count for the serve corpus: each case round-trips its
@@ -138,10 +138,10 @@ pub fn run_serve_corpus(cases: usize, accesses: u64) -> CorpusReport {
 }
 
 /// Runs every [`BOUNDARY_ACCESS_COUNTS`] trace length through every
-/// pattern and differential runner. These lengths straddle the wide
-/// replay's 64-access block seam and the trace store's 64 KiB chunk
-/// seam, where a lane- or chunk-boundary bug would hide from the
-/// uniformly sized default corpus.
+/// pattern and differential runner. These lengths straddle the v2.2
+/// control-group seam and the trace store's 64 KiB chunk seam, where a
+/// group- or chunk-boundary bug would hide from the uniformly sized
+/// default corpus.
 pub fn run_boundary_corpus() -> CorpusReport {
     let mut failures = Vec::new();
     let mut cases = 0;

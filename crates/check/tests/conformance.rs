@@ -29,8 +29,8 @@ fn full_fixed_seed_corpus_is_green() {
 
 #[test]
 fn boundary_length_corpus_is_green() {
-    // Lengths straddling the wide replay's 64-access block seam and
-    // the trace store's 64 KiB chunk seam, across every pattern.
+    // Lengths straddling the v2.2 control-group seam and the trace
+    // store's 64 KiB chunk seam, across every pattern.
     let report = run_boundary_corpus();
     assert_eq!(
         report.cases,
@@ -118,7 +118,6 @@ fn shrinker_output_is_memory_consistent() {
 fn every_runner_individually_passes_an_adversarial_trace() {
     let trace = generate(77, Pattern::DmcAliasing, 500);
     assert_eq!(diff::diff_replay(&trace), None);
-    assert_eq!(diff::diff_simd(&trace), None);
     assert_eq!(diff::diff_cache(&trace), None);
     assert_eq!(diff::diff_encode(&trace), None);
     assert_eq!(diff::diff_hybrid(&trace), None);

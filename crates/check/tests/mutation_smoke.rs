@@ -20,9 +20,7 @@
 //! 6. a flipped control-byte length-table entry in `fvl-mem`'s v2.2
 //!    stream-split decoder (`lane_len(0, 0)` reads 2 payload bytes
 //!    instead of 1), which desynchronizes any chunk whose first group
-//!    holds four single-byte tokens — at every SIMD level, since the
-//!    scalar tail and the const shuffle tables share the one mutated
-//!    length authority, and
+//!    holds four single-byte tokens, and
 //! 7. a frame-length off-by-one in `fvl-mem`'s serve frame codec
 //!    (`read_frame` shortens every declared payload length by one), so
 //!    each non-empty frame read back over the wire loses its final

@@ -35,6 +35,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
@@ -57,5 +58,5 @@ pub use fvc::{Fvc, FvcLine};
 pub use hybrid::HybridCache;
 pub use hybrid_stats::HybridStats;
 pub use online::{OnlineHybrid, ValueSketch, ALWAYS_RESIDENT};
-pub use value_set::{FrequentValueSet, ValueSetError, SIMD_MAX_VALUES};
+pub use value_set::{FrequentValueSet, ValueSetError};
 pub use victim_hybrid::VictimHybrid;

@@ -1,15 +1,8 @@
 //! The set of frequent values and their compact encoding.
 
-use fvl_mem::simd::{active_level, SimdLevel};
 use fvl_mem::Word;
 use std::error::Error;
 use std::fmt;
-
-/// Largest set size the SIMD compare-and-mask encode covers; larger
-/// sets (up to the 127-value maximum) fall back to the branchless
-/// binary search. The paper's configurations are top-1/3/7, so real
-/// runs always take the SIMD path.
-pub const SIMD_MAX_VALUES: usize = 32;
 
 /// Error building a [`FrequentValueSet`].
 #[derive(Clone, Eq, PartialEq, Debug)]
@@ -72,17 +65,6 @@ pub struct FrequentValueSet {
     /// the per-access encode path (no hashing, one cache line or two).
     sorted: Vec<(Word, u8)>,
     width_bits: u32,
-    /// The values in code order, padded to a multiple of 8 lanes with
-    /// duplicates of the first value — the compare-and-mask operand of
-    /// the SIMD encode. Empty for sets above [`SIMD_MAX_VALUES`]
-    /// entries. Padding with an existing value is sound because the
-    /// match mask's lowest set bit is always the value's real (lowest)
-    /// code: pad lanes only match the code-0 value, at lane ≥ 8 > 0.
-    lanes: Vec<Word>,
-    /// The process-wide replay kernel at construction time (`FVL_SIMD`
-    /// aware), so the per-access encode dispatch is a field read
-    /// instead of a global lookup.
-    level: SimdLevel,
 }
 
 impl FrequentValueSet {
@@ -113,21 +95,10 @@ impl FrequentValueSet {
         while (1u32 << width_bits) - 1 < values.len() as u32 {
             width_bits += 1;
         }
-        let lanes = if values.len() <= SIMD_MAX_VALUES {
-            let mut lanes = values.clone();
-            while !lanes.len().is_multiple_of(8) {
-                lanes.push(values[0]);
-            }
-            lanes
-        } else {
-            Vec::new()
-        };
         Ok(FrequentValueSet {
             values,
             sorted,
             width_bits,
-            lanes,
-            level: active_level(),
         })
     }
 
@@ -177,48 +148,11 @@ impl FrequentValueSet {
 
     /// The code for `value`, or `None` when it is not frequent.
     ///
-    /// This runs once per simulated word access. For sets of at most
-    /// [`SIMD_MAX_VALUES`] values (every paper configuration) and a
-    /// vector kernel active (`FVL_SIMD`, see [`fvl_mem::simd`]), it is
-    /// a branchless SIMD compare-and-mask over the code-ordered lane
-    /// array — one `cmpeq`/`movemask` per 4 (SSE2) or 8 (AVX2) values,
-    /// with `trailing_zeros` extracting the code. Otherwise it falls
-    /// back to [`FrequentValueSet::encode_scalar`]; both paths return
-    /// bit-identical results, which the `fvl-check` conformance
-    /// differential enforces.
+    /// This runs once per simulated word access: a branchless binary
+    /// search over the sorted `(value, code)` array (≤ 7 steps for 127
+    /// values, the comparison compiling to a conditional move).
     #[inline]
     pub fn encode(&self, value: Word) -> Option<u8> {
-        self.encode_with(self.level, value)
-    }
-
-    /// [`FrequentValueSet::encode`] with an explicit kernel, bypassing
-    /// the process-wide policy (the A/B and conformance entry point).
-    #[inline]
-    pub fn encode_with(&self, level: SimdLevel, value: Word) -> Option<u8> {
-        #[cfg(target_arch = "x86_64")]
-        if !self.lanes.is_empty() {
-            let mask = match level {
-                // SAFETY: `level` was resolved against runtime CPU
-                // detection, so the ISA is present.
-                SimdLevel::Avx2 => Some(unsafe { probe_avx2(&self.lanes, value) }),
-                // SAFETY: as above — SSE2 was runtime-detected.
-                SimdLevel::Sse2 => Some(unsafe { probe_sse2(&self.lanes, value) }),
-                _ => None,
-            };
-            if let Some(mask) = mask {
-                return (mask != 0).then(|| mask.trailing_zeros() as u8);
-            }
-        }
-        let _ = level;
-        self.encode_scalar(value)
-    }
-
-    /// The scalar encode: a branchless binary search over the sorted
-    /// `(value, code)` array (≤ 7 steps for 127 values, the comparison
-    /// compiling to a conditional move). Kept public as the reference
-    /// path the SIMD encode is differentially checked against.
-    #[inline]
-    pub fn encode_scalar(&self, value: Word) -> Option<u8> {
         let mut lo = 0usize;
         let mut size = self.sorted.len();
         while size > 1 {
@@ -245,46 +179,6 @@ impl FrequentValueSet {
     pub fn encoded_line_bytes(&self, words_per_line: u32) -> f64 {
         (words_per_line * self.width_bits) as f64 / 8.0
     }
-}
-
-/// AVX2 compare-and-mask probe: one `cmpeq` + `movemask` per 8 lanes,
-/// returning a bitmask of lanes equal to `value` (`lanes.len()` is a
-/// multiple of 8 and at most [`SIMD_MAX_VALUES`]).
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 is available on this CPU.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn probe_avx2(lanes: &[Word], value: Word) -> u32 {
-    use std::arch::x86_64::*;
-    let needle = _mm256_set1_epi32(value as i32);
-    let mut mask = 0u32;
-    for (i, chunk) in lanes.chunks_exact(8).enumerate() {
-        let v = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
-        let eq = _mm256_cmpeq_epi32(v, needle);
-        mask |= (_mm256_movemask_ps(_mm256_castsi256_ps(eq)) as u32) << (i * 8);
-    }
-    mask
-}
-
-/// SSE2 variant of [`probe_avx2`]: 4 lanes per step.
-///
-/// # Safety
-///
-/// The caller must have verified SSE2 is available on this CPU.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn probe_sse2(lanes: &[Word], value: Word) -> u32 {
-    use std::arch::x86_64::*;
-    let needle = _mm_set1_epi32(value as i32);
-    let mut mask = 0u32;
-    for (i, chunk) in lanes.chunks_exact(4).enumerate() {
-        let v = _mm_loadu_si128(chunk.as_ptr() as *const __m128i);
-        let eq = _mm_cmpeq_epi32(v, needle);
-        mask |= (_mm_movemask_ps(_mm_castsi128_ps(eq)) as u32) << (i * 4);
-    }
-    mask
 }
 
 impl fmt::Display for FrequentValueSet {
@@ -378,10 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn simd_encode_matches_scalar_at_every_level_and_size() {
-        // Set sizes straddling the lane widths, the 8-lane padding and
-        // the SIMD_MAX_VALUES cutoff (33+ falls back to the search).
-        for len in [1usize, 3, 4, 5, 7, 8, 9, 16, 31, 32, 33, 127] {
+    fn encode_matches_a_linear_scan_at_every_size() {
+        // Set sizes from one value to the 127-value maximum, so the
+        // binary search runs every depth from 0 to 7 steps.
+        for len in [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32, 33, 64, 127] {
             let values: Vec<Word> = (0..len as u32)
                 .map(|i| i.wrapping_mul(0x9e37_79b9) ^ 0xdead_beef)
                 .collect();
@@ -389,28 +283,10 @@ mod tests {
             let mut probes: Vec<Word> = values.clone();
             probes.extend(values.iter().flat_map(|&v| [v ^ 1, v.wrapping_add(1), !v]));
             probes.extend([0, 1, u32::MAX, 0x9e37_79b9]);
-            for level in SimdLevel::available() {
-                for &p in &probes {
-                    assert_eq!(
-                        set.encode_with(level, p),
-                        set.encode_scalar(p),
-                        "{level:?} len {len} probe {p:#x}"
-                    );
-                }
+            for &p in &probes {
+                let want = values.iter().position(|&v| v == p).map(|i| i as u8);
+                assert_eq!(set.encode(p), want, "len {len} probe {p:#x}");
             }
-        }
-    }
-
-    #[test]
-    fn simd_encode_resolves_duplicate_pad_lanes_to_code_zero() {
-        // 3 values pad to 8 lanes with copies of values[0]; probing
-        // values[0] must still return code 0, not a pad lane index.
-        let set = FrequentValueSet::new(vec![42, 7, 9]).unwrap();
-        for level in SimdLevel::available() {
-            assert_eq!(set.encode_with(level, 42), Some(0), "{level:?}");
-            assert_eq!(set.encode_with(level, 7), Some(1), "{level:?}");
-            assert_eq!(set.encode_with(level, 9), Some(2), "{level:?}");
-            assert_eq!(set.encode_with(level, 8), None, "{level:?}");
         }
     }
 

@@ -4,10 +4,6 @@ use crate::layout::{Addr, Region, Word};
 use crate::snapshot::MemorySnapshot;
 use std::fmt;
 
-/// Maximum accesses per [`AccessBlock`] delivered by the wide replay
-/// path (the store mask is a `u64`, one bit per lane).
-pub const ACCESS_BLOCK: usize = 64;
-
 /// Whether an access reads or writes memory.
 #[derive(Copy, Clone, Eq, PartialEq, Ord, PartialOrd, Hash, Debug)]
 pub enum AccessKind {
@@ -87,95 +83,6 @@ impl fmt::Display for Access {
     }
 }
 
-/// A run of consecutive accesses decoded from packed columns in one
-/// wide batch: stripped word addresses, the values column, and the
-/// load/store bits collected into a lane bitmask.
-///
-/// Blocks hold at most [`ACCESS_BLOCK`] accesses and always represent
-/// consecutive program-order events; [`AccessBlock::get`] reconstructs
-/// the `i`-th [`Access`] exactly as the scalar replay path would have
-/// delivered it.
-#[derive(Copy, Clone, Debug)]
-pub struct AccessBlock<'a> {
-    addrs: &'a [Addr],
-    values: &'a [Word],
-    store_mask: u64,
-}
-
-impl<'a> AccessBlock<'a> {
-    /// Wraps decoded columns. Bit `i` of `store_mask` set means access
-    /// `i` is a store; addresses must already have any flag bits
-    /// stripped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the columns differ in length or exceed
-    /// [`ACCESS_BLOCK`] entries.
-    #[inline]
-    pub fn new(addrs: &'a [Addr], values: &'a [Word], store_mask: u64) -> Self {
-        assert_eq!(addrs.len(), values.len(), "column length mismatch");
-        assert!(addrs.len() <= ACCESS_BLOCK, "block too large");
-        AccessBlock {
-            addrs,
-            values,
-            store_mask,
-        }
-    }
-
-    /// Number of accesses in the block.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// Whether the block holds no accesses.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
-    }
-
-    /// The stripped word-aligned address column.
-    #[inline]
-    pub fn addrs(&self) -> &'a [Addr] {
-        self.addrs
-    }
-
-    /// The value column.
-    #[inline]
-    pub fn values(&self) -> &'a [Word] {
-        self.values
-    }
-
-    /// Lane bitmask of stores (bit `i` set ⇔ access `i` is a store).
-    #[inline]
-    pub fn store_mask(&self) -> u64 {
-        self.store_mask
-    }
-
-    /// Reconstructs the `i`-th access of the block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    #[inline]
-    pub fn get(&self, i: usize) -> Access {
-        Access {
-            addr: self.addrs[i],
-            value: self.values[i],
-            kind: if self.store_mask >> i & 1 == 1 {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            },
-        }
-    }
-
-    /// Iterates the block's accesses in program order.
-    pub fn iter(&self) -> impl Iterator<Item = Access> + '_ {
-        (0..self.len()).map(|i| self.get(i))
-    }
-}
-
 /// Consumer of the event stream produced by a [`crate::TracedMemory`] or a
 /// [`crate::Trace`] replay.
 ///
@@ -185,21 +92,6 @@ impl<'a> AccessBlock<'a> {
 pub trait AccessSink {
     /// Called for every word load and store, in program order.
     fn on_access(&mut self, access: Access);
-
-    /// Called by the wide replay path with a run of consecutive
-    /// accesses decoded as one batch.
-    ///
-    /// The default implementation delivers each access to
-    /// [`AccessSink::on_access`] in program order, so sinks that do not
-    /// override this observe exactly the scalar event stream; sinks
-    /// with a batched fast path (e.g. the DMC cache simulator) override
-    /// it to consume the columns directly.
-    #[inline]
-    fn on_access_block(&mut self, block: &AccessBlock<'_>) {
-        for access in block.iter() {
-            self.on_access(access);
-        }
-    }
 
     /// Called when a heap or stack region is allocated.
     fn on_alloc(&mut self, region: Region) {
@@ -229,11 +121,6 @@ impl<S: AccessSink + ?Sized> AccessSink for &mut S {
     #[inline]
     fn on_access(&mut self, access: Access) {
         (**self).on_access(access);
-    }
-
-    #[inline]
-    fn on_access_block(&mut self, block: &AccessBlock<'_>) {
-        (**self).on_access_block(block);
     }
 
     fn on_alloc(&mut self, region: Region) {
@@ -381,13 +268,6 @@ impl AccessSink for Fanout<'_> {
         }
     }
 
-    #[inline]
-    fn on_access_block(&mut self, block: &AccessBlock<'_>) {
-        for sink in &mut self.sinks {
-            sink.on_access_block(block);
-        }
-    }
-
     fn on_alloc(&mut self, region: Region) {
         for sink in &mut self.sinks {
             sink.on_alloc(region);
@@ -443,32 +323,6 @@ mod tests {
         assert_eq!(c.allocs(), 1);
         assert_eq!(c.frees(), 1);
         assert!(c.finished());
-    }
-
-    #[test]
-    fn access_block_reconstructs_events() {
-        let addrs = [0x100u32, 0x104, 0x108];
-        let values = [1u32, 2, 3];
-        let block = AccessBlock::new(&addrs, &values, 0b010);
-        assert_eq!(block.len(), 3);
-        assert!(!block.is_empty());
-        assert_eq!(block.addrs(), &addrs);
-        assert_eq!(block.values(), &values);
-        assert_eq!(block.store_mask(), 0b010);
-        assert_eq!(block.get(0), Access::load(0x100, 1));
-        assert_eq!(block.get(1), Access::store(0x104, 2));
-        assert_eq!(block.get(2), Access::load(0x108, 3));
-        assert_eq!(block.iter().count(), 3);
-
-        // The default sink delivery observes the same stream the
-        // scalar path would produce.
-        let mut via_block = CountingSink::new();
-        via_block.on_access_block(&block);
-        let mut via_events = CountingSink::new();
-        for access in block.iter() {
-            via_events.on_access(access);
-        }
-        assert_eq!(via_block, via_events);
     }
 
     #[test]

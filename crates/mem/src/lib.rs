@@ -69,9 +69,7 @@ mod trace_io;
 mod traced;
 pub mod varint;
 
-pub use access::{
-    Access, AccessBlock, AccessKind, AccessSink, CountingSink, Fanout, NullSink, ACCESS_BLOCK,
-};
+pub use access::{Access, AccessKind, AccessSink, CountingSink, Fanout, NullSink};
 pub use alloc::{HeapAllocator, StackAllocator};
 pub use bus::{Bus, BusExt};
 pub use layout::{Addr, Region, RegionKind, Word, GLOBAL_BASE, HEAP_BASE, STACK_BASE, WORD_BYTES};
@@ -83,7 +81,7 @@ pub use packed::{
 };
 pub use repr::{TraceRepr, TraceReprKind};
 pub use sim_memory::SimMemory;
-pub use simd::{SimdLevel, SimdPolicy};
+pub use simd::SimdLevel;
 pub use snapshot::MemorySnapshot;
 pub use trace::{Trace, TraceBuffer, TraceEvent};
 pub use trace_io::{AddrCodec, CHUNK_ACCESSES, CHUNK_BYTES};

@@ -31,7 +31,6 @@ use crate::access::AccessSink;
 use crate::layout::Region;
 use crate::mmap::MapSource;
 use crate::packed::{PackedTrace, RegionEvent};
-use crate::simd::{self, SimdLevel};
 use crate::trace_io::{
     bad_data, byte_to_kind, AddrCodec, V21Header, MAGIC_V21, MAGIC_V22, REGION_RECORD_BYTES,
     V21_HEADER_BYTES, V21_INDEX_ENTRY_BYTES,
@@ -412,16 +411,7 @@ impl MappedTrace {
         let encoded = slice(bytes, addr_off, u64::from(entry.addr_bytes))?;
         let addrs = match self.header.codec {
             AddrCodec::Varint => varint::decode_addr_chunk(encoded, entry.chunk_len as usize)?,
-            AddrCodec::Split => {
-                let mut addrs = Vec::new();
-                varint::decode_addr_chunk_split_into_with(
-                    encoded,
-                    entry.chunk_len as usize,
-                    simd::active_level(),
-                    &mut addrs,
-                )?;
-                addrs
-            }
+            AddrCodec::Split => varint::decode_addr_chunk_split(encoded, entry.chunk_len as usize)?,
         };
         let values_off = addr_off + u64::from(entry.addr_bytes);
         let values: Vec<u32> = slice(bytes, values_off, 4 * u64::from(entry.chunk_len))?
@@ -571,20 +561,6 @@ impl MappedTrace {
     /// Propagates chunk-decode failures; the sink may have consumed a
     /// prefix of the trace (and is not finished) when that happens.
     pub fn replay_into(&self, sink: &mut (impl AccessSink + ?Sized)) -> io::Result<()> {
-        self.replay_into_with(simd::active_level(), sink)
-    }
-
-    /// [`MappedTrace::replay_into`] with an explicit decode kernel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates chunk-decode failures, as for
-    /// [`MappedTrace::replay_into`].
-    pub fn replay_into_with(
-        &self,
-        level: SimdLevel,
-        sink: &mut (impl AccessSink + ?Sized),
-    ) -> io::Result<()> {
         if self.header.chunk_count == 0 {
             for event in &self.regions {
                 if event.is_alloc {
@@ -595,7 +571,7 @@ impl MappedTrace {
             }
         } else {
             for i in 0..self.header.chunk_count {
-                self.decode_chunk(i)?.feed_into_with(level, sink);
+                self.decode_chunk(i)?.feed_into(sink);
             }
         }
         sink.on_finish();
@@ -735,20 +711,6 @@ mod tests {
         let err = MappedTrace::from_bytes(v2).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(MappedTrace::from_bytes(Vec::new()).is_err());
-    }
-
-    #[test]
-    fn every_simd_level_streams_the_same_events() {
-        let trace = mixed_trace(300);
-        let packed = PackedTrace::from_trace(&trace);
-        let mapped = MappedTrace::from_bytes(v21_bytes(&trace, 16)).unwrap();
-        let mut reference = CountingSink::new();
-        packed.replay_into_with(SimdLevel::Scalar, &mut reference);
-        for level in SimdLevel::available() {
-            let mut sink = CountingSink::new();
-            mapped.replay_into_with(level, &mut sink).unwrap();
-            assert_eq!(sink, reference, "{level:?}");
-        }
     }
 
     #[test]

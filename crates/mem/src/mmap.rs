@@ -122,10 +122,12 @@ impl Mmap {
 }
 
 // SAFETY: the mapping is read-only and the raw pointer is owned
-// exclusively by this value; sharing &Mmap across threads only ever
-// reads the mapped pages.
+// exclusively by this value, so moving it to another thread moves the
+// sole owner of the mapping.
 #[cfg(target_os = "linux")]
 unsafe impl Send for Mmap {}
+// SAFETY: the mapping is read-only, so sharing &Mmap across threads
+// only ever reads the mapped pages.
 #[cfg(target_os = "linux")]
 unsafe impl Sync for Mmap {}
 

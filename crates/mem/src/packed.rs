@@ -21,11 +21,11 @@
 //! once so a design-space sweep touches the trace `ceil(N / batch)`
 //! times instead of `N` times.
 
-use crate::access::{Access, AccessBlock, AccessKind, AccessSink, ACCESS_BLOCK};
+use crate::access::{Access, AccessKind, AccessSink};
 use crate::layout::{Region, WORD_BYTES};
 use crate::live::LiveSet;
 use crate::sim_memory::SimMemory;
-use crate::simd::{self, SimdLevel};
+use crate::simd::SimdLevel;
 use crate::snapshot::MemorySnapshot;
 use crate::trace::{Trace, TraceEvent};
 use std::fmt;
@@ -320,52 +320,11 @@ impl PackedTrace {
     }
 
     /// Feeds the accesses in columns `lo..hi` to `sink` one event at a
-    /// time — the scalar hot loop, and the conformance baseline the
-    /// wide kernels are checked against.
+    /// time.
     #[inline]
     fn feed<S: AccessSink + ?Sized>(&self, lo: usize, hi: usize, sink: &mut S) {
         for (&a, &v) in self.addrs[lo..hi].iter().zip(&self.values[lo..hi]) {
             sink.on_access(decode(a, v));
-        }
-    }
-
-    /// Feeds columns `lo..hi` through the kernel selected by `level`.
-    #[inline]
-    fn feed_with<S: AccessSink + ?Sized>(
-        &self,
-        level: SimdLevel,
-        lo: usize,
-        hi: usize,
-        sink: &mut S,
-    ) {
-        match level {
-            SimdLevel::Scalar => self.feed(lo, hi, sink),
-            level => self.feed_wide(level, lo, hi, sink),
-        }
-    }
-
-    /// Wide path: decode up to [`ACCESS_BLOCK`] column entries per step
-    /// (strip [`STORE_BIT`], harvest the store bits into a lane mask)
-    /// and hand the batch to [`AccessSink::on_access_block`].
-    fn feed_wide<S: AccessSink + ?Sized>(
-        &self,
-        level: SimdLevel,
-        lo: usize,
-        hi: usize,
-        sink: &mut S,
-    ) {
-        let mut addrs = [0u32; ACCESS_BLOCK];
-        let mut block = lo;
-        while block < hi {
-            let end = (block + ACCESS_BLOCK).min(hi);
-            let n = end - block;
-            let mask = simd::decode_columns(level, &self.addrs[block..end], &mut addrs[..n]);
-            sink.on_access_block(&AccessBlock::new(
-                &addrs[..n],
-                &self.values[block..end],
-                mask,
-            ));
-            block = end;
         }
     }
 
@@ -374,26 +333,17 @@ impl PackedTrace {
     ///
     /// Accesses stream from the dense columns in runs between region
     /// breakpoints, so the loop carries no per-event tag dispatch and
-    /// touches half the memory of the `Vec<TraceEvent>` walk. The
-    /// decode kernel is the process-wide [`crate::simd::active_level`]
-    /// (`FVL_SIMD` / [`crate::simd::set_policy`]); use
-    /// [`PackedTrace::replay_into_with`] to pin one explicitly.
+    /// touches half the memory of the `Vec<TraceEvent>` walk.
     pub fn replay_into<S: AccessSink + ?Sized>(&self, sink: &mut S) {
-        self.replay_into_with(simd::active_level(), sink);
+        self.feed_into(sink);
+        sink.on_finish();
     }
 
-    /// [`PackedTrace::replay_into`] with an explicit decode kernel,
-    /// bypassing the process-wide policy — the A/B entry point for the
-    /// lane-width benches and the scalar-vs-SIMD conformance
-    /// differential.
-    ///
-    /// Every level delivers the identical event stream; levels above
-    /// [`SimdLevel::Scalar`] batch runs into [`AccessBlock`]s, which
-    /// non-overriding sinks observe as ordinary in-order
-    /// [`AccessSink::on_access`] calls.
-    pub fn replay_into_with<S: AccessSink + ?Sized>(&self, level: SimdLevel, sink: &mut S) {
-        self.feed_into_with(level, sink);
-        sink.on_finish();
+    /// [`PackedTrace::replay_into`]; `level` is always
+    /// [`SimdLevel::Scalar`]. Held for the benchmark package, which
+    /// still calls it (see [`crate::simd`]).
+    pub fn replay_into_with<S: AccessSink + ?Sized>(&self, _level: SimdLevel, sink: &mut S) {
+        self.replay_into(sink);
     }
 
     /// Delivers every event of this trace to `sink` **without** calling
@@ -401,9 +351,9 @@ impl PackedTrace {
     /// out-of-core replay uses: one logical trace arrives as many
     /// [`PackedTrace`] pieces (see [`crate::MappedTrace`]), each fed in
     /// turn, and the caller finishes the sink exactly once at the end.
-    pub fn feed_into_with<S: AccessSink + ?Sized>(&self, level: SimdLevel, sink: &mut S) {
+    pub fn feed_into<S: AccessSink + ?Sized>(&self, sink: &mut S) {
         self.segments(|seg| match seg {
-            Segment::Run(lo, hi) => self.feed_with(level, lo, hi, sink),
+            Segment::Run(lo, hi) => self.feed(lo, hi, sink),
             Segment::Breakpoint(event) => {
                 if event.is_alloc {
                     sink.on_alloc(event.region)
@@ -424,25 +374,16 @@ impl PackedTrace {
     /// per sink. Events are delivered to sinks in slice order, and each
     /// sink's `on_finish` runs after the final event.
     ///
-    /// Up to [`BROADCAST_INLINE_MAX`] sinks the scalar fan-out is a
-    /// per-access inner loop (monomorphized over `S`, so small sink
-    /// counts keep their state in registers); larger batches deliver
+    /// Up to [`BROADCAST_INLINE_MAX`] sinks the fan-out is a per-access
+    /// inner loop (monomorphized over `S`, so small sink counts keep
+    /// their state in registers); larger batches deliver
     /// [`BROADCAST_BLOCK`]-access column blocks to one sink at a time,
     /// so the block stays cache-resident while N sinks consume it.
-    /// Under a wide kernel (the default when the CPU supports one),
-    /// every batch size decodes each [`ACCESS_BLOCK`]-access block once
-    /// and fans the decoded block out to all sinks.
     pub fn broadcast_into<S: AccessSink>(&self, sinks: &mut [S]) {
-        self.broadcast_into_with(simd::active_level(), sinks);
-    }
-
-    /// [`PackedTrace::broadcast_into`] with an explicit decode kernel,
-    /// bypassing the process-wide policy.
-    pub fn broadcast_into_with<S: AccessSink>(&self, level: SimdLevel, sinks: &mut [S]) {
-        match (sinks.len(), level) {
-            (0, _) => return,
-            (1, _) => return self.replay_into_with(level, &mut sinks[0]),
-            (n, SimdLevel::Scalar) if n <= BROADCAST_INLINE_MAX => self.segments(|seg| match seg {
+        match sinks.len() {
+            0 => return,
+            1 => return self.replay_into(&mut sinks[0]),
+            n if n <= BROADCAST_INLINE_MAX => self.segments(|seg| match seg {
                 Segment::Run(lo, hi) => {
                     for (&a, &v) in self.addrs[lo..hi].iter().zip(&self.values[lo..hi]) {
                         let access = decode(a, v);
@@ -453,31 +394,13 @@ impl PackedTrace {
                 }
                 Segment::Breakpoint(event) => deliver_region(sinks, event),
             }),
-            (_, SimdLevel::Scalar) => self.segments(|seg| match seg {
+            _ => self.segments(|seg| match seg {
                 Segment::Run(lo, hi) => {
                     let mut block = lo;
                     while block < hi {
                         let end = (block + BROADCAST_BLOCK).min(hi);
                         for sink in sinks.iter_mut() {
                             self.feed(block, end, sink);
-                        }
-                        block = end;
-                    }
-                }
-                Segment::Breakpoint(event) => deliver_region(sinks, event),
-            }),
-            (_, level) => self.segments(|seg| match seg {
-                Segment::Run(lo, hi) => {
-                    let mut addrs = [0u32; ACCESS_BLOCK];
-                    let mut block = lo;
-                    while block < hi {
-                        let end = (block + ACCESS_BLOCK).min(hi);
-                        let n = end - block;
-                        let mask =
-                            simd::decode_columns(level, &self.addrs[block..end], &mut addrs[..n]);
-                        let decoded = AccessBlock::new(&addrs[..n], &self.values[block..end], mask);
-                        for sink in sinks.iter_mut() {
-                            sink.on_access_block(&decoded);
                         }
                         block = end;
                     }
@@ -840,83 +763,6 @@ mod tests {
         let mut sinks = vec![DigestSink::default(); BROADCAST_INLINE_MAX + 2];
         packed.broadcast_into(&mut sinks);
         assert!(sinks.iter().all(|s| s == &reference));
-    }
-
-    #[test]
-    fn every_simd_level_replays_the_scalar_stream() {
-        let trace = record_mixed();
-        let packed = PackedTrace::from_trace(&trace);
-        let mut reference = DigestSink::default();
-        packed.replay_into_with(SimdLevel::Scalar, &mut reference);
-        for level in SimdLevel::available() {
-            let mut sink = DigestSink::default();
-            packed.replay_into_with(level, &mut sink);
-            assert_eq!(sink, reference, "{level:?}");
-        }
-    }
-
-    #[test]
-    fn wide_replay_handles_lane_and_block_boundary_lengths() {
-        // Lengths straddling the SSE2/AVX2 lane widths, the unroll
-        // factor, and the ACCESS_BLOCK batching boundary.
-        for len in [0usize, 1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 127, 128, 129] {
-            let events: Vec<TraceEvent> = (0..len as u32)
-                .map(|i| {
-                    let access = if i % 3 == 0 {
-                        Access::store(i * 4, i ^ 0xabcd)
-                    } else {
-                        Access::load(i * 4, i)
-                    };
-                    TraceEvent::Access(access)
-                })
-                .collect();
-            let packed = PackedTrace::from_trace(&Trace::from_events(events));
-            let mut reference = DigestSink::default();
-            packed.replay_into_with(SimdLevel::Scalar, &mut reference);
-            for level in SimdLevel::available() {
-                let mut sink = DigestSink::default();
-                packed.replay_into_with(level, &mut sink);
-                assert_eq!(sink, reference, "{level:?} len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_replay_splits_blocks_at_region_breakpoints() {
-        // Region events at positions that are not multiples of the
-        // block size force partial blocks mid-stream.
-        let mut events: Vec<TraceEvent> = (0..(ACCESS_BLOCK as u32 * 3))
-            .map(|i| TraceEvent::Access(Access::load(i * 4, i)))
-            .collect();
-        let region = Region::new(0x1000, 4, crate::layout::RegionKind::Heap);
-        events.insert(7, TraceEvent::Alloc(region));
-        events.insert(100, TraceEvent::Free(region));
-        let packed = PackedTrace::from_trace(&Trace::from_events(events));
-        let mut reference = DigestSink::default();
-        packed.replay_into_with(SimdLevel::Scalar, &mut reference);
-        for level in SimdLevel::available() {
-            let mut sink = DigestSink::default();
-            packed.replay_into_with(level, &mut sink);
-            assert_eq!(sink, reference, "{level:?}");
-        }
-    }
-
-    #[test]
-    fn wide_broadcast_equals_scalar_broadcast() {
-        let trace = record_mixed();
-        let packed = PackedTrace::from_trace(&trace);
-        let mut reference = DigestSink::default();
-        packed.replay_into_with(SimdLevel::Scalar, &mut reference);
-        for level in SimdLevel::available() {
-            for n in [1usize, 2, 4, 5, 9] {
-                let mut sinks = vec![DigestSink::default(); n];
-                packed.broadcast_into_with(level, &mut sinks);
-                for (i, sink) in sinks.iter().enumerate() {
-                    assert_eq!(sink, &reference, "{level:?} sink {i} of {n}");
-                    assert_eq!(sink.finished, 1, "{level:?} sink {i} of {n}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,454 +1,33 @@
-//! Runtime-selected SIMD kernels for the packed-trace replay hot path.
+//! The replay-kernel names the benchmark still imports.
 //!
-//! The columnar [`crate::PackedTrace`] layout was built so the addr and
-//! value columns could be consumed in wide blocks; this module supplies
-//! the machinery: a [`SimdPolicy`] chosen once per process (from the
-//! `FVL_SIMD` environment variable, or programmatically via
-//! [`set_policy`]), resolved against runtime CPU-feature detection into
-//! a concrete [`SimdLevel`], and the unsafe `std::arch` kernels that
-//! decode a block of packed addresses — stripping the folded
-//! [`crate::STORE_BIT`] and collecting the load/store bits into a lane
-//! bitmask — 4 (SSE2) or 8 (AVX2) lanes at a time.
-//!
-//! Every kernel is a pure data transform with scalar-visible semantics:
-//! for any input, the crate-internal `decode_columns` entry point
-//! produces byte-identical output at
-//! every level, which the `fvl-check` conformance harness enforces
-//! differentially (scalar-vs-wide digests) and CI replays under
-//! `FVL_SIMD=scalar`, `FVL_SIMD=wide`, and `RUSTFLAGS=+avx2`.
+//! Packed replay, v2.2 address decode and frequent-value encode each
+//! have one scalar path, so there is no kernel to choose. The
+//! benchmark package (`perfbench/`) still names three of the old
+//! kernel-selection items: [`SimdLevel::Scalar`] with its
+//! [`SimdLevel::label`], [`active_level`], and
+//! [`crate::PackedTrace::replay_into_with`]. The benchmark's definition
+//! changes only in a benchmark-scoped step, so these names are held
+//! for it until that step retires them, together with the benchmark's
+//! `replay.null_avx2.ns_per_access` metric (see `ROADMAP.md`).
 
-use crate::packed::STORE_BIT;
-use std::sync::OnceLock;
-
-/// How the replay paths choose between the scalar and wide kernels.
-///
-/// The policy is an intent; [`SimdPolicy::resolve`] turns it into the
-/// concrete [`SimdLevel`] the current CPU supports.
-#[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
-pub enum SimdPolicy {
-    /// Use the widest kernel the CPU supports (the default).
-    #[default]
-    Auto,
-    /// Use the one-event-at-a-time scalar loop (the pre-SIMD replay
-    /// path, kept as the A/B and conformance baseline).
-    ForceScalar,
-    /// Use the widest *batched* kernel available, falling back to the
-    /// manually unrolled scalar block loop when no vector ISA is
-    /// detected.
-    ForceWide,
-    /// Pin one specific kernel (for lane-width A/B sweeps). Resolves to
-    /// [`SimdLevel::Unrolled`] when the requested ISA is unavailable.
-    Force(SimdLevel),
-}
-
-impl SimdPolicy {
-    /// Parses a policy label: `auto`, `scalar`, `wide`, or a specific
-    /// kernel name (`unrolled`, `sse2`, `avx2`).
-    pub fn parse(s: &str) -> Option<SimdPolicy> {
-        match s {
-            "auto" => Some(SimdPolicy::Auto),
-            "scalar" => Some(SimdPolicy::ForceScalar),
-            "wide" => Some(SimdPolicy::ForceWide),
-            "unrolled" => Some(SimdPolicy::Force(SimdLevel::Unrolled)),
-            "sse2" => Some(SimdPolicy::Force(SimdLevel::Sse2)),
-            "avx2" => Some(SimdPolicy::Force(SimdLevel::Avx2)),
-            _ => None,
-        }
-    }
-
-    /// The policy requested by the `FVL_SIMD` environment variable
-    /// ([`SimdPolicy::Auto`] when unset or unrecognized).
-    pub fn from_env() -> SimdPolicy {
-        std::env::var("FVL_SIMD")
-            .ok()
-            .and_then(|s| SimdPolicy::parse(&s))
-            .unwrap_or_default()
-    }
-
-    /// Short label as accepted by [`SimdPolicy::parse`].
-    pub fn label(self) -> &'static str {
-        match self {
-            SimdPolicy::Auto => "auto",
-            SimdPolicy::ForceScalar => "scalar",
-            SimdPolicy::ForceWide => "wide",
-            SimdPolicy::Force(level) => level.label(),
-        }
-    }
-
-    /// The concrete kernel this policy selects on the current CPU.
-    ///
-    /// A forced vector level that the CPU cannot execute degrades to
-    /// [`SimdLevel::Unrolled`] — never to an illegal-instruction fault.
-    pub fn resolve(self) -> SimdLevel {
-        match self {
-            SimdPolicy::Auto | SimdPolicy::ForceWide => SimdLevel::detect_best(),
-            SimdPolicy::ForceScalar => SimdLevel::Scalar,
-            SimdPolicy::Force(level) => {
-                if level.is_available() {
-                    level
-                } else {
-                    SimdLevel::Unrolled
-                }
-            }
-        }
-    }
-}
-
-/// A concrete replay kernel, ordered narrowest to widest.
-#[derive(Copy, Clone, Eq, PartialEq, Ord, PartialOrd, Hash, Debug)]
+/// The one replay kernel, held for the benchmark (see the module docs).
+#[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub enum SimdLevel {
-    /// One event at a time (the pre-SIMD hot loop).
+    /// The scalar packed walk.
     Scalar,
-    /// Blocked, manually 8-way-unrolled scalar decode — no vector ISA
-    /// required, faster than the one-event loop on every target.
-    Unrolled,
-    /// 4 × u32 lanes per step via SSE2.
-    Sse2,
-    /// 8 × u32 lanes per step via AVX2.
-    Avx2,
 }
 
 impl SimdLevel {
-    /// Short lower-case label (`"scalar"`, `"unrolled"`, `"sse2"`,
-    /// `"avx2"`), used in logs, benches and the timing metrics export.
+    /// The label `"scalar"`, held for the benchmark's report header.
     pub fn label(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Unrolled => "unrolled",
-            SimdLevel::Sse2 => "sse2",
-            SimdLevel::Avx2 => "avx2",
         }
-    }
-
-    /// `u32` lanes the kernel consumes per step (1 for the scalar and
-    /// unrolled levels, which have no vector registers).
-    pub fn lanes(self) -> usize {
-        match self {
-            SimdLevel::Scalar | SimdLevel::Unrolled => 1,
-            SimdLevel::Sse2 => 4,
-            SimdLevel::Avx2 => 8,
-        }
-    }
-
-    /// Whether the running CPU can execute this kernel.
-    pub fn is_available(self) -> bool {
-        match self {
-            SimdLevel::Scalar | SimdLevel::Unrolled => true,
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => std::arch::is_x86_feature_detected!("sse2"),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
-        }
-    }
-
-    /// The widest kernel the running CPU supports.
-    pub fn detect_best() -> SimdLevel {
-        if SimdLevel::Avx2.is_available() {
-            SimdLevel::Avx2
-        } else if SimdLevel::Sse2.is_available() {
-            SimdLevel::Sse2
-        } else {
-            SimdLevel::Unrolled
-        }
-    }
-
-    /// Every kernel the running CPU can execute, narrowest first
-    /// (always starts `[Scalar, Unrolled, ...]`) — the lane-width sweep
-    /// the benches and the conformance differential iterate over.
-    pub fn available() -> Vec<SimdLevel> {
-        [
-            SimdLevel::Scalar,
-            SimdLevel::Unrolled,
-            SimdLevel::Sse2,
-            SimdLevel::Avx2,
-        ]
-        .into_iter()
-        .filter(|l| l.is_available())
-        .collect()
     }
 }
 
-/// The concrete kernel the v2.2 stream-split address decoder
-/// ([`crate::varint::decode_addr_chunk_split_into_with`]) runs for a
-/// given [`SimdLevel`]. The split decoder's shuffle kernel needs
-/// `pshufb` (SSSE3), which [`SimdLevel`] deliberately does not model —
-/// the replay kernels only need SSE2 — so the split decoder refines
-/// the level with its own feature checks: vector levels use the
-/// shuffle kernel when the ISA is actually present and otherwise fall
-/// back to the branch-split scalar loop.
-#[derive(Copy, Clone, Eq, PartialEq, Debug)]
-pub(crate) enum SplitKernel {
-    /// Masked-load scalar loop (also the tail/error authority for the
-    /// vector kernels).
-    Scalar,
-    /// 4 tokens per `pshufb`.
-    #[cfg(target_arch = "x86_64")]
-    Ssse3,
-    /// 8 tokens per 256-bit shuffle.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-/// Refines a replay [`SimdLevel`] into the split-decode kernel to run.
-pub(crate) fn split_kernel(level: SimdLevel) -> SplitKernel {
-    #[cfg(target_arch = "x86_64")]
-    if level >= SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-        return SplitKernel::Avx2;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if level >= SimdLevel::Sse2 && std::arch::is_x86_feature_detected!("ssse3") {
-        return SplitKernel::Ssse3;
-    }
-    let _ = level;
-    SplitKernel::Scalar
-}
-
-/// The process-wide resolved kernel, latched on first use.
-static ACTIVE_LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-
-/// Installs `policy` as the process-wide replay policy and returns the
-/// kernel now in effect.
-///
-/// First call wins: if a replay already resolved the policy (from
-/// `FVL_SIMD` via [`active_level`]), the earlier resolution is kept and
-/// returned. CLIs should call this while parsing arguments, before any
-/// trace is replayed.
-pub fn set_policy(policy: SimdPolicy) -> SimdLevel {
-    *ACTIVE_LEVEL.get_or_init(|| policy.resolve())
-}
-
-/// The kernel every implicit-policy replay path uses, resolving
-/// `FVL_SIMD` (default [`SimdPolicy::Auto`]) on first call.
+/// The kernel every replay runs, always [`SimdLevel::Scalar`]; held
+/// for the benchmark.
 pub fn active_level() -> SimdLevel {
-    *ACTIVE_LEVEL.get_or_init(|| SimdPolicy::from_env().resolve())
-}
-
-/// Decodes a block of packed addresses: strips [`STORE_BIT`] from
-/// `packed[i]` into `addrs[i]` and returns the store bits as a lane
-/// bitmask (bit `i` set ⇔ access `i` is a store).
-///
-/// Every level produces identical output; the vector levels are
-/// dispatched only after [`SimdLevel::is_available`] said the ISA
-/// exists, which makes the `unsafe` target-feature calls sound.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or exceed 64 lanes (the mask
-/// is a `u64`).
-pub(crate) fn decode_columns(level: SimdLevel, packed: &[u32], addrs: &mut [u32]) -> u64 {
-    assert_eq!(packed.len(), addrs.len(), "column length mismatch");
-    assert!(packed.len() <= 64, "block exceeds the 64-lane mask");
-    let mask = match level {
-        SimdLevel::Scalar | SimdLevel::Unrolled => decode_unrolled(packed, addrs),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level` comes from detection/resolution, so the ISA
-        // is present on this CPU.
-        SimdLevel::Sse2 => unsafe { decode_sse2(packed, addrs) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — AVX2 was runtime-detected.
-        SimdLevel::Avx2 => unsafe { decode_avx2(packed, addrs) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => decode_unrolled(packed, addrs),
-    };
-    // `seeded-bugs` is a TEST-ONLY mutation used by the `fvl-check`
-    // conformance harness: the wide decoder inverts the load/store bits
-    // exactly like the scalar `decode` mutation, so the harness catches
-    // the bug on every replay path.
-    #[cfg(feature = "seeded-bugs")]
-    let mask = !mask & ones(packed.len());
-    mask
-}
-
-/// Low `n` bits set (the full-block store mask for an all-store block).
-#[allow(dead_code)] // used by the seeded-bugs mutation and tests
-fn ones(n: usize) -> u64 {
-    if n >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
-}
-
-/// The blocked scalar kernel: 8 manually unrolled strip-and-mask steps
-/// per iteration, no per-event iterator machinery.
-fn decode_unrolled(packed: &[u32], addrs: &mut [u32]) -> u64 {
-    let mut mask = 0u64;
-    let mut i = 0usize;
-    while i + 8 <= packed.len() {
-        // One step per lane keeps the eight strip/mask chains fully
-        // independent, so the compiler can schedule (or vectorize)
-        // them without a loop-carried dependency.
-        let mut bits = 0u64;
-        bits |= u64::from(packed[i] & STORE_BIT);
-        bits |= u64::from(packed[i + 1] & STORE_BIT) << 1;
-        bits |= u64::from(packed[i + 2] & STORE_BIT) << 2;
-        bits |= u64::from(packed[i + 3] & STORE_BIT) << 3;
-        bits |= u64::from(packed[i + 4] & STORE_BIT) << 4;
-        bits |= u64::from(packed[i + 5] & STORE_BIT) << 5;
-        bits |= u64::from(packed[i + 6] & STORE_BIT) << 6;
-        bits |= u64::from(packed[i + 7] & STORE_BIT) << 7;
-        addrs[i] = packed[i] & !STORE_BIT;
-        addrs[i + 1] = packed[i + 1] & !STORE_BIT;
-        addrs[i + 2] = packed[i + 2] & !STORE_BIT;
-        addrs[i + 3] = packed[i + 3] & !STORE_BIT;
-        addrs[i + 4] = packed[i + 4] & !STORE_BIT;
-        addrs[i + 5] = packed[i + 5] & !STORE_BIT;
-        addrs[i + 6] = packed[i + 6] & !STORE_BIT;
-        addrs[i + 7] = packed[i + 7] & !STORE_BIT;
-        mask |= bits << i;
-        i += 8;
-    }
-    while i < packed.len() {
-        addrs[i] = packed[i] & !STORE_BIT;
-        mask |= u64::from(packed[i] & STORE_BIT) << i;
-        i += 1;
-    }
-    mask
-}
-
-/// SSE2 kernel: 4 × u32 lanes per step. The store bit is shifted into
-/// the lane sign bit and harvested with `movmskps`.
-///
-/// # Safety
-///
-/// The caller must have verified SSE2 is available on this CPU.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn decode_sse2(packed: &[u32], addrs: &mut [u32]) -> u64 {
-    use std::arch::x86_64::*;
-    let strip = _mm_set1_epi32(!(STORE_BIT as i32));
-    let mut mask = 0u64;
-    let mut i = 0usize;
-    while i + 4 <= packed.len() {
-        let v = _mm_loadu_si128(packed.as_ptr().add(i) as *const __m128i);
-        _mm_storeu_si128(
-            addrs.as_mut_ptr().add(i) as *mut __m128i,
-            _mm_and_si128(v, strip),
-        );
-        let bits = _mm_movemask_ps(_mm_castsi128_ps(_mm_slli_epi32::<31>(v)));
-        mask |= (bits as u32 as u64) << i;
-        i += 4;
-    }
-    while i < packed.len() {
-        addrs[i] = packed[i] & !STORE_BIT;
-        mask |= u64::from(packed[i] & STORE_BIT) << i;
-        i += 1;
-    }
-    mask
-}
-
-/// AVX2 kernel: 8 × u32 lanes per step, same shift-and-`movmskps`
-/// harvest as the SSE2 kernel.
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 is available on this CPU.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn decode_avx2(packed: &[u32], addrs: &mut [u32]) -> u64 {
-    use std::arch::x86_64::*;
-    let strip = _mm256_set1_epi32(!(STORE_BIT as i32));
-    let mut mask = 0u64;
-    let mut i = 0usize;
-    while i + 8 <= packed.len() {
-        let v = _mm256_loadu_si256(packed.as_ptr().add(i) as *const __m256i);
-        _mm256_storeu_si256(
-            addrs.as_mut_ptr().add(i) as *mut __m256i,
-            _mm256_and_si256(v, strip),
-        );
-        let bits = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_slli_epi32::<31>(v)));
-        mask |= (bits as u32 as u64) << i;
-        i += 8;
-    }
-    while i < packed.len() {
-        addrs[i] = packed[i] & !STORE_BIT;
-        mask |= u64::from(packed[i] & STORE_BIT) << i;
-        i += 1;
-    }
-    mask
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn reference(packed: &[u32]) -> (Vec<u32>, u64) {
-        let addrs: Vec<u32> = packed.iter().map(|&a| a & !STORE_BIT).collect();
-        let mut mask = 0u64;
-        for (i, &a) in packed.iter().enumerate() {
-            mask |= u64::from(a & STORE_BIT) << i;
-        }
-        #[cfg(feature = "seeded-bugs")]
-        let mask = !mask & ones(packed.len());
-        (addrs, mask)
-    }
-
-    #[test]
-    fn every_level_matches_the_reference_decode() {
-        // Lengths straddling every lane width and the unroll factor.
-        for len in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 63, 64] {
-            let packed: Vec<u32> = (0..len as u32)
-                .map(|i| (i.wrapping_mul(0x9e37_79b9) & !3) | (i % 3 == 0) as u32)
-                .collect();
-            let (want_addrs, want_mask) = reference(&packed);
-            for level in SimdLevel::available() {
-                let mut addrs = vec![0u32; len];
-                let mask = decode_columns(level, &packed, &mut addrs);
-                assert_eq!(addrs, want_addrs, "{level:?} len {len}");
-                assert_eq!(mask, want_mask, "{level:?} len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn policies_resolve_to_executable_levels() {
-        for policy in [
-            SimdPolicy::Auto,
-            SimdPolicy::ForceScalar,
-            SimdPolicy::ForceWide,
-            SimdPolicy::Force(SimdLevel::Unrolled),
-            SimdPolicy::Force(SimdLevel::Sse2),
-            SimdPolicy::Force(SimdLevel::Avx2),
-        ] {
-            assert!(policy.resolve().is_available(), "{policy:?}");
-        }
-        assert_eq!(SimdPolicy::ForceScalar.resolve(), SimdLevel::Scalar);
-        assert!(SimdPolicy::ForceWide.resolve() >= SimdLevel::Unrolled);
-    }
-
-    #[test]
-    fn labels_round_trip_through_parse() {
-        for policy in [
-            SimdPolicy::Auto,
-            SimdPolicy::ForceScalar,
-            SimdPolicy::ForceWide,
-            SimdPolicy::Force(SimdLevel::Unrolled),
-            SimdPolicy::Force(SimdLevel::Sse2),
-            SimdPolicy::Force(SimdLevel::Avx2),
-        ] {
-            assert_eq!(SimdPolicy::parse(policy.label()), Some(policy));
-        }
-        assert_eq!(SimdPolicy::parse("nope"), None);
-        assert_eq!(SimdLevel::Scalar.lanes(), 1);
-        assert_eq!(SimdLevel::Sse2.lanes(), 4);
-        assert_eq!(SimdLevel::Avx2.lanes(), 8);
-    }
-
-    #[test]
-    fn available_always_contains_the_scalar_levels() {
-        let levels = SimdLevel::available();
-        assert!(levels.contains(&SimdLevel::Scalar));
-        assert!(levels.contains(&SimdLevel::Unrolled));
-        assert!(levels.contains(&SimdLevel::detect_best()));
-    }
-
-    #[test]
-    fn active_level_is_stable_across_calls() {
-        assert_eq!(active_level(), active_level());
-        // After the first resolution, set_policy cannot change it.
-        let latched = active_level();
-        assert_eq!(set_policy(SimdPolicy::ForceScalar), latched);
-    }
+    SimdLevel::Scalar
 }

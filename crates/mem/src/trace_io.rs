@@ -41,7 +41,7 @@
 //!   codec swapped: each chunk's address column is the stream-split
 //!   layout of [`crate::varint::encode_addr_chunk_split`] (a control
 //!   stream of 2-bit length codes, then the trimmed little-endian
-//!   token bytes), which decodes branch-free and SIMD-wide. The v2.1
+//!   token bytes), which decodes branch-free. The v2.1
 //!   `reserved` header word carries the codec id ([`AddrCodec::id`],
 //!   `1` for split) and must match the magic on read. Everything else —
 //!   header, inline chunk headers, value columns, region table, footer
@@ -74,9 +74,8 @@ pub const CHUNK_BYTES: usize = 64 * 1024;
 
 /// Default accesses per v2.1 chunk — the unit of lazy decode for the
 /// mapped reader and of residency accounting for the corpus manager.
-/// 8192 accesses is 32 KiB of resident columns, a few pages of mapped
-/// file, and two [`crate::ACCESS_BLOCK`]-aligned orders of magnitude of
-/// SIMD replay per decode.
+/// 8192 accesses is 32 KiB of resident columns and a few pages of
+/// mapped file per decode.
 pub const CHUNK_ACCESSES: u32 = 8192;
 
 /// Bytes of v2.1 fixed header: magic + accesses + region_count +
@@ -362,7 +361,7 @@ pub enum AddrCodec {
     Varint,
     /// Stream-split control + payload streams
     /// ([`crate::varint::encode_addr_chunk_split`]) — the `FVLTRC22`
-    /// codec, decodable branch-free and SIMD-wide.
+    /// codec, decodable branch-free.
     Split,
 }
 
@@ -512,7 +511,6 @@ fn read_chunked<R: Read>(
     let mut addrs = Vec::with_capacity((header.accesses as usize).min(1 << 24));
     let mut values = Vec::with_capacity((header.accesses as usize).min(1 << 24));
     let mut encoded = Vec::new();
-    let level = crate::simd::active_level();
     for chunk in 0..header.chunk_count {
         let chunk_len = reader.take_u32()?;
         let addr_bytes = reader.take_u32()?;
@@ -524,10 +522,9 @@ fn read_chunked<R: Read>(
             AddrCodec::Varint => {
                 crate::varint::decode_addr_chunk_into(&encoded, chunk_len as usize, &mut addrs)?
             }
-            AddrCodec::Split => crate::varint::decode_addr_chunk_split_into_with(
+            AddrCodec::Split => crate::varint::decode_addr_chunk_split_into(
                 &encoded,
                 chunk_len as usize,
-                level,
                 &mut addrs,
             )?,
         }
@@ -681,7 +678,7 @@ impl PackedTrace {
     /// with the default [`CHUNK_ACCESSES`] chunk size: the v2.1
     /// container with each chunk's address column in the stream-split
     /// codec ([`crate::varint::encode_addr_chunk_split`]), which trades
-    /// ≤ 25% address-column growth for branch-free, SIMD-wide decode.
+    /// ≤ 25% address-column growth for branch-free decode.
     ///
     /// # Errors
     ///

@@ -28,12 +28,9 @@
 //! the tokens' little-endian bytes, trimmed to their 1–4 byte length.
 //! Moving the length codes out of the data bytes removes the
 //! byte-at-a-time continuation chain from the decode hot loop: the
-//! scalar decoder does one masked `u32` load per token, and the
-//! SSSE3/AVX2 kernels ([`decode_addr_chunk_split_into_with`]) expand
-//! 4–8 tokens per shuffle from a 256-entry control-byte table and
-//! reconstruct the delta chain with an in-register prefix sum.
+//! decoder ([`decode_addr_chunk_split_into`]) does one masked `u32`
+//! load per token and one range check per group of four.
 
-use crate::simd::{self, SimdLevel};
 use std::io;
 
 /// Worst-case encoded bytes per address: a 32-bit word delta zigzags
@@ -201,9 +198,7 @@ fn emit_token(out: &mut Vec<u32>, prev: i64, token: u64) -> io::Result<i64> {
 pub const MAX_SPLIT_BYTES_PER_ADDR: usize = 4;
 
 /// Length in bytes (1–4) of the token in `lane` (0–3) of a split-codec
-/// control byte. This is the single length authority: the scalar
-/// decoder reads it directly and the SIMD shuffle/length tables are
-/// const-built from it.
+/// control byte: the decoder's single length authority.
 #[inline]
 const fn lane_len(control: u8, lane: usize) -> usize {
     let len = ((control >> (2 * lane)) & 3) as usize + 1;
@@ -211,55 +206,12 @@ const fn lane_len(control: u8, lane: usize) -> usize {
     // conformance harness: the length-table entry for control byte
     // 0x00, lane 0 reads 2 bytes instead of 1, so every all-short
     // group decodes shifted. The encoder computes lengths from the
-    // token values and never consults this table, so round-trips (and
-    // the per-level digest differentials) catch the flip.
+    // token values and never consults this table, so round-trips catch
+    // the flip.
     #[cfg(feature = "seeded-bugs")]
     let len = if control == 0 && lane == 0 { 2 } else { len };
     len
 }
-
-/// Total payload bytes one control byte's four tokens occupy.
-#[cfg(target_arch = "x86_64")]
-const fn group_bytes(control: u8) -> usize {
-    lane_len(control, 0) + lane_len(control, 1) + lane_len(control, 2) + lane_len(control, 3)
-}
-
-/// Per-control-byte `pshufb` masks expanding four trimmed tokens into
-/// four `u32` lanes (0x80 entries zero the unused high bytes).
-#[cfg(target_arch = "x86_64")]
-const SPLIT_SHUFFLE: [[u8; 16]; 256] = {
-    let mut table = [[0x80u8; 16]; 256];
-    let mut c = 0usize;
-    while c < 256 {
-        let mut src = 0usize;
-        let mut lane = 0usize;
-        while lane < 4 {
-            let len = lane_len(c as u8, lane);
-            let mut b = 0usize;
-            while b < len {
-                table[c][lane * 4 + b] = (src + b) as u8;
-                b += 1;
-            }
-            src += len;
-            lane += 1;
-        }
-        c += 1;
-    }
-    table
-};
-
-/// Total payload bytes per control byte, for advancing the payload
-/// cursor one shuffle at a time.
-#[cfg(target_arch = "x86_64")]
-const SPLIT_GROUP_BYTES: [u8; 256] = {
-    let mut table = [0u8; 256];
-    let mut c = 0usize;
-    while c < 256 {
-        table[c] = group_bytes(c as u8) as u8;
-        c += 1;
-    }
-    table
-};
 
 /// Low-byte masks for a token of `len` bytes, indexed by `len - 1`.
 const TOKEN_MASK: [u32; 4] = [0xff, 0xffff, 0x00ff_ffff, 0xffff_ffff];
@@ -308,8 +260,7 @@ fn split_streams(bytes: &[u8], count: usize) -> io::Result<(&[u8], &[u8])> {
 }
 
 /// Decodes exactly `count` addresses from an [`encode_addr_chunk_split`]
-/// column with the portable scalar kernel, requiring the payload to be
-/// fully consumed.
+/// column, requiring the payload to be fully consumed.
 ///
 /// # Errors
 ///
@@ -319,39 +270,25 @@ fn split_streams(bytes: &[u8], count: usize) -> io::Result<(&[u8], &[u8])> {
 /// are left over after the last address.
 pub fn decode_addr_chunk_split(bytes: &[u8], count: usize) -> io::Result<Vec<u32>> {
     let mut addrs = Vec::new();
-    decode_addr_chunk_split_into_with(bytes, count, SimdLevel::Scalar, &mut addrs)?;
+    decode_addr_chunk_split_into(bytes, count, &mut addrs)?;
     Ok(addrs)
 }
 
-/// [`decode_addr_chunk_split`] appending into a caller-owned column
-/// with an explicit decode kernel. Every [`SimdLevel`] produces
-/// byte-identical output (and identical errors on corrupt input); on
+/// [`decode_addr_chunk_split`] appending into a caller-owned column; on
 /// error nothing is appended to `out`.
 ///
 /// # Errors
 ///
 /// Same conditions as [`decode_addr_chunk_split`].
-pub fn decode_addr_chunk_split_into_with(
+pub fn decode_addr_chunk_split_into(
     bytes: &[u8],
     count: usize,
-    level: SimdLevel,
     out: &mut Vec<u32>,
 ) -> io::Result<()> {
     let (control, payload) = split_streams(bytes, count)?;
     let start = out.len();
     out.reserve(count.min(1 << 24));
-    let result = match simd::split_kernel(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `split_kernel` only selects the vector kernels after
-        // runtime feature detection said the ISA exists.
-        simd::SplitKernel::Avx2 => unsafe { decode_split_avx2(control, payload, count, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — SSSE3 was runtime-detected.
-        simd::SplitKernel::Ssse3 => unsafe { decode_split_ssse3(control, payload, count, out) },
-        simd::SplitKernel::Scalar => {
-            decode_split_scalar_from(control, payload, count, 0, 0, 0, out)
-        }
-    };
+    let result = decode_split(control, payload, count, out);
     if result.is_err() {
         out.truncate(start);
     }
@@ -363,21 +300,14 @@ fn load_u32(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte slice"))
 }
 
-/// The scalar split kernel, resumable at group boundary `i` (token
-/// index, multiple of 4) with payload cursor `p` and delta-chain state
-/// `prev` — the SIMD kernels hand their tails (and any group that
-/// fails the range check) to this function so every level reports the
-/// identical error.
-fn decode_split_scalar_from(
+/// The split decoder behind [`decode_addr_chunk_split_into`].
+fn decode_split(
     control: &[u8],
     payload: &[u8],
     count: usize,
-    mut i: usize,
-    mut p: usize,
-    mut prev: i64,
     out: &mut Vec<u32>,
 ) -> io::Result<()> {
-    debug_assert_eq!(i % 4, 0, "resume point must be a group boundary");
+    let (mut i, mut p, mut prev) = (0usize, 0usize, 0i64);
     // Hot loop: full groups with 16 readable payload bytes do one
     // masked little-endian u32 load per token — no per-byte
     // continuation branches (the point of the split layout) — and one
@@ -439,190 +369,6 @@ fn decode_split_scalar_from(
         ));
     }
     Ok(())
-}
-
-/// SSSE3 split kernel: one `pshufb` expands a group of four trimmed
-/// tokens into four `u32` lanes, then zigzag, prefix sum, and range
-/// check stay in-register. The running word (`prev`) is carried as a
-/// broadcast vector — no per-group extract back to a scalar register —
-/// and the range check is deferred: failures OR into a sticky mask and
-/// the column is redecoded by the scalar kernel from the start, which
-/// reproduces the exact error. The deferral is sound because the first
-/// lane whose true word leaves [0, `MAX_WORD`] is always flagged: with
-/// an in-range `prev`, every true lane value lies in (−2³¹, 2³¹ + 2³⁰),
-/// and no value in that window maps into [0, 2³⁰) modulo 2³² except
-/// the in-range values themselves.
-///
-/// # Safety
-///
-/// The caller must have verified SSSE3 is available on this CPU.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "ssse3")]
-unsafe fn decode_split_ssse3(
-    control: &[u8],
-    payload: &[u8],
-    count: usize,
-    out: &mut Vec<u32>,
-) -> io::Result<()> {
-    use std::arch::x86_64::*;
-    let start = out.len();
-    out.reserve(count);
-    let dst = out.as_mut_ptr().add(start);
-    let one = _mm_set1_epi32(1);
-    let mut seen = _mm_setzero_si128();
-    let mut prevv = _mm_setzero_si128();
-    let mut i = 0usize;
-    let mut p = 0usize;
-    while i + 4 <= count && p + 16 <= payload.len() {
-        let c = control[i / 4] as usize;
-        let shuf = _mm_loadu_si128(SPLIT_SHUFFLE[c].as_ptr() as *const __m128i);
-        let raw = _mm_loadu_si128(payload.as_ptr().add(p) as *const __m128i);
-        let tok = _mm_shuffle_epi8(raw, shuf);
-        let store = _mm_and_si128(tok, one);
-        let zz = _mm_srli_epi32::<1>(tok);
-        // unzigzag: (zz >> 1) ^ -(zz & 1), per lane.
-        let delta = _mm_xor_si128(
-            _mm_srli_epi32::<1>(zz),
-            _mm_sub_epi32(_mm_setzero_si128(), _mm_and_si128(zz, one)),
-        );
-        // In-register prefix sum turns deltas into running words.
-        let sums = _mm_add_epi32(delta, _mm_slli_si128::<4>(delta));
-        let sums = _mm_add_epi32(sums, _mm_slli_si128::<8>(sums));
-        let words = _mm_add_epi32(prevv, sums);
-        // Range check, deferred: an in-range word has bits 31:30 clear
-        // (word ≤ 2³⁰ − 1) and an out-of-range or negative word sets at
-        // least one of them, so OR-accumulating the raw lanes and
-        // testing the top two bits after the loop catches every
-        // violation at one op per step.
-        seen = _mm_or_si128(seen, words);
-        let packed = _mm_or_si128(_mm_slli_epi32::<2>(words), store);
-        _mm_storeu_si128(dst.add(i) as *mut __m128i, packed);
-        // Advance the carried word by the group's delta total — the
-        // broadcast hangs off `sums`, keeping the loop-carried chain a
-        // single add.
-        prevv = _mm_add_epi32(prevv, _mm_shuffle_epi32::<0xff>(sums));
-        p += SPLIT_GROUP_BYTES[c] as usize;
-        i += 4;
-    }
-    let high = _mm_or_si128(seen, _mm_slli_epi32::<1>(seen));
-    if _mm_movemask_ps(_mm_castsi128_ps(high)) != 0 {
-        // SAFETY: `start` lanes were valid on entry; everything past
-        // them is discarded before the scalar rerun repopulates `out`.
-        out.set_len(start);
-        return decode_split_scalar_from(control, payload, count, 0, 0, 0, out);
-    }
-    // SAFETY: `reserve(count)` guaranteed capacity and the loop stored
-    // lanes `start..start + i` contiguously.
-    out.set_len(start + i);
-    let prev = i64::from(_mm_cvtsi128_si32(prevv));
-    decode_split_scalar_from(control, payload, count, i, p, prev, out)
-}
-
-/// AVX2 split kernel: two control bytes (eight tokens) per step. The
-/// two 16-byte payload loads land in one 256-bit register, the prefix
-/// sums run lane-locally, and the low half's running total is carried
-/// into the high half with one cross-lane permute. As in the SSSE3
-/// kernel, the running word stays a broadcast vector across iterations
-/// (one `vpermd` per step, no extract back to a scalar register) and
-/// the range check is a deferred sticky mask resolved after the loop —
-/// see [`decode_split_ssse3`] for why the deferral cannot miss the
-/// first out-of-range lane.
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 is available on this CPU.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn decode_split_avx2(
-    control: &[u8],
-    payload: &[u8],
-    count: usize,
-    out: &mut Vec<u32>,
-) -> io::Result<()> {
-    use std::arch::x86_64::*;
-    let start = out.len();
-    out.reserve(count);
-    let dst = out.as_mut_ptr().add(start);
-    let one = _mm256_set1_epi32(1);
-    let splat3 = _mm256_set1_epi32(3);
-    let splat7 = _mm256_set1_epi32(7);
-    let mut seen = _mm256_setzero_si256();
-    let mut prevv = _mm256_setzero_si256();
-    let mut i = 0usize;
-    let mut p = 0usize;
-    // One eight-token step. The control-byte reads are in bounds: the
-    // loop guards keep `i + 8 <= count`, so `i / 4 + 1` stays below
-    // `count.div_ceil(4) == control.len()`. The payload loads are in
-    // bounds under `p + 32 <= payload.len()`: the second 16-byte load
-    // starts at most 16 bytes past the first.
-    macro_rules! step8 {
-        () => {{
-            let c0 = *control.get_unchecked(i / 4) as usize;
-            let c1 = *control.get_unchecked(i / 4 + 1) as usize;
-            let g0 = SPLIT_GROUP_BYTES[c0] as usize;
-            let lo = _mm_loadu_si128(payload.as_ptr().add(p) as *const __m128i);
-            let hi = _mm_loadu_si128(payload.as_ptr().add(p + g0) as *const __m128i);
-            let raw = _mm256_set_m128i(hi, lo);
-            let shuf = _mm256_set_m128i(
-                _mm_loadu_si128(SPLIT_SHUFFLE[c1].as_ptr() as *const __m128i),
-                _mm_loadu_si128(SPLIT_SHUFFLE[c0].as_ptr() as *const __m128i),
-            );
-            let tok = _mm256_shuffle_epi8(raw, shuf);
-            let store = _mm256_and_si256(tok, one);
-            let zz = _mm256_srli_epi32::<1>(tok);
-            let delta = _mm256_xor_si256(
-                _mm256_srli_epi32::<1>(zz),
-                _mm256_sub_epi32(_mm256_setzero_si256(), _mm256_and_si256(zz, one)),
-            );
-            // Lane-local prefix sums (si256 byte shifts stay inside
-            // each 128-bit half)…
-            let sums = _mm256_add_epi32(delta, _mm256_slli_si256::<4>(delta));
-            let sums = _mm256_add_epi32(sums, _mm256_slli_si256::<8>(sums));
-            // …then carry the low half's lane-3 running total into the
-            // high-half lanes (the blend zeroes the low half).
-            let carry = _mm256_blend_epi32::<0b1111_0000>(
-                _mm256_setzero_si256(),
-                _mm256_permutevar8x32_epi32(sums, splat3),
-            );
-            let sums = _mm256_add_epi32(sums, carry);
-            let words = _mm256_add_epi32(prevv, sums);
-            // Range check, deferred: an in-range word has bits 31:30
-            // clear, so OR-accumulating the raw lanes and testing the
-            // top two bits after the loop catches every violation at
-            // one op per step.
-            seen = _mm256_or_si256(seen, words);
-            let packed = _mm256_or_si256(_mm256_slli_epi32::<2>(words), store);
-            _mm256_storeu_si256(dst.add(i) as *mut __m256i, packed);
-            // Advance the carried word by the step's delta total — the
-            // broadcast hangs off `sums`, keeping the loop-carried
-            // chain a single add.
-            prevv = _mm256_add_epi32(prevv, _mm256_permutevar8x32_epi32(sums, splat7));
-            p += g0 + SPLIT_GROUP_BYTES[c1] as usize;
-            i += 8;
-        }};
-    }
-    // Two steps per iteration keep more independent work in flight;
-    // `p + 64` bounds both steps (each consumes at most 32 payload
-    // bytes, so the second step's loads stay under `p + 64`).
-    while i + 16 <= count && p + 64 <= payload.len() {
-        step8!();
-        step8!();
-    }
-    while i + 8 <= count && p + 32 <= payload.len() {
-        step8!();
-    }
-    let high = _mm256_or_si256(seen, _mm256_slli_epi32::<1>(seen));
-    if _mm256_movemask_ps(_mm256_castsi256_ps(high)) != 0 {
-        // SAFETY: `start` lanes were valid on entry; everything past
-        // them is discarded before the scalar rerun repopulates `out`.
-        out.set_len(start);
-        return decode_split_scalar_from(control, payload, count, 0, 0, 0, out);
-    }
-    // SAFETY: `reserve(count)` guaranteed capacity and the loop stored
-    // lanes `start..start + i` contiguously.
-    out.set_len(start + i);
-    let prev = i64::from(_mm256_cvtsi256_si32(prevv));
-    decode_split_scalar_from(control, payload, count, i, p, prev, out)
 }
 
 #[cfg(test)]
@@ -749,19 +495,17 @@ mod tests {
 
     #[cfg(not(feature = "seeded-bugs"))]
     #[test]
-    fn split_round_trips_at_every_level() {
+    fn split_round_trips() {
         for addrs in split_cases() {
             let mut bytes = Vec::new();
             encode_addr_chunk_split(&addrs, &mut bytes);
             let control = addrs.len().div_ceil(4);
             assert!(bytes.len() >= control + addrs.len().min(1));
             assert!(bytes.len() <= control + addrs.len() * MAX_SPLIT_BYTES_PER_ADDR);
-            for level in SimdLevel::available() {
-                let mut out = Vec::new();
-                decode_addr_chunk_split_into_with(&bytes, addrs.len(), level, &mut out)
-                    .unwrap_or_else(|e| panic!("{level:?} on {} addrs: {e}", addrs.len()));
-                assert_eq!(out, addrs, "{level:?} on {} addrs", addrs.len());
-            }
+            let mut out = Vec::new();
+            decode_addr_chunk_split_into(&bytes, addrs.len(), &mut out)
+                .unwrap_or_else(|e| panic!("{} addrs: {e}", addrs.len()));
+            assert_eq!(out, addrs, "{} addrs", addrs.len());
         }
     }
 
@@ -817,11 +561,11 @@ mod tests {
     }
 
     #[test]
-    fn split_out_of_range_delta_errors_identically_at_every_level() {
+    fn split_out_of_range_delta_appends_nothing() {
         // Hand-built column: four all-short groups walk words 0..15,
         // then a fifth group of 4-byte max-positive deltas overflows
-        // the word space on its first lane. Enough leading groups that
-        // both vector kernels enter their wide loops first.
+        // the word space on its first lane, after the grouped loop has
+        // already decoded the leading groups.
         let token = (zigzag(MAX_WORD) << 1) as u32;
         let mut bytes = vec![0u8, 0, 0, 0, 0xff];
         bytes.push(0); // delta 0
@@ -829,20 +573,11 @@ mod tests {
         for _ in 0..4 {
             bytes.extend_from_slice(&token.to_le_bytes());
         }
-        let errs: Vec<String> = SimdLevel::available()
-            .into_iter()
-            .map(|level| {
-                let mut out = Vec::new();
-                let err = decode_addr_chunk_split_into_with(&bytes, 20, level, &mut out)
-                    .expect_err("overflowing delta must fail");
-                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{level:?}");
-                assert!(out.is_empty(), "{level:?} left partial output");
-                err.to_string()
-            })
-            .collect();
-        for pair in errs.windows(2) {
-            assert_eq!(pair[0], pair[1], "levels disagree on the error");
-        }
+        let mut out = vec![7];
+        let err = decode_addr_chunk_split_into(&bytes, 20, &mut out)
+            .expect_err("overflowing delta must fail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(out, [7], "a failed decode left partial output");
     }
 
     #[cfg(not(feature = "seeded-bugs"))]

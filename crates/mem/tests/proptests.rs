@@ -35,7 +35,49 @@ fn arb_events() -> impl Strategy<Value = Vec<TraceEvent>> {
     )
 }
 
+/// Records every event in order, and how often the run finished.
+#[derive(Clone, Default, Debug, PartialEq)]
+struct Recorder {
+    events: Vec<TraceEvent>,
+    finished: u32,
+}
+
+impl AccessSink for Recorder {
+    fn on_access(&mut self, a: Access) {
+        self.events.push(TraceEvent::Access(a));
+    }
+    fn on_alloc(&mut self, r: Region) {
+        self.events.push(TraceEvent::Alloc(r));
+    }
+    fn on_free(&mut self, r: Region) {
+        self.events.push(TraceEvent::Free(r));
+    }
+    fn on_finish(&mut self) {
+        self.finished += 1;
+    }
+}
+
 proptest! {
+    /// Broadcast hands every sink the event stream of a single replay,
+    /// region breakpoints included, and finishes each sink once: at one
+    /// sink, within the inline fan-out width, and past it.
+    #[test]
+    fn broadcast_equals_replay(events in arb_events()) {
+        let trace = Trace::from_events(events);
+        let packed = PackedTrace::from_trace(&trace);
+        let mut reference = Recorder::default();
+        packed.replay_into(&mut reference);
+        prop_assert_eq!(&reference.events[..], trace.events());
+        prop_assert_eq!(reference.finished, 1);
+        for sinks in [1usize, 3, 6] {
+            let mut batch = vec![Recorder::default(); sinks];
+            packed.broadcast_into(&mut batch);
+            for sink in &batch {
+                prop_assert_eq!(sink, &reference);
+            }
+        }
+    }
+
     /// The columnar layout is lossless: any trace survives
     /// Trace -> PackedTrace -> Trace with its event order intact, and
     /// both layouts deliver identical streams to a sink.

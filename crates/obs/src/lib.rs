@@ -50,6 +50,7 @@
 //! assert_eq!(doc.render(), r#"{"lookups":3,"timed":true}"#);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 

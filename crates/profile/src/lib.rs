@@ -35,6 +35,7 @@
 //! assert!((counter.coverage(1) - 0.5).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 

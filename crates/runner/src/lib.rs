@@ -28,6 +28,7 @@
 //! assert_eq!(squares[7], 49);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 #[cfg(feature = "metrics")]

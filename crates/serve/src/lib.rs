@@ -45,6 +45,7 @@
 //! [`ErrorCode::Busy`]: fvl_mem::frame::ErrorCode::Busy
 //! [`ErrorCode::OverBudget`]: fvl_mem::frame::ErrorCode::OverBudget
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 

@@ -23,6 +23,7 @@
 //! # Ok::<(), fvl_cache::GeometryError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 

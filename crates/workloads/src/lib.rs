@@ -23,6 +23,7 @@
 //! assert!(sink.accesses() > 10_000);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 

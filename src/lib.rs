@@ -68,6 +68,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub use fvl_cache as cache;
