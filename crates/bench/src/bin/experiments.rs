@@ -18,10 +18,10 @@
 //! not apply remotely (the daemon owns its engine) and are ignored with
 //! a note on stderr.
 //!
-//! Reports go to stdout; timing, engine-throughput and trace-store
-//! lines go to stderr, so stdout is bit-identical for any `--jobs`
-//! count and for either trace representation (`--legacy-trace` /
-//! `FVL_TRACE_REPR`). The `--metrics` export is deterministic too,
+//! Reports go to stdout; timing, engine-throughput, trace-store and
+//! simulation-memo lines go to stderr, so stdout is bit-identical for
+//! any `--jobs` count and for either trace representation
+//! (`--legacy-trace` / `FVL_TRACE_REPR`). The `--metrics` export is deterministic too,
 //! unless `--metrics-timing` opts into wall-clock and cache hit/miss
 //! fields (see `fvl_bench::metrics`).
 //!
@@ -210,6 +210,17 @@ fn main() -> ExitCode {
         if store.distinct_keys() == 1 { "" } else { "s" },
         store.total_misses(),
         store.total_hits(),
+    );
+    let sims = store.sim_totals();
+    eprintln!(
+        "sim memo: {} distinct simulation{}, {} executed, {} served from memo \
+         ({} of {} accesses replayed)",
+        sims.distinct,
+        if sims.distinct == 1 { "" } else { "s" },
+        sims.executed,
+        sims.served,
+        sims.executed_accesses,
+        sims.executed_accesses + sims.served_accesses,
     );
     let resident_events = store.resident_events();
     eprintln!(

@@ -1,7 +1,8 @@
 //! Workload execution and profiling shared by all experiments.
 
 use crate::engine::{CellId, Completed, Engine, FnJob};
-use crate::store::{TraceKey, TraceStore};
+use crate::sim::{SimResult, SimSpec};
+use crate::store::{OnceMap, TraceKey, TraceStore};
 use fvl_mem::{TraceBuffer, TraceRepr, TraceReprKind, TracedMemory, Word};
 use fvl_profile::{OccurrenceSampler, ValueCounter};
 use fvl_workloads::{by_name, InputSize, Workload};
@@ -18,7 +19,8 @@ pub const SNAPSHOTS_PER_RUN: u64 = 20;
 pub const SMOKE_REFS: u64 = 1000;
 
 /// One workload's recorded trace plus its value profiles — everything an
-/// experiment needs, produced by a single execution + two replays.
+/// experiment needs, produced by a single execution + two replays — and
+/// the memo of the caches simulated on it ([`crate::sim`]).
 pub struct WorkloadData {
     /// Short workload name (e.g. `"m88ksim"`).
     pub name: String,
@@ -31,6 +33,9 @@ pub struct WorkloadData {
     pub occ: OccurrenceSampler,
     /// Snapshot interval used for the occurrence census.
     pub sample_every: u64,
+    /// Results of the caches simulated on this capture so far (see
+    /// [`WorkloadData::simulate`]).
+    pub(crate) sims: OnceMap<SimSpec, SimResult>,
 }
 
 impl WorkloadData {
@@ -80,6 +85,7 @@ impl WorkloadData {
             counter,
             occ,
             sample_every,
+            sims: OnceMap::new(),
         }
     }
 

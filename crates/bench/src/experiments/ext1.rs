@@ -10,7 +10,6 @@ use super::{baseline, geom, hybrid, per_workload_stats, Report};
 use crate::data::ExperimentContext;
 use crate::engine::ClassStats;
 use crate::table::{pct1, Table};
-use fvl_cache::Simulator;
 use fvl_core::OnlineHybrid;
 
 /// Runs the study: 16 KB DMC, 512-entry FVC, top-7 values; the online
@@ -34,7 +33,7 @@ pub fn run(ctx: &ExperimentContext) -> Report {
     let cells = per_workload_stats(ctx, "ext1", "online vs offline top-7", &datas, 3, |data| {
         let base = baseline(data, dmc);
         let offline = hybrid(data, dmc, 512, 7);
-        let offline_cut = offline.stats().miss_reduction_vs(&base);
+        let offline_cut = offline.stats.miss_reduction_vs(&base);
 
         let window = (data.trace.accesses() / 20).max(1);
         let mut online = OnlineHybrid::new(dmc, 512, 7, window);
@@ -49,7 +48,7 @@ pub fn run(ctx: &ExperimentContext) -> Report {
             .unwrap_or(0);
         let classes = vec![
             ClassStats::from_stats("dmc", &base),
-            ClassStats::from_stats("dmc+fvc-offline", offline.stats()),
+            ClassStats::from_stats("dmc+fvc-offline", &offline.stats),
             ClassStats::from_stats("dmc+fvc-online", &combined),
         ];
         ((offline_cut, online_cut, learned), classes)

@@ -9,8 +9,8 @@
 use super::{geom, hybrid, per_workload_stats, Report};
 use crate::data::ExperimentContext;
 use crate::engine::ClassStats;
+use crate::sim::SimSpec;
 use crate::table::{pct1, Table};
-use fvl_cache::{CacheSim, Simulator};
 
 /// Runs the traffic study on the paper's main configuration (16 KB DMC,
 /// 8 words/line, 512-entry top-7 FVC).
@@ -31,16 +31,15 @@ pub fn run(ctx: &ExperimentContext) -> Report {
     let datas = ctx.capture_many("ext4", &ctx.fv_six());
     // Per workload: the plain DMC and the hybrid — two trace passes.
     let cells = per_workload_stats(ctx, "ext4", "word traffic", &datas, 2, |data| {
-        let mut base = CacheSim::new(dmc);
-        data.trace.replay_into(&mut base);
+        let base = data.simulate(SimSpec::dmc(dmc));
         let sim = hybrid(data, dmc, 512, 7);
-        let base_traffic = base.traffic_words();
-        let fvc_traffic = sim.traffic_words();
+        let base_traffic = base.traffic_words;
+        let fvc_traffic = sim.traffic_words;
         let traffic_cut = (base_traffic as f64 - fvc_traffic as f64) / base_traffic as f64 * 100.0;
-        let miss_cut = sim.stats().miss_reduction_vs(base.stats());
+        let miss_cut = sim.stats.miss_reduction_vs(&base.stats);
         let classes = vec![
-            ClassStats::from_stats("dmc", base.stats()),
-            ClassStats::from_stats("dmc+fvc", sim.stats()),
+            ClassStats::from_stats("dmc", &base.stats),
+            ClassStats::from_stats("dmc+fvc", &sim.stats),
         ];
         ((base_traffic, fvc_traffic, traffic_cut, miss_cut), classes)
     });

@@ -9,17 +9,19 @@
 //! pinned-LRU), is an 8 KB DMC plus a 512-entry top-7 FVC better than
 //! a 16 KB DMC of the same organization?
 //!
-//! Every cell replays the trace **once**, feeding the three contenders
-//! (base DMC, doubled DMC, DMC+FVC) through heterogeneous broadcast
-//! delivery, and records all three as metric classes (`dmc`,
+//! Every cell reads the three contenders (base DMC, doubled DMC,
+//! DMC+FVC) from the capture's simulation memo, so a contender another
+//! runner already simulated on the same capture is served rather than
+//! replayed, and records all three as metric classes (`dmc`,
 //! `dmc-doubled`, `dmc+fvc`) so the verdict can be re-derived straight
 //! from `BENCH_fvl.json`.
 
-use super::{geom, hybrid_sim_with, Report};
+use super::{geom, Report};
 use crate::data::ExperimentContext;
 use crate::engine::{CellId, ClassStats, Completed};
+use crate::sim::SimSpec;
 use crate::table::{pct, pct1, Table};
-use fvl_cache::{CacheSim, CacheStats, ReplacementKind, Simulator};
+use fvl_cache::{CacheStats, ReplacementKind};
 
 /// The associativities the sweep covers.
 pub const ASSOCIATIVITIES: [u32; 4] = [1, 2, 4, 8];
@@ -55,16 +57,25 @@ pub fn run(ctx: &ExperimentContext) -> Report {
             }
         }
     }
-    // Three full-trace contenders per cell, delivered in one walk.
+    // Three full-trace contenders per cell.
     let cells = ctx.cells(items.clone(), |(assoc, kind, i)| {
         let data = datas[i].as_ref();
         let base_geom = geom(8, 32, assoc);
-        let mut base = CacheSim::new(base_geom).with_replacement(kind);
-        let mut doubled = CacheSim::new(geom(16, 32, assoc)).with_replacement(kind);
-        let mut fvc = hybrid_sim_with(data, base_geom, 512, 7, kind);
-        data.trace
-            .broadcast_dyn(&mut [&mut base, &mut doubled, &mut fvc]);
-        let stats = (*base.stats(), *doubled.stats(), *fvc.stats());
+        let dmc = |geometry| SimSpec::Dmc {
+            geometry,
+            replacement: kind,
+        };
+        let fvc = SimSpec::Hybrid {
+            geometry: base_geom,
+            dmc_replacement: kind,
+            fvc_entries: 512,
+            top_k: 7,
+        };
+        let stats = (
+            data.simulate(dmc(base_geom)).stats,
+            data.simulate(dmc(geom(16, 32, assoc))).stats,
+            data.simulate(fvc).stats,
+        );
         let mut done = Completed::new(stats, 3 * data.trace.accesses()).at(CellId::new(
             "ext5",
             data.name.clone(),

@@ -4,7 +4,6 @@ use super::{baseline, geom, hybrid, per_workload_stats, reduction, Report};
 use crate::data::ExperimentContext;
 use crate::engine::{CellId, ClassStats, Completed};
 use crate::table::{pct, pct1, Table};
-use fvl_cache::Simulator;
 
 /// FVC sizes swept by the paper.
 pub const ENTRIES: [u32; 7] = [64, 128, 256, 512, 1024, 2048, 4096];
@@ -34,13 +33,13 @@ pub fn run(ctx: &ExperimentContext) -> Report {
     let cuts = ctx.cells(grid, |(w, entries)| {
         let data = &datas[w];
         let sim = hybrid(data, dmc, entries, 7);
-        Completed::new(reduction(&bases[w], sim.stats()), data.trace.accesses())
+        Completed::new(reduction(&bases[w], &sim.stats), data.trace.accesses())
             .at(CellId::new(
                 "fig10",
                 data.name.clone(),
                 format!("{entries} entries"),
             ))
-            .class_stats("dmc+fvc", sim.stats())
+            .class_stats("dmc+fvc", &sim.stats)
     });
     for (w, data) in datas.iter().enumerate() {
         let mut row = vec![data.name.clone(), pct(bases[w].miss_percent())];

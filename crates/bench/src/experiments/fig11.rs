@@ -4,7 +4,6 @@ use super::{geom, hybrid, per_workload_stats, Report};
 use crate::data::ExperimentContext;
 use crate::engine::ClassStats;
 use crate::table::{pct1, Table};
-use fvl_cache::Simulator;
 
 /// Runs the Figure 11 study: with a 16 KB DMC (8 words/line) and a
 /// 512-entry top-7 FVC, what fraction of valid FVC lines actually holds
@@ -34,7 +33,7 @@ pub fn run(ctx: &ExperimentContext) -> Report {
                     stats.avg_occupancy_percent(),
                     stats.effective_storage_ratio(32, 3.0),
                 ),
-                vec![ClassStats::from_stats("dmc+fvc", sim.stats())],
+                vec![ClassStats::from_stats("dmc+fvc", &sim.stats)],
             )
         },
     );

@@ -1,10 +1,10 @@
 //! Figure 12: exploiting 1, 3, or 7 frequently accessed values.
 
-use super::{baseline, geom, hybrid_sweep, reduction, Report};
+use super::{baseline, geom, hybrid, reduction, Report};
 use crate::data::ExperimentContext;
 use crate::engine::{CellId, ClassStats, Completed};
 use crate::table::{pct1, Table};
-use fvl_cache::{CacheGeometry, Simulator};
+use fvl_cache::CacheGeometry;
 use fvl_timing::{dm_cache_time, fvc_time, Tech};
 
 /// Selects the paper's 12 DMC configurations: those whose modelled
@@ -42,8 +42,8 @@ pub fn run(ctx: &ExperimentContext) -> Report {
     let mut step37 = 0.0f64;
     let mut cells = 0u32;
     let datas = ctx.capture_many("fig12", &ctx.fv_six());
-    // One cell per (workload, DMC config): a baseline replay plus the
-    // three top-k hybrid replays.
+    // One cell per (workload, DMC config): a baseline plus the three
+    // top-k hybrids, four trace passes.
     let grid: Vec<(usize, CacheGeometry)> = (0..datas.len())
         .flat_map(|w| configs.iter().map(move |&g| (w, g)))
         .collect();
@@ -53,11 +53,10 @@ pub fn run(ctx: &ExperimentContext) -> Report {
         let mut cuts = [0.0f64; 3];
         let mut classes = vec![ClassStats::from_stats("dmc", &base)];
         let labels = ["dmc+fvc-top1", "dmc+fvc-top3", "dmc+fvc-top7"];
-        // One broadcast pass feeds all three top-k hybrids; the cell
-        // still delivers four sink-passes worth of references.
-        for (i, sim) in hybrid_sweep(data, g, 512, &[1, 3, 7]).iter().enumerate() {
-            cuts[i] = reduction(&base, sim.stats());
-            classes.push(ClassStats::from_stats(labels[i], sim.stats()));
+        for (i, k) in [1, 3, 7].into_iter().enumerate() {
+            let sim = hybrid(data, g, 512, k);
+            cuts[i] = reduction(&base, &sim.stats);
+            classes.push(ClassStats::from_stats(labels[i], &sim.stats));
         }
         let mut done = Completed::new((base, cuts), 4 * data.trace.accesses()).at(CellId::new(
             "fig12",

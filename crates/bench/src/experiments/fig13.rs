@@ -1,11 +1,9 @@
 //! Figure 13: a small FVC vs doubling the DMC.
 
-use super::{geom, hybrid_sim, Report};
+use super::{baseline, geom, hybrid, Report};
 use crate::data::ExperimentContext;
 use crate::engine::{CellId, Completed};
 use crate::table::{pct, Table};
-use fvl_cache::{CacheSim, Simulator};
-use fvl_mem::AccessSink;
 
 /// The paper's comparison cells: (line bytes, small DMC KB, doubled DMC
 /// KB). The FVC is always 512 entries; its size in KB follows from the
@@ -32,7 +30,7 @@ pub fn run(ctx: &ExperimentContext) -> Report {
     let mut cells_total = 0u32;
     let datas = ctx.capture_many("fig13", &["m88ksim", "perl"]);
     // One cell per (workload, top-k, geometry pair): the small DMC+FVC
-    // replay plus the doubled-DMC baseline replay.
+    // plus the doubled-DMC baseline, two trace passes.
     let grid: Vec<(usize, usize, (u32, u64, u64))> = (0..datas.len())
         .flat_map(|w| {
             [7usize, 3, 1].into_iter().flat_map(move |k| {
@@ -47,15 +45,10 @@ pub fn run(ctx: &ExperimentContext) -> Report {
         let data = &datas[w];
         let small = geom(small_kb, line, 1);
         let big = geom(big_kb, line, 1);
-        // One broadcast pass feeds both contenders (heterogeneous
-        // sinks, hence the dyn variant).
-        let mut sim = hybrid_sim(data, small, 512, k);
-        let mut doubled_sim = CacheSim::new(big);
-        data.trace
-            .broadcast_dyn(&mut [&mut sim as &mut dyn AccessSink, &mut doubled_sim]);
-        let with_fvc = sim.stats().miss_percent();
-        let fvc_kb = sim.fvc_data_bytes() / 1024.0;
-        let doubled_stats = *doubled_sim.stats();
+        let sim = hybrid(data, small, 512, k);
+        let with_fvc = sim.stats.miss_percent();
+        let fvc_kb = sim.fvc_data_bytes / 1024.0;
+        let doubled_stats = baseline(data, big);
         let doubled = doubled_stats.miss_percent();
         Completed::new((with_fvc, fvc_kb, doubled), 2 * data.trace.accesses())
             .at(CellId::new(
@@ -63,7 +56,7 @@ pub fn run(ctx: &ExperimentContext) -> Report {
                 data.name.clone(),
                 format!("{small_kb}KB+FVC vs {big_kb}KB, {line}B lines, top-{k}"),
             ))
-            .class_stats("dmc+fvc", sim.stats())
+            .class_stats("dmc+fvc", &sim.stats)
             .class_stats("dmc-doubled", &doubled_stats)
     });
     let mut results = results.into_iter();

@@ -4,7 +4,7 @@ use super::{baseline, geom, hybrid, per_workload_stats, reduction, Report};
 use crate::data::ExperimentContext;
 use crate::engine::ClassStats;
 use crate::table::{pct, pct1, Table};
-use fvl_cache::{CacheSim, Simulator};
+use fvl_cache::CacheSim;
 
 /// Runs the Figure 14 study: 16 KB main cache, 8 words/line, 512-entry
 /// top-7 FVC, with main-cache associativity 1, 2, and 4. Also classifies
@@ -38,9 +38,9 @@ pub fn run(ctx: &ExperimentContext) -> Report {
             let g = geom(16, 32, assoc);
             let base = baseline(data, g);
             let sim = hybrid(data, g, 512, 7);
-            cuts[i] = reduction(&base, sim.stats());
+            cuts[i] = reduction(&base, &sim.stats);
             classes.push(ClassStats::from_stats(labels[i].0, &base));
-            classes.push(ClassStats::from_stats(labels[i].1, sim.stats()));
+            classes.push(ClassStats::from_stats(labels[i].1, &sim.stats));
         }
         // Miss classification of the direct-mapped baseline.
         let mut classified = CacheSim::new(geom(16, 32, 1)).with_classifier();

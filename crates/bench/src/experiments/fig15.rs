@@ -36,7 +36,7 @@ pub fn run(ctx: &ExperimentContext) -> Report {
         };
         let run_fvc = |entries: u32| {
             let sim = hybrid(data, dmc, entries, 7);
-            (reduction(&base, sim.stats()), *sim.stats())
+            (reduction(&base, &sim.stats), sim.stats)
         };
         let (vc16, s_vc16) = run_vc(16);
         let (fvc128, s_fvc128) = run_fvc(128);

@@ -26,9 +26,9 @@ pub mod verify;
 
 use crate::data::{ExperimentContext, WorkloadData};
 use crate::engine::{CellId, ClassStats, Completed};
+use crate::sim::{SimResult, SimSpec};
 use crate::table::Table;
-use fvl_cache::{CacheGeometry, CacheSim, CacheStats, ReplacementKind};
-use fvl_core::{FrequentValueSet, HybridCache, HybridConfig};
+use fvl_cache::{CacheGeometry, CacheStats};
 use std::fmt;
 use std::sync::Arc;
 
@@ -128,71 +128,21 @@ pub(crate) fn geom(kb: u64, line_bytes: u32, assoc: u32) -> CacheGeometry {
         .expect("experiment geometries are valid by construction")
 }
 
-/// Replays the captured trace through a conventional cache.
+/// The true-LRU conventional cache `geometry` on the capture, from its
+/// simulation memo.
 pub(crate) fn baseline(data: &WorkloadData, geometry: CacheGeometry) -> CacheStats {
-    let mut sim = CacheSim::new(geometry);
-    data.trace.replay_into(&mut sim);
-    *sim.stats()
+    data.simulate(SimSpec::dmc(geometry)).stats
 }
 
-/// Builds (without replaying) a DMC+FVC hybrid simulator using the
-/// workload's top-`k` frequently accessed values, for call sites that
-/// feed several sinks in one broadcast pass.
-pub(crate) fn hybrid_sim(
-    data: &WorkloadData,
-    geometry: CacheGeometry,
-    fvc_entries: u32,
-    top_k: usize,
-) -> HybridCache {
-    hybrid_sim_with(data, geometry, fvc_entries, top_k, ReplacementKind::Lru)
-}
-
-/// Like [`hybrid_sim`], with an explicit replacement policy for the
-/// hybrid's DMC side (the FVC side is untouched).
-pub(crate) fn hybrid_sim_with(
-    data: &WorkloadData,
-    geometry: CacheGeometry,
-    fvc_entries: u32,
-    top_k: usize,
-    dmc_replacement: ReplacementKind,
-) -> HybridCache {
-    let values = FrequentValueSet::from_ranking(&data.counter.ranking(), top_k)
-        .expect("profiled workloads have at least one value");
-    HybridCache::new(
-        HybridConfig::new(geometry, fvc_entries, values).dmc_replacement(dmc_replacement),
-    )
-}
-
-/// Replays the captured trace through a DMC+FVC hybrid using the
-/// workload's top-`k` frequently accessed values.
+/// The DMC+FVC hybrid on the capture's top-`k` frequently accessed
+/// values, from its simulation memo.
 pub(crate) fn hybrid(
     data: &WorkloadData,
     geometry: CacheGeometry,
     fvc_entries: u32,
     top_k: usize,
-) -> HybridCache {
-    let mut sim = hybrid_sim(data, geometry, fvc_entries, top_k);
-    data.trace.replay_into(&mut sim);
-    sim
-}
-
-/// Replays the captured trace **once** through a batch of DMC+FVC
-/// hybrids (one per `top_ks` entry) via broadcast replay, instead of
-/// walking the trace once per configuration. Results are identical to
-/// calling [`hybrid`] per entry — each simulator is independent — but
-/// the trace's memory traffic is paid a single time.
-pub(crate) fn hybrid_sweep(
-    data: &WorkloadData,
-    geometry: CacheGeometry,
-    fvc_entries: u32,
-    top_ks: &[usize],
-) -> Vec<HybridCache> {
-    let mut sims: Vec<HybridCache> = top_ks
-        .iter()
-        .map(|&k| hybrid_sim(data, geometry, fvc_entries, k))
-        .collect();
-    data.trace.broadcast_into(&mut sims);
-    sims
+) -> SimResult {
+    data.simulate(SimSpec::hybrid(geometry, fvc_entries, top_k))
 }
 
 /// Percentage reduction of `new` vs `base` miss rates.
@@ -202,7 +152,8 @@ pub(crate) fn reduction(base: &CacheStats, new: &CacheStats) -> f64 {
 
 /// Runs one engine cell per captured workload, borrowing the shared
 /// data slice. `replays` is how many full trace passes each cell
-/// performs (for the engine's reference-throughput accounting).
+/// stands for, replayed or served from the simulation memo (for the
+/// engine's reference-throughput accounting).
 /// Results come back in `datas` order; each cell leaves a
 /// `(experiment, workload, config)` record in the engine's metrics log.
 pub(crate) fn per_workload<R, F>(

@@ -9,7 +9,7 @@
 //! cargo run --release -p fvl-bench --bin experiments -- verify
 //! ```
 
-use super::{baseline, geom, hybrid, hybrid_sweep, per_workload, per_workload_stats, Report};
+use super::{baseline, geom, hybrid, per_workload, per_workload_stats, Report};
 use crate::data::{ExperimentContext, WorkloadData};
 use crate::engine::ClassStats;
 use crate::table::Table;
@@ -66,27 +66,24 @@ pub fn run(ctx: &ExperimentContext) -> Report {
     // Figure 13 cell and the two control cells run alongside.
     let six_metrics = per_workload_stats(ctx, "verify", "headline claims", &six, 11, |data| {
         let base16 = baseline(data, dmc16);
-        // The three top-k hybrids on the 16KB DMC share one broadcast
-        // pass over the trace.
-        let mut top_k = hybrid_sweep(data, dmc16, 512, &[1, 3, 7]).into_iter();
-        let c1 = top_k.next().unwrap().stats().miss_reduction_vs(&base16);
-        let c3 = top_k.next().unwrap().stats().miss_reduction_vs(&base16);
-        let hybrid16 = top_k.next().unwrap();
-        let cut16_7 = hybrid16.stats().miss_reduction_vs(&base16);
+        let c1 = hybrid(data, dmc16, 512, 1).stats.miss_reduction_vs(&base16);
+        let c3 = hybrid(data, dmc16, 512, 3).stats.miss_reduction_vs(&base16);
+        let hybrid16 = hybrid(data, dmc16, 512, 7);
+        let cut16_7 = hybrid16.stats.miss_reduction_vs(&base16);
         let w2 = geom(16, 32, 2);
         let w2_cut = {
             let base = baseline(data, w2);
-            hybrid(data, w2, 512, 7).stats().miss_reduction_vs(&base)
+            hybrid(data, w2, 512, 7).stats.miss_reduction_vs(&base)
         };
         let dmc4 = geom(4, 32, 1);
         let base4 = baseline(data, dmc4);
-        let fvc_cut = hybrid(data, dmc4, 512, 7).stats().miss_reduction_vs(&base4);
+        let fvc_cut = hybrid(data, dmc4, 512, 7).stats.miss_reduction_vs(&base4);
         let mut vc = VictimHybrid::new(dmc4, 4);
         data.trace.replay_into(&mut vc);
         let vc_cut = Simulator::stats(&vc).miss_reduction_vs(&base4);
         let classes = vec![
             ClassStats::from_stats("dmc", &base16),
-            ClassStats::from_stats("dmc+fvc", hybrid16.stats()),
+            ClassStats::from_stats("dmc+fvc", &hybrid16.stats),
         ];
         (
             SixMetrics {
@@ -107,7 +104,7 @@ pub fn run(ctx: &ExperimentContext) -> Report {
     let (small_plus, doubled) =
         per_workload(ctx, "verify", "fig13 geometries", &six[1..2], 2, |m88| {
             (
-                hybrid(m88, geom(8, 32, 1), 512, 7).stats().miss_percent(),
+                hybrid(m88, geom(8, 32, 1), 512, 7).stats.miss_percent(),
                 baseline(m88, geom(16, 32, 1)).miss_percent(),
             )
         })
@@ -116,7 +113,7 @@ pub fn run(ctx: &ExperimentContext) -> Report {
     // Controls: top-10 access share, the claim-9 cut, and constancy.
     let control_metrics = per_workload(ctx, "verify", "controls", &controls, 3, |data| {
         let base = baseline(data, dmc16);
-        let cut = hybrid(data, dmc16, 512, 7).stats().miss_reduction_vs(&base);
+        let cut = hybrid(data, dmc16, 512, 7).stats.miss_reduction_vs(&base);
         (data.counter.coverage(10), cut, constancy(data))
     });
 

@@ -29,11 +29,13 @@ pub mod engine;
 pub mod experiments;
 pub mod metrics;
 pub mod remote;
+pub mod sim;
 pub mod store;
 pub mod sweep;
 pub mod table;
 
 pub use data::{EngineCore, ExperimentContext, WorkloadData};
 pub use engine::Engine;
+pub use sim::{SimResult, SimSpec};
 pub use store::{TraceKey, TraceStore};
 pub use table::Table;

@@ -34,8 +34,8 @@
 //!   differ between such runs (`wall_ns` per record; `jobs`,
 //!   `elapsed_ns`, `cells_per_sec`, `refs_per_sec` in the `engine`
 //!   block; the `hotpath` instrument block; the `trace_store` block
-//!   with per-key capture hit/miss counts) appear only when timing is
-//!   requested (`--metrics-timing`).
+//!   with per-key capture hit/miss counts and simulation-memo counts)
+//!   appear only when timing is requested (`--metrics-timing`).
 //! * **Versioning.** Any field removal or meaning change bumps
 //!   [`SCHEMA_VERSION`]; additions keep it.
 //!
@@ -58,6 +58,7 @@
 //! ```
 
 use crate::engine::{CellRecord, Engine};
+use crate::sim::MemoStats;
 use crate::store::TraceStore;
 use fvl_obs::{csv_row, Json};
 
@@ -100,10 +101,10 @@ pub fn json_report(engine: &Engine, run: &RunInfo, timing: bool) -> Json {
 /// [`TraceStore`] when one is supplied.
 ///
 /// The `trace_store` block (distinct keys, per-key capture
-/// hits/misses, resident footprint) is emitted only in timing mode: it
-/// describes the capture cache rather than the simulated work, and a
-/// daemon's store, shared across sessions, counts differently from a
-/// local run's.
+/// hits/misses, resident footprint, simulation-memo counts) is emitted
+/// only in timing mode: it describes the caches of captures and
+/// results rather than the simulated work, and a daemon's store,
+/// shared across sessions, counts differently from a local run's.
 pub fn json_report_full(
     engine: &Engine,
     run: &RunInfo,
@@ -161,14 +162,16 @@ pub fn json_report_with_extra(
 
 /// Capture-cache statistics: distinct key count, per-key hit/miss
 /// counters (keys sorted, so the block itself is deterministic for a
-/// fixed run configuration), and the resident footprint of the cached
+/// fixed run configuration), the resident footprint of the cached
 /// traces — events, bytes, bytes/event, and the storage representation
-/// they are held in.
+/// they are held in — and the simulation-memo counts (`sims`), in
+/// total and per capture.
 ///
 /// `enabled` and `simd` are constants (the store always memoizes and
 /// replay has one kernel), kept so schema v1 keeps its keys.
 fn trace_store_block(store: &TraceStore) -> Json {
     let stats = store.stats();
+    let sims = stats.iter().map(|s| s.sims).sum();
     let events = store.resident_events();
     let bytes = store.resident_trace_bytes();
     Json::object([
@@ -188,6 +191,7 @@ fn trace_store_block(store: &TraceStore) -> Json {
                 bytes as f64 / events as f64
             }),
         ),
+        ("sims", memo_block(sims)),
         (
             "keys",
             Json::Array(
@@ -198,11 +202,23 @@ fn trace_store_block(store: &TraceStore) -> Json {
                             ("key", Json::Str(s.key.to_string())),
                             ("hits", Json::U64(s.hits)),
                             ("misses", Json::U64(s.misses)),
+                            ("sims", memo_block(s.sims)),
                         ])
                     })
                     .collect(),
             ),
         ),
+    ])
+}
+
+/// A simulation memo's request counts.
+fn memo_block(sims: MemoStats) -> Json {
+    Json::object([
+        ("distinct", Json::U64(sims.distinct)),
+        ("executed", Json::U64(sims.executed)),
+        ("served", Json::U64(sims.served)),
+        ("executed_accesses", Json::U64(sims.executed_accesses)),
+        ("served_accesses", Json::U64(sims.served_accesses)),
     ])
 }
 

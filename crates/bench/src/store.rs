@@ -16,6 +16,11 @@
 //! `experiments` binary surfaces them in the `--metrics-timing` export
 //! and on stderr.
 //!
+//! The latch itself is a generic once-map. Each capture carries a
+//! second one, its simulation memo ([`crate::sim`]), so a (capture,
+//! cache) pair also replays once per run; the store sums those memo
+//! counts for the same export.
+//!
 //! # Example
 //!
 //! ```
@@ -38,9 +43,11 @@
 //! ```
 
 use crate::data::WorkloadData;
+use crate::sim::MemoStats;
 use fvl_workloads::InputSize;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -95,21 +102,105 @@ pub struct KeyStats {
     pub hits: u64,
     /// Requests that executed the workload (always 1 per key).
     pub misses: u64,
+    /// Request counts of the capture's simulation memo.
+    pub sims: MemoStats,
 }
 
-/// Per-key cache slot: the once-latch plus its counters.
-#[derive(Default)]
-struct Slot {
-    latch: OnceLock<Arc<WorkloadData>>,
+/// Per-key slot of a [`OnceMap`]: the once-latch plus its counters.
+struct Slot<V> {
+    latch: OnceLock<V>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+impl<V> Default for Slot<V> {
+    fn default() -> Self {
+        Slot {
+            latch: OnceLock::new(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+}
+
+/// One key of a [`OnceMap`], as listed by [`OnceMap::entries`].
+pub(crate) struct Entry<K, V> {
+    pub(crate) key: K,
+    /// The latched value, or `None` while its first request runs.
+    pub(crate) value: Option<V>,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+}
+
+/// A thread-safe map that computes each key's value at most once.
+///
+/// Both memos of a run use it: the [`TraceStore`] (one capture per
+/// [`TraceKey`]) and each capture's simulation memo (one replay per
+/// [`crate::sim::SimSpec`]). Every key counts a miss for the request
+/// that ran its initializer and a hit for each request served from
+/// the latch, so the counts are deterministic for a given set of
+/// requests however many threads race for them.
+pub(crate) struct OnceMap<K, V> {
+    slots: Mutex<HashMap<K, Arc<Slot<V>>>>,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> OnceMap<K, V> {
+    pub(crate) fn new() -> Self {
+        OnceMap {
+            slots: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Returns the value for `key`, running `init` only on the key's
+    /// first request; concurrent requests for the key wait for that
+    /// one execution.
+    pub(crate) fn get_or_init(&self, key: K, init: impl FnOnce() -> V) -> V {
+        let slot = {
+            let mut slots = self.slots.lock().expect("once-map poisoned");
+            Arc::clone(slots.entry(key).or_default())
+        };
+        let mut executed = false;
+        let value = slot
+            .latch
+            .get_or_init(|| {
+                executed = true;
+                init()
+            })
+            .clone();
+        if executed {
+            slot.misses.fetch_add(1, Ordering::Relaxed);
+        } else {
+            slot.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        value
+    }
+
+    /// Number of distinct keys ever requested.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.lock().expect("once-map poisoned").len()
+    }
+
+    /// Every key with its latched value and counters, in no particular
+    /// order.
+    pub(crate) fn entries(&self) -> Vec<Entry<K, V>> {
+        let slots = self.slots.lock().expect("once-map poisoned");
+        slots
+            .iter()
+            .map(|(key, slot)| Entry {
+                key: key.clone(),
+                value: slot.latch.get().cloned(),
+                hits: slot.hits.load(Ordering::Relaxed),
+                misses: slot.misses.load(Ordering::Relaxed),
+            })
+            .collect()
+    }
 }
 
 /// Thread-safe, capture-once store of [`WorkloadData`] handles.
 ///
 /// See the [module docs](self) for the motivation and counting rules.
 pub struct TraceStore {
-    slots: Mutex<HashMap<TraceKey, Arc<Slot>>>,
+    captures: OnceMap<TraceKey, Arc<WorkloadData>>,
 }
 
 impl Default for TraceStore {
@@ -122,7 +213,7 @@ impl TraceStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         TraceStore {
-            slots: Mutex::new(HashMap::new()),
+            captures: OnceMap::new(),
         }
     }
 
@@ -138,26 +229,12 @@ impl TraceStore {
         key: TraceKey,
         capture: impl FnOnce() -> WorkloadData,
     ) -> Arc<WorkloadData> {
-        let slot = {
-            let mut slots = self.slots.lock().expect("trace store poisoned");
-            Arc::clone(slots.entry(key).or_default())
-        };
-        let mut executed = false;
-        let data = Arc::clone(slot.latch.get_or_init(|| {
-            executed = true;
-            Arc::new(capture())
-        }));
-        if executed {
-            slot.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            slot.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        data
+        self.captures.get_or_init(key, || Arc::new(capture()))
     }
 
     /// Number of distinct keys ever requested.
     pub fn distinct_keys(&self) -> usize {
-        self.slots.lock().expect("trace store poisoned").len()
+        self.captures.len()
     }
 
     /// Heap bytes resident across every cached capture's trace — the
@@ -165,23 +242,23 @@ impl TraceStore {
     /// alive for a full `all` sweep. The columnar packed layout (the
     /// default) roughly halves this against the legacy event-log form.
     pub fn resident_trace_bytes(&self) -> u64 {
-        self.fold_cached(|data| data.trace.approx_bytes() as u64)
+        self.cached()
+            .map(|data| data.trace.approx_bytes() as u64)
+            .sum()
     }
 
     /// Total trace events (accesses plus region events) held by cached
     /// captures.
     pub fn resident_events(&self) -> u64 {
-        self.fold_cached(|data| data.trace.len() as u64)
+        self.cached().map(|data| data.trace.len() as u64).sum()
     }
 
     /// The storage-representation label shared by every cached capture
     /// (`"packed"` / `"legacy"`), `Some("mixed")` when captures
     /// disagree, or `None` while nothing is cached yet.
     pub fn repr_label(&self) -> Option<&'static str> {
-        let slots = self.slots.lock().expect("trace store poisoned");
-        let mut labels: Vec<&'static str> = slots
-            .values()
-            .filter_map(|slot| slot.latch.get())
+        let mut labels: Vec<&'static str> = self
+            .cached()
             .map(|data| data.trace.kind().label())
             .collect();
         labels.sort_unstable();
@@ -193,25 +270,29 @@ impl TraceStore {
         }
     }
 
-    /// Sums `f` over every capture currently latched in the store.
-    fn fold_cached(&self, f: impl Fn(&WorkloadData) -> u64) -> u64 {
-        let slots = self.slots.lock().expect("trace store poisoned");
-        slots
-            .values()
-            .filter_map(|slot| slot.latch.get())
-            .map(|data| f(data))
-            .sum()
+    /// Every capture currently latched in the store.
+    fn cached(&self) -> impl Iterator<Item = Arc<WorkloadData>> {
+        self.captures
+            .entries()
+            .into_iter()
+            .filter_map(|entry| entry.value)
     }
 
-    /// Per-key hit/miss counts, sorted by key for deterministic output.
+    /// Per-key hit/miss counts, with each capture's simulation-memo
+    /// counts, sorted by key for deterministic output.
     pub fn stats(&self) -> Vec<KeyStats> {
-        let slots = self.slots.lock().expect("trace store poisoned");
-        let mut stats: Vec<KeyStats> = slots
-            .iter()
-            .map(|(key, slot)| KeyStats {
-                key: key.clone(),
-                hits: slot.hits.load(Ordering::Relaxed),
-                misses: slot.misses.load(Ordering::Relaxed),
+        let mut stats: Vec<KeyStats> = self
+            .captures
+            .entries()
+            .into_iter()
+            .map(|entry| KeyStats {
+                key: entry.key,
+                hits: entry.hits,
+                misses: entry.misses,
+                sims: entry
+                    .value
+                    .map(|data| data.memo_stats())
+                    .unwrap_or_default(),
             })
             .collect();
         stats.sort_by(|a, b| a.key.cmp(&b.key));
@@ -226,6 +307,11 @@ impl TraceStore {
     /// Total requests that executed a workload.
     pub fn total_misses(&self) -> u64 {
         self.stats().iter().map(|s| s.misses).sum()
+    }
+
+    /// Simulation-memo counts summed over every cached capture.
+    pub fn sim_totals(&self) -> MemoStats {
+        self.stats().iter().map(|s| s.sims).sum()
     }
 }
 

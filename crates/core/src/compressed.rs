@@ -19,17 +19,22 @@ fn half_frame_bits(words_per_line: u32) -> u32 {
     words_per_line * 32 / 2
 }
 
-/// Size in bits of a line under frequent-value compression: one
-/// presence bit plus `width` code bits per word, plus the full residual
-/// words.
-fn compressed_bits(data: &[Word], values: &FrequentValueSet) -> u32 {
-    let infrequent = data.iter().filter(|w| !values.contains(**w)).count() as u32;
-    data.len() as u32 * (1 + values.width_bits()) + infrequent * 32
+/// How many of `data`'s words are not frequent values.
+fn infrequent_words(data: &[Word], values: &FrequentValueSet) -> u32 {
+    data.iter().filter(|w| !values.contains(**w)).count() as u32
 }
 
-/// Whether a line fits in half a frame under the compression scheme.
+/// Whether a line of `words` words, `infrequent` of them not frequent,
+/// fits in half a frame under frequent-value compression: one presence
+/// bit plus `width` code bits per word, plus the full residual words.
+fn fits_half_frame(words: u32, infrequent: u32, values: &FrequentValueSet) -> bool {
+    words * (1 + values.width_bits()) + infrequent * 32 <= half_frame_bits(words)
+}
+
+/// Whether `data` fits in half a frame under the compression scheme.
+#[cfg(test)]
 fn compressible(data: &[Word], values: &FrequentValueSet) -> bool {
-    compressed_bits(data, values) <= half_frame_bits(data.len() as u32)
+    fits_half_frame(data.len() as u32, infrequent_words(data, values), values)
 }
 
 #[derive(Clone)]
@@ -38,6 +43,9 @@ struct StoredLine {
     dirty: bool,
     compressed: bool,
     data: Vec<Word>,
+    /// How many of `data`'s words are not frequent values, kept up to
+    /// date on every store so the compressibility check is O(1).
+    infrequent: u32,
     stamp: u64,
 }
 
@@ -166,7 +174,8 @@ impl CompressedCache {
     /// a compressed newcomer needs one free subslot (evicting the LRU
     /// partner if both are taken, or the resident uncompressed line).
     fn install(&mut self, frame: usize, line_addr: Addr, data: &[Word], dirty: bool) {
-        let is_compressed = compressible(data, &self.values);
+        let infrequent = infrequent_words(data, &self.values);
+        let is_compressed = fits_half_frame(data.len() as u32, infrequent, &self.values);
         let [a, b] = self.subslots(frame);
         self.clock += 1;
         let newcomer = StoredLine {
@@ -174,6 +183,7 @@ impl CompressedCache {
             dirty,
             compressed: is_compressed,
             data: data.to_vec(),
+            infrequent,
             stamp: self.clock,
         };
         // An uncompressed resident occupies both subslots logically: it
@@ -232,15 +242,23 @@ impl CompressedCache {
             match access.kind {
                 AccessKind::Load => {
                     self.stats.read_hits += 1;
-                    debug_assert_eq!(line.data[offset], access.value, "value oracle");
+                    let value = line.data[offset];
+                    assert_eq!(
+                        value, access.value,
+                        "compressed cache returned {value:#x}, trace expects {:#x} at {addr:#x}",
+                        access.value
+                    );
                 }
                 AccessKind::Store => {
                     self.stats.write_hits += 1;
-                    line.data[offset] = access.value;
+                    let old = std::mem::replace(&mut line.data[offset], access.value);
+                    line.infrequent = line.infrequent + u32::from(!values.contains(access.value))
+                        - u32::from(!values.contains(old));
                     line.dirty = true;
                     // A store can break compressibility: expand, which
                     // may displace the frame partner.
-                    if line.compressed && !compressible(&line.data, values) {
+                    let words = line.data.len() as u32;
+                    if line.compressed && !fits_half_frame(words, line.infrequent, values) {
                         line.compressed = false;
                         self.expansions += 1;
                         let frame = slot / 2;
@@ -420,6 +438,61 @@ mod tests {
             c.on_access(Access::load((i % 256) * 4, 0));
         }
         assert!(c.avg_compressed_fraction() > 0.9, "all-zero lines compress");
+    }
+
+    /// Every resident line's running count against a full scan.
+    fn assert_counts_match_scan(c: &CompressedCache) {
+        for line in c.slots.iter().flatten() {
+            assert_eq!(
+                line.infrequent,
+                infrequent_words(&line.data, &c.values),
+                "line {:#x}",
+                line.line_addr
+            );
+        }
+    }
+
+    #[test]
+    fn infrequent_counts_follow_every_store_and_install() {
+        let mut c = cache_1k();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Loads must read what the program stored: mirror memory here.
+        let mut memory = std::collections::HashMap::new();
+        for _ in 0..20_000 {
+            let r = next();
+            // 32 words in each of three regions that share frames:
+            // stores flip words between frequent (0..=6) and infrequent
+            // values, so lines expand, compress on refill and evict
+            // partners.
+            let addr = (r % 32) as u32 * 4 + ((r >> 8) % 3) as u32 * 1024;
+            if r >> 20 & 1 == 0 {
+                let value = if r >> 24 & 3 == 0 {
+                    100 + (r >> 32) as u32 % 50
+                } else {
+                    (r >> 32) as u32 % 7
+                };
+                c.on_access(Access::store(addr, value));
+                memory.insert(addr, value);
+            } else {
+                c.on_access(Access::load(addr, memory.get(&addr).copied().unwrap_or(0)));
+            }
+            assert_counts_match_scan(&c);
+        }
+        assert!(c.expansions() > 0, "some store broke a line's compression");
+    }
+
+    #[test]
+    #[should_panic(expected = "compressed cache returned")]
+    fn value_oracle_rejects_a_wrong_load_in_release_too() {
+        let mut c = cache_1k();
+        c.on_access(Access::store(0x40, 5));
+        c.on_access(Access::load(0x40, 6));
     }
 
     #[test]

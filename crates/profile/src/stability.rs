@@ -33,10 +33,21 @@ impl fmt::Display for StabilityReport {
     }
 }
 
+/// How many leading values each checkpoint records.
+const TRACKED: usize = 10;
+
 /// Tracks the running top-10 accessed-value ranking at periodic
 /// checkpoints and reports when its top-1/3/7 prefixes become final.
+///
+/// The top-10 is kept up to date on every access, in
+/// [`crate::top_by_count`]'s order (count descending, then value
+/// ascending), instead of re-ranking the whole histogram at each
+/// checkpoint. Counts only grow, so an access can move only the value
+/// it counts: up within the top-10, or into it past the tenth.
 pub struct StabilityAnalyzer {
     counts: HashMap<Word, u64>,
+    /// The running top-10 as `(value, count)`, in rank order.
+    top: Vec<(Word, u64)>,
     check_every: u64,
     accesses: u64,
     next_check: u64,
@@ -56,6 +67,7 @@ impl StabilityAnalyzer {
         assert!(check_every > 0, "checkpoint interval must be positive");
         StabilityAnalyzer {
             counts: HashMap::new(),
+            top: Vec::with_capacity(TRACKED),
             check_every,
             accesses: 0,
             next_check: check_every,
@@ -63,8 +75,38 @@ impl StabilityAnalyzer {
         }
     }
 
-    fn current_top10(&self) -> Vec<Word> {
-        crate::top_by_count(self.counts.iter().map(|(&v, &c)| (v, c)), 10)
+    /// The running top-10 values, in rank order.
+    fn top10(&self) -> Vec<Word> {
+        self.top.iter().map(|&(v, _)| v).collect()
+    }
+
+    /// Counts one access of `value` and restores the top-10's order.
+    fn count(&mut self, value: Word) {
+        let count = self.counts.entry(value).or_insert(0);
+        *count += 1;
+        let count = *count;
+        // `a` outranks `b`: higher count, or equal count and smaller value.
+        let outranks = |a: (Word, u64), b: (Word, u64)| a.1 > b.1 || (a.1 == b.1 && a.0 < b.0);
+        let mut at = match self.top.iter().position(|&(v, _)| v == value) {
+            Some(at) => at,
+            // Below the tenth, only a value that now outranks it enters.
+            None if self.top.len() == TRACKED => {
+                if !outranks((value, count), self.top[TRACKED - 1]) {
+                    return;
+                }
+                TRACKED - 1
+            }
+            // Fewer than ten distinct values: every one is tracked.
+            None => {
+                self.top.push((value, 0));
+                self.top.len() - 1
+            }
+        };
+        self.top[at] = (value, count);
+        while at > 0 && outranks(self.top[at], self.top[at - 1]) {
+            self.top.swap(at, at - 1);
+            at -= 1;
+        }
     }
 
     /// Number of checkpoints recorded so far.
@@ -77,9 +119,9 @@ impl StabilityAnalyzer {
     pub fn report(&mut self) -> StabilityReport {
         // Ensure the final state is a checkpoint.
         if self.checkpoints.last().map(|(a, _)| *a) != Some(self.accesses) {
-            self.checkpoints.push((self.accesses, self.current_top10()));
+            self.checkpoints.push((self.accesses, self.top10()));
         }
-        let final_ranking = self.current_top10();
+        let final_ranking = self.top10();
         let ks = [1usize, 3, 7];
         let mut order = [0.0; 3];
         let mut identity = [0.0; 3];
@@ -122,10 +164,10 @@ impl StabilityAnalyzer {
 impl AccessSink for StabilityAnalyzer {
     fn on_access(&mut self, access: Access) {
         self.accesses += 1;
-        *self.counts.entry(access.value).or_insert(0) += 1;
+        self.count(access.value);
         if self.accesses >= self.next_check {
             self.next_check = self.accesses + self.check_every;
-            let top = self.current_top10();
+            let top = self.top10();
             self.checkpoints.push((self.accesses, top));
         }
     }
@@ -191,6 +233,52 @@ mod tests {
         let r = s.report();
         // identity of top-3 = {1,2} visible in top-10 from the start.
         assert!(r.identity_stable_percent[1] <= r.order_stable_percent[1] + 1e-9);
+    }
+
+    /// Feeds one access, then checks the running top-10 against a full
+    /// re-rank of an independent histogram.
+    fn feed_checked(s: &mut StabilityAnalyzer, histogram: &mut HashMap<Word, u64>, value: Word) {
+        s.on_access(Access::load(0, value));
+        *histogram.entry(value).or_insert(0) += 1;
+        let full = crate::top_by_count(histogram.iter().map(|(&v, &c)| (v, c)), 10);
+        assert_eq!(s.top10(), full, "access {} (value {value})", s.accesses);
+    }
+
+    #[test]
+    fn running_top10_matches_a_full_rerank_after_every_access() {
+        let mut s = StabilityAnalyzer::new(1000);
+        let mut histogram = HashMap::new();
+        // Round robin, largest value first: after every round 21 values
+        // tie, and the tie-break (smaller value first) reorders them.
+        for i in 0..210u32 {
+            feed_checked(&mut s, &mut histogram, 20 - i % 21);
+        }
+        // A seeded draw over 40 values, skewed towards small ones, so
+        // neighbouring ranks tie and cross often; in its second half,
+        // two values absent so far take half the accesses and overtake
+        // the early leaders.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for i in 0..6000u32 {
+            let r = next();
+            let value = if i >= 3000 && r % 2 == 0 {
+                1000 + (r >> 8) as u32 % 2
+            } else {
+                let bucket = (r >> 16) % 40;
+                ((r >> 24) % (bucket + 1)) as u32
+            };
+            feed_checked(&mut s, &mut histogram, value);
+        }
+        assert!(histogram.len() > 10);
+        let mut leaders = s.top10()[..2].to_vec();
+        leaders.sort_unstable();
+        assert_eq!(leaders, [1000, 1001], "the late values overtook");
     }
 
     #[test]
