@@ -1,8 +1,7 @@
-//! Criterion benches for the replay hot path: packed vs legacy trace
-//! layout, multi-sink broadcast vs independent passes, dyn vs
-//! monomorphized replay, the frequent-value encode micro-kernel,
-//! `SimMemory` access, capture-once vs capture-per-experiment, and
-//! chunked trace-file IO throughput.
+//! Criterion benches for the replay hot path: the recording event log
+//! vs the packed layout, dyn vs monomorphized replay, the
+//! frequent-value encode micro-kernel, `SimMemory` access, capture-once
+//! vs capture-per-experiment, and chunked trace-file IO throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fvl_bench::{ExperimentContext, TraceKey, TraceStore};
@@ -250,45 +249,11 @@ fn bench_layout(c: &mut Criterion) {
     group.finish();
 }
 
-/// Broadcast replay: one pass over the packed trace feeding eight
-/// sinks at once vs eight independent replays. Broadcast streams the
-/// (DRAM-resident) trace once instead of eight times, so it must beat
-/// the independent passes.
-fn bench_broadcast(c: &mut Criterion) {
-    let trace = big_trace(8 << 20);
-    let packed = PackedTrace::from_trace(&trace);
-    const SINKS: usize = 8;
-
-    let mut group = c.benchmark_group("broadcast");
-    group.throughput(Throughput::Elements(trace.accesses() * SINKS as u64));
-    group.sample_size(10);
-    group.bench_function(BenchmarkId::new("8-sinks", "independent"), |b| {
-        b.iter(|| {
-            (0..SINKS)
-                .map(|_| {
-                    let mut sink = DigestSink::default();
-                    packed.replay_into(&mut sink);
-                    sink.acc
-                })
-                .fold(0u64, u64::wrapping_add)
-        })
-    });
-    group.bench_function(BenchmarkId::new("8-sinks", "broadcast"), |b| {
-        b.iter(|| {
-            let mut sinks: Vec<DigestSink> = (0..SINKS).map(|_| DigestSink::default()).collect();
-            packed.broadcast_into(&mut sinks);
-            sinks.iter().fold(0u64, |a, s| a.wrapping_add(s.acc))
-        })
-    });
-    group.finish();
-}
-
 /// Chunked trace-file IO: encode and decode throughput for the v1
-/// per-event format, the v2 columnar format, the chunk-indexed v2.1
-/// format with delta+varint address columns, and the v2.2 stream-split
-/// variant, all staged through 64 KiB blocks. The v2.1/v2.2 decode
-/// lanes cover both the streaming reader and the mapped reader's
-/// strict-footer path.
+/// per-event format, the v2 columnar format and the chunk-indexed v2.2
+/// format with stream-split address columns, all staged through 64 KiB
+/// blocks. The v2.2 decode lanes cover both the streaming reader and
+/// the mapped reader's strict-footer path.
 fn bench_trace_io(c: &mut Criterion) {
     let trace = capture_trace();
     let packed = PackedTrace::from_trace(&trace);
@@ -296,22 +261,16 @@ fn bench_trace_io(c: &mut Criterion) {
     trace.write_to(&mut v1).unwrap();
     let mut v2 = Vec::new();
     packed.write_to(&mut v2).unwrap();
-    let mut v21 = Vec::new();
-    packed.write_v21_to(&mut v21).unwrap();
     let mut v22 = Vec::new();
     packed.write_v22_to(&mut v22).unwrap();
     let events = trace.len() as u64;
     eprintln!(
         "trace-io sizes over {events} events: v1 {} B ({:.2} B/event), \
-         v2 {} B ({:.2} B/event), v2.1 {} B ({:.2} B/event, {:.0}% of v2), \
-         v2.2 {} B ({:.2} B/event, {:.0}% of v2)",
+         v2 {} B ({:.2} B/event), v2.2 {} B ({:.2} B/event, {:.0}% of v2)",
         v1.len(),
         v1.len() as f64 / events as f64,
         v2.len(),
         v2.len() as f64 / events as f64,
-        v21.len(),
-        v21.len() as f64 / events as f64,
-        100.0 * v21.len() as f64 / v2.len() as f64,
         v22.len(),
         v22.len() as f64 / events as f64,
         100.0 * v22.len() as f64 / v2.len() as f64,
@@ -344,29 +303,6 @@ fn bench_trace_io(c: &mut Criterion) {
                 .accesses()
         })
     });
-    group.bench_function(BenchmarkId::new("encode", "v21"), |b| {
-        b.iter(|| {
-            let mut out = Vec::with_capacity(v21.len());
-            packed.write_v21_to(&mut out).unwrap();
-            out.len()
-        })
-    });
-    group.bench_function(BenchmarkId::new("decode", "v21"), |b| {
-        b.iter(|| {
-            PackedTrace::read_from(black_box(&v21[..]))
-                .unwrap()
-                .accesses()
-        })
-    });
-    group.bench_function(BenchmarkId::new("decode", "v21-mapped"), |b| {
-        b.iter(|| {
-            MappedTrace::from_bytes(black_box(v21.clone()))
-                .unwrap()
-                .to_packed()
-                .unwrap()
-                .accesses()
-        })
-    });
     group.bench_function(BenchmarkId::new("encode", "v22"), |b| {
         b.iter(|| {
             let mut out = Vec::with_capacity(v22.len());
@@ -393,17 +329,15 @@ fn bench_trace_io(c: &mut Criterion) {
     group.finish();
 }
 
-/// Address-column codecs head to head at corpus scale: 64 Mi addresses
-/// (a 256 MiB raw column, far past any LLC) laid out in the container's
+/// The v2.2 address-column decode at corpus scale: 64 Mi addresses (a
+/// 256 MiB raw column, far past any LLC) laid out in the container's
 /// 8192-access chunks and decoded chunk by chunk into one shared
 /// column, exactly as the readers do. The delta distribution is a
 /// locality mixture (70% cache-local steps, 25% region-sized jumps, 5%
-/// working-set jumps), so token lengths are data-dependent — the case
-/// the v2.1 byte loop's continuation branches predict worst and the
-/// branchless split layout is built for. Lanes: the v2 raw-column copy
-/// exactly as the container reader stages it (64 KiB staging buffer,
-/// then lane-by-lane conversion — see `take_u32_column_into`), the
-/// v2.1 LEB128 byte loop, and the v2.2 stream-split decode. Column
+/// working-set jumps), so token lengths are data-dependent. Lanes: the
+/// v2 raw-column copy exactly as the container reader stages it (64 KiB
+/// staging buffer, then lane-by-lane conversion — see
+/// `take_u32_column_into`), and the v2.2 stream-split decode. Column
 /// sizes go to stderr so the throughput numbers can be weighed against
 /// density.
 fn bench_varint(c: &mut Criterion) {
@@ -431,24 +365,17 @@ fn bench_varint(c: &mut Criterion) {
         word = (word + delta).clamp(0, (1 << 30) - 1);
         addrs.push((word as u32) << 2 | (r >> 63) as u32);
     }
-    let mut leb = Vec::new();
-    let mut leb_bounds = vec![0usize];
     let mut split = Vec::new();
     let mut split_bounds = vec![0usize];
     for chunk in addrs.chunks(CHUNK) {
-        fvl_mem::varint::encode_addr_chunk(chunk, &mut leb);
-        leb_bounds.push(leb.len());
         fvl_mem::varint::encode_addr_chunk_split(chunk, &mut split);
         split_bounds.push(split.len());
     }
     let raw: Vec<u8> = addrs.iter().flat_map(|a| a.to_le_bytes()).collect();
     eprintln!(
-        "varint columns over {} addrs: raw {} B, leb {} B ({:.2} B/addr), \
-         split {} B ({:.2} B/addr)",
+        "address columns over {} addrs: raw {} B, split {} B ({:.2} B/addr)",
         addrs.len(),
         raw.len(),
-        leb.len(),
-        leb.len() as f64 / addrs.len() as f64,
         split.len(),
         split.len() as f64 / addrs.len() as f64,
     );
@@ -471,21 +398,6 @@ fn bench_varint(c: &mut Criterion) {
                         .map(|b| u32::from_le_bytes(b.try_into().unwrap())),
                 );
                 src = &src[n..];
-            }
-            out.len()
-        })
-    });
-    group.bench_function(BenchmarkId::new("decode", "v21-byte-loop"), |b| {
-        let mut out: Vec<u32> = Vec::with_capacity(addrs.len());
-        b.iter(|| {
-            out.clear();
-            for (bounds, chunk) in leb_bounds.windows(2).zip(addrs.chunks(CHUNK)) {
-                fvl_mem::varint::decode_addr_chunk_into(
-                    black_box(&leb[bounds[0]..bounds[1]]),
-                    chunk.len(),
-                    &mut out,
-                )
-                .unwrap();
             }
             out.len()
         })
@@ -526,8 +438,7 @@ fn bench_corpus_sweep(c: &mut Criterion) {
     .iter()
     .collect();
     let _ = std::fs::remove_dir_all(&dir);
-    corpus::write_synthetic_corpus_with(&dir, 4, 400_000, 3, 8192, fvl_mem::AddrCodec::Split)
-        .unwrap();
+    corpus::write_synthetic_corpus(&dir, 4, 400_000, 3, 8192).unwrap();
     let corp = corpus::Corpus::open_dir(&dir).unwrap();
     let budget = corpus::DEFAULT_BUDGET_BYTES;
 
@@ -561,11 +472,11 @@ fn bench_corpus_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Out-of-core replay: the big-trace digest walk fed from a v2.1 file
+/// Out-of-core replay: the big-trace digest walk fed from a v2.2 file
 /// on disk through the mapped reader vs the fully resident
 /// [`PackedTrace`]. `mmap-cold` maps, parses the footer, and walks per
 /// iteration; `mmap-warm` reuses one mapping and pays only the lazy
-/// per-chunk varint decode each walk; `buffered-cold` is the no-mmap
+/// per-chunk address decode each walk; `buffered-cold` is the no-mmap
 /// fallback that slurps the file through 64 KiB reads; `in-ram` is the
 /// resident upper bound the out-of-core lanes chase.
 fn bench_mmap(c: &mut Criterion) {
@@ -577,7 +488,7 @@ fn bench_mmap(c: &mut Criterion) {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("replay.fvltrc");
     let file = std::fs::File::create(&path).unwrap();
-    packed.write_v21_to(std::io::BufWriter::new(file)).unwrap();
+    packed.write_v22_to(std::io::BufWriter::new(file)).unwrap();
     let warm = MappedTrace::open(&path).unwrap();
 
     let mut group = c.benchmark_group("mmap");
@@ -619,7 +530,6 @@ fn bench_mmap(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_layout,
-    bench_broadcast,
     bench_dyn_vs_generic,
     bench_encode,
     bench_sim_memory,

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! corpus gen <dir> [--traces N] [--accesses N] [--seed N] [--chunk-accesses N]
-//!            [--codec v21|v22]
 //! corpus sweep <dir> [--budget-bytes N] [--in-ram] [--inline-decode]
 //!              [--metrics FILE] [--metrics-csv FILE] [--metrics-timing]
 //! corpus sim <file> [--size N] [--line N] [--assoc N] [--write back|through]
@@ -15,8 +14,7 @@
 //! with byte-identical stdout (CI diffs the two modes).
 //!
 //! `gen` writes a directory of deterministic synthetic chunk-indexed
-//! trace files — v2.1 varint columns by default, v2.2 stream-split
-//! columns with `--codec v22`. `sweep` opens every `*.fvltrc` file in
+//! v2.2 trace files. `sweep` opens every `*.fvltrc` file in
 //! the directory as a memory-mapped [`fvl_mem::MappedTrace`] and runs
 //! the two-pass corpus sweep (column digests, then cache simulations
 //! plus the one-pass reuse-distance curve) with decoded-chunk
@@ -38,7 +36,7 @@ use fvl_bench::corpus::{
 use fvl_bench::engine::{CellId, ClassStats, Completed, Engine};
 use fvl_bench::metrics::{self, RunInfo};
 use fvl_bench::remote;
-use fvl_mem::{AddrCodec, CHUNK_ACCESSES};
+use fvl_mem::CHUNK_ACCESSES;
 use fvl_obs::Json;
 use fvl_profile::TOWER_LEVELS;
 use std::path::PathBuf;
@@ -63,11 +61,9 @@ const CURVE_CLASSES: [&str; TOWER_LEVELS] = [
 fn usage() -> ExitCode {
     eprintln!(
         "usage: corpus gen <dir> [--traces N] [--accesses N] [--seed N] [--chunk-accesses N]\n\
-         \x20                [--codec v21|v22]\n\
          \x20      corpus sweep <dir> [--budget-bytes N] [--in-ram] [--inline-decode]\n\
          \x20                  [--metrics FILE] [--metrics-csv FILE] [--metrics-timing]\n\
-         gen writes N synthetic chunk-indexed traces into <dir> (--codec v21\n\
-         \x20     varint columns, the default, or v22 stream-split columns)\n\
+         gen writes N synthetic chunk-indexed v2.2 traces into <dir>\n\
          sweep maps every *.fvltrc in <dir> and replays it chunk by chunk,\n\
          \x20     keeping decoded chunks under --budget-bytes (default {DEFAULT_BUDGET_BYTES})\n\
          --in-ram decodes each trace fully before replay (A/B baseline; stdout\n\
@@ -90,16 +86,8 @@ fn gen(dir: PathBuf, mut iter: std::vec::IntoIter<String>) -> ExitCode {
     let mut accesses = 200_000u64;
     let mut seed = 1u64;
     let mut chunk_accesses = CHUNK_ACCESSES;
-    let mut codec = AddrCodec::Varint;
     while let Some(arg) = iter.next() {
         let value = iter.next();
-        if arg.as_str() == "--codec" {
-            match value.as_deref().and_then(AddrCodec::parse) {
-                Some(c) => codec = c,
-                None => return usage(),
-            }
-            continue;
-        }
         match (arg.as_str(), value.and_then(|v| v.parse::<u64>().ok())) {
             ("--traces", Some(n)) if n >= 1 => traces = n as usize,
             ("--accesses", Some(n)) => accesses = n,
@@ -110,14 +98,7 @@ fn gen(dir: PathBuf, mut iter: std::vec::IntoIter<String>) -> ExitCode {
             _ => return usage(),
         }
     }
-    match fvl_bench::corpus::write_synthetic_corpus_with(
-        &dir,
-        traces,
-        accesses,
-        seed,
-        chunk_accesses,
-        codec,
-    ) {
+    match fvl_bench::corpus::write_synthetic_corpus(&dir, traces, accesses, seed, chunk_accesses) {
         Ok(paths) => {
             for path in &paths {
                 let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! experiments <name>... [--quick|--train|--smoke] [--seed N] [--jobs N|--serial]
-//!             [--legacy-trace]
 //!             [--metrics FILE] [--metrics-csv FILE] [--metrics-timing]
 //!             [--remote ADDR]
 //! experiments all [--smoke]
@@ -14,14 +13,13 @@
 //! one session, one job per experiment, report bytes streamed straight
 //! to stdout. Stdout and the plain `--metrics` export are byte-
 //! identical to the local run with the same (input, seed, smoke)
-//! knobs — CI diffs them. Engine knobs (`--jobs`, `--legacy-trace`) do
-//! not apply remotely (the daemon owns its engine) and are ignored with
-//! a note on stderr.
+//! knobs — CI diffs them. The engine knob `--jobs` does not apply
+//! remotely (the daemon owns its engine) and is ignored with a note on
+//! stderr.
 //!
 //! Reports go to stdout; timing, engine-throughput, trace-store and
 //! simulation-memo lines go to stderr, so stdout is bit-identical for
-//! any `--jobs` count and for either trace representation
-//! (`--legacy-trace` / `FVL_TRACE_REPR`). The `--metrics` export is deterministic too,
+//! any `--jobs` count. The `--metrics` export is deterministic too,
 //! unless `--metrics-timing` opts into wall-clock and cache hit/miss
 //! fields (see `fvl_bench::metrics`).
 //!
@@ -34,7 +32,6 @@ use fvl_bench::experiments;
 use fvl_bench::metrics::{self, RunInfo};
 use fvl_bench::remote;
 use fvl_bench::ExperimentContext;
-use fvl_mem::TraceReprKind;
 use fvl_workloads::InputSize;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -43,14 +40,11 @@ use std::time::Instant;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: experiments <name>... [--quick|--train|--smoke] [--seed N] [--jobs N|--serial]\n\
-         \x20                        [--legacy-trace]\n\
          \x20                        [--metrics FILE] [--metrics-csv FILE] [--metrics-timing]\n\
          names: {} | all | list\n\
          --quick uses test inputs (seconds); default is reference inputs (minutes)\n\
          --smoke truncates every test-input trace to ~1000 references (CI)\n\
          --jobs N shards simulation cells over N workers (default: all cores); --serial = --jobs 1\n\
-         --legacy-trace stores traces as Vec<TraceEvent> instead of the packed columnar layout\n\
-         \x20             (FVL_TRACE_REPR=packed|legacy sets the same toggle from the environment)\n\
          --metrics FILE writes a versioned JSON metrics export (deterministic across --jobs)\n\
          --metrics-csv FILE writes the per-cell log as CSV\n\
          --metrics-timing adds wall-clock/throughput/cache-counter fields to the JSON export\n\
@@ -77,12 +71,6 @@ fn main() -> ExitCode {
     let mut metrics_json: Option<String> = None;
     let mut metrics_csv: Option<String> = None;
     let mut metrics_timing = false;
-    // The environment sets the default representation (CI A/B runs);
-    // the --legacy-trace flag overrides it.
-    let mut repr = std::env::var("FVL_TRACE_REPR")
-        .ok()
-        .and_then(|s| TraceReprKind::parse(&s))
-        .unwrap_or_default();
     let mut remote: Option<String> = None;
     let mut names: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
@@ -112,7 +100,6 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--metrics-timing" => metrics_timing = true,
-            "--legacy-trace" => repr = TraceReprKind::Legacy,
             "--remote" => match iter.next() {
                 Some(addr) => remote = Some(addr),
                 None => return usage(),
@@ -148,10 +135,8 @@ fn main() -> ExitCode {
     };
 
     if let Some(addr) = remote {
-        if jobs.is_some() || repr == TraceReprKind::Legacy {
-            eprintln!(
-                "note: engine knobs (--jobs/--legacy-trace) are daemon-side; ignored with --remote"
-            );
+        if jobs.is_some() {
+            eprintln!("note: the engine knob --jobs is daemon-side; ignored with --remote");
         }
         if metrics_timing {
             eprintln!("note: --metrics-timing is local-only; the daemon exports plain metrics");
@@ -176,8 +161,7 @@ fn main() -> ExitCode {
         .with_input(input)
         .with_seed(seed)
         .with_max_refs(smoke.then_some(fvl_bench::data::SMOKE_REFS))
-        .with_engine(Arc::clone(&engine))
-        .with_trace_repr(repr);
+        .with_engine(Arc::clone(&engine));
     println!(
         "# FVC reproduction experiments ({} inputs{}, seed {seed})\n",
         match input {
@@ -224,8 +208,7 @@ fn main() -> ExitCode {
     );
     let resident_events = store.resident_events();
     eprintln!(
-        "trace repr: {} — {} events resident in {} KiB ({:.2} bytes/event)",
-        repr.label(),
+        "trace repr: {} events resident in {} KiB ({:.2} bytes/event)",
         resident_events,
         store.resident_trace_bytes() / 1024,
         if resident_events == 0 {

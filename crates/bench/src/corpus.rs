@@ -1,15 +1,15 @@
 //! Out-of-core trace corpus manager.
 //!
-//! Sweeps a *directory* of chunk-indexed trace files (v2.1 varint or
-//! v2.2 stream-split, via [`fvl_mem::MappedTrace`]) that may
-//! collectively be far larger than memory. Files stay memory-mapped
-//! (never decoded whole, except in the explicit in-RAM baseline mode)
-//! and decode one [`fvl_mem::CHUNK_ACCESSES`]-sized chunk at a time; a
-//! shared [`ResidencyBudget`] bounds how many decoded-chunk bytes are
-//! live across all worker threads at once.
+//! Sweeps a *directory* of chunk-indexed v2.2 trace files (via
+//! [`fvl_mem::MappedTrace`]) that may collectively be far larger than
+//! memory. Files stay memory-mapped (never decoded whole, except in the
+//! explicit in-RAM baseline mode) and decode one
+//! [`fvl_mem::CHUNK_ACCESSES`]-sized chunk at a time; a shared
+//! [`ResidencyBudget`] bounds how many decoded-chunk bytes are live
+//! across all worker threads at once.
 //!
-//! Two passes run over the corpus, both work-stealing via
-//! [`crate::sweep::parallel`]:
+//! Two passes run over the corpus, both spread over the workers of an
+//! [`fvl_runner::Pool`] sized to the machine:
 //!
 //! 1. **Digest pass** — chunk-granular: every `(file, chunk)` pair is an
 //!    independent work item, so a single huge trace still spreads across
@@ -40,13 +40,13 @@
 //! [`BudgetStats`] and [`ChunkCacheStats`] (timing-class data) may
 //! differ.
 
-use crate::sweep;
 use fvl_cache::{CacheGeometry, CacheSim, CacheStats};
 use fvl_mem::{
     AccessSink, AddrCodec, ChunkCacheStats, MappedTrace, PackedTrace, Region, RegionEvent,
     RegionKind, HEAP_BASE, STORE_BIT,
 };
 use fvl_profile::{MissCurve, ReuseProfiler};
+use fvl_runner::Pool;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
@@ -196,7 +196,7 @@ pub struct CorpusEntry {
     pub trace: MappedTrace,
 }
 
-/// A directory of v2.1 trace files swept as one unit.
+/// A directory of v2.2 trace files swept as one unit.
 #[derive(Debug)]
 pub struct Corpus {
     entries: Vec<CorpusEntry>,
@@ -209,7 +209,7 @@ impl Corpus {
     /// # Errors
     ///
     /// Fails when the directory cannot be read or any trace file is
-    /// not a valid chunk-indexed v2.1 trace.
+    /// not a valid chunk-indexed v2.2 trace.
     pub fn open_dir(dir: &Path) -> io::Result<Corpus> {
         let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
             .collect::<io::Result<Vec<_>>>()?
@@ -498,7 +498,7 @@ fn digest_pass(
                 .enumerate()
                 .flat_map(|(f, e)| (0..e.trace.chunk_count()).map(move |c| (f, c)))
                 .collect();
-            let per_chunk = sweep::parallel(corpus, items.clone(), |corpus, &(f, c)| {
+            let per_chunk = Pool::auto().map(items.clone(), |(f, c)| {
                 let trace = &corpus.entries[f].trace;
                 let (chunk, _guard) = fetch_chunk(trace, budget, c)?;
                 Ok::<ChunkFacts, io::Error>(chunk_facts(chunk.addrs(), chunk.values()))
@@ -512,25 +512,21 @@ fn digest_pass(
             Ok(folds)
         }
         ReplayMode::InRam => {
-            let results = sweep::parallel(
-                corpus,
-                (0..corpus.len()).collect::<Vec<_>>(),
-                |corpus, &f| {
-                    let trace = &corpus.entries[f].trace;
-                    let packed = trace.to_packed()?;
-                    let (addrs, values) = (packed.addrs(), packed.values());
-                    let ca = trace.chunk_accesses() as usize;
-                    let mut fold = (DIGEST_SEED, 0u64);
-                    for c in 0..trace.chunk_count() {
-                        let lo = (c as usize) * ca;
-                        let hi = (lo + ca).min(addrs.len());
-                        let facts = chunk_facts(&addrs[lo..hi], &values[lo..hi]);
-                        fold.0 = fold_digest(fold.0, facts.digest);
-                        fold.1 += facts.stores;
-                    }
-                    Ok::<(u64, u64), io::Error>(fold)
-                },
-            );
+            let results = Pool::auto().map(corpus.entries.iter().collect(), |entry| {
+                let trace = &entry.trace;
+                let packed = trace.to_packed()?;
+                let (addrs, values) = (packed.addrs(), packed.values());
+                let ca = trace.chunk_accesses() as usize;
+                let mut fold = (DIGEST_SEED, 0u64);
+                for c in 0..trace.chunk_count() {
+                    let lo = (c as usize) * ca;
+                    let hi = (lo + ca).min(addrs.len());
+                    let facts = chunk_facts(&addrs[lo..hi], &values[lo..hi]);
+                    fold.0 = fold_digest(fold.0, facts.digest);
+                    fold.1 += facts.stores;
+                }
+                Ok::<(u64, u64), io::Error>(fold)
+            });
             results.into_iter().collect()
         }
     }
@@ -549,43 +545,39 @@ fn sim_pass(
     mode: ReplayMode,
     decode: ChunkDecode,
 ) -> io::Result<Vec<FileSimResult>> {
-    let results = sweep::parallel(
-        corpus,
-        (0..corpus.len()).collect::<Vec<_>>(),
-        |corpus, &f| {
-            let trace = &corpus.entries[f].trace;
-            let mut sims: Vec<CacheSim> = SWEEP_GEOMETRIES
-                .iter()
-                .map(|&(_, kb, line, assoc)| {
-                    CacheSim::new(
-                        CacheGeometry::new(kb * 1024, line, assoc)
-                            .expect("sweep geometries are valid by construction"),
-                    )
-                })
-                .collect();
-            let mut profiler = ReuseProfiler::new();
-            {
-                let mut sinks: Vec<&mut dyn AccessSink> =
-                    sims.iter_mut().map(|s| s as &mut dyn AccessSink).collect();
-                sinks.push(&mut profiler);
-                match mode {
-                    ReplayMode::Mapped => replay_budgeted(trace, budget, decode, &mut sinks)?,
-                    ReplayMode::InRam => {
-                        let packed = trace.to_packed()?;
-                        for sink in sinks.iter_mut() {
-                            packed.replay_into(&mut **sink);
-                        }
+    let results = Pool::auto().map(corpus.entries.iter().collect(), |entry| {
+        let trace = &entry.trace;
+        let mut sims: Vec<CacheSim> = SWEEP_GEOMETRIES
+            .iter()
+            .map(|&(_, kb, line, assoc)| {
+                CacheSim::new(
+                    CacheGeometry::new(kb * 1024, line, assoc)
+                        .expect("sweep geometries are valid by construction"),
+                )
+            })
+            .collect();
+        let mut profiler = ReuseProfiler::new();
+        {
+            let mut sinks: Vec<&mut dyn AccessSink> =
+                sims.iter_mut().map(|s| s as &mut dyn AccessSink).collect();
+            sinks.push(&mut profiler);
+            match mode {
+                ReplayMode::Mapped => replay_budgeted(trace, budget, decode, &mut sinks)?,
+                ReplayMode::InRam => {
+                    let packed = trace.to_packed()?;
+                    for sink in sinks.iter_mut() {
+                        packed.replay_into(&mut **sink);
                     }
                 }
             }
-            let stats: Vec<(&'static str, CacheStats)> = SWEEP_GEOMETRIES
-                .iter()
-                .zip(&sims)
-                .map(|(&(label, ..), sim)| (label, *sim.stats()))
-                .collect();
-            Ok::<_, io::Error>((stats, profiler.curve()))
-        },
-    );
+        }
+        let stats: Vec<(&'static str, CacheStats)> = SWEEP_GEOMETRIES
+            .iter()
+            .zip(&sims)
+            .map(|(&(label, ..), sim)| (label, *sim.stats()))
+            .collect();
+        Ok::<_, io::Error>((stats, profiler.curve()))
+    });
     results.into_iter().collect()
 }
 
@@ -690,7 +682,7 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// Deterministic synthetic trace with the access structure the corpus
 /// machinery cares about: strong spatial locality (small address
-/// deltas, so the v2.1 varint column compresses), a frequent-value
+/// deltas, so the v2.2 address column compresses), a frequent-value
 /// working set, a store fraction, and heap region events bracketing
 /// the stream. Load values are consistent with prior stores (words
 /// never stored read as zero), matching the value cross-check in
@@ -743,7 +735,7 @@ pub fn synth_trace(accesses: u64, seed: u64) -> PackedTrace {
         .expect("synthetic columns are valid by construction")
 }
 
-/// Writes `traces` synthetic v2.1 files into `dir` (created if absent)
+/// Writes `traces` synthetic v2.2 files into `dir` (created if absent)
 /// and returns their paths in corpus order. File `i` gets
 /// `accesses + i` events so chunk-boundary stragglers vary across the
 /// corpus.
@@ -758,20 +750,23 @@ pub fn write_synthetic_corpus(
     seed: u64,
     chunk_accesses: u32,
 ) -> io::Result<Vec<PathBuf>> {
-    write_synthetic_corpus_with(
-        dir,
-        traces,
-        accesses,
-        seed,
-        chunk_accesses,
-        AddrCodec::Varint,
-    )
+    std::fs::create_dir_all(dir)?;
+    let mut paths = Vec::with_capacity(traces);
+    for i in 0..traces {
+        let trace = synth_trace(accesses + i as u64, seed.wrapping_add(i as u64));
+        let path = dir.join(format!("synth-{i:03}.{TRACE_EXTENSION}"));
+        let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
+        trace.write_v22_with(&mut file, chunk_accesses)?;
+        std::io::Write::flush(&mut file)?;
+        paths.push(path);
+    }
+    Ok(paths)
 }
 
-/// [`write_synthetic_corpus`] with an explicit address-column codec:
-/// [`AddrCodec::Varint`] writes v2.1 files, [`AddrCodec::Split`] v2.2.
-/// Both codecs produce the same logical traces, so sweeps over either
-/// corpus report identical summaries.
+/// [`write_synthetic_corpus`]; `codec` is always [`AddrCodec::Split`],
+/// the one v2.2 address codec. The parameter is held for the benchmark
+/// package (`perfbench/`), which still passes it, until a
+/// benchmark-scoped change retires it (see `ROADMAP.md`).
 ///
 /// # Errors
 ///
@@ -782,22 +777,9 @@ pub fn write_synthetic_corpus_with(
     accesses: u64,
     seed: u64,
     chunk_accesses: u32,
-    codec: AddrCodec,
+    _codec: AddrCodec,
 ) -> io::Result<Vec<PathBuf>> {
-    std::fs::create_dir_all(dir)?;
-    let mut paths = Vec::with_capacity(traces);
-    for i in 0..traces {
-        let trace = synth_trace(accesses + i as u64, seed.wrapping_add(i as u64));
-        let path = dir.join(format!("synth-{i:03}.{TRACE_EXTENSION}"));
-        let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
-        match codec {
-            AddrCodec::Varint => trace.write_v21_with(&mut file, chunk_accesses)?,
-            AddrCodec::Split => trace.write_v22_with(&mut file, chunk_accesses)?,
-        }
-        std::io::Write::flush(&mut file)?;
-        paths.push(path);
-    }
-    Ok(paths)
+    write_synthetic_corpus(dir, traces, accesses, seed, chunk_accesses)
 }
 
 #[cfg(test)]
@@ -956,35 +938,6 @@ mod tests {
     }
 
     #[test]
-    fn v21_and_v22_corpora_sweep_identically() {
-        let dir21 = temp_dir("codec-v21");
-        let dir22 = temp_dir("codec-v22");
-        write_synthetic_corpus_with(&dir21, 2, 6_000, 9, 512, AddrCodec::Varint).unwrap();
-        write_synthetic_corpus_with(&dir22, 2, 6_000, 9, 512, AddrCodec::Split).unwrap();
-        let c21 = Corpus::open_dir(&dir21).unwrap();
-        let c22 = Corpus::open_dir(&dir22).unwrap();
-        assert!(c21
-            .entries()
-            .iter()
-            .all(|e| e.trace.codec() == AddrCodec::Varint));
-        assert!(c22
-            .entries()
-            .iter()
-            .all(|e| e.trace.codec() == AddrCodec::Split));
-        let r21 = sweep_corpus(&c21, 32 * 1024, ReplayMode::Mapped).unwrap();
-        let r22 = sweep_corpus(&c22, 32 * 1024, ReplayMode::Mapped).unwrap();
-        for (a, b) in r21.summaries.iter().zip(&r22.summaries) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.digest, b.digest);
-            assert_eq!(a.stores, b.stores);
-            assert_eq!(a.geometries, b.geometries);
-            assert_eq!(a.curve, b.curve);
-        }
-        let _ = std::fs::remove_dir_all(&dir21);
-        let _ = std::fs::remove_dir_all(&dir22);
-    }
-
-    #[test]
     fn digest_distinguishes_traces_and_tracks_order() {
         let a = synth_trace(1000, 1);
         let b = synth_trace(1000, 2);
@@ -1024,7 +977,7 @@ mod tests {
     fn corrupt_file_surfaces_its_path() {
         let dir = temp_dir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("bad.fvltrc"), b"FVLTRC21 but truncated").unwrap();
+        std::fs::write(dir.join("bad.fvltrc"), b"FVLTRC22 but truncated").unwrap();
         let err = Corpus::open_dir(&dir).unwrap_err();
         assert!(err.to_string().contains("bad.fvltrc"));
         let _ = std::fs::remove_dir_all(&dir);

@@ -3,7 +3,7 @@
 use crate::engine::{CellId, Completed, Engine, FnJob};
 use crate::sim::{SimResult, SimSpec};
 use crate::store::{OnceMap, TraceKey, TraceStore};
-use fvl_mem::{TraceBuffer, TraceRepr, TraceReprKind, TracedMemory, Word};
+use fvl_mem::{PackedTrace, TraceBuffer, TraceRepr, TraceReprKind, TracedMemory, Word};
 use fvl_profile::{OccurrenceSampler, ValueCounter};
 use fvl_workloads::{by_name, InputSize, Workload};
 use std::fmt;
@@ -24,8 +24,9 @@ pub const SMOKE_REFS: u64 = 1000;
 pub struct WorkloadData {
     /// Short workload name (e.g. `"m88ksim"`).
     pub name: String,
-    /// The recorded event log, in the representation the capture was
-    /// asked for (columnar packed by default; see [`TraceReprKind`]).
+    /// The recorded event log in the columnar packed layout. The
+    /// [`TraceRepr`] wrapper dereferences to the [`PackedTrace`] and is
+    /// held only for the benchmark package (see `fvl_mem::TraceRepr`).
     pub trace: TraceRepr,
     /// Frequently *accessed* value profile.
     pub counter: ValueCounter,
@@ -46,21 +47,12 @@ impl WorkloadData {
 
     /// Like [`WorkloadData::capture`], but keeps only the first
     /// `max_refs` recorded references when a limit is given (smoke
-    /// mode); the profiles are built from the truncated trace.
-    pub fn capture_limited(workload: Box<dyn Workload>, max_refs: Option<u64>) -> Self {
-        Self::capture_limited_as(workload, max_refs, TraceReprKind::default())
-    }
-
-    /// [`WorkloadData::capture_limited`] with an explicit trace storage
-    /// layout. With a reference budget the recording buffer is
-    /// pre-sized from the hint and capped *during* recording (no
-    /// post-hoc truncation copy); the result is identical to recording
-    /// everything and taking [`fvl_mem::Trace::into_prefix`].
-    pub fn capture_limited_as(
-        mut workload: Box<dyn Workload>,
-        max_refs: Option<u64>,
-        repr: TraceReprKind,
-    ) -> Self {
+    /// mode); the profiles are built from the truncated trace. With a
+    /// reference budget the recording buffer is pre-sized from the hint
+    /// and capped *during* recording (no post-hoc truncation copy); the
+    /// result is identical to recording everything and taking
+    /// [`fvl_mem::Trace::into_prefix`].
+    pub fn capture_limited(mut workload: Box<dyn Workload>, max_refs: Option<u64>) -> Self {
         let mut buf = match max_refs {
             // Room for the capped accesses plus the (rare) region
             // events interleaved with them.
@@ -73,7 +65,7 @@ impl WorkloadData {
             workload.run(&mut mem);
             mem.finish();
         }
-        let trace = TraceRepr::from_trace(buf.into_trace(), repr);
+        let trace = TraceRepr::Packed(PackedTrace::from_trace(&buf.into_trace()));
         let mut counter = ValueCounter::new();
         trace.replay_into(&mut counter);
         let sample_every = (trace.accesses() / SNAPSHOTS_PER_RUN).max(1);
@@ -87,6 +79,18 @@ impl WorkloadData {
             sample_every,
             sims: OnceMap::new(),
         }
+    }
+
+    /// [`WorkloadData::capture_limited`]; captures have one layout, so
+    /// `repr` is always [`TraceReprKind::Packed`]. Held for the
+    /// benchmark package, which still calls it (see
+    /// `fvl_mem::TraceRepr`).
+    pub fn capture_limited_as(
+        workload: Box<dyn Workload>,
+        max_refs: Option<u64>,
+        _repr: TraceReprKind,
+    ) -> Self {
+        Self::capture_limited(workload, max_refs)
     }
 
     /// The top `k` frequently accessed values (the set the FVC uses).
@@ -182,9 +186,6 @@ pub struct ExperimentContext {
     /// When set, every captured trace is truncated to this many
     /// references (the `--smoke` mode).
     pub max_refs: Option<u64>,
-    /// Storage layout captures are kept in (packed by default; the
-    /// `--legacy-trace` flag flips it for A/B runs).
-    pub repr: TraceReprKind,
     /// The execution substrate (engine + store) for this batch.
     core: EngineCore,
 }
@@ -195,7 +196,6 @@ impl Default for ExperimentContext {
             input: InputSize::Ref,
             seed: 1,
             max_refs: None,
-            repr: TraceReprKind::default(),
             core: EngineCore::serial(),
         }
     }
@@ -268,15 +268,6 @@ impl ExperimentContext {
         self
     }
 
-    /// Selects the trace storage layout for every capture of this
-    /// batch. All experiment results are representation-independent;
-    /// packed (the default) halves the store's resident bytes and
-    /// replays faster.
-    pub fn with_trace_repr(mut self, repr: TraceReprKind) -> Self {
-        self.repr = repr;
-        self
-    }
-
     /// The engine scheduling this batch's cells.
     pub fn engine(&self) -> &Engine {
         self.core.engine()
@@ -321,7 +312,7 @@ impl ExperimentContext {
         let key = TraceKey::new(name, input, seed, self.max_refs);
         self.core.store.get_or_capture(key, || {
             let w = by_name(name, input, seed).unwrap_or_else(|| panic!("unknown workload {name}"));
-            WorkloadData::capture_limited_as(w, self.max_refs, self.repr)
+            WorkloadData::capture_limited(w, self.max_refs)
         })
     }
 

@@ -37,7 +37,7 @@ impl std::fmt::Display for CellId {
 }
 
 /// A completed cell: its output plus the number of trace references
-/// the cell replayed (for the engine's aggregate throughput counters)
+/// the cell charges (for the engine's aggregate throughput counters)
 /// and, optionally, a label and per-cache-class counters for the
 /// engine's per-cell metrics log.
 ///
@@ -54,7 +54,8 @@ impl std::fmt::Display for CellId {
 pub struct Completed<R> {
     /// The cell's result.
     pub output: R,
-    /// References simulated while producing it.
+    /// References the cell stands for: the ones it replayed, or the
+    /// ones a memoized simulation result it read stands for.
     pub references: u64,
     /// Cell identity for the engine's metrics log. Cells produced by a
     /// [`Job`] are identified by [`Job::id`] instead; anonymous
@@ -66,7 +67,7 @@ pub struct Completed<R> {
 }
 
 impl<R> Completed<R> {
-    /// A completed cell that replayed `references` trace references.
+    /// A completed cell that charges `references` trace references.
     pub fn new(output: R, references: u64) -> Self {
         Completed {
             output,

@@ -8,10 +8,12 @@
 //! sees exactly the sequence a serial run would have produced and the
 //! rendered output is bit-identical for any `--jobs` count.
 //!
-//! Cells report how many trace references they replayed; the engine
-//! accumulates aggregate throughput ([`Throughput`]: cells/sec and
-//! references simulated/sec) across every batch it schedules, which
-//! the `experiments` binary prints at the end of a run.
+//! Cells report how many trace references they charge — the ones they
+//! replayed, or the ones a memoized simulation result stands for (see
+//! [`crate::sim`]); the engine accumulates aggregate throughput
+//! ([`Throughput`]: cells/sec and references charged/sec) across every
+//! batch it schedules, which the `experiments` binary prints at the end
+//! of a run.
 //!
 //! Nesting is safe by construction: when the `experiments` binary runs
 //! several experiments concurrently, each experiment's own cell

@@ -1,7 +1,7 @@
 //! Per-cell measurement records — the engine's machine-readable trail.
 //!
 //! Every scheduled cell can leave behind a [`CellRecord`]: who it was
-//! ([`CellId`]), how many trace references it replayed, how long it ran
+//! ([`CellId`]), how many trace references it charged, how long it ran
 //! on its worker, and the hit/miss counters of each cache *class* it
 //! simulated (`"dmc"`, `"dmc+fvc"`, `"victim"`, …). The engine appends
 //! records **in submission order** after each batch completes, so the
@@ -69,7 +69,8 @@ impl ClassStats {
 pub struct CellRecord {
     /// Which cell this was.
     pub id: CellId,
-    /// Trace references the cell replayed.
+    /// Trace references the cell charged (see
+    /// [`crate::engine::Completed::references`]).
     pub references: u64,
     /// Wall-clock nanoseconds the cell spent on its worker. Excluded
     /// from deterministic exports (scheduling-dependent).

@@ -30,7 +30,9 @@ impl Counters {
 pub struct Throughput {
     /// Simulation cells completed.
     pub cells: u64,
-    /// Trace references simulated across all cells.
+    /// Trace references charged across all cells: the references each
+    /// cell stands for, whether it replayed them or served a memoized
+    /// result (see [`crate::sim`]).
     pub references: u64,
     /// Wall-clock time since the engine was created.
     pub elapsed: Duration,
@@ -42,7 +44,7 @@ impl Throughput {
         self.cells as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 
-    /// References simulated per wall-clock second.
+    /// References charged per wall-clock second.
     pub fn refs_per_sec(&self) -> f64 {
         self.references as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
@@ -52,7 +54,7 @@ impl std::fmt::Display for Throughput {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} cells in {:.2?} ({:.1} cells/sec); {} references simulated ({:.2}M refs/sec)",
+            "{} cells in {:.2?} ({:.1} cells/sec); {} references charged ({:.2}M refs/sec)",
             self.cells,
             self.elapsed,
             self.cells_per_sec(),

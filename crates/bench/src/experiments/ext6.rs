@@ -7,20 +7,19 @@
 //! power-of-two capacity (32 B up to 32 KB, one line size) at once.
 //!
 //! The experiment replays each of the six high-value-locality
-//! benchmarks **once**, feeding the [`ReuseProfiler`] and eleven
-//! fully-associative [`CacheSim`] instances (one per profiler level) in
-//! the same broadcast walk, then cross-checks the profiler's hit counts
-//! against the independently simulated caches at every level — the
-//! one-pass curve must be *exact*, not an approximation. Both sides
+//! benchmarks into the [`ReuseProfiler`] — one pass for the whole
+//! curve — and into eleven fully-associative [`CacheSim`] instances
+//! (one per profiler level), then cross-checks the profiler's hit
+//! counts against the independently simulated caches at every level —
+//! the one-pass curve must be *exact*, not an approximation. Both sides
 //! land in the metrics log as classes (`tower-*`, `fa-*`) so the
-//! equality can be re-derived straight from `BENCH_fvl.json`.
+//! equality can be re-derived straight from the `--metrics` export.
 
 use super::Report;
 use crate::data::ExperimentContext;
 use crate::engine::{CellId, ClassStats, Completed};
 use crate::table::{pct, Table};
 use fvl_cache::{CacheGeometry, CacheSim, CacheStats};
-use fvl_mem::AccessSink;
 use fvl_profile::{MissCurve, ReuseProfiler, DEFAULT_LINE_BYTES, TOWER_LEVELS};
 
 /// Human-readable capacity of each tower level (`2^level` lines of
@@ -73,12 +72,10 @@ pub fn run(ctx: &ExperimentContext) -> Report {
                 )
             })
             .collect();
-        {
-            let mut sinks: Vec<&mut dyn AccessSink> =
-                sims.iter_mut().map(|s| s as &mut dyn AccessSink).collect();
-            sinks.push(&mut profiler);
-            data.trace.broadcast_dyn(&mut sinks);
+        for sim in &mut sims {
+            data.trace.replay_into(sim);
         }
+        data.trace.replay_into(&mut profiler);
         let sim_stats: Vec<CacheStats> = sims.iter().map(|s| *s.stats()).collect();
         let matches = (0..TOWER_LEVELS)
             .filter(|&level| {

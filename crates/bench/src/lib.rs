@@ -21,6 +21,7 @@
 //! `experiments --metrics <path>` (deterministic across `--jobs`
 //! counts; see that module's docs for the schema).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod corpus;
@@ -31,7 +32,6 @@ pub mod metrics;
 pub mod remote;
 pub mod sim;
 pub mod store;
-pub mod sweep;
 pub mod table;
 
 pub use data::{EngineCore, ExperimentContext, WorkloadData};

@@ -163,12 +163,13 @@ pub fn json_report_with_extra(
 /// Capture-cache statistics: distinct key count, per-key hit/miss
 /// counters (keys sorted, so the block itself is deterministic for a
 /// fixed run configuration), the resident footprint of the cached
-/// traces — events, bytes, bytes/event, and the storage representation
-/// they are held in — and the simulation-memo counts (`sims`), in
-/// total and per capture.
+/// traces — events, bytes and bytes/event — and the simulation-memo
+/// counts (`sims`), in total and per capture.
 ///
-/// `enabled` and `simd` are constants (the store always memoizes and
-/// replay has one kernel), kept so schema v1 keeps its keys.
+/// `enabled`, `repr` and `simd` are constants (the store always
+/// memoizes, captures have one layout and replay has one kernel), kept
+/// so schema v1 keeps its keys; `repr` reads `"none"` until the store
+/// holds a capture.
 fn trace_store_block(store: &TraceStore) -> Json {
     let stats = store.stats();
     let sims = stats.iter().map(|s| s.sims).sum();
@@ -179,7 +180,14 @@ fn trace_store_block(store: &TraceStore) -> Json {
         ("distinct_keys", Json::U64(stats.len() as u64)),
         ("hits", Json::U64(stats.iter().map(|s| s.hits).sum())),
         ("misses", Json::U64(stats.iter().map(|s| s.misses).sum())),
-        ("repr", Json::from(store.repr_label().unwrap_or("none"))),
+        (
+            "repr",
+            Json::from(if store.cached().next().is_some() {
+                "packed"
+            } else {
+                "none"
+            }),
+        ),
         ("simd", Json::from("scalar")),
         ("resident_events", Json::U64(events)),
         ("resident_bytes", Json::U64(bytes)),
@@ -425,7 +433,16 @@ mod tests {
         );
         let timed = json_report_full(&engine, &run, Some(&store), true).render();
         assert!(timed.contains("\"trace_store\":{\"enabled\":true,\"distinct_keys\":0"));
+        assert!(timed.contains("\"repr\":\"none\""));
         assert!(timed.contains("\"simd\":\"scalar\""));
+        let key = crate::TraceKey::new("li", fvl_workloads::InputSize::Test, 1, Some(100));
+        store.get_or_capture(key, || {
+            let li = fvl_workloads::by_name("li", fvl_workloads::InputSize::Test, 1)
+                .expect("li is a workload");
+            crate::WorkloadData::capture_limited(li, Some(100))
+        });
+        let timed = json_report_full(&engine, &run, Some(&store), true).render();
+        assert!(timed.contains("\"repr\":\"packed\""));
     }
 
     #[test]

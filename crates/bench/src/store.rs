@@ -239,8 +239,8 @@ impl TraceStore {
 
     /// Heap bytes resident across every cached capture's trace — the
     /// footprint the capture-once discipline pays to keep ~26 traces
-    /// alive for a full `all` sweep. The columnar packed layout (the
-    /// default) roughly halves this against the legacy event-log form.
+    /// alive for a full `all` sweep, at about 8 bytes per access in the
+    /// columnar packed layout.
     pub fn resident_trace_bytes(&self) -> u64 {
         self.cached()
             .map(|data| data.trace.approx_bytes() as u64)
@@ -253,25 +253,8 @@ impl TraceStore {
         self.cached().map(|data| data.trace.len() as u64).sum()
     }
 
-    /// The storage-representation label shared by every cached capture
-    /// (`"packed"` / `"legacy"`), `Some("mixed")` when captures
-    /// disagree, or `None` while nothing is cached yet.
-    pub fn repr_label(&self) -> Option<&'static str> {
-        let mut labels: Vec<&'static str> = self
-            .cached()
-            .map(|data| data.trace.kind().label())
-            .collect();
-        labels.sort_unstable();
-        labels.dedup();
-        match labels.len() {
-            0 => None,
-            1 => Some(labels[0]),
-            _ => Some("mixed"),
-        }
-    }
-
     /// Every capture currently latched in the store.
-    fn cached(&self) -> impl Iterator<Item = Arc<WorkloadData>> {
+    pub(crate) fn cached(&self) -> impl Iterator<Item = Arc<WorkloadData>> {
         self.captures
             .entries()
             .into_iter()

@@ -51,7 +51,11 @@ fn every_experiment_is_deterministic_across_worker_counts() {
     }
 }
 
+/// A wall-clock speed-up assertion: beside other test binaries on two
+/// vCPUs the parallel run can lose to the serial one, so the test is
+/// ignored by default and CI runs it alone with `--ignored`.
 #[test]
+#[ignore = "timing-sensitive: fails beside other test binaries on 2 vCPUs; CI runs it alone"]
 fn parallel_smoke_run_is_faster_on_multicore() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())

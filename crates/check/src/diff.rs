@@ -15,8 +15,9 @@ use crate::oracle_replay::{scalar_replay, DigestSink};
 use crate::oracle_reuse::OracleReuse;
 use fvl_cache::{CacheGeometry, CacheSim, CacheStats, ReplacementKind, Simulator, WritePolicy};
 use fvl_core::{FrequentValueSet, HybridCache, HybridConfig, HybridStats, OnlineHybrid};
-use fvl_mem::{AccessSink, Addr, AddrCodec, MappedTrace, PackedTrace, Trace, Word, CHUNK_ACCESSES};
+use fvl_mem::{AccessSink, Addr, MappedTrace, PackedTrace, Trace, Word, CHUNK_ACCESSES};
 use fvl_profile::{ReuseProfiler, DEFAULT_LINE_BYTES, TOWER_LEVELS};
+use fvl_runner::Pool;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -140,10 +141,9 @@ fn mirror(kind: ReplacementKind) -> OracleReplacement {
 
 /// Diffs every replay path against the one-event-at-a-time scalar
 /// reference: monomorphized `Trace` replay, `PackedTrace` replay, the
-/// packed round-trip, broadcast delivery at single-sink, inline
-/// (≤ 4 sinks) and chunked (> 4 sinks) widths, and replay after the
-/// chunked v2 binary round-trip (the corpus includes lengths
-/// straddling the 64 KiB chunk boundary).
+/// packed round-trip, and replay after the chunked v2 binary
+/// round-trip (the corpus includes lengths straddling the 64 KiB chunk
+/// boundary).
 pub fn diff_replay(trace: &Trace) -> Option<String> {
     let mut reference = DigestSink::new();
     scalar_replay(trace, &mut reference);
@@ -170,17 +170,6 @@ pub fn diff_replay(trace: &Trace) -> Option<String> {
         return Some("PackedTrace round-trip changed the event stream".to_string());
     }
 
-    for sinks in [1usize, 3, 6] {
-        let mut batch: Vec<DigestSink> = vec![DigestSink::new(); sinks];
-        packed.broadcast_into(&mut batch);
-        if let Some(i) = batch.iter().position(|d| *d != reference) {
-            return Some(format!(
-                "broadcast_into with {sinks} sinks diverged at sink {i}: {:?} vs {reference:?}",
-                batch[i]
-            ));
-        }
-    }
-
     let mut encoded = Vec::new();
     packed
         .write_to(&mut encoded)
@@ -200,139 +189,101 @@ pub fn diff_replay(trace: &Trace) -> Option<String> {
     None
 }
 
-/// Diffs the out-of-core chunk-indexed trace path — both the v2.1
-/// varint and v2.2 stream-split codecs — against the fully resident
-/// packed replay. The trace is encoded at several chunk sizes (so the
-/// corpus's chunk-boundary access counts straddle a chunk edge in at
-/// least one of them), reopened through [`MappedTrace::from_bytes`],
-/// and must (a) round-trip its columns and region side table exactly,
-/// (b) produce a byte-identical order-sensitive replay digest from
-/// lazy chunk-by-chunk delivery, and (c) yield identical [`CacheSim`]
-/// stats and traffic when the simulators are fed from the lazy stream
-/// instead of the resident one. A final transcode leg re-encodes each
-/// format as the other and requires byte-identical files.
+/// Diffs the out-of-core chunk-indexed v2.2 trace path against the
+/// fully resident packed replay. The trace is encoded at several chunk
+/// sizes (so the corpus's chunk-boundary access counts straddle a chunk
+/// edge in at least one of them), reopened through
+/// [`MappedTrace::from_bytes`], and must (a) round-trip its columns and
+/// region side table exactly, (b) produce a byte-identical
+/// order-sensitive replay digest from lazy chunk-by-chunk delivery, and
+/// (c) yield identical [`CacheSim`] stats and traffic when the
+/// simulators are fed from the lazy stream instead of the resident one.
+/// A final transcode leg decodes the file, re-encodes it as v2.2 and
+/// requires the bytes of the direct encoding.
 ///
-/// The in-RAM side never touches the address codecs, so a codec bug
+/// The in-RAM side never touches the address codec, so a codec bug
 /// cannot cancel out of the comparison.
 pub fn diff_corpus(trace: &Trace) -> Option<String> {
     let packed = PackedTrace::from_trace(trace);
     let mut reference = DigestSink::new();
     packed.replay_into(&mut reference);
 
-    for codec in [AddrCodec::Varint, AddrCodec::Split] {
-        let tag = match codec {
-            AddrCodec::Varint => "v2.1",
-            AddrCodec::Split => "v2.2",
-        };
-        for chunk_accesses in [7u32, 64, CHUNK_ACCESSES] {
-            let mut encoded = Vec::new();
-            match codec {
-                AddrCodec::Varint => packed.write_v21_with(&mut encoded, chunk_accesses),
-                AddrCodec::Split => packed.write_v22_with(&mut encoded, chunk_accesses),
-            }
+    for chunk_accesses in [7u32, 64, CHUNK_ACCESSES] {
+        let mut encoded = Vec::new();
+        packed
+            .write_v22_with(&mut encoded, chunk_accesses)
             .expect("in-memory write cannot fail");
-            let mapped = match MappedTrace::from_bytes(encoded) {
-                Ok(mapped) => mapped,
-                Err(e) => {
-                    return Some(format!(
-                        "{tag} (chunk {chunk_accesses}) failed to open: {e}"
-                    ))
-                }
-            };
-            if mapped.codec() != codec {
+        let mapped = match MappedTrace::from_bytes(encoded) {
+            Ok(mapped) => mapped,
+            Err(e) => return Some(format!("v2.2 (chunk {chunk_accesses}) failed to open: {e}")),
+        };
+
+        let resident = match mapped.to_packed() {
+            Ok(resident) => resident,
+            Err(e) => {
                 return Some(format!(
-                    "{tag} (chunk {chunk_accesses}) sniffed as {:?}",
-                    mapped.codec()
+                    "v2.2 (chunk {chunk_accesses}) failed to decode resident: {e}"
+                ))
+            }
+        };
+        if resident.addrs() != packed.addrs()
+            || resident.values() != packed.values()
+            || resident.region_events() != packed.region_events()
+        {
+            return Some(format!(
+                "v2.2 (chunk {chunk_accesses}) round-trip changed the columns"
+            ));
+        }
+
+        let mut lazy = DigestSink::new();
+        if let Err(e) = mapped.replay_into(&mut lazy) {
+            return Some(format!(
+                "v2.2 (chunk {chunk_accesses}) lazy replay failed: {e}"
+            ));
+        }
+        if lazy != reference {
+            return Some(format!(
+                "v2.2 (chunk {chunk_accesses}) lazy replay digest diverged: \
+                 {lazy:?} vs {reference:?}"
+            ));
+        }
+
+        for &(size, line, assoc) in &GEOMETRIES {
+            let geom = CacheGeometry::new(size, line, assoc).expect("valid geometry");
+            let mut in_ram = CacheSim::new(geom);
+            packed.replay_into(&mut in_ram);
+            let mut out_of_core = CacheSim::new(geom);
+            if let Err(e) = mapped.replay_into(&mut out_of_core) {
+                return Some(format!(
+                    "v2.2 (chunk {chunk_accesses}) lazy cache replay failed: {e}"
                 ));
             }
-
-            let resident = match mapped.to_packed() {
-                Ok(resident) => resident,
-                Err(e) => {
-                    return Some(format!(
-                        "{tag} (chunk {chunk_accesses}) failed to decode resident: {e}"
-                    ))
-                }
-            };
-            if resident.addrs() != packed.addrs()
-                || resident.values() != packed.values()
-                || resident.region_events() != packed.region_events()
+            if in_ram.stats() != out_of_core.stats()
+                || in_ram.traffic_words() != out_of_core.traffic_words()
             {
                 return Some(format!(
-                    "{tag} (chunk {chunk_accesses}) round-trip changed the columns"
+                    "CacheSim {size}B/{line}B/{assoc}-way fed from the v2.2 lazy stream \
+                     (chunk {chunk_accesses}) diverged: {:?} vs in-RAM {:?}",
+                    out_of_core.stats(),
+                    in_ram.stats()
                 ));
-            }
-
-            let mut lazy = DigestSink::new();
-            if let Err(e) = mapped.replay_into(&mut lazy) {
-                return Some(format!(
-                    "{tag} (chunk {chunk_accesses}) lazy replay failed: {e}"
-                ));
-            }
-            if lazy != reference {
-                return Some(format!(
-                    "{tag} (chunk {chunk_accesses}) lazy replay digest diverged: \
-                     {lazy:?} vs {reference:?}"
-                ));
-            }
-
-            for &(size, line, assoc) in &GEOMETRIES {
-                let geom = CacheGeometry::new(size, line, assoc).expect("valid geometry");
-                let mut in_ram = CacheSim::new(geom);
-                packed.replay_into(&mut in_ram);
-                let mut out_of_core = CacheSim::new(geom);
-                if let Err(e) = mapped.replay_into(&mut out_of_core) {
-                    return Some(format!(
-                        "{tag} (chunk {chunk_accesses}) lazy cache replay failed: {e}"
-                    ));
-                }
-                if in_ram.stats() != out_of_core.stats()
-                    || in_ram.traffic_words() != out_of_core.traffic_words()
-                {
-                    return Some(format!(
-                        "CacheSim {size}B/{line}B/{assoc}-way fed from the {tag} lazy stream \
-                         (chunk {chunk_accesses}) diverged: {:?} vs in-RAM {:?}",
-                        out_of_core.stats(),
-                        in_ram.stats()
-                    ));
-                }
             }
         }
     }
 
-    // Transcode leg: decoding one chunked format and re-encoding as the
-    // other must match encoding the resident trace directly — the two
-    // codecs describe the same logical columns, so transcoding is
-    // byte-lossless in both directions.
-    let mut v21 = Vec::new();
-    packed.write_v21_to(&mut v21).expect("in-memory write");
-    let mut v22 = Vec::new();
-    packed.write_v22_to(&mut v22).expect("in-memory write");
-    let from_v21 = match MappedTrace::from_bytes(v21).and_then(|m| m.to_packed()) {
-        Ok(t) => t,
-        Err(e) => return Some(format!("transcode leg failed to reopen v2.1: {e}")),
-    };
-    let mut v22_again = Vec::new();
-    from_v21
-        .write_v22_to(&mut v22_again)
-        .expect("in-memory write");
-    if v22_again != v22 {
-        return Some("v2.1 -> v2.2 transcode is not byte-identical".to_string());
-    }
-    let from_v22 = match MappedTrace::from_bytes(v22).and_then(|m| m.to_packed()) {
+    // Transcode leg: decoding the file and re-encoding it must give the
+    // bytes of encoding the resident trace directly — the codec is
+    // byte-lossless.
+    let mut direct = Vec::new();
+    packed.write_v22_to(&mut direct).expect("in-memory write");
+    let decoded = match MappedTrace::from_bytes(direct.clone()).and_then(|m| m.to_packed()) {
         Ok(t) => t,
         Err(e) => return Some(format!("transcode leg failed to reopen v2.2: {e}")),
     };
-    let mut v21_again = Vec::new();
-    from_v21
-        .write_v21_to(&mut v21_again)
-        .expect("in-memory write");
-    let mut v21_direct = Vec::new();
-    from_v22
-        .write_v21_to(&mut v21_direct)
-        .expect("in-memory write");
-    if v21_again != v21_direct {
-        return Some("v2.2 -> v2.1 transcode is not byte-identical".to_string());
+    let mut again = Vec::new();
+    decoded.write_v22_to(&mut again).expect("in-memory write");
+    if again != direct {
+        return Some("v2.2 decode and re-encode is not byte-identical".to_string());
     }
     None
 }
@@ -830,11 +781,10 @@ pub fn diff_hybrid_oracle_with(
     None
 }
 
-/// Diffs the lock-free parallel sweeps against a serial oracle sweep:
-/// [`fvl_bench::sweep::parallel`] and batched
-/// [`fvl_bench::sweep::parallel_broadcast`] must both report, per
+/// Diffs a parallel sweep on the engine's pool against a serial oracle
+/// sweep: [`Pool::map`] over four workers must report, per
 /// configuration (geometry × write policy × replacement kind), exactly
-/// the stats the [`OracleCache`] computes serially.
+/// the stats the [`OracleCache`] computes serially, in input order.
 pub fn diff_sweep(trace: &Trace) -> Option<String> {
     type SweepConfig = (u64, u32, u32, WritePolicy, OraclePolicy, ReplacementKind);
     let configs: Vec<SweepConfig> = GEOMETRIES
@@ -855,35 +805,19 @@ pub fn diff_sweep(trace: &Trace) -> Option<String> {
         })
         .collect();
 
-    let make = |&(size, line, assoc, policy, _, kind): &SweepConfig| {
-        CacheSim::new(CacheGeometry::new(size, line, assoc).expect("valid geometry"))
-            .with_write_policy(policy)
-            .with_replacement(kind)
-    };
-
-    let par: Vec<CacheStats> = fvl_bench::sweep::parallel(trace, configs.clone(), |t, config| {
-        let mut sim = make(config);
-        t.replay_into(&mut sim);
-        *sim.stats()
-    });
+    let par: Vec<CacheStats> =
+        Pool::new(4).map(configs.clone(), |(size, line, assoc, policy, _, kind)| {
+            let mut sim =
+                CacheSim::new(CacheGeometry::new(size, line, assoc).expect("valid geometry"))
+                    .with_write_policy(policy)
+                    .with_replacement(kind);
+            trace.replay_into(&mut sim);
+            *sim.stats()
+        });
     for (i, (got, want)) in par.iter().zip(&serial).enumerate() {
         if !want.matches(got) {
             return Some(format!(
                 "parallel sweep config {i} ({:?}) diverged: {got:?} vs oracle {want:?}",
-                configs[i]
-            ));
-        }
-    }
-
-    let packed = PackedTrace::from_trace(trace);
-    let broadcast: Vec<CacheStats> =
-        fvl_bench::sweep::parallel_broadcast(&packed, configs.clone(), 2, make, |_, sim| {
-            *sim.stats()
-        });
-    for (i, (got, want)) in broadcast.iter().zip(&serial).enumerate() {
-        if !want.matches(got) {
-            return Some(format!(
-                "broadcast sweep config {i} ({:?}) diverged: {got:?} vs oracle {want:?}",
                 configs[i]
             ));
         }

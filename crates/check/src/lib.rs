@@ -23,9 +23,10 @@
 //!   deleting events.
 //! * **Differential runners** ([`diff`]) replaying every generated
 //!   trace through oracle-vs-optimized pairs — `Trace` vs `PackedTrace`
-//!   broadcast, array vs linear-scan encode, `OnlineHybrid` vs an
+//!   replay, array vs linear-scan encode, `OnlineHybrid` vs an
 //!   offline-profiled hybrid, `HybridCache` vs the decoded-word
-//!   `OracleHybrid`, parallel `sweep` vs a serial oracle sweep, the
+//!   `OracleHybrid`, a parallel sweep on the engine's pool vs a serial
+//!   oracle sweep, the mapped v2.2 reader vs resident replay, the
 //!   bucketed `ReuseProfiler` stack vs a `Vec` stack —
 //!   asserting stat-for-stat equality.
 //!
@@ -35,7 +36,7 @@
 //! diffing the `fvl-serve` wire path — frame-codec byte round-trips and
 //! loopback daemon sessions — against in-process execution.
 //! `tests/mutation_smoke.rs` (behind the `mutation` feature) proves the
-//! net has teeth by catching eight deliberately seeded simulator bugs.
+//! net has teeth by catching seven deliberately seeded simulator bugs.
 //!
 //! # Example
 //!

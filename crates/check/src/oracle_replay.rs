@@ -1,10 +1,10 @@
 //! A deliberately naive scalar replayer and an order-sensitive sink.
 //!
 //! The optimized replay paths ([`fvl_mem::Trace::replay_into`]
-//! monomorphization, [`fvl_mem::PackedTrace`] columnar broadcast with
-//! chunked multi-sink delivery) are diffed against [`scalar_replay`]:
-//! a plain loop over the event slice that feeds exactly one sink, one
-//! event at a time, with dynamic dispatch and no batching.
+//! monomorphization, the [`fvl_mem::PackedTrace`] columnar walk) are
+//! diffed against [`scalar_replay`]: a plain loop over the event slice
+//! that feeds exactly one sink, one event at a time, with dynamic
+//! dispatch and no batching.
 
 use fvl_mem::{Access, AccessKind, AccessSink, Region, Trace, TraceEvent};
 

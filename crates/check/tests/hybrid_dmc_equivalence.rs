@@ -144,7 +144,11 @@ fn fvc_less_hybrid_matches_cache_sim_on_quick_traces_except_known_cells() {
             name,
             ext5_shape,
             &data.top_accessed(7),
-            |sinks| data.trace.broadcast_dyn(sinks),
+            |sinks| {
+                for sink in sinks.iter_mut() {
+                    data.trace.replay_into(&mut **sink);
+                }
+            },
         ));
     }
     assert_eq!(observed, expected(&EXPECTED_QUICK));

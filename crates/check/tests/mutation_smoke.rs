@@ -1,6 +1,6 @@
 //! Mutation smoke test: prove the differential net has teeth.
 //!
-//! Compiled only under the `mutation` feature, which turns on eight
+//! Compiled only under the `mutation` feature, which turns on seven
 //! deliberately seeded bugs in the optimized crates:
 //!
 //! 1. an off-by-one set-index mask in `fvl-cache`'s geometry (the top
@@ -13,20 +13,16 @@
 //!    head of the set's recency list, the most recently used way, is
 //!    evicted instead of its tail) — inert at 1-way associativity,
 //!    where there is only one way,
-//! 5. an off-by-one continuation-bit check in `fvl-mem`'s varint
-//!    decoder (`byte < 0x7f` instead of `byte < 0x80`), which
-//!    misreads any v2.1 address token whose final varint byte is
-//!    exactly `0x7f` and desynchronizes the rest of the chunk, and
-//! 6. a flipped control-byte length-table entry in `fvl-mem`'s v2.2
+//! 5. a flipped control-byte length-table entry in `fvl-mem`'s v2.2
 //!    stream-split decoder (`lane_len(0, 0)` reads 2 payload bytes
 //!    instead of 1), which desynchronizes any chunk whose first group
-//!    holds four single-byte tokens, and
-//! 7. a frame-length off-by-one in `fvl-mem`'s serve frame codec
+//!    holds four single-byte tokens,
+//! 6. a frame-length off-by-one in `fvl-mem`'s serve frame codec
 //!    (`read_frame` shortens every declared payload length by one), so
 //!    each non-empty frame read back over the wire loses its final
 //!    byte and leaves a stray byte in the stream that desynchronizes
 //!    every later header, and
-//! 8. a skipped partial write-back in `fvl-core`'s DMC+FVC hybrid (a
+//! 7. a skipped partial write-back in `fvl-core`'s DMC+FVC hybrid (a
 //!    dirty FVC victim's frequent words are dropped instead of written
 //!    back), so the values the FVC absorbed are lost from memory.
 //!
@@ -154,46 +150,12 @@ fn swapped_decode_is_caught() {
     assert_eq!(diff::diff_cache(&trace), None);
 }
 
-/// Bug 5 — varint continuation off-by-one. The second load sits at
-/// word delta +4064 from the first, so its v2.1 address token is
-/// `zigzag(4064) << 1 = 0x3f80`, whose varint encoding is the byte
-/// pair `[0x80, 0x7f]` — a final byte of exactly `0x7f`, the one value
-/// where `byte < 0x7f` and `byte < 0x80` disagree. The mutant keeps
-/// reading past the end of the token and desynchronizes the chunk, so
-/// the out-of-core differential fails on decode or digest. The trace
-/// is load-only (dirty-bit bug inert, and loads of never-stored words
-/// carry value 0), touches two lines in distinct sets under either
-/// index mask with nothing evicted (mask and victim bugs inert), and
-/// the swapped-kind decode (bug 3) mutates the reference digest and
-/// the lazy digest identically — only the varint path is exercised on
-/// one side alone.
-#[test]
-fn varint_continuation_bug_is_caught() {
-    diff::silence_panics();
-    // word 100 (byte 0x190), then word 4164 (byte 0x4110): delta +4064.
-    let trace = Trace::from_events(vec![
-        TraceEvent::Access(Access::load(0x190, 0)),
-        TraceEvent::Access(Access::load(0x4110, 0)),
-    ]);
-    let caught = match catch_unwind(AssertUnwindSafe(|| diff::diff_corpus(&trace))) {
-        Ok(result) => result.is_some(),
-        Err(_) => true,
-    };
-    assert!(caught, "varint continuation off-by-one went undetected");
-    // The same trace through the cache differential is clean — no
-    // packed or varint decode is involved there — so the failure is
-    // attributable to the v2.1 address codec alone.
-    assert_eq!(diff::diff_cache(&trace), None);
-}
-
-/// Bug 6 — flipped split control-table length. Four loads at
+/// Bug 5 — flipped split control-table length. Four loads at
 /// word-adjacent addresses give a v2.2 chunk whose first control group
 /// is four single-byte tokens (control byte 0), the exact cell the
 /// mutation corrupts: lane 0 decodes as two payload bytes, so the
-/// group desynchronizes and the chunk over-runs its payload. The
-/// tokens (16, 4, 4, 4) are single varint bytes below `0x7f`, so the
-/// v2.1 continuation off-by-one (bug 5) cannot fire; the trace is
-/// load-only (dirty-bit bug inert), stays within one cache line
+/// group desynchronizes and the chunk over-runs its payload. The trace
+/// is load-only (dirty-bit bug inert), stays within one cache line
 /// (mask and victim bugs inert), and the swapped-kind decode (bug 3)
 /// mutates both sides of the replay digests identically.
 #[test]
@@ -213,22 +175,19 @@ fn split_control_table_bug_is_caught() {
     // Attribution: the cache differential never touches an address
     // codec and stays clean on this trace...
     assert_eq!(diff::diff_cache(&trace), None);
-    // ...and the v2.1 varint container alone round-trips the columns
-    // exactly, so none of the other five mutations fires on this trace
-    // — the diff_corpus failure is attributable to the v2.2
-    // stream-split decoder alone.
+    // ...and the v2 raw-column container, which has no address codec,
+    // round-trips the columns exactly, so none of the other mutations
+    // fires on this trace — the diff_corpus failure is attributable to
+    // the v2.2 stream-split decoder alone.
     let packed = fvl_mem::PackedTrace::from_trace(&trace);
-    let mut v21 = Vec::new();
-    packed.write_v21_to(&mut v21).unwrap();
-    let resident = fvl_mem::MappedTrace::from_bytes(v21)
-        .unwrap()
-        .to_packed()
-        .unwrap();
+    let mut v2 = Vec::new();
+    packed.write_to(&mut v2).unwrap();
+    let resident = fvl_mem::PackedTrace::read_from(v2.as_slice()).unwrap();
     assert_eq!(resident.addrs(), packed.addrs());
     assert_eq!(resident.values(), packed.values());
 }
 
-/// Bug 7 — frame-length off-by-one in the serve codec. `diff_serve`'s
+/// Bug 6 — frame-length off-by-one in the serve codec. `diff_serve`'s
 /// codec leg writes a frame and reads it back against the written
 /// buffer as oracle: the mutant returns one payload byte short, a
 /// divergence no other seeded bug can produce (the frame codec is the
@@ -237,12 +196,9 @@ fn split_control_table_bug_is_caught() {
 /// inert: two loads (dirty-bit bug inert) at 0x190 and 0x300, whose
 /// sets 25 and 48 stay distinct under both the correct and the
 /// truncated index mask in every zoo geometry with nothing evicted
-/// (mask and victim bugs inert); the v2.1 address tokens are the
-/// two-byte varints `[0x90, 0x03]` and `[0xf0, 0x02]`, final bytes
-/// well clear of `0x7f` (continuation bug inert); two-byte tokens make
-/// the v2.2 control byte non-zero (split-table bug inert); and the
-/// swapped-kind decode mutates both sides of the replay digests
-/// identically.
+/// (mask and victim bugs inert); two-byte address tokens make the v2.2
+/// control byte non-zero (split-table bug inert); and the swapped-kind
+/// decode mutates both sides of the replay digests identically.
 #[test]
 fn frame_length_bug_is_caught() {
     diff::silence_panics();
@@ -262,10 +218,10 @@ fn frame_length_bug_is_caught() {
     // Attribution: the cache differential never touches the frame
     // codec and stays clean on this trace...
     assert_eq!(diff::diff_cache(&trace), None);
-    // ...and both chunked containers round-trip through the
-    // out-of-core differential cleanly, so none of the other six
-    // mutations fires here — the diff_serve failure is attributable to
-    // the serve frame codec alone.
+    // ...and the v2.2 container round-trips through the out-of-core
+    // differential cleanly, so none of the other mutations fires here —
+    // the diff_serve failure is attributable to the serve frame codec
+    // alone.
     let caught = match catch_unwind(AssertUnwindSafe(|| diff::diff_corpus(&trace))) {
         Ok(result) => result,
         Err(_) => Some("diff_corpus panicked".to_string()),
@@ -273,7 +229,7 @@ fn frame_length_bug_is_caught() {
     assert_eq!(caught, None);
 }
 
-/// Bug 8 — skipped partial write-back of a dirty FVC victim. Two
+/// Bug 7 — skipped partial write-back of a dirty FVC victim. Two
 /// stores of the trace's one frequent value to lines 0x000 and 0x080,
 /// which share the one way of FVC set 0 in the 8-entry direct-mapped
 /// FVC. Under the paper's default policy both stores write-allocate in
@@ -282,7 +238,7 @@ fn frame_length_bug_is_caught() {
 /// and its traffic and flushed memory image diverge from the
 /// `OracleHybrid`. The DMC never holds a line, so the `fvl-cache`
 /// bugs (1, 2 and 4) cannot fire, and the trace is replayed as a plain
-/// `Trace`, so no decoder or frame codec (bugs 3, 5, 6 and 7) is
+/// `Trace`, so no decoder or frame codec (bugs 3, 5 and 6) is
 /// involved.
 #[test]
 fn skipped_fvc_write_back_is_caught() {

@@ -114,9 +114,9 @@ pub trait AccessSink {
     fn on_finish(&mut self) {}
 }
 
-/// Mutable references forward to the referenced sink, so broadcast
-/// replay can drive a mixed batch as `&mut [&mut dyn AccessSink]`
-/// without wrapping each element.
+/// Mutable references forward to the referenced sink, so a mixed batch
+/// held as `&mut [&mut dyn AccessSink]` can be replayed into element by
+/// element without wrapping each one.
 impl<S: AccessSink + ?Sized> AccessSink for &mut S {
     #[inline]
     fn on_access(&mut self, access: Access) {

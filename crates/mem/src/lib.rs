@@ -20,10 +20,9 @@
 //!   replayed into sinks, so one workload execution can drive arbitrarily
 //!   many cache configurations.
 //! * [`PackedTrace`] — the same log in columnar (SoA) form: ~8 bytes per
-//!   access instead of 16, branchless replay, and broadcast replay that
-//!   feeds N sinks in one pass. [`TraceRepr`] selects between the two
-//!   layouts at runtime behind one API.
-//! * [`MappedTrace`] — out-of-core access to the chunk-indexed v2.1
+//!   access instead of 16 and branchless replay. Every capture the
+//!   experiment harness keeps is packed.
+//! * [`MappedTrace`] — out-of-core access to the chunk-indexed v2.2
 //!   trace-file format: the file stays memory-mapped (with a buffered
 //!   fallback) and [`CHUNK_ACCESSES`]-sized chunks decode lazily, so one
 //!   chunk's columns are resident at a time no matter how large the
@@ -76,9 +75,7 @@ pub use layout::{Addr, Region, RegionKind, Word, GLOBAL_BASE, HEAP_BASE, STACK_B
 pub use live::LiveSet;
 pub use mapped::{ChunkCacheStats, MappedTrace};
 pub use mmap::MapSource;
-pub use packed::{
-    BroadcastReplay, PackedTrace, RegionEvent, BROADCAST_BLOCK, BROADCAST_INLINE_MAX, STORE_BIT,
-};
+pub use packed::{PackedTrace, RegionEvent, STORE_BIT};
 pub use repr::{TraceRepr, TraceReprKind};
 pub use sim_memory::SimMemory;
 pub use simd::SimdLevel;

@@ -1,6 +1,5 @@
 //! Out-of-core trace access: lazy, chunk-granular decode of
-//! chunk-indexed (`FVLTRC21`/`FVLTRC22`) trace files through a memory
-//! mapping.
+//! chunk-indexed (`FVLTRC22`) trace files through a memory mapping.
 //!
 //! [`PackedTrace::read_from`] materializes a whole trace in RAM, which
 //! caps corpus studies at resident-set size. [`MappedTrace`] instead
@@ -17,7 +16,11 @@
 //! buffered whole-file read when mapping is unavailable; every offset
 //! and length in the index is bounds-checked against the file before
 //! use, so hostile files fail with `InvalidData` instead of reading
-//! out of bounds or allocating unboundedly.
+//! out of bounds or allocating unboundedly. The index must also
+//! describe exactly the layout the writer produces — chunks back to
+//! back from the end of the header, the region table right after the
+//! last one — so the lazy path decodes the same bytes as the
+//! sequential [`PackedTrace::read_from`].
 //!
 //! Two additions serve multi-pass, pipelined sweeps:
 //! [`MappedTrace::prefetch_chunk`] issues `madvise(MADV_WILLNEED)` for
@@ -32,8 +35,8 @@ use crate::layout::Region;
 use crate::mmap::MapSource;
 use crate::packed::{PackedTrace, RegionEvent};
 use crate::trace_io::{
-    bad_data, byte_to_kind, AddrCodec, V21Header, MAGIC_V21, MAGIC_V22, REGION_RECORD_BYTES,
-    V21_HEADER_BYTES, V21_INDEX_ENTRY_BYTES,
+    bad_data, byte_to_kind, check_codec_id, ChunkedHeader, CHUNKED_HEADER_BYTES, INDEX_ENTRY_BYTES,
+    MAGIC_V22, REGION_RECORD_BYTES,
 };
 use crate::varint;
 use std::io;
@@ -51,7 +54,7 @@ struct ChunkEntry {
     addr_bytes: u32,
 }
 
-/// A v2.1 trace file opened for lazy, chunk-at-a-time decoding.
+/// A v2.2 trace file opened for lazy, chunk-at-a-time decoding.
 ///
 /// # Example
 ///
@@ -63,7 +66,7 @@ struct ChunkEntry {
 /// );
 /// let packed = PackedTrace::from_trace(&trace);
 /// let mut bytes = Vec::new();
-/// packed.write_v21_with(&mut bytes, 16).unwrap();
+/// packed.write_v22_with(&mut bytes, 16).unwrap();
 ///
 /// let mapped = MappedTrace::from_bytes(bytes).unwrap();
 /// assert_eq!(mapped.chunk_count(), 7);
@@ -74,7 +77,7 @@ struct ChunkEntry {
 #[derive(Debug)]
 pub struct MappedTrace {
     source: MapSource,
-    header: V21Header,
+    header: ChunkedHeader,
     chunks: Vec<ChunkEntry>,
     regions: Vec<RegionEvent>,
     cache: Mutex<ChunkCache>,
@@ -167,19 +170,19 @@ fn get_u64(bytes: &[u8], off: u64) -> io::Result<u64> {
 }
 
 impl MappedTrace {
-    /// Opens a v2.1 trace file, memory-mapping it when the platform
+    /// Opens a v2.2 trace file, memory-mapping it when the platform
     /// allows and falling back to a buffered read otherwise.
     ///
     /// # Errors
     ///
     /// Fails with the underlying I/O error if the file cannot be
     /// opened, and `InvalidData` if it is not a structurally valid
-    /// `FVLTRC21` file (see [`MappedTrace::from_bytes`]).
+    /// `FVLTRC22` file (see [`MappedTrace::from_bytes`]).
     pub fn open(path: &Path) -> io::Result<MappedTrace> {
         MappedTrace::parse(MapSource::open(path)?)
     }
 
-    /// Opens a v2.1 trace file through a buffered whole-file read,
+    /// Opens a v2.2 trace file through a buffered whole-file read,
     /// never mapping — the explicit fallback (and the mmap-vs-read A/B
     /// baseline).
     ///
@@ -190,15 +193,17 @@ impl MappedTrace {
         MappedTrace::parse(MapSource::read(path)?)
     }
 
-    /// Wraps in-memory v2.1 bytes for lazy decoding — the hermetic
+    /// Wraps in-memory v2.2 bytes for lazy decoding — the hermetic
     /// entry point differential tests use.
     ///
     /// # Errors
     ///
     /// Fails with `InvalidData` when the bytes are not a well-formed
-    /// `FVLTRC21` file: wrong magic, inconsistent header geometry, a
-    /// footer index whose offsets leave the file or disagree with the
-    /// inline chunk headers, or a region table out of order.
+    /// `FVLTRC22` file: wrong magic or codec id, inconsistent header
+    /// geometry, a footer index whose entries disagree with the inline
+    /// chunk headers or do not lay the chunks back to back from the end
+    /// of the header up to the region table, or a region table out of
+    /// order.
     pub fn from_bytes(bytes: Vec<u8>) -> io::Result<MappedTrace> {
         MappedTrace::parse(MapSource::Heap(bytes))
     }
@@ -208,44 +213,31 @@ impl MappedTrace {
     fn parse(source: MapSource) -> io::Result<MappedTrace> {
         let bytes = source.bytes();
         let len = bytes.len() as u64;
-        if bytes.len() < V21_HEADER_BYTES + 8 {
+        if bytes.len() < CHUNKED_HEADER_BYTES + 8 {
             return Err(bad_data("file too short for a chunk-indexed trace"));
         }
-        let codec = if &bytes[..8] == MAGIC_V21 {
-            AddrCodec::Varint
-        } else if &bytes[..8] == MAGIC_V22 {
-            AddrCodec::Split
-        } else {
+        if &bytes[..8] != MAGIC_V22 {
             return Err(bad_data(
-                "not an FVLTRC21/FVLTRC22 file (only the chunk-indexed formats support mapped reads)",
+                "not an FVLTRC22 file (only the chunk-indexed format supports mapped reads)",
             ));
-        };
-        let header = V21Header {
+        }
+        let header = ChunkedHeader {
             accesses: get_u64(bytes, 8)?,
             region_count: get_u64(bytes, 16)?,
             chunk_count: get_u64(bytes, 24)?,
             chunk_accesses: get_u32(bytes, 32)?,
-            codec,
         }
         .validate()?;
-        if codec == AddrCodec::Split {
-            let reserved = get_u32(bytes, 36)?;
-            if reserved != codec.id() {
-                return Err(bad_data(format!(
-                    "FVLTRC22 header declares codec id {reserved}, expected {}",
-                    codec.id()
-                )));
-            }
-        }
+        check_codec_id(get_u32(bytes, 36)?)?;
 
         // Footer: the trailing u64 locates the index, whose size the
         // header fixes; both must agree exactly.
-        let index_bytes = header.chunk_count * V21_INDEX_ENTRY_BYTES as u64;
+        let index_bytes = header.chunk_count * INDEX_ENTRY_BYTES as u64;
         let index_offset = get_u64(bytes, len - 8)?;
         let expected_offset = len
             .checked_sub(8 + index_bytes)
             .ok_or_else(|| bad_data("file too short for its chunk index"))?;
-        if index_offset != expected_offset || index_offset < V21_HEADER_BYTES as u64 {
+        if index_offset != expected_offset || index_offset < CHUNKED_HEADER_BYTES as u64 {
             return Err(bad_data(format!(
                 "chunk index offset {index_offset} inconsistent with file length {len}"
             )));
@@ -254,7 +246,7 @@ impl MappedTrace {
         // Region side table, immediately before the index.
         let regions_offset = index_offset
             .checked_sub(header.region_count * REGION_RECORD_BYTES as u64)
-            .filter(|&off| off >= V21_HEADER_BYTES as u64)
+            .filter(|&off| off >= CHUNKED_HEADER_BYTES as u64)
             .ok_or_else(|| bad_data("region table overlaps the header"))?;
         let mut regions = Vec::with_capacity(header.region_count.min(1 << 20) as usize);
         let mut prev_pos = 0u64;
@@ -282,25 +274,33 @@ impl MappedTrace {
             });
         }
 
-        // Chunk index: every entry bounds-checked against the payload
-        // area and cross-checked against its inline chunk header.
+        // Chunk index: every entry cross-checked against its inline
+        // chunk header, and the entries must lay the chunks back to back
+        // from the end of the header in index order, ending where the
+        // region table starts — the layout the writer produces. Nothing
+        // else is accepted, so no two entries can share a payload and no
+        // bytes can hide between chunks: the lazy decode reads exactly
+        // the bytes the sequential reader does.
         let mut chunks = Vec::with_capacity(header.chunk_count.min(1 << 20) as usize);
+        let mut next_offset = CHUNKED_HEADER_BYTES as u64;
         for i in 0..header.chunk_count {
-            let off = index_offset + i * V21_INDEX_ENTRY_BYTES as u64;
+            let off = index_offset + i * INDEX_ENTRY_BYTES as u64;
             let entry = ChunkEntry {
                 payload_offset: get_u64(bytes, off)?,
                 chunk_len: get_u32(bytes, off + 8)?,
                 addr_bytes: get_u32(bytes, off + 12)?,
             };
             header.check_chunk(i, entry.chunk_len, entry.addr_bytes)?;
-            let payload_len = 8 + u64::from(entry.addr_bytes) + 4 * u64::from(entry.chunk_len);
-            let payload_end = entry
-                .payload_offset
-                .checked_add(payload_len)
-                .ok_or_else(|| bad_data("chunk payload offset overflows"))?;
-            if entry.payload_offset < V21_HEADER_BYTES as u64 || payload_end > regions_offset {
+            if entry.payload_offset != next_offset {
                 return Err(bad_data(format!(
-                    "chunk {i} payload {}..{payload_end} outside the payload area",
+                    "chunk {i} starts at byte {}, expected {next_offset}",
+                    entry.payload_offset
+                )));
+            }
+            next_offset += 8 + u64::from(entry.addr_bytes) + 4 * u64::from(entry.chunk_len);
+            if next_offset > regions_offset {
+                return Err(bad_data(format!(
+                    "chunk {i} payload {}..{next_offset} outside the payload area",
                     entry.payload_offset
                 )));
             }
@@ -312,6 +312,12 @@ impl MappedTrace {
                 )));
             }
             chunks.push(entry);
+        }
+        if next_offset != regions_offset {
+            return Err(bad_data(format!(
+                "{} unaccounted bytes between the last chunk and the region table",
+                regions_offset - next_offset
+            )));
         }
 
         Ok(MappedTrace {
@@ -390,7 +396,7 @@ impl MappedTrace {
             })
     }
 
-    /// Decodes chunk `i` into a standalone [`PackedTrace`]: varint
+    /// Decodes chunk `i` into a standalone [`PackedTrace`]: split
     /// address column expanded, raw values copied, and the chunk's
     /// region events rebased to chunk-local positions.
     ///
@@ -401,7 +407,7 @@ impl MappedTrace {
     /// # Errors
     ///
     /// Fails with `InvalidData` when the chunk's payload bytes are
-    /// corrupt (truncated or malformed varints, deltas leaving the
+    /// corrupt (truncated or malformed streams, deltas leaving the
     /// address space).
     pub fn decode_chunk(&self, i: u64) -> io::Result<PackedTrace> {
         let entry = self.chunks[usize::try_from(i).expect("chunk index")];
@@ -409,10 +415,7 @@ impl MappedTrace {
         let (lo, hi) = self.header.chunk_range(i);
         let addr_off = entry.payload_offset + 8;
         let encoded = slice(bytes, addr_off, u64::from(entry.addr_bytes))?;
-        let addrs = match self.header.codec {
-            AddrCodec::Varint => varint::decode_addr_chunk(encoded, entry.chunk_len as usize)?,
-            AddrCodec::Split => varint::decode_addr_chunk_split(encoded, entry.chunk_len as usize)?,
-        };
+        let addrs = varint::decode_addr_chunk_split(encoded, entry.chunk_len as usize)?;
         let values_off = addr_off + u64::from(entry.addr_bytes);
         let values: Vec<u32> = slice(bytes, values_off, 4 * u64::from(entry.chunk_len))?
             .chunks_exact(4)
@@ -420,12 +423,6 @@ impl MappedTrace {
             .collect();
         let regions: Vec<RegionEvent> = self.chunk_regions(i, lo, hi).collect();
         PackedTrace::from_columns(addrs, values, regions).map_err(bad_data)
-    }
-
-    /// The address codec of the underlying file (`FVLTRC21` varint or
-    /// `FVLTRC22` stream-split).
-    pub fn codec(&self) -> AddrCodec {
-        self.header.codec
     }
 
     /// Hints the kernel to page in chunk `i`'s payload bytes ahead of
@@ -620,13 +617,6 @@ mod tests {
         Trace::from_events(events)
     }
 
-    fn v21_bytes(trace: &Trace, chunk_accesses: u32) -> Vec<u8> {
-        let packed = PackedTrace::from_trace(trace);
-        let mut bytes = Vec::new();
-        packed.write_v21_with(&mut bytes, chunk_accesses).unwrap();
-        bytes
-    }
-
     fn v22_bytes(trace: &Trace, chunk_accesses: u32) -> Vec<u8> {
         let packed = PackedTrace::from_trace(trace);
         let mut bytes = Vec::new();
@@ -639,7 +629,7 @@ mod tests {
         for accesses in [0u32, 1, 15, 16, 17, 100, 1000] {
             let trace = mixed_trace(accesses);
             let packed = PackedTrace::from_trace(&trace);
-            let mapped = MappedTrace::from_bytes(v21_bytes(&trace, 16)).unwrap();
+            let mapped = MappedTrace::from_bytes(v22_bytes(&trace, 16)).unwrap();
             let mut resident = CountingSink::new();
             packed.replay_into(&mut resident);
             let mut lazy = CountingSink::new();
@@ -652,7 +642,7 @@ mod tests {
     fn chunks_concatenate_to_the_full_columns() {
         let trace = mixed_trace(100);
         let packed = PackedTrace::from_trace(&trace);
-        let mapped = MappedTrace::from_bytes(v21_bytes(&trace, 16)).unwrap();
+        let mapped = MappedTrace::from_bytes(v22_bytes(&trace, 16)).unwrap();
         assert_eq!(mapped.accesses(), packed.accesses());
         assert_eq!(mapped.chunk_count(), packed.accesses().div_ceil(16));
         let mut addrs = Vec::new();
@@ -676,7 +666,7 @@ mod tests {
     #[test]
     fn open_maps_and_matches_from_bytes() {
         let trace = mixed_trace(500);
-        let bytes = v21_bytes(&trace, 64);
+        let bytes = v22_bytes(&trace, 64);
         let mut path = std::env::temp_dir();
         path.push(format!("fvl-mapped-test-{}.fvltrc", std::process::id()));
         std::fs::File::create(&path)
@@ -704,43 +694,13 @@ mod tests {
     }
 
     #[test]
-    fn non_v21_files_are_refused() {
+    fn non_v22_files_are_refused() {
         let packed = PackedTrace::from_trace(&mixed_trace(10));
         let mut v2 = Vec::new();
         packed.write_to(&mut v2).unwrap();
         let err = MappedTrace::from_bytes(v2).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(MappedTrace::from_bytes(Vec::new()).is_err());
-    }
-
-    #[test]
-    fn v22_maps_and_matches_v21_chunk_for_chunk() {
-        for accesses in [0u32, 1, 15, 16, 17, 100, 1000] {
-            let trace = mixed_trace(accesses);
-            let v21 = MappedTrace::from_bytes(v21_bytes(&trace, 16)).unwrap();
-            let v22 = MappedTrace::from_bytes(v22_bytes(&trace, 16)).unwrap();
-            assert_eq!(v21.codec(), crate::AddrCodec::Varint);
-            assert_eq!(v22.codec(), crate::AddrCodec::Split);
-            assert_eq!(v21.chunk_count(), v22.chunk_count());
-            assert_eq!(v21.region_events(), v22.region_events());
-            for i in 0..v21.chunk_count() {
-                let a = v21.decode_chunk(i).unwrap();
-                let b = v22.decode_chunk(i).unwrap();
-                assert_eq!(a.addrs(), b.addrs(), "chunk {i} of {accesses}");
-                assert_eq!(a.values(), b.values(), "chunk {i} of {accesses}");
-                assert_eq!(a.region_events(), b.region_events());
-                assert_eq!(v21.chunk_decoded_bytes(i), v22.chunk_decoded_bytes(i));
-            }
-            let mut a = CountingSink::new();
-            let mut b = CountingSink::new();
-            v21.replay_into(&mut a).unwrap();
-            v22.replay_into(&mut b).unwrap();
-            assert_eq!(a, b, "{accesses} accesses");
-            assert_eq!(
-                v22.to_packed().unwrap().addrs(),
-                PackedTrace::from_trace(&trace).addrs()
-            );
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Columnar (structure-of-arrays) trace storage and broadcast replay.
+//! Columnar (structure-of-arrays) trace storage.
 //!
 //! The paper's methodology replays one recorded load/store stream into
 //! many cache designs (Sections 3–4 evaluate 21 experiments over the
@@ -16,10 +16,9 @@
 //!   in the access stream it fired.
 //!
 //! Replay walks the two dense arrays in runs between region-event
-//! breakpoints — no per-event tag dispatch, half the memory traffic —
-//! and [`PackedTrace::broadcast_into`] feeds one pass to N sinks at
-//! once so a design-space sweep touches the trace `ceil(N / batch)`
-//! times instead of `N` times.
+//! breakpoints — no per-event tag dispatch, half the memory traffic.
+//! Several sinks are fed by replaying once per sink, or through one
+//! [`crate::Fanout`].
 
 use crate::access::{Access, AccessKind, AccessSink};
 use crate::layout::{Region, WORD_BYTES};
@@ -34,16 +33,6 @@ use std::fmt;
 /// word. Word alignment leaves bits 0–1 of every address free; bit 0
 /// set means *store*, clear means *load*.
 pub const STORE_BIT: u32 = 1;
-
-/// Largest sink count replayed by the per-event fan-out loop of
-/// [`PackedTrace::broadcast_into`]; larger batches switch to chunked
-/// delivery (see [`BROADCAST_BLOCK`]).
-pub const BROADCAST_INLINE_MAX: usize = 4;
-
-/// Accesses per block in the chunked broadcast path: the block's
-/// packed columns (8 bytes per access) stay resident in L1 while every
-/// sink of a large batch consumes them.
-pub const BROADCAST_BLOCK: usize = 4096;
 
 /// An allocation or deallocation hoisted out of the access stream into
 /// the [`PackedTrace`] side table.
@@ -304,21 +293,6 @@ impl PackedTrace {
         }
     }
 
-    /// Calls `f` with every maximal run of consecutive accesses
-    /// (half-open column ranges) and every region-event breakpoint, in
-    /// program order.
-    #[inline]
-    fn segments(&self, mut f: impl FnMut(Segment)) {
-        let mut lo = 0usize;
-        for &event in &self.regions {
-            let hi = event.pos as usize;
-            f(Segment::Run(lo, hi));
-            f(Segment::Breakpoint(event));
-            lo = hi;
-        }
-        f(Segment::Run(lo, self.addrs.len()));
-    }
-
     /// Feeds the accesses in columns `lo..hi` to `sink` one event at a
     /// time.
     #[inline]
@@ -352,72 +326,23 @@ impl PackedTrace {
     /// [`PackedTrace`] pieces (see [`crate::MappedTrace`]), each fed in
     /// turn, and the caller finishes the sink exactly once at the end.
     pub fn feed_into<S: AccessSink + ?Sized>(&self, sink: &mut S) {
-        self.segments(|seg| match seg {
-            Segment::Run(lo, hi) => self.feed(lo, hi, sink),
-            Segment::Breakpoint(event) => {
-                if event.is_alloc {
-                    sink.on_alloc(event.region)
-                } else {
-                    sink.on_free(event.region)
-                }
+        let mut lo = 0usize;
+        for &event in &self.regions {
+            let hi = event.pos as usize;
+            self.feed(lo, hi, sink);
+            if event.is_alloc {
+                sink.on_alloc(event.region);
+            } else {
+                sink.on_free(event.region);
             }
-        });
+            lo = hi;
+        }
+        self.feed(lo, self.addrs.len(), sink);
     }
 
     /// Dynamic-dispatch wrapper over [`PackedTrace::replay_into`].
     pub fn replay(&self, sink: &mut dyn AccessSink) {
         self.replay_into(sink);
-    }
-
-    /// One pass over the columns feeding every sink in `sinks`,
-    /// equivalent to (but much cheaper than) replaying the trace once
-    /// per sink. Events are delivered to sinks in slice order, and each
-    /// sink's `on_finish` runs after the final event.
-    ///
-    /// Up to [`BROADCAST_INLINE_MAX`] sinks the fan-out is a per-access
-    /// inner loop (monomorphized over `S`, so small sink counts keep
-    /// their state in registers); larger batches deliver
-    /// [`BROADCAST_BLOCK`]-access column blocks to one sink at a time,
-    /// so the block stays cache-resident while N sinks consume it.
-    pub fn broadcast_into<S: AccessSink>(&self, sinks: &mut [S]) {
-        match sinks.len() {
-            0 => return,
-            1 => return self.replay_into(&mut sinks[0]),
-            n if n <= BROADCAST_INLINE_MAX => self.segments(|seg| match seg {
-                Segment::Run(lo, hi) => {
-                    for (&a, &v) in self.addrs[lo..hi].iter().zip(&self.values[lo..hi]) {
-                        let access = decode(a, v);
-                        for sink in sinks.iter_mut() {
-                            sink.on_access(access);
-                        }
-                    }
-                }
-                Segment::Breakpoint(event) => deliver_region(sinks, event),
-            }),
-            _ => self.segments(|seg| match seg {
-                Segment::Run(lo, hi) => {
-                    let mut block = lo;
-                    while block < hi {
-                        let end = (block + BROADCAST_BLOCK).min(hi);
-                        for sink in sinks.iter_mut() {
-                            self.feed(block, end, sink);
-                        }
-                        block = end;
-                    }
-                }
-                Segment::Breakpoint(event) => deliver_region(sinks, event),
-            }),
-        }
-        for sink in sinks {
-            sink.on_finish();
-        }
-    }
-
-    /// Heterogeneous-sink variant of [`PackedTrace::broadcast_into`]:
-    /// one pass feeding sinks of different concrete types through
-    /// dynamic dispatch. Still one trace walk instead of N.
-    pub fn broadcast_dyn(&self, sinks: &mut [&mut dyn AccessSink]) {
-        self.broadcast_into(sinks);
     }
 
     /// Replays while reconstructing memory and the live-location set,
@@ -497,28 +422,6 @@ fn snapshot_region<S: AccessSink + ?Sized>(
     }
 }
 
-/// One step of a segment walk: a dense run of accesses or a region
-/// event between runs.
-#[derive(Copy, Clone)]
-enum Segment {
-    /// Half-open column range of consecutive accesses.
-    Run(usize, usize),
-    /// A region event firing between runs.
-    Breakpoint(RegionEvent),
-}
-
-/// Delivers one region event to every sink of a broadcast.
-#[inline]
-fn deliver_region<S: AccessSink>(sinks: &mut [S], event: RegionEvent) {
-    for sink in sinks.iter_mut() {
-        if event.is_alloc {
-            sink.on_alloc(event.region);
-        } else {
-            sink.on_free(event.region);
-        }
-    }
-}
-
 /// Unpacks one column pair into an [`Access`].
 #[inline]
 fn decode(addr: u32, value: u32) -> Access {
@@ -546,54 +449,6 @@ impl fmt::Debug for PackedTrace {
             .field("accesses", &self.addrs.len())
             .field("region_events", &self.regions.len())
             .finish()
-    }
-}
-
-/// One pass over a trace feeding several same-typed sinks — the
-/// capability batched sweep drivers need (see
-/// [`PackedTrace::broadcast_into`]), abstracted over the storage layout
-/// so drivers accept [`Trace`], [`PackedTrace`], or [`crate::TraceRepr`].
-pub trait BroadcastReplay {
-    /// Replays the full event stream once, delivering every event to
-    /// every sink (slice order), then finishing each sink.
-    fn broadcast_replay<S: AccessSink>(&self, sinks: &mut [S]);
-}
-
-impl BroadcastReplay for PackedTrace {
-    fn broadcast_replay<S: AccessSink>(&self, sinks: &mut [S]) {
-        self.broadcast_into(sinks);
-    }
-}
-
-impl BroadcastReplay for Trace {
-    fn broadcast_replay<S: AccessSink>(&self, sinks: &mut [S]) {
-        match sinks.len() {
-            0 => return,
-            1 => return self.replay_into(&mut sinks[0]),
-            _ => {}
-        }
-        for event in self.events() {
-            match *event {
-                TraceEvent::Access(a) => {
-                    for sink in sinks.iter_mut() {
-                        sink.on_access(a);
-                    }
-                }
-                TraceEvent::Alloc(r) => {
-                    for sink in sinks.iter_mut() {
-                        sink.on_alloc(r);
-                    }
-                }
-                TraceEvent::Free(r) => {
-                    for sink in sinks.iter_mut() {
-                        sink.on_free(r);
-                    }
-                }
-            }
-        }
-        for sink in sinks {
-            sink.on_finish();
-        }
     }
 }
 
@@ -687,6 +542,7 @@ mod tests {
         let mut columnar = DigestSink::default();
         packed.replay_into(&mut columnar);
         assert_eq!(legacy, columnar);
+        assert_eq!(columnar.finished, 1, "on_finish exactly once");
         let mut dynamic = DigestSink::default();
         packed.replay(&mut dynamic);
         assert_eq!(legacy, dynamic);
@@ -705,64 +561,6 @@ mod tests {
                 assert_eq!(legacy, columnar, "every={every} heap={track_heap}");
             }
         }
-    }
-
-    #[test]
-    fn broadcast_equals_independent_replays() {
-        let trace = record_mixed();
-        let packed = PackedTrace::from_trace(&trace);
-        let mut reference = DigestSink::default();
-        packed.replay_into(&mut reference);
-        // Small-N (inline) and large-N (chunked) broadcast paths.
-        for n in [2usize, 4, 5, 9] {
-            let mut sinks = vec![DigestSink::default(); n];
-            packed.broadcast_into(&mut sinks);
-            for (i, sink) in sinks.iter().enumerate() {
-                assert_eq!(sink, &reference, "sink {i} of {n}");
-                assert_eq!(sink.finished, 1, "on_finish exactly once (sink {i} of {n})");
-            }
-        }
-        // Legacy fallback delivers the same stream.
-        let mut sinks = vec![DigestSink::default(); 3];
-        trace.broadcast_replay(&mut sinks);
-        assert!(sinks.iter().all(|s| s == &reference));
-        // Heterogeneous broadcast via trait objects.
-        let mut a = DigestSink::default();
-        let mut b = CountingSink::new();
-        packed.broadcast_dyn(&mut [&mut a, &mut b]);
-        assert_eq!(a, reference);
-        assert_eq!(b.accesses(), packed.accesses());
-    }
-
-    #[test]
-    fn empty_and_single_sink_broadcasts() {
-        let packed = PackedTrace::from_trace(&record_mixed());
-        let mut none: Vec<DigestSink> = Vec::new();
-        packed.broadcast_into(&mut none);
-        let mut one = vec![DigestSink::default()];
-        packed.broadcast_into(&mut one);
-        assert_eq!(one[0].finished, 1);
-    }
-
-    #[test]
-    fn chunked_broadcast_crosses_block_boundaries() {
-        // More accesses than one broadcast block, with a region event
-        // mid-stream, replayed to more sinks than the inline limit.
-        let mut events = Vec::new();
-        for i in 0..(BROADCAST_BLOCK as u32 + 100) {
-            events.push(TraceEvent::Access(Access::load((i % 512) * 4, i)));
-        }
-        events.insert(
-            17,
-            TraceEvent::Alloc(Region::new(0x1000, 4, crate::layout::RegionKind::Heap)),
-        );
-        let trace = Trace::from_events(events);
-        let packed = PackedTrace::from_trace(&trace);
-        let mut reference = DigestSink::default();
-        trace.replay_into(&mut reference);
-        let mut sinks = vec![DigestSink::default(); BROADCAST_INLINE_MAX + 2];
-        packed.broadcast_into(&mut sinks);
-        assert!(sinks.iter().all(|s| s == &reference));
     }
 
     #[test]

@@ -1,306 +1,45 @@
-//! Runtime-selectable trace storage representation.
+//! The trace-layout names the benchmark still imports.
 //!
-//! The experiment harness defaults to the columnar [`PackedTrace`] hot
-//! path but keeps the array-of-structs [`Trace`] walkable behind the
-//! same API, so A/B runs (`--legacy-trace` in the `experiments` CLI,
-//! `FVL_TRACE_REPR=legacy` in CI) can prove the two layouts produce
-//! byte-identical results while measuring their footprint and speed
-//! difference.
+//! Every capture holds its trace in the columnar [`PackedTrace`]
+//! layout; there is no second layout to choose. The benchmark package
+//! (`perfbench/`) still names three items of the old layout switch:
+//! [`TraceRepr`] with its `Packed` and `Legacy` variants, and
+//! [`TraceReprKind::Packed`], which it passes to
+//! `WorkloadData::capture_limited_as` in `fvl-bench`. The benchmark's
+//! definition changes only in a benchmark-scoped step, so these names
+//! are held for it until that step retires them (see `ROADMAP.md`).
 
-use crate::access::{Access, AccessSink};
-use crate::packed::{BroadcastReplay, PackedTrace};
-use crate::trace::Trace;
+use crate::packed::PackedTrace;
+use std::convert::Infallible;
+use std::ops::Deref;
 
-/// Which storage layout a [`TraceRepr`] should use.
+/// The layout a capture is stored in, held for the benchmark (see the
+/// module docs): always [`TraceReprKind::Packed`].
 #[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
 pub enum TraceReprKind {
-    /// Columnar [`PackedTrace`] (the default): ~8 bytes per access,
-    /// branchless replay, broadcast-capable.
+    /// The columnar [`PackedTrace`] layout.
     #[default]
     Packed,
-    /// Array-of-structs [`Trace`]: 16 bytes per event, kept for A/B
-    /// comparison and as the recording format.
-    Legacy,
 }
 
-impl TraceReprKind {
-    /// Short lower-case label (`"packed"` / `"legacy"`) used in logs
-    /// and the timing metrics export.
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceReprKind::Packed => "packed",
-            TraceReprKind::Legacy => "legacy",
-        }
-    }
-
-    /// Parses a label as produced by [`TraceReprKind::label`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "packed" => Some(TraceReprKind::Packed),
-            "legacy" => Some(TraceReprKind::Legacy),
-            _ => None,
-        }
-    }
-}
-
-/// A recorded trace stored in either layout, exposing the replay API of
-/// both [`Trace`] and [`PackedTrace`] so simulation code is agnostic to
-/// the representation it runs over.
+/// A capture's trace, held for the benchmark (see the module docs). It
+/// dereferences to the [`PackedTrace`] it always holds, so callers use
+/// the packed API directly.
 #[derive(Clone, Debug)]
 pub enum TraceRepr {
-    /// Array-of-structs event log.
-    Legacy(Trace),
-    /// Columnar packed log.
+    /// The columnar trace every capture holds.
     Packed(PackedTrace),
+    /// Uninhabited: the benchmark still matches on this variant.
+    Legacy(Infallible),
 }
 
-impl TraceRepr {
-    /// Stores `trace` in the layout selected by `kind` (packing copies
-    /// the events into columns; legacy takes the log as-is).
-    pub fn from_trace(trace: Trace, kind: TraceReprKind) -> Self {
-        match kind {
-            TraceReprKind::Packed => TraceRepr::Packed(PackedTrace::from_trace(&trace)),
-            TraceReprKind::Legacy => TraceRepr::Legacy(trace),
-        }
-    }
+impl Deref for TraceRepr {
+    type Target = PackedTrace;
 
-    /// The layout this trace is stored in.
-    pub fn kind(&self) -> TraceReprKind {
+    fn deref(&self) -> &PackedTrace {
         match self {
-            TraceRepr::Legacy(_) => TraceReprKind::Legacy,
-            TraceRepr::Packed(_) => TraceReprKind::Packed,
+            TraceRepr::Packed(trace) => trace,
+            TraceRepr::Legacy(never) => match *never {},
         }
-    }
-
-    /// Number of access events.
-    pub fn accesses(&self) -> u64 {
-        match self {
-            TraceRepr::Legacy(t) => t.accesses(),
-            TraceRepr::Packed(t) => t.accesses(),
-        }
-    }
-
-    /// Number of events of any kind.
-    pub fn len(&self) -> usize {
-        match self {
-            TraceRepr::Legacy(t) => t.len(),
-            TraceRepr::Packed(t) => t.len(),
-        }
-    }
-
-    /// Whether the trace holds no events.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            TraceRepr::Legacy(t) => t.is_empty(),
-            TraceRepr::Packed(t) => t.is_empty(),
-        }
-    }
-
-    /// Heap bytes resident for the event log in its current layout.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            TraceRepr::Legacy(t) => std::mem::size_of_val(t.events()),
-            TraceRepr::Packed(t) => t.approx_bytes(),
-        }
-    }
-
-    /// Resident bytes per event (16 for legacy, ~8 for packed).
-    pub fn bytes_per_event(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.approx_bytes() as f64 / self.len() as f64
-        }
-    }
-
-    /// Iterates over access events only.
-    pub fn iter_accesses(&self) -> Box<dyn Iterator<Item = Access> + '_> {
-        match self {
-            TraceRepr::Legacy(t) => Box::new(t.iter_accesses()),
-            TraceRepr::Packed(t) => Box::new(t.iter_accesses()),
-        }
-    }
-
-    /// Replays the trace into `sink`; see [`Trace::replay_into`].
-    pub fn replay_into<S: AccessSink + ?Sized>(&self, sink: &mut S) {
-        match self {
-            TraceRepr::Legacy(t) => t.replay_into(sink),
-            TraceRepr::Packed(t) => t.replay_into(sink),
-        }
-    }
-
-    /// Dynamic-dispatch wrapper over [`TraceRepr::replay_into`].
-    pub fn replay(&self, sink: &mut dyn AccessSink) {
-        self.replay_into(sink);
-    }
-
-    /// Snapshot-emitting replay; see
-    /// [`Trace::replay_with_snapshots_opts_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_every` is zero.
-    pub fn replay_with_snapshots_opts_into<S: AccessSink + ?Sized>(
-        &self,
-        sink: &mut S,
-        sample_every: u64,
-        track_heap_free: bool,
-    ) {
-        match self {
-            TraceRepr::Legacy(t) => {
-                t.replay_with_snapshots_opts_into(sink, sample_every, track_heap_free)
-            }
-            TraceRepr::Packed(t) => {
-                t.replay_with_snapshots_opts_into(sink, sample_every, track_heap_free)
-            }
-        }
-    }
-
-    /// Snapshot-emitting replay with heap frees tracked; see
-    /// [`Trace::replay_with_snapshots_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_every` is zero.
-    pub fn replay_with_snapshots_into<S: AccessSink + ?Sized>(
-        &self,
-        sink: &mut S,
-        sample_every: u64,
-    ) {
-        self.replay_with_snapshots_opts_into(sink, sample_every, true);
-    }
-
-    /// Dynamic-dispatch wrapper over
-    /// [`TraceRepr::replay_with_snapshots_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_every` is zero.
-    pub fn replay_with_snapshots(&self, sink: &mut dyn AccessSink, sample_every: u64) {
-        self.replay_with_snapshots_opts_into(sink, sample_every, true);
-    }
-
-    /// Dynamic-dispatch wrapper over
-    /// [`TraceRepr::replay_with_snapshots_opts_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_every` is zero.
-    pub fn replay_with_snapshots_opts(
-        &self,
-        sink: &mut dyn AccessSink,
-        sample_every: u64,
-        track_heap_free: bool,
-    ) {
-        self.replay_with_snapshots_opts_into(sink, sample_every, track_heap_free);
-    }
-
-    /// One pass feeding every sink in `sinks`; see
-    /// [`PackedTrace::broadcast_into`]. The legacy layout broadcasts
-    /// from its event log (still one walk instead of N).
-    pub fn broadcast_into<S: AccessSink>(&self, sinks: &mut [S]) {
-        match self {
-            TraceRepr::Legacy(t) => t.broadcast_replay(sinks),
-            TraceRepr::Packed(t) => t.broadcast_into(sinks),
-        }
-    }
-
-    /// Heterogeneous-sink broadcast; see [`PackedTrace::broadcast_dyn`].
-    pub fn broadcast_dyn(&self, sinks: &mut [&mut dyn AccessSink]) {
-        self.broadcast_into(sinks);
-    }
-}
-
-impl BroadcastReplay for TraceRepr {
-    fn broadcast_replay<S: AccessSink>(&self, sinks: &mut [S]) {
-        self.broadcast_into(sinks);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::access::CountingSink;
-    use crate::bus::{Bus, BusExt};
-    use crate::trace::TraceBuffer;
-    use crate::traced::TracedMemory;
-
-    fn record() -> Trace {
-        let mut buf = TraceBuffer::new();
-        {
-            let mut m = TracedMemory::new(&mut buf);
-            let a = m.alloc(3);
-            m.fill(a, 3, 5);
-            let _ = m.load(a);
-            m.free(a);
-        }
-        buf.into_trace()
-    }
-
-    #[test]
-    fn kinds_round_trip_labels() {
-        for kind in [TraceReprKind::Packed, TraceReprKind::Legacy] {
-            assert_eq!(TraceReprKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(TraceReprKind::parse("nope"), None);
-        assert_eq!(TraceReprKind::default(), TraceReprKind::Packed);
-    }
-
-    #[test]
-    fn both_layouts_replay_identically() {
-        let trace = record();
-        let legacy = TraceRepr::from_trace(trace.clone(), TraceReprKind::Legacy);
-        let packed = TraceRepr::from_trace(trace, TraceReprKind::Packed);
-        assert_eq!(legacy.kind(), TraceReprKind::Legacy);
-        assert_eq!(packed.kind(), TraceReprKind::Packed);
-        assert_eq!(legacy.accesses(), packed.accesses());
-        assert_eq!(legacy.len(), packed.len());
-        assert!(!legacy.is_empty());
-
-        let mut a = CountingSink::new();
-        legacy.replay_into(&mut a);
-        let mut b = CountingSink::new();
-        packed.replay(&mut b);
-        assert_eq!(a, b);
-
-        let mut a = CountingSink::new();
-        legacy.replay_with_snapshots_opts_into(&mut a, 2, false);
-        let mut b = CountingSink::new();
-        packed.replay_with_snapshots_opts(&mut b, 2, false);
-        assert_eq!(a, b);
-
-        assert_eq!(
-            legacy.iter_accesses().collect::<Vec<_>>(),
-            packed.iter_accesses().collect::<Vec<_>>()
-        );
-
-        let mut legacy_sinks = vec![CountingSink::new(); 3];
-        legacy.broadcast_into(&mut legacy_sinks);
-        let mut packed_sinks = vec![CountingSink::new(); 3];
-        packed.broadcast_into(&mut packed_sinks);
-        assert_eq!(legacy_sinks, packed_sinks);
-    }
-
-    #[test]
-    fn packed_layout_halves_resident_bytes() {
-        let mut buf = TraceBuffer::new();
-        {
-            let mut m = TracedMemory::new(&mut buf);
-            let a = m.alloc(32);
-            for round in 0..16u32 {
-                m.fill(a, 32, round);
-            }
-            m.free(a);
-        }
-        let trace = buf.into_trace();
-        let legacy = TraceRepr::from_trace(trace.clone(), TraceReprKind::Legacy);
-        let packed = TraceRepr::from_trace(trace, TraceReprKind::Packed);
-        assert!(packed.approx_bytes() < legacy.approx_bytes());
-        assert!(
-            packed.bytes_per_event() <= 8.5,
-            "{}",
-            packed.bytes_per_event()
-        );
-        assert!(legacy.bytes_per_event() >= 16.0);
     }
 }

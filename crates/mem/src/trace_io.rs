@@ -2,8 +2,8 @@
 //!
 //! Recorded traces can be written to disk and replayed later, so an
 //! expensive workload execution (or an externally collected trace) can
-//! drive many simulation campaigns. Two little-endian formats exist,
-//! both dependency-free and distinguished by their magic header:
+//! drive many simulation campaigns. Three little-endian formats exist,
+//! all dependency-free and distinguished by their magic header:
 //!
 //! * `FVLTRC1` — the original per-event record stream (tag byte plus
 //!   fields per event). Still written by [`Trace::write_to`] so
@@ -13,20 +13,23 @@
 //!   the value column, then the region-event side table. Roughly half
 //!   the bytes of v1 for access-dominated traces, and decoding is two
 //!   bulk column reads instead of per-event tag dispatch.
-//! * `FVLTRC21` — the chunk-indexed v2.1 evolution written by
-//!   [`PackedTrace::write_v21_to`]: the columns are split into
+//! * `FVLTRC22` — the chunk-indexed v2.2 format written by
+//!   [`PackedTrace::write_v22_to`]: the columns are split into
 //!   [`CHUNK_ACCESSES`]-access chunks, each chunk's address column is
-//!   delta + varint compressed (see [`crate::varint`]), and a footer
-//!   index records every chunk's file offset so the memory-mapped
-//!   reader ([`crate::MappedTrace`]) can decode chunks lazily and out
-//!   of order. Layout:
+//!   delta-coded in the stream-split layout of
+//!   [`crate::varint::encode_addr_chunk_split`] (a control stream of
+//!   2-bit length codes, then the trimmed little-endian token bytes,
+//!   which decodes branch-free), and a footer index records every
+//!   chunk's file offset so the memory-mapped reader
+//!   ([`crate::MappedTrace`]) can decode chunks lazily and out of
+//!   order. Layout:
 //!
 //!   ```text
-//!   magic "FVLTRC21"
+//!   magic "FVLTRC22"
 //!   accesses u64 | region_count u64 | chunk_count u64
-//!   chunk_accesses u32 | reserved u32
+//!   chunk_accesses u32 | codec id u32 (1, the split codec)
 //!   per chunk:  chunk_len u32 | addr_bytes u32
-//!               addr varints (addr_bytes) | values (4 * chunk_len)
+//!               split address column (addr_bytes) | values (4 * chunk_len)
 //!   per region event: the 18-byte v2 record
 //!   footer index, per chunk: payload_offset u64 | chunk_len u32
 //!                            | addr_bytes u32
@@ -36,21 +39,14 @@
 //!   The inline chunk headers make the stream self-delimiting, so the
 //!   sequential readers below never look at the footer (trailing bytes
 //!   stay tolerated, as for v1/v2); the footer is validated only by the
-//!   random-access mapped reader.
-//! * `FVLTRC22` — the same chunk-indexed container with the address
-//!   codec swapped: each chunk's address column is the stream-split
-//!   layout of [`crate::varint::encode_addr_chunk_split`] (a control
-//!   stream of 2-bit length codes, then the trimmed little-endian
-//!   token bytes), which decodes branch-free. The v2.1
-//!   `reserved` header word carries the codec id ([`AddrCodec::id`],
-//!   `1` for split) and must match the magic on read. Everything else —
-//!   header, inline chunk headers, value columns, region table, footer
-//!   index — is byte-compatible with v2.1.
+//!   random-access mapped reader. An `FVLTRC21` file — the same
+//!   container with LEB128 address columns, from an earlier version —
+//!   is rejected as an unknown format.
 //!
 //! [`Trace::read_from`] and [`PackedTrace::read_from`] sniff the
 //! magic and accept **any** format, converting as needed — old v1
-//! files load into packed pipelines and new v2/v2.1 files load into
-//! legacy ones.
+//! files load into packed pipelines and new v2/v2.2 files load into
+//! the event-log form.
 //!
 //! All encoding goes through an explicit chunk buffer
 //! ([`CHUNK_BYTES`]-sized `write_all` calls instead of one syscall-ish
@@ -64,7 +60,6 @@ use std::io::{self, Read, Write};
 
 const MAGIC_V1: &[u8; 8] = b"FVLTRC1\n";
 const MAGIC_V2: &[u8; 8] = b"FVLTRC2\n";
-pub(crate) const MAGIC_V21: &[u8; 8] = b"FVLTRC21";
 pub(crate) const MAGIC_V22: &[u8; 8] = b"FVLTRC22";
 
 /// Size of the encode/decode staging buffer: every `write_all` to the
@@ -72,19 +67,19 @@ pub(crate) const MAGIC_V22: &[u8; 8] = b"FVLTRC22";
 /// moves about this many bytes, not one field's worth.
 pub const CHUNK_BYTES: usize = 64 * 1024;
 
-/// Default accesses per v2.1 chunk — the unit of lazy decode for the
+/// Default accesses per v2.2 chunk — the unit of lazy decode for the
 /// mapped reader and of residency accounting for the corpus manager.
 /// 8192 accesses is 32 KiB of resident columns and a few pages of
 /// mapped file per decode.
 pub const CHUNK_ACCESSES: u32 = 8192;
 
-/// Bytes of v2.1 fixed header: magic + accesses + region_count +
-/// chunk_count + chunk_accesses + reserved.
-pub(crate) const V21_HEADER_BYTES: usize = 8 + 8 + 8 + 8 + 4 + 4;
+/// Bytes of the v2.2 fixed header: magic + accesses + region_count +
+/// chunk_count + chunk_accesses + codec id.
+pub(crate) const CHUNKED_HEADER_BYTES: usize = 8 + 8 + 8 + 8 + 4 + 4;
 
-/// Bytes per v2.1 footer-index entry: payload_offset u64 + chunk_len
+/// Bytes per v2.2 footer-index entry: payload_offset u64 + chunk_len
 /// u32 + addr_bytes u32.
-pub(crate) const V21_INDEX_ENTRY_BYTES: usize = 16;
+pub(crate) const INDEX_ENTRY_BYTES: usize = 16;
 
 const TAG_LOAD: u8 = 0;
 const TAG_STORE: u8 = 1;
@@ -267,9 +262,8 @@ fn read_any<R: Read>(reader: R) -> io::Result<ReadTrace> {
     match &magic {
         m if m == MAGIC_V1 => read_v1(&mut chunked).map(ReadTrace::Legacy),
         m if m == MAGIC_V2 => read_v2(&mut chunked).map(ReadTrace::Packed),
-        m if m == MAGIC_V21 => read_v21(&mut chunked).map(ReadTrace::Packed),
         m if m == MAGIC_V22 => read_v22(&mut chunked).map(ReadTrace::Packed),
-        _ => Err(bad_data("not an FVLTRC1/FVLTRC2/FVLTRC21/FVLTRC22 trace")),
+        _ => Err(bad_data("not an FVLTRC1/FVLTRC2/FVLTRC22 trace")),
     }
 }
 
@@ -326,7 +320,7 @@ fn read_v2<R: Read>(reader: &mut ChunkedReader<R>) -> io::Result<PackedTrace> {
 }
 
 /// Reads `region_count` v2-layout region records (shared by the v2 and
-/// v2.1 decoders).
+/// v2.2 decoders).
 fn read_regions<R: Read>(
     reader: &mut ChunkedReader<R>,
     region_count: u64,
@@ -351,14 +345,10 @@ fn read_regions<R: Read>(
     Ok(regions)
 }
 
-/// The per-chunk address-column codec of a chunk-indexed trace file,
-/// determined by the magic (`FVLTRC21` vs `FVLTRC22`) and recorded
-/// redundantly in the header's codec word.
+/// The address-column codec of a chunk-indexed trace file, recorded in
+/// the header word at offset 36.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub enum AddrCodec {
-    /// LEB128 delta varints ([`crate::varint::encode_addr_chunk`]) —
-    /// the `FVLTRC21` codec.
-    Varint,
     /// Stream-split control + payload streams
     /// ([`crate::varint::encode_addr_chunk_split`]) — the `FVLTRC22`
     /// codec, decodable branch-free.
@@ -366,39 +356,18 @@ pub enum AddrCodec {
 }
 
 impl AddrCodec {
-    /// Codec id stored in the header word at offset 36 (the v2.1
-    /// `reserved` word, which v2.1 writers set to 0 and v2.1 readers
-    /// ignore — so v2.2 is a pure extension).
+    /// Codec id stored in the header word at offset 36.
     pub(crate) fn id(self) -> u32 {
         match self {
-            AddrCodec::Varint => 0,
             AddrCodec::Split => 1,
-        }
-    }
-
-    /// Short lower-case label (`"varint"`, `"split"`), used by CLIs
-    /// and logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            AddrCodec::Varint => "varint",
-            AddrCodec::Split => "split",
-        }
-    }
-
-    /// Parses a codec label as accepted by `corpus gen --codec`:
-    /// `v21`/`varint` or `v22`/`split`.
-    pub fn parse(s: &str) -> Option<AddrCodec> {
-        match s {
-            "v21" | "varint" => Some(AddrCodec::Varint),
-            "v22" | "split" => Some(AddrCodec::Split),
-            _ => None,
         }
     }
 }
 
-/// The fixed v2.1/v2.2 header fields (minus the magic), validated.
+/// The fixed v2.2 header fields (minus the magic and the codec id),
+/// validated.
 #[derive(Copy, Clone, Debug)]
-pub(crate) struct V21Header {
+pub(crate) struct ChunkedHeader {
     /// Total access events across all chunks.
     pub accesses: u64,
     /// Region-event records after the chunk payloads.
@@ -407,28 +376,26 @@ pub(crate) struct V21Header {
     pub chunk_count: u64,
     /// Accesses per chunk (every chunk but the last is exactly full).
     pub chunk_accesses: u32,
-    /// Address-column codec, fixed by the magic that led here.
-    pub codec: AddrCodec,
 }
 
-impl V21Header {
+impl ChunkedHeader {
     /// Validates the header invariants hostile inputs could break:
     /// counts in range, chunk geometry consistent with the access
     /// count, and a nonzero chunk size whenever there are accesses.
-    pub(crate) fn validate(self) -> io::Result<V21Header> {
+    pub(crate) fn validate(self) -> io::Result<ChunkedHeader> {
         if self.accesses > u64::from(u32::MAX) || self.region_count > 1 << 32 {
-            return Err(bad_data("v2.1 trace header counts out of range"));
+            return Err(bad_data("v2.2 trace header counts out of range"));
         }
         let expect_chunks = if self.accesses == 0 {
             0
         } else if self.chunk_accesses == 0 {
-            return Err(bad_data("v2.1 chunk size is zero"));
+            return Err(bad_data("v2.2 chunk size is zero"));
         } else {
             self.accesses.div_ceil(u64::from(self.chunk_accesses))
         };
         if self.chunk_count != expect_chunks {
             return Err(bad_data(format!(
-                "v2.1 chunk count {} inconsistent with {} accesses of {} per chunk",
+                "v2.2 chunk count {} inconsistent with {} accesses of {} per chunk",
                 self.chunk_count, self.accesses, self.chunk_accesses
             )));
         }
@@ -449,65 +416,51 @@ impl V21Header {
         let (lo, hi) = self.chunk_range(i);
         if u64::from(chunk_len) != hi - lo {
             return Err(bad_data(format!(
-                "v2.1 chunk {i} declares {chunk_len} accesses, expected {}",
+                "v2.2 chunk {i} declares {chunk_len} accesses, expected {}",
                 hi - lo
             )));
         }
+        // Split columns carry ceil(len/4) control bytes plus 1–4
+        // payload bytes per address; both bounds hold for every
+        // well-formed column, so a hostile field outside them is
+        // rejected before any allocation.
         let len = u64::from(chunk_len);
-        let (min, max) = match self.codec {
-            AddrCodec::Varint => (0, crate::varint::MAX_VARINT_BYTES_PER_ADDR as u64 * len),
-            // Split columns carry ceil(len/4) control bytes plus 1–4
-            // payload bytes per address; both bounds hold for every
-            // well-formed column, so a hostile field outside them is
-            // rejected before any allocation.
-            AddrCodec::Split => {
-                let control = len.div_ceil(4);
-                (
-                    control + len,
-                    control + crate::varint::MAX_SPLIT_BYTES_PER_ADDR as u64 * len,
-                )
-            }
-        };
+        let control = len.div_ceil(4);
+        let (min, max) = (
+            control + len,
+            control + crate::varint::MAX_SPLIT_BYTES_PER_ADDR as u64 * len,
+        );
         if u64::from(addr_bytes) < min || u64::from(addr_bytes) > max {
             return Err(bad_data(format!(
-                "v2.1 chunk {i} declares {addr_bytes} address bytes for {chunk_len} accesses"
+                "v2.2 chunk {i} declares {addr_bytes} address bytes for {chunk_len} accesses"
             )));
         }
         Ok(())
     }
 }
 
-fn read_v21<R: Read>(reader: &mut ChunkedReader<R>) -> io::Result<PackedTrace> {
-    read_chunked(reader, AddrCodec::Varint)
+/// Checks the header's codec word, which must name the split codec so
+/// a magic/codec mismatch cannot decode garbage.
+pub(crate) fn check_codec_id(id: u32) -> io::Result<()> {
+    let split = AddrCodec::Split.id();
+    if id != split {
+        return Err(bad_data(format!(
+            "FVLTRC22 header declares codec id {id}, expected {split}"
+        )));
+    }
+    Ok(())
 }
 
+/// Sequential decoder for the chunk-indexed v2.2 format.
 fn read_v22<R: Read>(reader: &mut ChunkedReader<R>) -> io::Result<PackedTrace> {
-    read_chunked(reader, AddrCodec::Split)
-}
-
-/// Shared sequential decoder for the chunk-indexed formats; `codec`
-/// comes from the magic the caller sniffed.
-fn read_chunked<R: Read>(
-    reader: &mut ChunkedReader<R>,
-    codec: AddrCodec,
-) -> io::Result<PackedTrace> {
-    let header = V21Header {
+    let header = ChunkedHeader {
         accesses: reader.take_u64()?,
         region_count: reader.take_u64()?,
         chunk_count: reader.take_u64()?,
         chunk_accesses: reader.take_u32()?,
-        codec,
     }
     .validate()?;
-    let reserved = reader.take_u32()?;
-    // v2.1 wrote 0 and ignores the word on read; v2.2 demands its own
-    // codec id so a magic/codec mismatch cannot decode garbage.
-    if codec == AddrCodec::Split && reserved != codec.id() {
-        return Err(bad_data(format!(
-            "FVLTRC22 header declares codec id {reserved}, expected {}",
-            codec.id()
-        )));
-    }
+    check_codec_id(reader.take_u32()?)?;
     let mut addrs = Vec::with_capacity((header.accesses as usize).min(1 << 24));
     let mut values = Vec::with_capacity((header.accesses as usize).min(1 << 24));
     let mut encoded = Vec::new();
@@ -518,16 +471,7 @@ fn read_chunked<R: Read>(
         encoded.clear();
         encoded.resize(addr_bytes as usize, 0);
         reader.take(&mut encoded)?;
-        match codec {
-            AddrCodec::Varint => {
-                crate::varint::decode_addr_chunk_into(&encoded, chunk_len as usize, &mut addrs)?
-            }
-            AddrCodec::Split => crate::varint::decode_addr_chunk_split_into(
-                &encoded,
-                chunk_len as usize,
-                &mut addrs,
-            )?,
-        }
+        crate::varint::decode_addr_chunk_split_into(&encoded, chunk_len as usize, &mut addrs)?;
         reader.take_u32_column_into(chunk_len as usize, &mut values)?;
     }
     let regions = read_regions(reader, header.region_count)?;
@@ -645,21 +589,22 @@ impl PackedTrace {
         8 + 8 + 8 + 8 * self.accesses() + (self.region_events().len() * REGION_RECORD_BYTES) as u64
     }
 
-    /// Writes the trace in the chunk-indexed `FVLTRC21` (v2.1) format
+    /// Writes the trace in the chunk-indexed `FVLTRC22` (v2.2) format
     /// with the default [`CHUNK_ACCESSES`] chunk size: per-chunk
-    /// delta+varint address columns, raw value columns, the v2 region
-    /// table, and a footer chunk index for random access (see the
-    /// module docs for the layout). On-disk size is typically well
-    /// under the resident form's 8 bytes per access.
+    /// stream-split address columns
+    /// ([`crate::varint::encode_addr_chunk_split`]), raw value columns,
+    /// the v2 region table, and a footer chunk index for random access
+    /// (see the module docs for the layout). On-disk size is typically
+    /// well under the resident form's 8 bytes per access.
     ///
     /// # Errors
     ///
     /// Propagates any I/O error from the writer.
-    pub fn write_v21_to<W: Write>(&self, writer: W) -> io::Result<()> {
-        self.write_v21_with(writer, CHUNK_ACCESSES)
+    pub fn write_v22_to<W: Write>(&self, writer: W) -> io::Result<()> {
+        self.write_v22_with(writer, CHUNK_ACCESSES)
     }
 
-    /// [`PackedTrace::write_v21_to`] with an explicit chunk size —
+    /// [`PackedTrace::write_v22_to`] with an explicit chunk size —
     /// small chunks let tests and CI exercise many-chunk files without
     /// huge traces.
     ///
@@ -670,60 +615,20 @@ impl PackedTrace {
     /// # Errors
     ///
     /// Propagates any I/O error from the writer.
-    pub fn write_v21_with<W: Write>(&self, writer: W, chunk_accesses: u32) -> io::Result<()> {
-        self.write_chunked(writer, chunk_accesses, AddrCodec::Varint)
-    }
-
-    /// Writes the trace in the chunk-indexed `FVLTRC22` (v2.2) format
-    /// with the default [`CHUNK_ACCESSES`] chunk size: the v2.1
-    /// container with each chunk's address column in the stream-split
-    /// codec ([`crate::varint::encode_addr_chunk_split`]), which trades
-    /// ≤ 25% address-column growth for branch-free decode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error from the writer.
-    pub fn write_v22_to<W: Write>(&self, writer: W) -> io::Result<()> {
-        self.write_v22_with(writer, CHUNK_ACCESSES)
-    }
-
-    /// [`PackedTrace::write_v22_to`] with an explicit chunk size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_accesses` is zero.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error from the writer.
     pub fn write_v22_with<W: Write>(&self, writer: W, chunk_accesses: u32) -> io::Result<()> {
-        self.write_chunked(writer, chunk_accesses, AddrCodec::Split)
-    }
-
-    /// Shared chunk-indexed writer: magic and per-chunk address codec
-    /// differ, everything else is the common v2.1 container.
-    fn write_chunked<W: Write>(
-        &self,
-        writer: W,
-        chunk_accesses: u32,
-        codec: AddrCodec,
-    ) -> io::Result<()> {
         assert!(chunk_accesses > 0, "chunk size must be positive");
         let accesses = self.accesses();
         let ca = u64::from(chunk_accesses);
         let chunk_count = accesses.div_ceil(ca);
         let mut out = ChunkedWriter::new(writer);
-        out.put(match codec {
-            AddrCodec::Varint => MAGIC_V21,
-            AddrCodec::Split => MAGIC_V22,
-        })?;
+        out.put(MAGIC_V22)?;
         out.put_u64(accesses)?;
         out.put_u64(self.region_events().len() as u64)?;
         out.put_u64(chunk_count)?;
         out.put_u32(chunk_accesses)?;
-        out.put_u32(codec.id())?; // the v2.1 reserved word
+        out.put_u32(AddrCodec::Split.id())?;
         let mut index: Vec<(u64, u32, u32)> = Vec::with_capacity(chunk_count as usize);
-        let mut offset = V21_HEADER_BYTES as u64;
+        let mut offset = CHUNKED_HEADER_BYTES as u64;
         let mut encoded = Vec::new();
         let (addrs, values) = (self.addrs(), self.values());
         for chunk in 0..chunk_count {
@@ -731,12 +636,7 @@ impl PackedTrace {
             let hi = ((chunk + 1) * ca).min(accesses) as usize;
             let chunk_len = (hi - lo) as u32;
             encoded.clear();
-            match codec {
-                AddrCodec::Varint => crate::varint::encode_addr_chunk(&addrs[lo..hi], &mut encoded),
-                AddrCodec::Split => {
-                    crate::varint::encode_addr_chunk_split(&addrs[lo..hi], &mut encoded)
-                }
-            }
+            crate::varint::encode_addr_chunk_split(&addrs[lo..hi], &mut encoded);
             let addr_bytes = encoded.len() as u32;
             index.push((offset, chunk_len, addr_bytes));
             out.put_u32(chunk_len)?;
@@ -893,58 +793,6 @@ mod tests {
 
     #[cfg(not(feature = "seeded-bugs"))]
     #[test]
-    fn v21_round_trips_across_chunk_sizes() {
-        let packed = PackedTrace::from_trace(&sample_trace());
-        for chunk_accesses in [1u32, 2, 3, 7, CHUNK_ACCESSES] {
-            let mut bytes = Vec::new();
-            packed.write_v21_with(&mut bytes, chunk_accesses).unwrap();
-            assert_eq!(&bytes[..8], MAGIC_V21);
-            let loaded = PackedTrace::read_from(bytes.as_slice()).unwrap();
-            assert_eq!(loaded.addrs(), packed.addrs(), "chunk {chunk_accesses}");
-            assert_eq!(loaded.values(), packed.values(), "chunk {chunk_accesses}");
-            assert_eq!(loaded.region_events(), packed.region_events());
-            // The legacy reader sniffs v2.1 too.
-            let unpacked = Trace::read_from(bytes.as_slice()).unwrap();
-            assert_eq!(unpacked.events(), packed.to_trace().events());
-        }
-    }
-
-    #[cfg(not(feature = "seeded-bugs"))]
-    #[test]
-    fn v21_empty_trace_round_trips() {
-        let packed = PackedTrace::from_trace(&Trace::from_events(vec![]));
-        let mut bytes = Vec::new();
-        packed.write_v21_to(&mut bytes).unwrap();
-        assert_eq!(bytes.len(), V21_HEADER_BYTES + 8);
-        assert!(PackedTrace::read_from(bytes.as_slice()).unwrap().is_empty());
-    }
-
-    #[cfg(not(feature = "seeded-bugs"))]
-    #[test]
-    fn v21_is_smaller_than_v2_on_local_streams() {
-        let mut events = Vec::new();
-        for i in 0u32..20_000 {
-            events.push(TraceEvent::Access(Access::store((i % 4096) * 4, i)));
-        }
-        let packed = PackedTrace::from_trace(&Trace::from_events(events));
-        let mut v2 = Vec::new();
-        packed.write_to(&mut v2).unwrap();
-        let mut v21 = Vec::new();
-        packed.write_v21_to(&mut v21).unwrap();
-        // The addr column collapses to ~1–2 varint bytes per access.
-        assert!(
-            v21.len() * 10 < v2.len() * 8,
-            "v2.1 {} vs v2 {}",
-            v21.len(),
-            v2.len()
-        );
-        let loaded = PackedTrace::read_from(v21.as_slice()).unwrap();
-        assert_eq!(loaded.addrs(), packed.addrs());
-        assert_eq!(loaded.values(), packed.values());
-    }
-
-    #[cfg(not(feature = "seeded-bugs"))]
-    #[test]
     fn v22_round_trips_across_chunk_sizes() {
         let packed = PackedTrace::from_trace(&sample_trace());
         for chunk_accesses in [1u32, 2, 3, 7, CHUNK_ACCESSES] {
@@ -968,38 +816,31 @@ mod tests {
         let packed = PackedTrace::from_trace(&Trace::from_events(vec![]));
         let mut bytes = Vec::new();
         packed.write_v22_to(&mut bytes).unwrap();
-        assert_eq!(bytes.len(), V21_HEADER_BYTES + 8);
+        assert_eq!(bytes.len(), CHUNKED_HEADER_BYTES + 8);
         assert!(PackedTrace::read_from(bytes.as_slice()).unwrap().is_empty());
     }
 
     #[cfg(not(feature = "seeded-bugs"))]
     #[test]
-    fn v21_and_v22_transcode_to_identical_traces() {
+    fn v22_re_encodes_identically_and_beats_v2_on_local_streams() {
         let mut events = Vec::new();
         for i in 0u32..20_000 {
             events.push(TraceEvent::Access(Access::store((i % 4096) * 4, i)));
         }
         let packed = PackedTrace::from_trace(&Trace::from_events(events));
-        let mut v21 = Vec::new();
-        packed.write_v21_to(&mut v21).unwrap();
         let mut v22 = Vec::new();
         packed.write_v22_to(&mut v22).unwrap();
-        // Transcode each through the sniffing reader and re-encode the
-        // other way: both directions are lossless.
-        let from_v21 = PackedTrace::read_from(v21.as_slice()).unwrap();
+        // Decoding and re-encoding is byte-lossless.
+        let decoded = PackedTrace::read_from(v22.as_slice()).unwrap();
         let mut v22_again = Vec::new();
-        from_v21.write_v22_to(&mut v22_again).unwrap();
+        decoded.write_v22_to(&mut v22_again).unwrap();
         assert_eq!(v22, v22_again);
-        let from_v22 = PackedTrace::read_from(v22.as_slice()).unwrap();
-        let mut v21_again = Vec::new();
-        from_v22.write_v21_to(&mut v21_again).unwrap();
-        assert_eq!(v21, v21_again);
-        // Split trades ≤ 25% addr-column growth for decode speed; the
-        // whole file stays well under the raw v2 form.
+        // Small deltas shrink the addr column to ~1.25 bytes per access,
+        // so the whole file stays well under the raw v2 form.
         let mut v2 = Vec::new();
         packed.write_to(&mut v2).unwrap();
         assert!(
-            v22.len() < v2.len(),
+            v22.len() * 10 < v2.len() * 8,
             "v2.2 {} vs v2 {}",
             v22.len(),
             v2.len()
@@ -1018,23 +859,11 @@ mod tests {
         assert!(err.to_string().contains("codec id"), "{err}");
     }
 
-    #[cfg(not(feature = "seeded-bugs"))]
     #[test]
-    fn v21_ignores_the_reserved_word() {
-        // A v2.1 file whose reserved word is nonzero still reads: the
-        // word only became meaningful under the v2.2 magic.
+    fn v22_inconsistent_chunk_geometry_is_rejected() {
         let packed = PackedTrace::from_trace(&sample_trace());
         let mut bytes = Vec::new();
-        packed.write_v21_with(&mut bytes, 4).unwrap();
-        bytes[36..40].copy_from_slice(&7u32.to_le_bytes());
-        assert!(PackedTrace::read_from(bytes.as_slice()).is_ok());
-    }
-
-    #[test]
-    fn v21_inconsistent_chunk_geometry_is_rejected() {
-        let packed = PackedTrace::from_trace(&sample_trace());
-        let mut bytes = Vec::new();
-        packed.write_v21_with(&mut bytes, 4).unwrap();
+        packed.write_v22_with(&mut bytes, 4).unwrap();
         // Corrupt the chunk_count field (offset 24) to a huge value:
         // the reader must reject it from the header alone, not try to
         // allocate or read that many chunks.
@@ -1043,7 +872,7 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // And a zero chunk size with nonzero accesses.
         let mut bytes2 = Vec::new();
-        packed.write_v21_with(&mut bytes2, 4).unwrap();
+        packed.write_v22_with(&mut bytes2, 4).unwrap();
         bytes2[32..36].copy_from_slice(&0u32.to_le_bytes());
         assert!(PackedTrace::read_from(bytes2.as_slice()).is_err());
     }

@@ -1,11 +1,11 @@
-//! Delta + varint compression of the packed address column.
+//! Delta coding of the packed address column in the v2.2 trace format.
 //!
-//! The v2.1 trace format (`FVLTRC21`, see `trace_io`) stores
-//! each chunk's address column as zigzag-encoded word deltas in LEB128
-//! varints instead of raw `u32`s. Access streams are overwhelmingly
-//! local — consecutive addresses usually sit a few words apart — so
-//! most deltas fit one or two bytes and the on-disk column shrinks to
-//! well under half its resident size.
+//! The v2.2 trace format (`FVLTRC22`, see `trace_io`) stores each
+//! chunk's address column as zigzag-encoded word deltas instead of raw
+//! `u32`s. Access streams are overwhelmingly local — consecutive
+//! addresses usually sit a few words apart — so most tokens fit one
+//! byte and the on-disk column shrinks to well under half its resident
+//! size.
 //!
 //! Token layout, per access (addresses are word aligned, so bits 0–1
 //! of the packed form are free — bit 0 is [`crate::STORE_BIT`]):
@@ -16,34 +16,26 @@
 //! token = zigzag(delta) << 1 | store  (store = packed_addr & 1)
 //! ```
 //!
-//! and the token is LEB128-encoded (7 value bits per byte, high bit =
-//! continuation). The delta chain restarts at zero for every chunk, so
-//! chunks decode independently — the property the memory-mapped lazy
-//! reader ([`crate::MappedTrace`]) relies on.
+//! The delta chain restarts at zero for every chunk, so chunks decode
+//! independently — the property the memory-mapped lazy reader
+//! ([`crate::MappedTrace`]) relies on.
 //!
-//! The v2.2 format (`FVLTRC22`) keeps the same tokens but stores them
-//! **stream-split** (Stream-VByte style): a control stream of 2-bit
-//! length codes (one byte per four tokens, lane 0 in bits 0–1, unused
-//! high lanes of the last byte zero) followed by a payload stream of
-//! the tokens' little-endian bytes, trimmed to their 1–4 byte length.
-//! Moving the length codes out of the data bytes removes the
-//! byte-at-a-time continuation chain from the decode hot loop: the
-//! decoder ([`decode_addr_chunk_split_into`]) does one masked `u32`
-//! load per token and one range check per group of four.
+//! The tokens are stored **stream-split** (Stream-VByte style): a
+//! control stream of 2-bit length codes (one byte per four tokens, lane
+//! 0 in bits 0–1, unused high lanes of the last byte zero) followed by
+//! a payload stream of the tokens' little-endian bytes, trimmed to
+//! their 1–4 byte length. Keeping the length codes out of the data
+//! bytes leaves no byte-at-a-time continuation chain in the decode hot
+//! loop: the decoder ([`decode_addr_chunk_split_into`]) does one masked
+//! `u32` load per token and one range check per group of four.
 
 use std::io;
-
-/// Worst-case encoded bytes per address: a 32-bit word delta zigzags
-/// into ≤ 31 significant bits, plus the store bit, is ≤ 32 bits — five
-/// LEB128 bytes. Readers use this to bound hostile `addr_bytes` fields
-/// before allocating.
-pub const MAX_VARINT_BYTES_PER_ADDR: usize = 5;
 
 /// Largest word index a packed `u32` address can carry (the address's
 /// two low bits hold the store bit and the alignment pad).
 const MAX_WORD: i64 = (u32::MAX >> 2) as i64;
 
-/// Maps a signed delta onto the unsigned varint domain: small
+/// Maps a signed delta onto the unsigned token domain: small
 /// magnitudes of either sign become small codes (0, -1, 1, -2, …).
 #[inline]
 pub fn zigzag(v: i64) -> u64 {
@@ -54,123 +46,6 @@ pub fn zigzag(v: i64) -> u64 {
 #[inline]
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Appends `v` to `out` as an LEB128 varint (7 bits per byte,
-/// little-endian groups, high bit set on every byte but the last).
-#[inline]
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Decodes one LEB128 varint from `bytes` starting at `*pos`,
-/// advancing `*pos` past it.
-///
-/// # Errors
-///
-/// Fails with `UnexpectedEof` when the slice ends mid-varint and
-/// `InvalidData` when the encoding runs past 10 bytes (more than a
-/// `u64` can hold).
-#[inline]
-pub fn take_varint(bytes: &[u8], pos: &mut usize) -> io::Result<u64> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let Some(&byte) = bytes.get(*pos) else {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "varint truncated",
-            ));
-        };
-        *pos += 1;
-        if shift >= 64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "varint longer than 10 bytes",
-            ));
-        }
-        value |= u64::from(byte & 0x7f) << shift;
-        // `seeded-bugs` is a TEST-ONLY mutation used by the `fvl-check`
-        // conformance harness: the continuation test is off by one, so
-        // a varint whose final byte is exactly 0x7f is misread as
-        // continuing into the next byte.
-        #[cfg(feature = "seeded-bugs")]
-        let done = byte < 0x7f;
-        #[cfg(not(feature = "seeded-bugs"))]
-        let done = byte < 0x80;
-        if done {
-            return Ok(value);
-        }
-        shift += 7;
-    }
-}
-
-/// Encodes one chunk's packed address column (raw `u32`s with
-/// [`crate::STORE_BIT`] folded in) as delta + varint tokens, appending
-/// to `out`. The delta chain starts at word 0.
-pub fn encode_addr_chunk(addrs: &[u32], out: &mut Vec<u8>) {
-    let mut prev: i64 = 0;
-    for &raw in addrs {
-        let store = u64::from(raw & 1);
-        let word = i64::from(raw >> 2);
-        let token = zigzag(word - prev) << 1 | store;
-        put_varint(out, token);
-        prev = word;
-    }
-}
-
-/// Decodes exactly `count` addresses from an [`encode_addr_chunk`]
-/// payload, requiring the payload to be fully consumed.
-///
-/// # Errors
-///
-/// Fails with `UnexpectedEof` on a truncated payload and `InvalidData`
-/// when a delta walks outside the 30-bit word space, a varint
-/// overflows, or bytes are left over after the last address.
-pub fn decode_addr_chunk(bytes: &[u8], count: usize) -> io::Result<Vec<u32>> {
-    let mut addrs = Vec::new();
-    decode_addr_chunk_into(bytes, count, &mut addrs)?;
-    Ok(addrs)
-}
-
-/// [`decode_addr_chunk`] appending into a caller-owned column, so a
-/// multi-chunk reader decodes every chunk straight into the final
-/// buffer instead of staging each one through a fresh allocation.
-///
-/// # Errors
-///
-/// Same conditions as [`decode_addr_chunk`].
-pub fn decode_addr_chunk_into(bytes: &[u8], count: usize, out: &mut Vec<u32>) -> io::Result<()> {
-    out.reserve(count.min(1 << 24));
-    let mut pos = 0usize;
-    let mut prev: i64 = 0;
-    // A byte-at-a-time loop, measured fastest here: windowed u64 loads
-    // with continuation-bitmask boundary finding were tried and lost to
-    // this loop on real traces (the extra shift/mask machinery costs
-    // more than the serial byte chain saves on a narrow core), so
-    // [`take_varint`] stays the single decode authority.
-    for _ in 0..count {
-        let token = take_varint(bytes, &mut pos)?;
-        prev = emit_token(out, prev, token)?;
-    }
-    if pos != bytes.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "{} trailing bytes after the last address",
-                bytes.len() - pos
-            ),
-        ));
-    }
-    Ok(())
 }
 
 /// Applies one decoded token to the delta chain: bounds-checks the
@@ -218,7 +93,7 @@ const TOKEN_MASK: [u32; 4] = [0xff, 0xffff, 0x00ff_ffff, 0xffff_ffff];
 
 /// Encodes one chunk's packed address column in the v2.2 split layout
 /// (control stream, then payload stream), appending to `out`. The
-/// delta chain starts at word 0, exactly as for [`encode_addr_chunk`].
+/// delta chain starts at word 0.
 pub fn encode_addr_chunk_split(addrs: &[u32], out: &mut Vec<u8>) {
     let control_at = out.len();
     out.resize(control_at + addrs.len().div_ceil(4), 0);
@@ -385,83 +260,6 @@ mod tests {
         assert_eq!(zigzag(1), 2);
     }
 
-    #[test]
-    fn varint_round_trips_boundary_values() {
-        for v in [
-            0u64,
-            1,
-            0x7f,
-            0x80,
-            0x3fff,
-            0x4000,
-            u64::from(u32::MAX),
-            u64::MAX,
-        ] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(take_varint(&buf, &mut pos).unwrap(), v, "{v:#x}");
-            assert_eq!(pos, buf.len(), "{v:#x}");
-        }
-    }
-
-    #[test]
-    fn truncated_varint_is_eof() {
-        let mut buf = Vec::new();
-        put_varint(&mut buf, u64::from(u32::MAX));
-        buf.pop();
-        let mut pos = 0;
-        let err = take_varint(&buf, &mut pos).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn overlong_varint_is_invalid() {
-        let buf = [0x80u8; 11];
-        let mut pos = 0;
-        let err = take_varint(&buf, &mut pos).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[cfg(not(feature = "seeded-bugs"))]
-    #[test]
-    fn addr_chunk_round_trips_including_max_delta() {
-        // Alternating extremes force the worst-case 5-byte tokens.
-        let addrs = vec![0, u32::MAX & !3 | 1, 1, u32::MAX & !3, 4, 8, 8 | 1, 0x1000];
-        let mut bytes = Vec::new();
-        encode_addr_chunk(&addrs, &mut bytes);
-        assert!(bytes.len() <= addrs.len() * MAX_VARINT_BYTES_PER_ADDR);
-        assert_eq!(decode_addr_chunk(&bytes, addrs.len()).unwrap(), addrs);
-    }
-
-    #[cfg(not(feature = "seeded-bugs"))]
-    #[test]
-    fn local_streams_compress_well() {
-        let addrs: Vec<u32> = (0..1024u32).map(|i| (i % 64) * 4).collect();
-        let mut bytes = Vec::new();
-        encode_addr_chunk(&addrs, &mut bytes);
-        // Small deltas: ~1–2 bytes per address vs 4 raw.
-        assert!(bytes.len() * 2 < addrs.len() * 4, "{} bytes", bytes.len());
-        assert_eq!(decode_addr_chunk(&bytes, addrs.len()).unwrap(), addrs);
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut bytes = Vec::new();
-        encode_addr_chunk(&[4, 8], &mut bytes);
-        bytes.push(0);
-        let err = decode_addr_chunk(&bytes, 2).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn truncated_chunk_is_rejected() {
-        let mut bytes = Vec::new();
-        encode_addr_chunk(&[4, 8, 12], &mut bytes);
-        bytes.pop();
-        assert!(decode_addr_chunk(&bytes, 3).is_err());
-    }
-
     /// Columns that exercise every token length, group-boundary
     /// stragglers, and the empty case.
     #[cfg(not(feature = "seeded-bugs"))]
@@ -506,21 +304,6 @@ mod tests {
             decode_addr_chunk_split_into(&bytes, addrs.len(), &mut out)
                 .unwrap_or_else(|e| panic!("{} addrs: {e}", addrs.len()));
             assert_eq!(out, addrs, "{} addrs", addrs.len());
-        }
-    }
-
-    #[cfg(not(feature = "seeded-bugs"))]
-    #[test]
-    fn split_and_varint_codecs_agree() {
-        for addrs in split_cases() {
-            let mut leb = Vec::new();
-            encode_addr_chunk(&addrs, &mut leb);
-            let mut split = Vec::new();
-            encode_addr_chunk_split(&addrs, &mut split);
-            assert_eq!(
-                decode_addr_chunk(&leb, addrs.len()).unwrap(),
-                decode_addr_chunk_split(&split, addrs.len()).unwrap(),
-            );
         }
     }
 
@@ -582,15 +365,13 @@ mod tests {
 
     #[cfg(not(feature = "seeded-bugs"))]
     #[test]
-    fn split_column_overhead_is_bounded_on_local_streams() {
+    fn local_streams_compress_well() {
         let addrs: Vec<u32> = (0..8192u32).map(|i| (i % 64) * 4).collect();
-        let mut leb = Vec::new();
-        encode_addr_chunk(&addrs, &mut leb);
         let mut split = Vec::new();
         encode_addr_chunk_split(&addrs, &mut split);
-        // Small deltas: 1 payload byte + 1/4 control byte per address
-        // vs 1 full LEB byte — the split form trades ≤ 25% growth for
-        // branch-free decode, and must never exceed that bound.
-        assert!(split.len() <= leb.len() + addrs.len().div_ceil(4));
+        // Small deltas: one payload byte plus a quarter control byte
+        // per address vs 4 raw.
+        assert_eq!(split.len(), addrs.len() + addrs.len().div_ceil(4));
+        assert_eq!(decode_addr_chunk_split(&split, addrs.len()).unwrap(), addrs);
     }
 }

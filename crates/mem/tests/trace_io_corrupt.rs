@@ -1,10 +1,15 @@
-//! Corrupt-input matrix for the trace codecs: truncated v1/v2 streams,
-//! bad magic headers, hostile length fields, and malformed record
-//! bodies. Every case must come back as an `Err` — never a panic, and
-//! never an attempt to allocate a buffer sized by attacker-controlled
-//! header counts.
+//! Corrupt-input matrix for the trace codecs: truncated v1/v2/v2.2
+//! streams, bad magic headers, hostile length fields, malformed record
+//! bodies and chunk layouts the writer never produces. Every case must
+//! come back as an `Err` — never a panic, and never an attempt to
+//! allocate a buffer sized by attacker-controlled header counts. And no
+//! case may read as two different traces: the sequential reader and the
+//! mapped reader's lazy chunk-by-chunk decode each either reject it or
+//! decode the same trace.
 
-use fvl_mem::{Access, MappedTrace, PackedTrace, Region, RegionKind, Trace, TraceEvent};
+use fvl_mem::{
+    Access, AccessSink, MappedTrace, PackedTrace, Region, RegionKind, Trace, TraceEvent,
+};
 use std::io::ErrorKind;
 
 /// A small trace exercising every event tag: loads, stores, and
@@ -35,31 +40,9 @@ fn v2_bytes() -> Vec<u8> {
     bytes
 }
 
-/// The sample trace in the chunk-indexed v2.1 format at a chunk size of
+/// The sample trace in the chunk-indexed v2.2 format at a chunk size of
 /// two accesses, so the four accesses split across two chunks and the
 /// footer index has multiple entries to corrupt.
-fn v21_bytes() -> Vec<u8> {
-    let mut bytes = Vec::new();
-    PackedTrace::from_trace(&sample_trace())
-        .write_v21_with(&mut bytes, 2)
-        .unwrap();
-    bytes
-}
-
-/// A raw v2.1 header with attacker-chosen counts and no body.
-fn v21_header(accesses: u64, regions: u64, chunks: u64, chunk_accesses: u32) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"FVLTRC21");
-    bytes.extend_from_slice(&accesses.to_le_bytes());
-    bytes.extend_from_slice(&regions.to_le_bytes());
-    bytes.extend_from_slice(&chunks.to_le_bytes());
-    bytes.extend_from_slice(&chunk_accesses.to_le_bytes());
-    bytes.extend_from_slice(&0u32.to_le_bytes()); // reserved
-    bytes
-}
-
-/// The sample trace in the stream-split v2.2 format at a chunk size of
-/// two accesses (same shape as [`v21_bytes`]).
 fn v22_bytes() -> Vec<u8> {
     let mut bytes = Vec::new();
     PackedTrace::from_trace(&sample_trace())
@@ -81,8 +64,44 @@ fn v22_header(accesses: u64, regions: u64, chunks: u64, chunk_accesses: u32) -> 
     bytes
 }
 
+/// Records the event stream a reader delivers.
+#[derive(Default)]
+struct Recorder(Vec<TraceEvent>);
+
+impl AccessSink for Recorder {
+    fn on_access(&mut self, a: Access) {
+        self.0.push(TraceEvent::Access(a));
+    }
+    fn on_alloc(&mut self, r: Region) {
+        self.0.push(TraceEvent::Alloc(r));
+    }
+    fn on_free(&mut self, r: Region) {
+        self.0.push(TraceEvent::Free(r));
+    }
+}
+
+/// The two readers must never accept `bytes` as two different traces:
+/// [`PackedTrace::read_from`] (the in-RAM sweep and serve uploads) and
+/// [`MappedTrace::replay_into`] (the corpus sweep's lazy path) each
+/// either reject it or deliver the same events.
+fn assert_readers_agree(bytes: &[u8], what: &str) {
+    let streamed = PackedTrace::read_from(bytes).ok();
+    let lazy = MappedTrace::from_bytes(bytes.to_vec()).ok().and_then(|m| {
+        let mut events = Recorder::default();
+        m.replay_into(&mut events).ok().map(|()| events.0)
+    });
+    if let (Some(streamed), Some(lazy)) = (streamed, lazy) {
+        assert_eq!(
+            streamed.iter_events().collect::<Vec<_>>(),
+            lazy,
+            "the readers decode {what} as two different traces"
+        );
+    }
+}
+
 /// The mapped reader must reject `bytes` with a decode-shaped error.
 fn assert_mapped_rejected(bytes: &[u8], what: &str) {
+    assert_readers_agree(bytes, what);
     let err = MappedTrace::from_bytes(bytes.to_vec())
         .err()
         .unwrap_or_else(|| panic!("MappedTrace accepted {what}"));
@@ -96,8 +115,20 @@ fn assert_mapped_rejected(bytes: &[u8], what: &str) {
     );
 }
 
+/// The mapped reader opens `bytes` (the index is sound) but its lazy
+/// decode must fail.
+fn assert_lazy_decode_fails(bytes: Vec<u8>, what: &str) {
+    let mapped = MappedTrace::from_bytes(bytes).expect("the index is sound");
+    let mut events = Recorder::default();
+    assert!(
+        mapped.replay_into(&mut events).is_err(),
+        "lazy decode accepted {what}"
+    );
+}
+
 /// Both decoders must reject `bytes` with a decode-shaped error.
 fn assert_rejected(bytes: &[u8], what: &str) {
+    assert_readers_agree(bytes, what);
     for (reader, err) in [
         ("Trace", Trace::read_from(bytes).err()),
         ("PackedTrace", PackedTrace::read_from(bytes).err()),
@@ -146,6 +177,7 @@ fn bad_magic_variants_are_invalid_data() {
         b"\x7fELF\x02\x01\x01\0\0\0\0", // a different file family entirely
     ];
     for bytes in variants {
+        assert_readers_agree(bytes, "a bad magic");
         for err in [
             Trace::read_from(bytes).unwrap_err(),
             PackedTrace::read_from(bytes).unwrap_err(),
@@ -273,81 +305,32 @@ fn corrupt_v2_record_bodies_are_invalid_data() {
 }
 
 #[test]
-fn every_strict_prefix_of_a_v21_stream_is_rejected() {
-    let bytes = v21_bytes();
-    let full = MappedTrace::from_bytes(bytes.clone()).expect("full v2.1 stream ok");
-    assert_eq!(full.chunk_count(), 2);
-    // The footer (16-byte index entries plus the trailing index offset)
-    // is trailing data to the streaming decoders — they stop after the
-    // region table — so the streaming sweep runs up to the payload end.
-    let footer = full.chunk_count() as usize * 16 + 8;
-    let payload_end = bytes.len() - footer;
-    for len in 0..payload_end {
-        assert_rejected(&bytes[..len], &format!("v2.1 prefix of {len} bytes"));
-    }
-    // The mapped reader validates the footer strictly: every strict
-    // prefix, including ones cut inside the chunk index, must fail.
-    for len in 0..bytes.len() {
-        assert_mapped_rejected(&bytes[..len], &format!("v2.1 prefix of {len} bytes"));
-    }
-    assert!(
-        PackedTrace::read_from(bytes.as_slice()).is_ok(),
-        "full stream ok"
-    );
-}
-
-#[test]
-fn hostile_v21_header_counts_fail_without_allocating() {
-    // accesses > u32::MAX is structurally impossible for packed columns
-    // and must be rejected before any column buffer is sized from it.
-    let bytes = v21_header(u64::from(u32::MAX) + 1, 0, 1, 1);
-    assert_rejected(&bytes, "v2.1 with accesses=u32::MAX+1");
-    assert_mapped_rejected(&bytes, "v2.1 with accesses=u32::MAX+1");
-
-    // chunk_count inconsistent with accesses / chunk_accesses — a
-    // u64::MAX count must not drive a 2^64-iteration decode loop.
-    let bytes = v21_header(4, 0, u64::MAX, 2);
-    assert_rejected(&bytes, "v2.1 with chunk_count=u64::MAX");
-    assert_mapped_rejected(&bytes, "v2.1 with chunk_count=u64::MAX");
-
-    // A zero chunk size with a nonzero access count divides by zero in
-    // any naive chunk-count check.
-    let bytes = v21_header(4, 0, 2, 0);
-    assert_rejected(&bytes, "v2.1 with chunk_accesses=0");
-    assert_mapped_rejected(&bytes, "v2.1 with chunk_accesses=0");
-
-    // region_count far beyond the guard, body empty.
-    let bytes = v21_header(0, u64::MAX, 0, 2);
-    assert_rejected(&bytes, "v2.1 with region_count=u64::MAX");
-    assert_mapped_rejected(&bytes, "v2.1 with region_count=u64::MAX");
-}
-
-#[test]
-fn hostile_v21_chunk_headers_fail_without_allocating() {
+fn hostile_v22_chunk_headers_fail_without_allocating() {
     // The first chunk's inline header sits right after the 40-byte file
     // header: chunk_len at +40, addr_bytes at +44.
-    let mut bytes = v21_bytes();
+    let mut bytes = v22_bytes();
     bytes[44..48].copy_from_slice(&u32::MAX.to_le_bytes());
-    // addr_bytes=u32::MAX exceeds the 5-bytes-per-address ceiling for a
+    // addr_bytes=u32::MAX exceeds the split ceiling (one control byte
+    // per four addresses plus 4 payload bytes per address) for a
     // two-access chunk: both decoders must reject it before allocating
-    // a 4 GiB varint buffer. The mapped reader also sees it disagree
+    // a 4 GiB column buffer. The mapped reader also sees it disagree
     // with the footer index entry.
-    assert_rejected(&bytes, "v2.1 with inline addr_bytes=u32::MAX");
-    assert_mapped_rejected(&bytes, "v2.1 with inline addr_bytes=u32::MAX");
+    assert_rejected(&bytes, "v2.2 with inline addr_bytes=u32::MAX");
+    assert_mapped_rejected(&bytes, "v2.2 with inline addr_bytes=u32::MAX");
 
     // An inline chunk_len that disagrees with the geometry the file
     // header promises (and with the footer index entry).
-    let mut bytes = v21_bytes();
+    let mut bytes = v22_bytes();
     bytes[40..44].copy_from_slice(&3u32.to_le_bytes());
-    assert_rejected(&bytes, "v2.1 with inline chunk_len=3");
-    assert_mapped_rejected(&bytes, "v2.1 with inline chunk_len=3");
+    assert_rejected(&bytes, "v2.2 with inline chunk_len=3");
+    assert_mapped_rejected(&bytes, "v2.2 with inline chunk_len=3");
 }
 
 #[test]
-fn hostile_v21_chunk_index_entries_are_rejected() {
+fn hostile_v22_chunk_index_entries_are_rejected() {
     // The footer is invisible to the streaming decoders, so these cases
     // target the mapped reader's strict index validation alone.
-    let good = v21_bytes();
+    let good = v22_bytes();
     let len = good.len();
     let index_offset = len - 8 - 2 * 16;
 
@@ -356,7 +339,7 @@ fn hostile_v21_chunk_index_entries_are_rejected() {
     for bogus in [u64::MAX, 0, index_offset as u64 - 1] {
         let mut bytes = good.clone();
         bytes[len - 8..].copy_from_slice(&bogus.to_le_bytes());
-        assert_mapped_rejected(&bytes, &format!("v2.1 with index_offset={bogus}"));
+        assert_mapped_rejected(&bytes, &format!("v2.2 with index_offset={bogus}"));
     }
 
     // First index entry: payload_offset at +0, chunk_len at +8,
@@ -366,7 +349,7 @@ fn hostile_v21_chunk_index_entries_are_rejected() {
     for bogus in [u64::MAX, len as u64, 0] {
         let mut bytes = good.clone();
         bytes[index_offset..index_offset + 8].copy_from_slice(&bogus.to_le_bytes());
-        assert_mapped_rejected(&bytes, &format!("v2.1 with payload_offset={bogus}"));
+        assert_mapped_rejected(&bytes, &format!("v2.2 with payload_offset={bogus}"));
     }
 
     // Index-entry chunk geometry that disagrees with the file header
@@ -374,10 +357,74 @@ fn hostile_v21_chunk_index_entries_are_rejected() {
     // rejected by the per-chunk ceiling before any decode allocates.
     let mut bytes = good.clone();
     bytes[index_offset + 8..index_offset + 12].copy_from_slice(&7u32.to_le_bytes());
-    assert_mapped_rejected(&bytes, "v2.1 with index chunk_len=7");
+    assert_mapped_rejected(&bytes, "v2.2 with index chunk_len=7");
     let mut bytes = good.clone();
     bytes[index_offset + 12..index_offset + 16].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert_mapped_rejected(&bytes, "v2.1 with index addr_bytes=u32::MAX");
+    assert_mapped_rejected(&bytes, "v2.2 with index addr_bytes=u32::MAX");
+}
+
+#[test]
+fn aliased_and_gapped_chunk_layouts_are_rejected() {
+    // Four loads at two accesses per chunk. Both chunks hold two
+    // one-byte tokens, so their inline headers are identical and each
+    // index entry passes the inline cross-check wherever it points.
+    let trace = Trace::from_events(
+        [0x10, 0x14, 0x40, 0x44]
+            .into_iter()
+            .map(|addr| TraceEvent::Access(Access::load(addr, 0)))
+            .collect(),
+    );
+    let mut good = Vec::new();
+    PackedTrace::from_trace(&trace)
+        .write_v22_with(&mut good, 2)
+        .unwrap();
+    // Two index entries of 16 bytes each sit before the trailing index
+    // offset; with no region events the index follows chunk 1 directly.
+    let entry = |bytes: &[u8], i: usize| bytes.len() - 8 - (2 - i) * 16;
+    let offset_of = |bytes: &[u8], i: usize| {
+        let at = entry(bytes, i);
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+    };
+    let (chunk1, payload_end) = (offset_of(&good, 1), entry(&good, 0));
+    assert_eq!(offset_of(&good, 0), 40);
+    assert_eq!(
+        good[40..48],
+        good[chunk1..chunk1 + 8],
+        "inline headers differ"
+    );
+
+    // Chunk 1's entry aliases chunk 0's payload: the lazy decode would
+    // replay 0x10 0x14 0x10 0x14 while the sequential reader decodes
+    // 0x10 0x14 0x40 0x44.
+    let mut aliased = good.clone();
+    let at = entry(&aliased, 1);
+    aliased[at..at + 8].copy_from_slice(&40u64.to_le_bytes());
+    assert!(PackedTrace::read_from(aliased.as_slice()).is_ok());
+    assert_mapped_rejected(&aliased, "chunk 1 aliasing chunk 0");
+    let err = MappedTrace::from_bytes(aliased).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+
+    // Gaps: four stray bytes before chunk 1 (its entry moved to match),
+    // and four between the last chunk and the region table, each with
+    // the trailing index offset shifted to the index's new place.
+    for (gap, what) in [
+        (chunk1, "a gap before chunk 1"),
+        (payload_end, "a gap after chunk 1"),
+    ] {
+        let mut gapped = good[..gap].to_vec();
+        gapped.extend_from_slice(&[0xa5; 4]);
+        gapped.extend_from_slice(&good[gap..]);
+        if gap == chunk1 {
+            let at = entry(&gapped, 1);
+            gapped[at..at + 8].copy_from_slice(&(chunk1 as u64 + 4).to_le_bytes());
+        }
+        let index_offset = entry(&gapped, 0) as u64;
+        let at = gapped.len() - 8;
+        gapped[at..].copy_from_slice(&index_offset.to_le_bytes());
+        assert_mapped_rejected(&gapped, what);
+        let err = MappedTrace::from_bytes(gapped).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{what}: {err}");
+    }
 }
 
 #[test]
@@ -397,6 +444,7 @@ fn every_strict_prefix_of_a_v22_stream_is_rejected() {
         PackedTrace::read_from(bytes.as_slice()).is_ok(),
         "full stream ok"
     );
+    assert_readers_agree(&bytes, "the full v2.2 stream");
 }
 
 #[test]
@@ -444,30 +492,21 @@ fn v22_control_payload_stream_mismatches_are_rejected() {
     let mut bytes = good.clone();
     bytes[48] = 0b11;
     assert_rejected(&bytes, "v2.2 control over-claims payload");
-    let err = MappedTrace::from_bytes(bytes).unwrap().to_packed();
-    assert!(
-        err.is_err(),
-        "mapped decode accepted an over-claiming control stream"
-    );
+    assert_lazy_decode_fails(bytes, "an over-claiming control stream");
 
     // Shrinking it leaves payload bytes no control code accounts for:
     // the decoder must flag the orphaned trailing bytes.
     let mut bytes = good.clone();
     bytes[48] = 0b00;
     assert_rejected(&bytes, "v2.2 control under-claims payload");
-    let err = MappedTrace::from_bytes(bytes).unwrap().to_packed();
-    assert!(
-        err.is_err(),
-        "mapped decode accepted orphaned payload bytes"
-    );
+    assert_lazy_decode_fails(bytes, "orphaned payload bytes");
 
     // Unused high lanes of the last control byte must be zero: a
     // non-canonical encoding is rejected before any token decodes.
     let mut bytes = good.clone();
     bytes[48] |= 0xf0;
     assert_rejected(&bytes, "v2.2 non-canonical control padding");
-    let err = MappedTrace::from_bytes(bytes).unwrap().to_packed();
-    assert!(err.is_err(), "mapped decode accepted non-canonical padding");
+    assert_lazy_decode_fails(bytes, "non-canonical padding");
 
     // An inline addr_bytes below the structural floor (control bytes +
     // one payload byte per address) cannot describe any valid column
@@ -483,13 +522,9 @@ fn trailing_garbage_after_a_complete_trace_is_ignored() {
     // The formats are length-prefixed: a decoder consumes exactly the
     // declared records and must not choke on what follows (e.g. a trace
     // embedded in a larger container).
-    for (mut bytes, accesses) in [
-        (v1_bytes(), 4u64),
-        (v2_bytes(), 4u64),
-        (v21_bytes(), 4u64),
-        (v22_bytes(), 4u64),
-    ] {
+    for (mut bytes, accesses) in [(v1_bytes(), 4u64), (v2_bytes(), 4u64), (v22_bytes(), 4u64)] {
         bytes.extend_from_slice(b"GARBAGE AFTER THE TRACE \xff\xfe\xfd");
+        assert_readers_agree(&bytes, "a trace with trailing garbage");
         let trace = Trace::read_from(bytes.as_slice()).unwrap();
         assert_eq!(trace.accesses(), accesses);
         let packed = PackedTrace::read_from(bytes.as_slice()).unwrap();
@@ -498,8 +533,7 @@ fn trailing_garbage_after_a_complete_trace_is_ignored() {
     // The mapped reader is the exception by design: its footer lives at
     // the end of the file, so trailing garbage shifts the index out from
     // under it and must be rejected, not silently misparsed.
-    for (mut bytes, tag) in [(v21_bytes(), "v2.1"), (v22_bytes(), "v2.2")] {
-        bytes.extend_from_slice(b"GARBAGE AFTER THE TRACE \xff\xfe\xfd");
-        assert_mapped_rejected(&bytes, &format!("{tag} with trailing garbage"));
-    }
+    let mut bytes = v22_bytes();
+    bytes.extend_from_slice(b"GARBAGE AFTER THE TRACE \xff\xfe\xfd");
+    assert_mapped_rejected(&bytes, "v2.2 with trailing garbage");
 }

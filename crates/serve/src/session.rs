@@ -374,8 +374,8 @@ fn handle_trace<S: Read + Write>(
     bytes: &[u8],
 ) -> io::Result<()> {
     // The codec only bounded the length; the *content* is revalidated
-    // by the same sniffing readers the CLI uses (v1/v2 via
-    // PackedTrace::read_from, v2.1/v2.2 via MappedTrace::from_bytes).
+    // by the same sniffing reader the CLI uses (PackedTrace::read_from,
+    // which accepts v1, v2 and v2.2).
     match remote::parse_trace_bytes(bytes) {
         Ok(trace) => {
             let accesses = trace.accesses();

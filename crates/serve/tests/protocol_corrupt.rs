@@ -299,3 +299,44 @@ fn oversized_cache_configs_are_refused_before_allocating() {
     next.bye().expect("clean close");
     handle.shutdown();
 }
+
+/// An `FVLTRC21` file — the chunk-indexed container with LEB128 address
+/// columns that earlier versions wrote — is an unknown format now: the
+/// sequential reader and the mapped reader both fail with
+/// `InvalidData`, and an upload of it is refused with a typed BAD_TRACE
+/// error while the session keeps serving.
+#[test]
+fn fvltrc21_files_are_rejected_everywhere() {
+    let trace = fvl_bench::corpus::synth_trace(1000, 7);
+    let mut v22 = Vec::new();
+    trace
+        .write_v22_with(&mut v22, 256)
+        .expect("in-memory write");
+    // The v2.1 header: its magic and a zero reserved word where v2.2
+    // keeps its codec id.
+    let mut v21 = v22.clone();
+    v21[..8].copy_from_slice(b"FVLTRC21");
+    v21[36..40].copy_from_slice(&0u32.to_le_bytes());
+
+    let err = fvl_mem::PackedTrace::read_from(v21.as_slice()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let err = fvl_mem::MappedTrace::from_bytes(v21.clone()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+
+    let handle = daemon();
+    let mut client = RemoteClient::connect(
+        handle.local_addr(),
+        &SessionSpec::smoke("v21"),
+        Duration::from_secs(10),
+    )
+    .expect("session opens");
+    match client.upload_trace(&v21) {
+        Err(RemoteError::Rejected(code, msg)) => {
+            assert_eq!(code, ErrorCode::BadTrace, "{msg}");
+        }
+        other => panic!("expected a BAD_TRACE refusal, got {other:?}"),
+    }
+    assert_eq!(client.upload_trace(&v22).expect("v2.2 upload"), 1000);
+    client.bye().expect("clean close");
+    handle.shutdown();
+}
