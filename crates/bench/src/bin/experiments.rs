@@ -17,11 +17,11 @@
 //! remotely (the daemon owns its engine) and is ignored with a note on
 //! stderr.
 //!
-//! Reports go to stdout; timing, engine-throughput, trace-store and
-//! simulation-memo lines go to stderr, so stdout is bit-identical for
-//! any `--jobs` count. The `--metrics` export is deterministic too,
-//! unless `--metrics-timing` opts into wall-clock and cache hit/miss
-//! fields (see `fvl_bench::metrics`).
+//! Reports go to stdout; timing, engine-throughput, trace-store,
+//! profile-store and simulation-memo lines go to stderr, so stdout is
+//! bit-identical for any `--jobs` count. The `--metrics` export is
+//! deterministic too, unless `--metrics-timing` opts into wall-clock
+//! and cache hit/miss fields (see `fvl_bench::metrics`).
 //!
 //! A local run exits 1, after printing every report and writing the
 //! exports, when an experiment's cross-check between two independent
@@ -194,6 +194,14 @@ fn main() -> ExitCode {
         if store.distinct_keys() == 1 { "" } else { "s" },
         store.total_misses(),
         store.total_hits(),
+    );
+    let profiles = store.profile_stats();
+    eprintln!(
+        "profile store: {} distinct key{}, {} profiled without a trace, {} served from cache",
+        profiles.len(),
+        if profiles.len() == 1 { "" } else { "s" },
+        profiles.iter().map(|s| s.misses).sum::<u64>(),
+        profiles.iter().map(|s| s.hits).sum::<u64>(),
     );
     let sims = store.sim_totals();
     eprintln!(

@@ -1,12 +1,13 @@
 //! Workload execution and profiling shared by all experiments.
 
-use crate::engine::{CellId, Completed, Engine, FnJob};
+use crate::engine::{CellId, Completed, Engine};
 use crate::sim::{SimResult, SimSpec};
 use crate::store::{OnceMap, TraceKey, TraceStore};
 use fvl_mem::{PackedTrace, TraceBuffer, TraceRepr, TraceReprKind, TracedMemory, Word};
 use fvl_profile::{OccurrenceSampler, ValueCounter};
 use fvl_workloads::{by_name, InputSize, Workload};
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Number of occurrence snapshots per run (the paper samples every 10M
@@ -18,22 +19,111 @@ pub const SNAPSHOTS_PER_RUN: u64 = 20;
 /// full `all` sweep finishes in seconds.
 pub const SMOKE_REFS: u64 = 1000;
 
-/// One workload's recorded trace plus its value profiles — everything an
-/// experiment needs, produced by a single execution + two replays — and
-/// the memo of the caches simulated on it ([`crate::sim`]).
-pub struct WorkloadData {
+/// Runs `workload` to completion, recording its trace straight into
+/// packed columns. With a reference budget the columns are pre-sized to
+/// it and recording stops at it (no post-hoc truncation copy); the
+/// result is identical to recording everything and taking
+/// [`fvl_mem::Trace::into_prefix`].
+fn record(mut workload: Box<dyn Workload>, max_refs: Option<u64>) -> PackedTrace {
+    let mut buf = match max_refs {
+        Some(limit) => TraceBuffer::with_capacity(limit as usize).with_access_limit(limit),
+        None => TraceBuffer::new(),
+    };
+    let mut mem = TracedMemory::new(&mut buf);
+    workload.run(&mut mem);
+    mem.finish();
+    // Free the workload's memory image before trimming the columns.
+    drop(mem);
+    buf.into_packed()
+}
+
+/// The built-in workload `name`.
+///
+/// # Panics
+///
+/// Panics if the name is unknown.
+fn workload(name: &str, input: InputSize, seed: u64) -> Box<dyn Workload> {
+    by_name(name, input, seed).unwrap_or_else(|| panic!("unknown workload {name}"))
+}
+
+/// One capture's value profiles — what the Section 2 profile studies
+/// (Figures 1–2, Tables 1–2) read, and the ranking the FVC codes.
+///
+/// The [`TraceStore`] keeps profiles apart from traces, so a runner
+/// that reads only profiles ([`ExperimentContext::profile_many`])
+/// leaves no trace resident.
+pub struct Profiles {
     /// Short workload name (e.g. `"m88ksim"`).
     pub name: String,
-    /// The recorded event log in the columnar packed layout. The
-    /// [`TraceRepr`] wrapper dereferences to the [`PackedTrace`] and is
-    /// held only for the benchmark package (see `fvl_mem::TraceRepr`).
-    pub trace: TraceRepr,
+    /// Accesses in the profiled trace.
+    pub accesses: u64,
     /// Frequently *accessed* value profile.
     pub counter: ValueCounter,
     /// Frequently *occurring* value profile (snapshot census).
     pub occ: OccurrenceSampler,
     /// Snapshot interval used for the occurrence census.
     pub sample_every: u64,
+}
+
+impl Profiles {
+    /// Profiles a recorded trace: one replay into the value counter and
+    /// one snapshot replay into the occurrence census, which samples
+    /// memory [`SNAPSHOTS_PER_RUN`] times per run.
+    pub(crate) fn of(name: impl Into<String>, trace: &PackedTrace) -> Self {
+        let mut counter = ValueCounter::new();
+        trace.replay_into(&mut counter);
+        let sample_every = (trace.accesses() / SNAPSHOTS_PER_RUN).max(1);
+        let mut occ = OccurrenceSampler::new();
+        trace.replay_with_snapshots_into(&mut occ, sample_every);
+        Profiles {
+            name: name.into(),
+            accesses: trace.accesses(),
+            counter,
+            occ,
+            sample_every,
+        }
+    }
+
+    /// Runs `workload`, profiles its trace and drops the trace. The
+    /// profiles equal those of [`WorkloadData::capture_limited`] on the
+    /// same workload and budget.
+    pub fn capture_limited(workload: Box<dyn Workload>, max_refs: Option<u64>) -> Self {
+        let name = workload.name().to_string();
+        Self::of(name, &record(workload, max_refs))
+    }
+
+    /// The top `k` frequently accessed values (the set the FVC uses).
+    pub fn top_accessed(&self, k: usize) -> Vec<Word> {
+        self.counter.top_k(k)
+    }
+
+    /// The top `k` frequently occurring values.
+    pub fn top_occurring(&self, k: usize) -> Vec<Word> {
+        self.occ.top_k(k)
+    }
+}
+
+impl fmt::Debug for Profiles {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Profiles")
+            .field("name", &self.name)
+            .field("accesses", &self.accesses)
+            .finish()
+    }
+}
+
+/// One workload's recorded trace plus its value profiles, and the memo
+/// of the caches simulated on it ([`crate::sim`]). It dereferences to
+/// its [`Profiles`], so `data.counter` or `data.top_accessed(k)` read
+/// them directly.
+pub struct WorkloadData {
+    /// The capture's value profiles, shared with the store's profile
+    /// latch for the same key.
+    profiles: Arc<Profiles>,
+    /// The recorded event log in the columnar packed layout. The
+    /// [`TraceRepr`] wrapper dereferences to the [`PackedTrace`] and is
+    /// held only for the benchmark package (see `fvl_mem::TraceRepr`).
+    pub trace: TraceRepr,
     /// Results of the caches simulated on this capture so far (see
     /// [`WorkloadData::simulate`]).
     pub(crate) sims: OnceMap<SimSpec, SimResult>,
@@ -47,36 +137,41 @@ impl WorkloadData {
 
     /// Like [`WorkloadData::capture`], but keeps only the first
     /// `max_refs` recorded references when a limit is given (smoke
-    /// mode); the profiles are built from the truncated trace. With a
-    /// reference budget the recording buffer is pre-sized from the hint
-    /// and capped *during* recording (no post-hoc truncation copy); the
-    /// result is identical to recording everything and taking
-    /// [`fvl_mem::Trace::into_prefix`].
-    pub fn capture_limited(mut workload: Box<dyn Workload>, max_refs: Option<u64>) -> Self {
-        let mut buf = match max_refs {
-            // Room for the capped accesses plus the (rare) region
-            // events interleaved with them.
-            Some(limit) => TraceBuffer::with_capacity(limit as usize + limit as usize / 8 + 32)
-                .with_access_limit(limit),
-            None => TraceBuffer::new(),
-        };
-        {
-            let mut mem = TracedMemory::new(&mut buf);
-            workload.run(&mut mem);
-            mem.finish();
-        }
-        let trace = TraceRepr::Packed(PackedTrace::from_trace(&buf.into_trace()));
-        let mut counter = ValueCounter::new();
-        trace.replay_into(&mut counter);
-        let sample_every = (trace.accesses() / SNAPSHOTS_PER_RUN).max(1);
-        let mut occ = OccurrenceSampler::new();
-        trace.replay_with_snapshots_into(&mut occ, sample_every);
+    /// mode); the profiles are built from the truncated trace.
+    pub fn capture_limited(workload: Box<dyn Workload>, max_refs: Option<u64>) -> Self {
+        let name = workload.name().to_string();
+        let trace = record(workload, max_refs);
+        let profiles = Arc::new(Profiles::of(name, &trace));
+        Self::from_parts(trace, profiles)
+    }
+
+    /// Records `workload` and pairs the trace with `profiles`, built
+    /// earlier from a run of the same workload, input, seed and budget:
+    /// the capture then skips both profile passes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the recording's access count differs from the one the
+    /// profiles were built from.
+    pub(crate) fn record_with(
+        workload: Box<dyn Workload>,
+        max_refs: Option<u64>,
+        profiles: Arc<Profiles>,
+    ) -> Self {
+        let trace = record(workload, max_refs);
+        assert_eq!(
+            trace.accesses(),
+            profiles.accesses,
+            "{}: a second run recorded a different trace",
+            profiles.name
+        );
+        Self::from_parts(trace, profiles)
+    }
+
+    fn from_parts(trace: PackedTrace, profiles: Arc<Profiles>) -> Self {
         WorkloadData {
-            name: workload.name().to_string(),
-            trace,
-            counter,
-            occ,
-            sample_every,
+            profiles,
+            trace: TraceRepr::Packed(trace),
             sims: OnceMap::new(),
         }
     }
@@ -93,14 +188,17 @@ impl WorkloadData {
         Self::capture_limited(workload, max_refs)
     }
 
-    /// The top `k` frequently accessed values (the set the FVC uses).
-    pub fn top_accessed(&self, k: usize) -> Vec<Word> {
-        self.counter.top_k(k)
+    /// The capture's value profiles.
+    pub fn profiles(&self) -> &Arc<Profiles> {
+        &self.profiles
     }
+}
 
-    /// The top `k` frequently occurring values.
-    pub fn top_occurring(&self, k: usize) -> Vec<Word> {
-        self.occ.top_k(k)
+impl Deref for WorkloadData {
+    type Target = Profiles;
+
+    fn deref(&self) -> &Profiles {
+        &self.profiles
     }
 }
 
@@ -301,46 +399,97 @@ impl ExperimentContext {
         self.capture_with(name, self.input, self.seed)
     }
 
-    /// Captures one workload with explicit input size and seed (used by
-    /// the Table 2 input-sensitivity study), routed through the batch's
-    /// [`TraceStore`].
+    /// Captures one workload with explicit input size and seed, routed
+    /// through the batch's [`TraceStore`]. When the key's profiles are
+    /// already latched (a profile-only runner asked first), the capture
+    /// only records and reuses them.
     ///
     /// # Panics
     ///
     /// Panics if the name is unknown.
     pub fn capture_with(&self, name: &str, input: InputSize, seed: u64) -> Arc<WorkloadData> {
         let key = TraceKey::new(name, input, seed, self.max_refs);
-        self.core.store.get_or_capture(key, || {
-            let w = by_name(name, input, seed).unwrap_or_else(|| panic!("unknown workload {name}"));
-            WorkloadData::capture_limited(w, self.max_refs)
+        let store = self.store();
+        store.get_or_capture(key.clone(), || {
+            let workload = workload(name, input, seed);
+            match store.latched_profiles(&key) {
+                Some(profiles) => WorkloadData::record_with(workload, self.max_refs, profiles),
+                None => WorkloadData::capture_limited(workload, self.max_refs),
+            }
+        })
+    }
+
+    /// The value profiles of one workload by name, from the batch's
+    /// [`TraceStore`]: the key's profile latch, or its trace capture if
+    /// one is latched. Otherwise the workload runs once, its trace is
+    /// profiled and dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name is unknown.
+    pub fn profile(&self, name: &str) -> Arc<Profiles> {
+        self.profile_with(name, self.input, self.seed)
+    }
+
+    /// [`ExperimentContext::profile`] with explicit input size and seed
+    /// (used by the Table 2 input-sensitivity study).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name is unknown.
+    pub fn profile_with(&self, name: &str, input: InputSize, seed: u64) -> Arc<Profiles> {
+        let key = TraceKey::new(name, input, seed, self.max_refs);
+        self.store().get_or_profile(key, || {
+            Profiles::capture_limited(workload(name, input, seed), self.max_refs)
         })
     }
 
     /// Captures several workloads as engine cells (one per name), in
     /// the given order. A capture executes the workload once and
     /// replays its trace through the two value profilers, so each cell
-    /// reports three passes over the trace — whether the capture ran
-    /// live or was served from the [`TraceStore`], so cell records stay
-    /// byte-identical with the cache on or off.
+    /// charges three passes over the trace, whether it ran or was
+    /// served from the [`TraceStore`].
     ///
     /// # Panics
     ///
     /// Panics if any name is unknown.
     pub fn capture_many(&self, experiment: &'static str, names: &[&str]) -> Vec<Arc<WorkloadData>> {
-        let jobs: Vec<_> = names
-            .iter()
-            .map(|&name| {
-                let ctx = self.clone();
-                let name = name.to_string();
-                let id = CellId::new(experiment, name.clone(), format!("capture {}", self.input));
-                FnJob::new(id, move || {
-                    let data = ctx.capture(&name);
-                    let passes = 3 * data.trace.accesses();
-                    Completed::new(data, passes)
-                })
-            })
-            .collect();
-        self.core.engine.run_jobs(jobs)
+        self.capture_cells(experiment, names, |name| {
+            let data = self.capture(name);
+            let accesses = data.trace.accesses();
+            (data, accesses)
+        })
+    }
+
+    /// The value profiles of several workloads as engine cells (one per
+    /// name), in the given order. Each cell charges the same three
+    /// passes as a [`ExperimentContext::capture_many`] cell, so the
+    /// cell records do not depend on which latch served it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any name is unknown.
+    pub fn profile_many(&self, experiment: &'static str, names: &[&str]) -> Vec<Arc<Profiles>> {
+        self.capture_cells(experiment, names, |name| {
+            let profiles = self.profile(name);
+            let accesses = profiles.accesses;
+            (profiles, accesses)
+        })
+    }
+
+    /// One `capture <input>` cell per name, charging three passes over
+    /// the `accesses` that `get` reports.
+    fn capture_cells<T: Send>(
+        &self,
+        experiment: &'static str,
+        names: &[&str],
+        get: impl Fn(&str) -> (T, u64) + Sync,
+    ) -> Vec<T> {
+        let config = format!("capture {}", self.input);
+        self.cells(names.to_vec(), |name| {
+            let (out, accesses) = get(name);
+            Completed::new(out, 3 * accesses).at(CellId::new(experiment, name, config.as_str()))
+        })
     }
 
     /// The paper's six frequent-value benchmarks, in its order.

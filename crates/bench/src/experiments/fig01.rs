@@ -19,7 +19,7 @@ pub fn run(ctx: &ExperimentContext) -> Report {
     let mut table = Table::new(headers);
     let mut six_occ10 = Vec::new();
     let mut six_acc10 = Vec::new();
-    for data in ctx.capture_many("fig1", &ctx.all_int()) {
+    for data in ctx.profile_many("fig1", &ctx.all_int()) {
         let name = data.name.as_str();
         let mut occ_row = vec![name.to_string(), "occurring".to_string()];
         let mut acc_row = vec![String::new(), "accessed".to_string()];

@@ -16,7 +16,7 @@ pub fn run(ctx: &ExperimentContext) -> Report {
     headers.extend(KS.iter().map(|k| format!("top-{k} %")));
     let mut table = Table::new(headers);
     let mut min_occ10 = f64::INFINITY;
-    for data in ctx.capture_many("fig2", &ctx.all_fp()) {
+    for data in ctx.profile_many("fig2", &ctx.all_fp()) {
         let name = data.name.as_str();
         let mut occ_row = vec![name.to_string(), "occurring".to_string()];
         let mut acc_row = vec![String::new(), "accessed".to_string()];

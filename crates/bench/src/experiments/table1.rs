@@ -14,7 +14,7 @@ pub fn run(ctx: &ExperimentContext) -> Report {
     let mut table = Table::with_headers(&["rank", "benchmark", "accessed", "occurring"]);
     let mut small_value_count = 0usize;
     let mut pointer_value_count = 0usize;
-    for data in ctx.capture_many("table1", &ctx.fv_six()) {
+    for data in ctx.profile_many("table1", &ctx.fv_six()) {
         let name = data.name.as_str();
         let accessed = data.top_accessed(10);
         let occurring = data.top_occurring(10);

@@ -33,9 +33,9 @@ pub fn run(ctx: &ExperimentContext) -> Report {
         })
         .collect();
     let captures = ctx.cells(grid, |(name, input, seed)| {
-        let data = ctx.capture_with(name, input, seed);
-        let passes = 3 * data.trace.accesses();
-        crate::engine::Completed::new(data, passes).at(crate::engine::CellId::new(
+        let profiles = ctx.profile_with(name, input, seed);
+        let passes = 3 * profiles.accesses;
+        crate::engine::Completed::new(profiles, passes).at(crate::engine::CellId::new(
             "table2",
             name,
             format!("capture {input}, seed {seed}"),

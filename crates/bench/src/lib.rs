@@ -34,7 +34,7 @@ pub mod sim;
 pub mod store;
 pub mod table;
 
-pub use data::{EngineCore, ExperimentContext, WorkloadData};
+pub use data::{EngineCore, ExperimentContext, Profiles, WorkloadData};
 pub use engine::Engine;
 pub use sim::{SimResult, SimSpec};
 pub use store::{TraceKey, TraceStore};

@@ -59,7 +59,7 @@
 
 use crate::engine::{CellRecord, Engine};
 use crate::sim::MemoStats;
-use crate::store::TraceStore;
+use crate::store::{ProfileStats, TraceStore};
 use fvl_obs::{csv_row, Json};
 
 /// Version of the exported JSON schema. Bumped on any breaking change
@@ -161,10 +161,11 @@ pub fn json_report_with_extra(
 }
 
 /// Capture-cache statistics: distinct key count, per-key hit/miss
-/// counters (keys sorted, so the block itself is deterministic for a
-/// fixed run configuration), the resident footprint of the cached
-/// traces — events, bytes and bytes/event — and the simulation-memo
-/// counts (`sims`), in total and per capture.
+/// counters of the trace latch (keys sorted, so the block itself is
+/// deterministic for a fixed run configuration), the resident footprint
+/// of the cached traces — events, bytes and bytes/event — the
+/// simulation-memo counts (`sims`), in total and per capture, and the
+/// profile latch's counts (`profiles`).
 ///
 /// `enabled`, `repr` and `simd` are constants (the store always
 /// memoizes, captures have one layout and replay has one kernel), kept
@@ -211,6 +212,32 @@ fn trace_store_block(store: &TraceStore) -> Json {
                             ("hits", Json::U64(s.hits)),
                             ("misses", Json::U64(s.misses)),
                             ("sims", memo_block(s.sims)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("profiles", profiles_block(&store.profile_stats())),
+    ])
+}
+
+/// The profile latch's counts: every key with latched profiles, with
+/// the profile requests each served (`hits`) or ran (`misses`).
+fn profiles_block(stats: &[ProfileStats]) -> Json {
+    Json::object([
+        ("distinct_keys", Json::U64(stats.len() as u64)),
+        ("hits", Json::U64(stats.iter().map(|s| s.hits).sum())),
+        ("misses", Json::U64(stats.iter().map(|s| s.misses).sum())),
+        (
+            "keys",
+            Json::Array(
+                stats
+                    .iter()
+                    .map(|s| {
+                        Json::object([
+                            ("key", Json::Str(s.key.to_string())),
+                            ("hits", Json::U64(s.hits)),
+                            ("misses", Json::U64(s.misses)),
                         ])
                     })
                     .collect(),
@@ -443,6 +470,9 @@ mod tests {
         });
         let timed = json_report_full(&engine, &run, Some(&store), true).render();
         assert!(timed.contains("\"repr\":\"packed\""));
+        // The capture filled its key's profile latch without a profile
+        // request.
+        assert!(timed.contains("\"profiles\":{\"distinct_keys\":1,\"hits\":0,\"misses\":0"));
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //! caches, the ablation variants, classified replays and ext6's
 //! cross-check stay direct replays.
 //!
+//! A direct-mapped cache has one way to evict, so its replacement
+//! policy cannot change a result; 1-way specs of every policy share the
+//! LRU spec's entry.
+//!
 //! Memoizing changes nothing a run reports: cells charge the
 //! references they stand for whether their results were replayed or
 //! served. The memo's own counts ([`MemoStats`]) appear only in the
@@ -89,6 +93,24 @@ impl SimSpec {
             dmc_replacement: ReplacementKind::Lru,
             fvc_entries,
             top_k,
+        }
+    }
+
+    /// The memo key of this spec. A direct-mapped cache has one way to
+    /// evict, so every replacement policy yields the LRU result: a
+    /// 1-way spec of any policy shares the LRU spec's entry.
+    fn canonical(self) -> Self {
+        match self {
+            SimSpec::Dmc { geometry, .. } if geometry.associativity() == 1 => {
+                SimSpec::dmc(geometry)
+            }
+            SimSpec::Hybrid {
+                geometry,
+                fvc_entries,
+                top_k,
+                ..
+            } if geometry.associativity() == 1 => SimSpec::hybrid(geometry, fvc_entries, top_k),
+            spec => spec,
         }
     }
 
@@ -197,8 +219,10 @@ impl Sum for MemoStats {
 impl WorkloadData {
     /// The result of simulating `spec` on this capture, replaying the
     /// trace only on the first request for the spec (see the
-    /// [module docs](self)).
+    /// [module docs](self)). Direct-mapped specs of every replacement
+    /// policy share one entry.
     pub fn simulate(&self, spec: SimSpec) -> SimResult {
+        let spec = spec.canonical();
         self.sims.get_or_init(spec, || spec.run(self))
     }
 

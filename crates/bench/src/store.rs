@@ -1,4 +1,4 @@
-//! Capture-once memoization of workload traces.
+//! Capture-once memoization of workload traces and value profiles.
 //!
 //! The paper's methodology is "record each workload once, replay the
 //! trace into many cache configurations" — but each of the 21
@@ -10,14 +10,32 @@
 //! so concurrent engine shards requesting the same workload block on a
 //! single capture instead of duplicating it.
 //!
-//! The store also counts hits and misses per key. Those counters are
-//! deterministic for a given run configuration: every distinct key
-//! misses exactly once no matter how many threads race for it. The
-//! `experiments` binary surfaces them in the `--metrics-timing` export
+//! Each key has two latches. The **trace latch** holds a full capture:
+//! the packed trace, its [`Profiles`] and its simulation memo. The
+//! **profile latch** holds only the [`Profiles`], for runners that read
+//! value profiles and never replay (Figures 1–2, Tables 1–2), so their
+//! traces are not kept. The rules:
+//!
+//! * A trace capture fills the key's trace latch, and its profile latch
+//!   too if that is empty.
+//! * A profile request is served from the profile latch, which a
+//!   latched trace capture has always filled. On a miss the workload
+//!   runs once, its trace is profiled and dropped.
+//! * A trace request for a key whose profiles are latched only records,
+//!   and reuses them (`WorkloadData::record_with`).
+//!
+//! So each key executes at most once per latch.
+//!
+//! The store counts hits and misses per key and latch. Those counters
+//! are deterministic for a given run configuration: every distinct key
+//! misses at most once per latch no matter how many threads race for
+//! it. [`TraceStore::stats`] and the totals count the trace latch only;
+//! [`TraceStore::profile_stats`] counts the profile latch. The
+//! `experiments` binary surfaces both in the `--metrics-timing` export
 //! and on stderr.
 //!
 //! The latch itself is a generic once-map. Each capture carries a
-//! second one, its simulation memo ([`crate::sim`]), so a (capture,
+//! third one, its simulation memo ([`crate::sim`]), so a (capture,
 //! cache) pair also replays once per run; the store sums those memo
 //! counts for the same export.
 //!
@@ -42,7 +60,7 @@
 //! assert_eq!((store.total_misses(), store.total_hits()), (1, 1));
 //! ```
 
-use crate::data::WorkloadData;
+use crate::data::{Profiles, WorkloadData};
 use crate::sim::MemoStats;
 use fvl_workloads::InputSize;
 use std::collections::HashMap;
@@ -106,6 +124,19 @@ pub struct KeyStats {
     pub sims: MemoStats,
 }
 
+/// Hit/miss counts of one key's profile latch, as returned by
+/// [`TraceStore::profile_stats`].
+#[derive(Clone, Debug)]
+pub struct ProfileStats {
+    /// The capture's identity.
+    pub key: TraceKey,
+    /// Profile requests served from the latch.
+    pub hits: u64,
+    /// Profile requests that executed the workload: 1, or 0 when a
+    /// trace capture filled the latch first.
+    pub misses: u64,
+}
+
 /// Per-key slot of a [`OnceMap`]: the once-latch plus its counters.
 struct Slot<V> {
     latch: OnceLock<V>,
@@ -151,14 +182,17 @@ impl<K: Eq + Hash + Clone, V: Clone> OnceMap<K, V> {
         }
     }
 
+    /// The slot for `key`, created empty on first use.
+    fn slot(&self, key: K) -> Arc<Slot<V>> {
+        let mut slots = self.slots.lock().expect("once-map poisoned");
+        Arc::clone(slots.entry(key).or_default())
+    }
+
     /// Returns the value for `key`, running `init` only on the key's
     /// first request; concurrent requests for the key wait for that
     /// one execution.
     pub(crate) fn get_or_init(&self, key: K, init: impl FnOnce() -> V) -> V {
-        let slot = {
-            let mut slots = self.slots.lock().expect("once-map poisoned");
-            Arc::clone(slots.entry(key).or_default())
-        };
+        let slot = self.slot(key);
         let mut executed = false;
         let value = slot
             .latch
@@ -173,6 +207,20 @@ impl<K: Eq + Hash + Clone, V: Clone> OnceMap<K, V> {
             slot.hits.fetch_add(1, Ordering::Relaxed);
         }
         value
+    }
+
+    /// The value latched for `key`, without waiting for a first
+    /// request still running and without counting a request.
+    pub(crate) fn peek(&self, key: &K) -> Option<V> {
+        let slots = self.slots.lock().expect("once-map poisoned");
+        slots.get(key)?.latch.get().cloned()
+    }
+
+    /// Latches `value` for `key` unless the key holds a value already,
+    /// without counting a request. Waits if a first request for the key
+    /// is still running.
+    pub(crate) fn fill(&self, key: K, value: V) {
+        let _ = self.slot(key).latch.set(value);
     }
 
     /// Number of distinct keys ever requested.
@@ -196,11 +244,16 @@ impl<K: Eq + Hash + Clone, V: Clone> OnceMap<K, V> {
     }
 }
 
-/// Thread-safe, capture-once store of [`WorkloadData`] handles.
+/// Thread-safe, capture-once store of [`WorkloadData`] and
+/// [`Profiles`] handles.
 ///
-/// See the [module docs](self) for the motivation and counting rules.
+/// See the [module docs](self) for the motivation, the two latches and
+/// the counting rules.
 pub struct TraceStore {
+    /// The trace latch of each key.
     captures: OnceMap<TraceKey, Arc<WorkloadData>>,
+    /// The profile latch of each key.
+    profiles: OnceMap<TraceKey, Arc<Profiles>>,
 }
 
 impl Default for TraceStore {
@@ -214,11 +267,13 @@ impl TraceStore {
     pub fn new() -> Self {
         TraceStore {
             captures: OnceMap::new(),
+            profiles: OnceMap::new(),
         }
     }
 
     /// Returns the capture for `key`, running `capture` only when the
-    /// key has never been captured.
+    /// key has never been captured, and fills the key's profile latch
+    /// with the capture's profiles if that is empty.
     ///
     /// Concurrent requests for the same key block on one execution:
     /// the per-key latch is a [`OnceLock`], so exactly one caller runs
@@ -229,18 +284,41 @@ impl TraceStore {
         key: TraceKey,
         capture: impl FnOnce() -> WorkloadData,
     ) -> Arc<WorkloadData> {
-        self.captures.get_or_init(key, || Arc::new(capture()))
+        self.captures.get_or_init(key.clone(), || {
+            let data = Arc::new(capture());
+            self.profiles.fill(key, Arc::clone(data.profiles()));
+            data
+        })
     }
 
-    /// Number of distinct keys ever requested.
+    /// Returns the profiles for `key` from its profile latch, running
+    /// `profile` only when the latch is empty. A latched trace capture
+    /// has filled the latch already, so it serves the request too.
+    /// Concurrent requests block on one execution, as in
+    /// [`TraceStore::get_or_capture`].
+    pub fn get_or_profile(
+        &self,
+        key: TraceKey,
+        profile: impl FnOnce() -> Profiles,
+    ) -> Arc<Profiles> {
+        self.profiles.get_or_init(key, || Arc::new(profile()))
+    }
+
+    /// The profiles latched for `key`, if any, without running or
+    /// counting anything: what a trace capture of the key reuses.
+    pub(crate) fn latched_profiles(&self, key: &TraceKey) -> Option<Arc<Profiles>> {
+        self.profiles.peek(key)
+    }
+
+    /// Number of distinct keys ever requested from the trace latch.
     pub fn distinct_keys(&self) -> usize {
         self.captures.len()
     }
 
-    /// Heap bytes resident across every cached capture's trace — the
-    /// footprint the capture-once discipline pays to keep ~26 traces
-    /// alive for a full `all` sweep, at about 8 bytes per access in the
-    /// columnar packed layout.
+    /// Heap bytes resident across every cached capture's trace, at
+    /// about 8 bytes per access in the columnar packed layout. Only
+    /// keys some runner replays hold a trace; profile-only keys hold
+    /// none.
     pub fn resident_trace_bytes(&self) -> u64 {
         self.cached()
             .map(|data| data.trace.approx_bytes() as u64)
@@ -282,12 +360,30 @@ impl TraceStore {
         stats
     }
 
-    /// Total requests served from cache.
+    /// Per-key hit/miss counts of the profile latch, sorted by key:
+    /// every key whose profiles are latched, whether a profile request
+    /// or a trace capture filled the latch.
+    pub fn profile_stats(&self) -> Vec<ProfileStats> {
+        let mut stats: Vec<ProfileStats> = self
+            .profiles
+            .entries()
+            .into_iter()
+            .map(|entry| ProfileStats {
+                key: entry.key,
+                hits: entry.hits,
+                misses: entry.misses,
+            })
+            .collect();
+        stats.sort_by(|a, b| a.key.cmp(&b.key));
+        stats
+    }
+
+    /// Total trace requests served from cache.
     pub fn total_hits(&self) -> u64 {
         self.stats().iter().map(|s| s.hits).sum()
     }
 
-    /// Total requests that executed a workload.
+    /// Total trace requests that executed a workload.
     pub fn total_misses(&self) -> u64 {
         self.stats().iter().map(|s| s.misses).sum()
     }

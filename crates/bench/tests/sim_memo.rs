@@ -81,7 +81,7 @@ fn assert_matches_hybrid(result: &SimResult, fresh: &HybridCache, what: &str) {
 #[test]
 fn memoized_results_equal_fresh_replays_for_every_policy_and_way_count() {
     let data = capture("m88ksim");
-    let mut requests = 0;
+    let (mut requests, mut distinct) = (0, 0);
     for kind in ReplacementKind::ALL {
         for (assoc, top_k) in [(1, 1), (2, 3), (4, 7)] {
             let g = geometry(assoc);
@@ -105,8 +105,13 @@ fn memoized_results_equal_fresh_replays_for_every_policy_and_way_count() {
                 fresh_hybrid.hybrid_stats().fvc_evictions > 0,
                 "{g} {kind}: no FVC eviction"
             );
-            // The first request replays, the second is served.
-            for round in ["executed", "served"] {
+            // The first request replays, the second is served. A
+            // direct-mapped pair of another policy is served from the
+            // LRU pair's entries both times.
+            if assoc > 1 || kind == ReplacementKind::Lru {
+                distinct += 2;
+            }
+            for round in ["first", "second"] {
                 let what = format!("{g} {kind} top-{top_k} ({round})");
                 assert_matches_dmc(&data.simulate(dmc), &fresh_dmc, &what);
                 assert_matches_hybrid(&data.simulate(hybrid), &fresh_hybrid, &what);
@@ -114,18 +119,47 @@ fn memoized_results_equal_fresh_replays_for_every_policy_and_way_count() {
             }
         }
     }
+    assert_eq!((requests, distinct), (48, 18));
     let memo = data.memo_stats();
     let accesses = data.trace.accesses();
     assert_eq!(
         memo,
         MemoStats {
-            distinct: requests / 2,
-            executed: requests / 2,
-            served: requests / 2,
-            executed_accesses: requests / 2 * accesses,
-            served_accesses: requests / 2 * accesses,
+            distinct,
+            executed: distinct,
+            served: requests - distinct,
+            executed_accesses: distinct * accesses,
+            served_accesses: (requests - distinct) * accesses,
         }
     );
+}
+
+#[test]
+fn direct_mapped_specs_of_every_policy_share_the_lru_entry() {
+    let data = capture("li");
+    let g = geometry(1);
+    for kind in ReplacementKind::ALL {
+        data.simulate(SimSpec::Dmc {
+            geometry: g,
+            replacement: kind,
+        });
+        data.simulate(SimSpec::Hybrid {
+            geometry: g,
+            dmc_replacement: kind,
+            fvc_entries: 64,
+            top_k: 7,
+        });
+    }
+    let memo = data.memo_stats();
+    assert_eq!((memo.distinct, memo.executed, memo.served), (2, 2, 6));
+    // A 2-way cache's policies stay apart.
+    for kind in ReplacementKind::ALL {
+        data.simulate(SimSpec::Dmc {
+            geometry: geometry(2),
+            replacement: kind,
+        });
+    }
+    assert_eq!(data.memo_stats().executed, 2 + 4);
 }
 
 #[test]
@@ -209,5 +243,7 @@ fn smoke_run_totals_do_not_depend_on_the_worker_count() {
     let serial = smoke_totals(1);
     assert_eq!(serial, smoke_totals(4));
     assert_eq!(serial.executed, serial.distinct, "each spec executed once");
-    assert!(serial.served > 0, "runners repeat some simulations");
+    // 882 requests; 54 of the 298 served are ext5's direct-mapped
+    // random, RRIP and pinned-LRU cells, served from the LRU entries.
+    assert_eq!((serial.distinct, serial.served), (584, 298));
 }

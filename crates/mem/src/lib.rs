@@ -8,7 +8,9 @@
 //!
 //! # Architecture
 //!
-//! * [`SimMemory`] — sparse paged storage for the full 32-bit address space.
+//! * [`SimMemory`] — sparse paged storage for the full 32-bit address space,
+//!   its pages located through a flat two-level page table that
+//!   [`LiveSet`] shares.
 //! * [`Bus`] — the interface workloads program against: word loads/stores
 //!   plus heap allocation and stack-frame management.
 //! * [`TracedMemory`] — the canonical [`Bus`] implementation; it owns the
@@ -16,9 +18,10 @@
 //!   and forwards every event to an [`AccessSink`].
 //! * [`AccessSink`] — consumer interface implemented by profilers and cache
 //!   simulators; [`Fanout`] feeds several sinks in one pass.
-//! * [`Trace`] / [`TraceBuffer`] — an in-memory event log that can be
-//!   replayed into sinks, so one workload execution can drive arbitrarily
-//!   many cache configurations.
+//! * [`TraceBuffer`] — the recorder: it writes the event stream straight
+//!   into [`PackedTrace`] columns, so one workload execution can drive
+//!   arbitrarily many cache configurations. [`Trace`] is the same log as
+//!   an array of [`TraceEvent`]s.
 //! * [`PackedTrace`] — the same log in columnar (SoA) form: ~8 bytes per
 //!   access instead of 16 and branchless replay. Every capture the
 //!   experiment harness keeps is packed.
@@ -59,6 +62,7 @@ mod live;
 mod mapped;
 mod mmap;
 mod packed;
+mod page_table;
 mod repr;
 mod sim_memory;
 pub mod simd;

@@ -6,7 +6,7 @@
 //! set on reference and cleared when the containing region is freed.
 
 use crate::layout::{Addr, Region, WORD_BYTES};
-use std::collections::HashMap;
+use crate::page_table::PageTable;
 use std::fmt;
 
 const PAGE_WORDS: usize = 1024;
@@ -18,6 +18,11 @@ type Bitmap = [u64; LIMBS];
 
 /// A set of word addresses that are currently *interesting*: referenced at
 /// least once and not deallocated since.
+///
+/// One bitmap per touched 4 KiB page, kept in an arena and located
+/// through the same flat page table as [`crate::SimMemory`]'s pages, so
+/// marking never hashes and [`LiveSet::iter`] runs in ascending address
+/// order.
 ///
 /// # Example
 ///
@@ -32,7 +37,10 @@ type Bitmap = [u64; LIMBS];
 /// ```
 #[derive(Clone, Default)]
 pub struct LiveSet {
-    pages: HashMap<u32, Box<Bitmap>>,
+    /// Page number -> slot in `pages`.
+    table: PageTable,
+    /// One bitmap per touched page, in first-touch order.
+    pages: Vec<Bitmap>,
     len: u64,
 }
 
@@ -54,10 +62,17 @@ impl LiveSet {
     #[inline]
     pub fn mark(&mut self, addr: Addr) {
         let (page, limb, bit) = Self::split(addr);
-        let bm = self
-            .pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0; LIMBS]));
+        let slot = match self.table.get(page) {
+            Some(slot) => slot as usize,
+            None => {
+                let slot = self.pages.len();
+                self.pages.push([0; LIMBS]);
+                self.table
+                    .insert(page, u32::try_from(slot).expect("fewer than 2^32 pages"));
+                slot
+            }
+        };
+        let bm = &mut self.pages[slot];
         if bm[limb] & bit == 0 {
             bm[limb] |= bit;
             self.len += 1;
@@ -68,14 +83,17 @@ impl LiveSet {
     #[inline]
     pub fn contains(&self, addr: Addr) -> bool {
         let (page, limb, bit) = Self::split(addr);
-        self.pages.get(&page).is_some_and(|bm| bm[limb] & bit != 0)
+        self.table
+            .get(page)
+            .is_some_and(|slot| self.pages[slot as usize][limb] & bit != 0)
     }
 
     /// Clears every word covered by `region` (deallocation).
     pub fn clear_region(&mut self, region: &Region) {
         for addr in region.word_addrs() {
             let (page, limb, bit) = Self::split(addr);
-            if let Some(bm) = self.pages.get_mut(&page) {
+            if let Some(slot) = self.table.get(page) {
+                let bm = &mut self.pages[slot as usize];
                 if bm[limb] & bit != 0 {
                     bm[limb] &= !bit;
                     self.len -= 1;
@@ -94,27 +112,16 @@ impl LiveSet {
         self.len == 0
     }
 
-    /// Iterates over all interesting word addresses, in ascending page
-    /// order is *not* guaranteed (pages hash-ordered); use
-    /// [`LiveSet::iter_sorted`] when deterministic order matters.
-    pub fn iter(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.pages.iter().flat_map(|(&page, bm)| {
-            let base = page << PAGE_SHIFT;
-            bm.iter().enumerate().flat_map(move |(limb, &bits)| {
-                BitIter(bits).map(move |b| base + (((limb * WORDS_PER_LIMB + b) as u32) << 2))
-            })
-        })
-    }
-
     /// Iterates over all interesting word addresses in ascending order.
-    pub fn iter_sorted(&self) -> impl Iterator<Item = Addr> + '_ {
-        let mut pages: Vec<_> = self.pages.iter().collect();
-        pages.sort_by_key(|(&page, _)| page);
-        pages.into_iter().flat_map(|(&page, bm)| {
+    pub fn iter(&self) -> impl Iterator<Item = Addr> + '_ {
+        self.table.iter().flat_map(move |(page, slot)| {
             let base = page << PAGE_SHIFT;
-            bm.iter().enumerate().flat_map(move |(limb, &bits)| {
-                BitIter(bits).map(move |b| base + (((limb * WORDS_PER_LIMB + b) as u32) << 2))
-            })
+            self.pages[slot as usize]
+                .iter()
+                .enumerate()
+                .flat_map(move |(limb, &bits)| {
+                    BitIter(bits).map(move |b| base + (((limb * WORDS_PER_LIMB + b) as u32) << 2))
+                })
         })
     }
 }
@@ -184,13 +191,24 @@ mod tests {
     }
 
     #[test]
-    fn iter_sorted_yields_all_marks_in_order() {
+    fn iter_yields_all_marks_in_ascending_order() {
         let mut s = LiveSet::new();
-        let addrs = [0x5000u32, 0x100, 0x0, 0x1ffc, 0x2000, 0xffff_fffc];
+        // Pages on both sides of a 4 KiB and of a 4 MiB boundary, marked
+        // out of order.
+        let addrs = [
+            0x5000u32,
+            0x100,
+            0x0,
+            0x1ffc,
+            0x40_0000,
+            0x3f_fffc,
+            0x2000,
+            0xffff_fffc,
+        ];
         for &a in &addrs {
             s.mark(a);
         }
-        let got: Vec<_> = s.iter_sorted().collect();
+        let got: Vec<_> = s.iter().collect();
         let mut want = addrs.to_vec();
         want.sort_unstable();
         assert_eq!(got, want);

@@ -26,7 +26,7 @@ use crate::live::LiveSet;
 use crate::sim_memory::SimMemory;
 use crate::simd::SimdLevel;
 use crate::snapshot::MemorySnapshot;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{Trace, TraceBuffer, TraceEvent};
 use std::fmt;
 
 /// Low address bit holding the access kind inside a packed address
@@ -77,7 +77,7 @@ impl RegionEvent {
 ///     let a = mem.alloc(1);
 ///     mem.store(a, 3);
 /// }
-/// let packed = PackedTrace::from_trace(&buf.into_trace());
+/// let packed = buf.into_packed();
 /// let mut sink = CountingSink::new();
 /// packed.replay_into(&mut sink);
 /// assert_eq!(sink.accesses(), 3);
@@ -94,7 +94,8 @@ pub struct PackedTrace {
 }
 
 impl PackedTrace {
-    /// Packs an event log into columnar form.
+    /// Packs an event log into columnar form, through the same
+    /// recorder a capture uses ([`TraceBuffer`]).
     ///
     /// # Panics
     ///
@@ -102,35 +103,20 @@ impl PackedTrace {
     /// form stores the access kind in the address's free low bits;
     /// every address produced by [`crate::TracedMemory`] is aligned).
     pub fn from_trace(trace: &Trace) -> Self {
-        let accesses = trace.accesses() as usize;
-        let mut addrs = Vec::with_capacity(accesses);
-        let mut values = Vec::with_capacity(accesses);
-        let mut regions = Vec::new();
-        for event in trace.events() {
-            match *event {
-                TraceEvent::Access(a) => {
-                    assert_eq!(
-                        a.addr % WORD_BYTES,
-                        0,
-                        "packed traces require word-aligned addresses, got {:#x}",
-                        a.addr
-                    );
-                    addrs.push(a.addr | if a.kind.is_store() { STORE_BIT } else { 0 });
-                    values.push(a.value);
-                }
-                TraceEvent::Alloc(region) => regions.push(RegionEvent {
-                    pos: addrs.len() as u64,
-                    is_alloc: true,
-                    region,
-                }),
-                TraceEvent::Free(region) => regions.push(RegionEvent {
-                    pos: addrs.len() as u64,
-                    is_alloc: false,
-                    region,
-                }),
-            }
-        }
-        regions.shrink_to_fit();
+        let mut buf = TraceBuffer::with_capacity(trace.accesses() as usize);
+        trace.replay_into(&mut buf);
+        buf.into_packed()
+    }
+
+    /// The columns a [`TraceBuffer`] recorded, which hold its
+    /// invariants by construction: aligned packed addresses, equal
+    /// column lengths and region events in stream order.
+    pub(crate) fn from_recording(
+        addrs: Vec<u32>,
+        values: Vec<u32>,
+        regions: Vec<RegionEvent>,
+    ) -> Self {
+        debug_assert_eq!(addrs.len(), values.len());
         PackedTrace {
             addrs,
             values,
@@ -255,6 +241,19 @@ impl PackedTrace {
     /// Iterates over all events in program order, re-interleaving the
     /// region side table with the access columns.
     pub fn iter_events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.events_with(decode)
+    }
+
+    /// The events exactly as they were recorded: [`PackedTrace::to_trace`]
+    /// without the `seeded-bugs` mutation of the replay decode, so a
+    /// recording expanded into a [`Trace`] stays the reference that the
+    /// mutation tier diffs packed replay against.
+    pub(crate) fn recorded_trace(&self) -> Trace {
+        Trace::from_events(self.events_with(unpack).collect())
+    }
+
+    /// [`PackedTrace::iter_events`], unpacking each access with `unpack`.
+    fn events_with(&self, unpack: fn(u32, u32) -> Access) -> impl Iterator<Item = TraceEvent> + '_ {
         let mut next_access = 0usize;
         let mut next_region = 0usize;
         std::iter::from_fn(move || {
@@ -265,7 +264,7 @@ impl PackedTrace {
                 }
             }
             if next_access < self.addrs.len() {
-                let access = self.access(next_access);
+                let access = unpack(self.addrs[next_access], self.values[next_access]);
                 next_access += 1;
                 return Some(TraceEvent::Access(access));
             }
@@ -422,25 +421,45 @@ fn snapshot_region<S: AccessSink + ?Sized>(
     }
 }
 
-/// Unpacks one column pair into an [`Access`].
+/// Packs an access's address and kind into one address-column word.
+///
+/// # Panics
+///
+/// Panics if the address is not word aligned.
+#[inline]
+pub(crate) fn pack_addr(access: Access) -> u32 {
+    assert_eq!(
+        access.addr % WORD_BYTES,
+        0,
+        "packed traces require word-aligned addresses, got {:#x}",
+        access.addr
+    );
+    access.addr | if access.kind.is_store() { STORE_BIT } else { 0 }
+}
+
+/// Unpacks one column pair into the [`Access`] that was recorded.
+#[inline]
+fn unpack(addr: u32, value: u32) -> Access {
+    Access {
+        addr: addr & !STORE_BIT,
+        value,
+        kind: if addr & STORE_BIT != 0 {
+            AccessKind::Store
+        } else {
+            AccessKind::Load
+        },
+    }
+}
+
+/// Unpacks one column pair for replay.
 #[inline]
 fn decode(addr: u32, value: u32) -> Access {
     // `seeded-bugs` is a TEST-ONLY mutation used by the `fvl-check`
     // conformance harness: the load/store bit is decoded inverted, so
     // every packed load replays as a store and vice versa.
     #[cfg(feature = "seeded-bugs")]
-    let is_store = addr & STORE_BIT == 0;
-    #[cfg(not(feature = "seeded-bugs"))]
-    let is_store = addr & STORE_BIT != 0;
-    Access {
-        addr: addr & !STORE_BIT,
-        value,
-        kind: if is_store {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        },
-    }
+    let addr = addr ^ STORE_BIT;
+    unpack(addr, value)
 }
 
 impl fmt::Debug for PackedTrace {
@@ -457,7 +476,6 @@ mod tests {
     use super::*;
     use crate::access::CountingSink;
     use crate::bus::{Bus, BusExt};
-    use crate::trace::TraceBuffer;
     use crate::traced::TracedMemory;
     use fvl_cacheless_test_sinks::*;
 

@@ -1,8 +1,8 @@
 //! Sparse paged backing store for the simulated 32-bit address space.
 
 use crate::layout::{Addr, Word, WORD_BYTES};
+use crate::page_table::PageTable;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Words per page (4 KiB pages).
@@ -17,12 +17,12 @@ type Page = [Word; PAGE_WORDS];
 /// like freshly mapped pages on a real OS. `SimMemory` itself performs no
 /// tracing — that is [`crate::TracedMemory`]'s job.
 ///
-/// Pages live in an append-only arena and are located through a page
-/// table plus a one-entry last-page cache (a software "TLB"): word
-/// accesses exhibit strong page locality, so the common case skips the
-/// page-table hash lookup entirely. Arena slots are never freed or
-/// reordered while the memory is alive, which is what makes the cached
-/// slot index safe to reuse.
+/// Pages live in an append-only arena and are located through a flat
+/// two-level page table (see `page_table.rs`) plus a one-entry
+/// last-page cache (a software "TLB"): word accesses exhibit strong
+/// page locality, so the common case skips the table walk entirely.
+/// Arena slots are never freed or reordered while the memory is alive,
+/// which is what makes the cached slot index safe to reuse.
 ///
 /// # Example
 ///
@@ -37,7 +37,7 @@ type Page = [Word; PAGE_WORDS];
 #[derive(Clone, Default)]
 pub struct SimMemory {
     /// Page number -> arena slot.
-    table: HashMap<u32, u32>,
+    table: PageTable,
     /// Materialized pages, in first-touch order; never shrinks.
     arena: Vec<Box<Page>>,
     /// Last (page number, arena slot) translated, if any.
@@ -67,7 +67,7 @@ impl SimMemory {
                 return Some(slot);
             }
         }
-        let slot = *self.table.get(&page)?;
+        let slot = self.table.get(page)?;
         self.last.set(Some((page, slot)));
         Some(slot)
     }

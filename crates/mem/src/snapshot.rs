@@ -48,18 +48,11 @@ impl<'a> MemorySnapshot<'a> {
     }
 
     /// Iterates over `(address, value)` for every interesting location,
-    /// in no particular order (fast path for histogramming).
+    /// in ascending address order (spatially ordered analyses such as
+    /// Figure 5 rely on it).
     pub fn iter(&self) -> impl Iterator<Item = (Addr, Word)> + '_ {
         self.live
             .iter()
-            .map(move |addr| (addr, self.mem.read(addr)))
-    }
-
-    /// Iterates over `(address, value)` in ascending address order
-    /// (needed by spatially ordered analyses such as Figure 5).
-    pub fn iter_sorted(&self) -> impl Iterator<Item = (Addr, Word)> + '_ {
-        self.live
-            .iter_sorted()
             .map(move |addr| (addr, self.mem.read(addr)))
     }
 }
@@ -89,13 +82,13 @@ mod tests {
         assert_eq!(snap.live_locations(), 1);
         assert!(snap.is_live(0x100));
         assert!(!snap.is_live(0x104));
-        let all: Vec<_> = snap.iter_sorted().collect();
+        let all: Vec<_> = snap.iter().collect();
         assert_eq!(all, vec![(0x100, 5)]);
         assert_eq!(snap.value_at(0x104), 6);
     }
 
     #[test]
-    fn snapshot_iter_sorted_is_sorted() {
+    fn snapshot_iter_is_sorted() {
         let mut mem = SimMemory::new();
         let mut live = LiveSet::new();
         for (i, &a) in [0x5000u32, 0x10, 0x3000, 0x2ffc].iter().enumerate() {
@@ -103,7 +96,7 @@ mod tests {
             live.mark(a);
         }
         let snap = MemorySnapshot::new(&mem, &live, 0);
-        let addrs: Vec<_> = snap.iter_sorted().map(|(a, _)| a).collect();
+        let addrs: Vec<_> = snap.iter().map(|(a, _)| a).collect();
         let mut sorted = addrs.clone();
         sorted.sort_unstable();
         assert_eq!(addrs, sorted);

@@ -8,6 +8,7 @@
 use crate::access::{Access, AccessSink};
 use crate::layout::Region;
 use crate::live::LiveSet;
+use crate::packed::{pack_addr, PackedTrace, RegionEvent};
 use crate::sim_memory::SimMemory;
 use crate::snapshot::MemorySnapshot;
 use std::fmt;
@@ -23,7 +24,19 @@ pub enum TraceEvent {
     Free(Region),
 }
 
-/// An [`AccessSink`] that records the event stream.
+/// An [`AccessSink`] that records the event stream straight into the
+/// columns of a [`PackedTrace`]: the `addr | STORE_BIT` and value
+/// columns, plus the side table of allocation and free events.
+///
+/// [`TraceBuffer::into_packed`] hands the columns over as they are;
+/// [`TraceBuffer::into_trace`] expands them into a [`Trace`] for
+/// callers of the array-of-structs API.
+///
+/// # Panics
+///
+/// Recording an access whose address is not word aligned panics: the
+/// packed layout keeps the access kind in the address's free low bit.
+/// Every address [`crate::TracedMemory`] produces is aligned.
 ///
 /// # Example
 ///
@@ -40,10 +53,14 @@ pub enum TraceEvent {
 /// // The store plus the allocator's two chunk-header accesses.
 /// assert_eq!(trace.accesses(), 3);
 /// ```
-#[derive(Clone, Default, Debug)]
+#[derive(Clone, Debug)]
 pub struct TraceBuffer {
-    events: Vec<TraceEvent>,
-    accesses: u64,
+    /// Word-aligned addresses with [`crate::STORE_BIT`] folded in.
+    addrs: Vec<u32>,
+    /// The value of each access.
+    values: Vec<u32>,
+    /// Allocation and free events, positioned in the access stream.
+    regions: Vec<RegionEvent>,
     /// Stop recording once this many accesses have been kept (see
     /// [`TraceBuffer::with_access_limit`]); `u64::MAX` means unlimited.
     limit: u64,
@@ -52,57 +69,78 @@ pub struct TraceBuffer {
     saturated: bool,
 }
 
+impl Default for TraceBuffer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl TraceBuffer {
     /// Creates an empty buffer.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty buffer with room for `accesses` accesses, so
+    /// recording a workload of known size never reallocates the
+    /// columns.
+    pub fn with_capacity(accesses: usize) -> Self {
         TraceBuffer {
-            events: Vec::new(),
-            accesses: 0,
+            addrs: Vec::with_capacity(accesses),
+            values: Vec::with_capacity(accesses),
+            regions: Vec::new(),
             limit: u64::MAX,
             saturated: false,
         }
     }
 
-    /// Creates an empty buffer with room for `events` trace events, so
-    /// recording a workload of known size never reallocates the log.
-    pub fn with_capacity(events: usize) -> Self {
-        let mut buf = Self::new();
-        buf.events = Vec::with_capacity(events);
-        buf
-    }
-
-    /// Caps recording at `max_accesses` access events. The result of
-    /// [`TraceBuffer::into_trace`] equals
-    /// [`Trace::into_prefix`]`(max_accesses)` of the unlimited
-    /// recording: allocation/free events are kept until the first
-    /// access beyond the cap arrives, after which everything is
-    /// dropped — but without ever materializing the events past the
-    /// cut.
+    /// Caps recording at `max_accesses` access events. The recording
+    /// equals [`Trace::into_prefix`]`(max_accesses)` of the unlimited
+    /// one: allocation/free events are kept until the first access
+    /// beyond the cap arrives, after which everything is dropped — but
+    /// without ever materializing the events past the cut.
     pub fn with_access_limit(mut self, max_accesses: u64) -> Self {
         self.limit = max_accesses;
         self
     }
 
-    /// Reserves capacity for at least `additional` more events.
+    /// Reserves room for at least `additional` more accesses.
     pub fn reserve(&mut self, additional: usize) {
-        self.events.reserve(additional);
+        self.addrs.reserve(additional);
+        self.values.reserve(additional);
     }
 
-    /// Number of events buffered so far.
+    /// Number of events recorded so far (accesses plus region events).
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.addrs.len() + self.regions.len()
     }
 
     /// Whether nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
-    /// Finalizes the buffer into an immutable [`Trace`].
+    /// Finalizes the recording into a [`PackedTrace`], trimming the
+    /// columns to their length.
+    pub fn into_packed(mut self) -> PackedTrace {
+        self.addrs.shrink_to_fit();
+        self.values.shrink_to_fit();
+        self.regions.shrink_to_fit();
+        PackedTrace::from_recording(self.addrs, self.values, self.regions)
+    }
+
+    /// Finalizes the recording into an array-of-structs [`Trace`].
     pub fn into_trace(self) -> Trace {
-        Trace {
-            events: self.events,
-            accesses: self.accesses,
+        self.into_packed().recorded_trace()
+    }
+
+    fn region(&mut self, is_alloc: bool, region: Region) {
+        if !self.saturated {
+            self.regions.push(RegionEvent {
+                pos: self.addrs.len() as u64,
+                is_alloc,
+                region,
+            });
         }
     }
 }
@@ -110,24 +148,20 @@ impl TraceBuffer {
 impl AccessSink for TraceBuffer {
     #[inline]
     fn on_access(&mut self, access: Access) {
-        if self.accesses >= self.limit {
+        if self.addrs.len() as u64 >= self.limit {
             self.saturated = true;
             return;
         }
-        self.accesses += 1;
-        self.events.push(TraceEvent::Access(access));
+        self.addrs.push(pack_addr(access));
+        self.values.push(access.value);
     }
 
     fn on_alloc(&mut self, region: Region) {
-        if !self.saturated {
-            self.events.push(TraceEvent::Alloc(region));
-        }
+        self.region(true, region);
     }
 
     fn on_free(&mut self, region: Region) {
-        if !self.saturated {
-            self.events.push(TraceEvent::Free(region));
-        }
+        self.region(false, region);
     }
 }
 
@@ -514,9 +548,29 @@ mod tests {
         let mut buf = TraceBuffer::with_capacity(8);
         assert!(buf.is_empty());
         buf.on_access(Access::load(0, 0));
+        buf.on_alloc(Region::new(0x100, 1, crate::layout::RegionKind::Heap));
         buf.reserve(16);
-        assert_eq!(buf.len(), 1);
-        assert!(buf.events.capacity() >= 17);
+        assert_eq!(buf.len(), 2);
+        assert!(buf.addrs.capacity() >= 17 && buf.values.capacity() >= 17);
+        // The recording is trimmed to its length.
+        let packed = buf.into_packed();
+        assert_eq!(
+            packed.approx_bytes(),
+            8 + std::mem::size_of::<RegionEvent>()
+        );
+    }
+
+    #[test]
+    fn default_buffer_records_without_a_limit() {
+        let mut buf = TraceBuffer::default();
+        buf.on_access(Access::store(4, 1));
+        assert_eq!(buf.into_trace().accesses(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "word-aligned")]
+    fn misaligned_access_is_rejected() {
+        TraceBuffer::new().on_access(Access::load(0x1002, 0));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use fvl_mem::{
     PackedTrace, Region, RegionKind, SimMemory, Trace, TraceBuffer, TraceEvent, TracedMemory,
 };
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Arbitrary interleavings of word-aligned accesses and region events —
 /// the full input space of a recorded trace.
@@ -57,7 +57,148 @@ impl AccessSink for Recorder {
     }
 }
 
+/// Forwards every event to the recorder and to a second sink.
+struct Tee<'a, S>(&'a mut TraceBuffer, &'a mut S);
+
+impl<S: AccessSink> AccessSink for Tee<'_, S> {
+    fn on_access(&mut self, a: Access) {
+        self.0.on_access(a);
+        self.1.on_access(a);
+    }
+    fn on_alloc(&mut self, r: Region) {
+        self.0.on_alloc(r);
+        self.1.on_alloc(r);
+    }
+    fn on_free(&mut self, r: Region) {
+        self.0.on_free(r);
+        self.1.on_free(r);
+    }
+}
+
+/// Bases that put word offsets of up to 16 KiB across a 4 KiB page
+/// boundary, a 4 MiB top-level boundary (0x40_0000, 0x100_0000) and up
+/// to the last word of the address space.
+const BASES: [u32; 4] = [0x0000_0000, 0x003f_e000, 0x00ff_f000, 0xffff_c000];
+
+/// A word address near one of [`BASES`].
+fn arb_addr() -> impl Strategy<Value = u32> {
+    (0usize..4, 0u32..4096).prop_map(|(base, word)| BASES[base] + word * 4)
+}
+
+/// One operation on the two page-table-backed structures.
+#[derive(Clone, Debug)]
+enum PageOp {
+    Read(u32),
+    Write(u32, u32),
+    ReadLine(u32, usize),
+    WriteLine(u32, Vec<u32>),
+    Mark(u32),
+    Clear(u32, u32),
+}
+
+/// Words from `addr` up to `len`, stopping at the top of memory.
+fn fit(addr: u32, len: usize) -> usize {
+    len.min(((1u64 << 32) - u64::from(addr)) as usize / 4)
+}
+
+fn arb_page_ops() -> impl Strategy<Value = Vec<PageOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            arb_addr().prop_map(PageOp::Read),
+            (arb_addr(), any::<u32>()).prop_map(|(a, v)| PageOp::Write(a, v)),
+            (arb_addr(), 1usize..80).prop_map(|(a, n)| PageOp::ReadLine(a, fit(a, n))),
+            (arb_addr(), prop::collection::vec(0u32..3, 1..80)).prop_map(|(a, mut words)| {
+                words.truncate(fit(a, words.len()));
+                PageOp::WriteLine(a, words)
+            }),
+            arb_addr().prop_map(PageOp::Mark),
+            (arb_addr(), 1u32..80).prop_map(|(a, n)| PageOp::Clear(a, fit(a, n as usize) as u32)),
+        ],
+        1..300,
+    )
+}
+
 proptest! {
+    /// The recorder's packed columns hold the stream a tee'd sink saw,
+    /// cut at a cap exactly as `Trace::into_prefix` cuts it, with the
+    /// region events that sit at the cap.
+    #[test]
+    fn recorder_matches_a_tee_sink(events in arb_events(), cap in prop::option::of(0u32..120)) {
+        let cap = cap.map(u64::from);
+        let mut buf = TraceBuffer::new();
+        if let Some(cap) = cap {
+            buf = TraceBuffer::with_capacity(cap as usize).with_access_limit(cap);
+        }
+        let mut seen = Recorder::default();
+        {
+            let mut tee = Tee(&mut buf, &mut seen);
+            Trace::from_events(events).replay_into(&mut tee);
+        }
+        let mut expect = Trace::from_events(seen.events);
+        if let Some(cap) = cap {
+            expect = expect.into_prefix(cap);
+        }
+        prop_assert_eq!(buf.len(), expect.len());
+        let packed = buf.into_packed();
+        prop_assert_eq!(packed.accesses(), expect.accesses());
+        prop_assert_eq!(packed.to_trace().events(), expect.events());
+        prop_assert_eq!(packed.approx_bytes(), PackedTrace::from_trace(&expect).approx_bytes());
+    }
+
+    /// `SimMemory` and `LiveSet` behave like `BTreeMap` models under
+    /// word and line reads and writes, marks and region clears, with
+    /// lines and regions across page and top-level boundaries; the live
+    /// set iterates in ascending address order.
+    #[test]
+    fn page_tables_match_ordered_models(ops in arb_page_ops()) {
+        let mut mem = SimMemory::new();
+        let mut live = LiveSet::new();
+        let mut words: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut marked: BTreeMap<u32, ()> = BTreeMap::new();
+        let word = |words: &BTreeMap<u32, u32>, a: u32| words.get(&a).copied().unwrap_or(0);
+        for op in ops {
+            match op {
+                PageOp::Read(a) => prop_assert_eq!(mem.read(a), word(&words, a)),
+                PageOp::Write(a, v) => {
+                    mem.write(a, v);
+                    words.insert(a, v);
+                }
+                PageOp::ReadLine(a, n) => {
+                    let mut line = vec![u32::MAX; n];
+                    mem.read_line(a, &mut line);
+                    for (i, &v) in line.iter().enumerate() {
+                        prop_assert_eq!(v, word(&words, a + 4 * i as u32));
+                    }
+                }
+                PageOp::WriteLine(a, line) => {
+                    mem.write_line(a, &line);
+                    for (i, &v) in line.iter().enumerate() {
+                        words.insert(a + 4 * i as u32, v);
+                    }
+                }
+                PageOp::Mark(a) => {
+                    live.mark(a);
+                    marked.insert(a, ());
+                    prop_assert!(live.contains(a));
+                }
+                PageOp::Clear(a, n) => {
+                    live.clear_region(&Region::new(a, n, RegionKind::Heap));
+                    for i in 0..n {
+                        marked.remove(&(a + 4 * i));
+                    }
+                    prop_assert!(!live.contains(a));
+                }
+            }
+            prop_assert_eq!(live.len(), marked.len() as u64);
+        }
+        for (&a, &v) in &words {
+            prop_assert_eq!(mem.read(a), v);
+        }
+        let iterated: Vec<u32> = live.iter().collect();
+        let expected: Vec<u32> = marked.keys().copied().collect();
+        prop_assert_eq!(iterated, expected);
+    }
+
     /// The columnar layout is lossless: any trace survives
     /// Trace -> PackedTrace -> Trace with its event order intact, and
     /// both layouts deliver identical streams to a sink.
@@ -264,21 +405,6 @@ proptest! {
         let mut buf = TraceBuffer::new();
         let mut direct = CountingSink::new();
         {
-            struct Tee<'a>(&'a mut TraceBuffer, &'a mut CountingSink);
-            impl AccessSink for Tee<'_> {
-                fn on_access(&mut self, a: Access) {
-                    self.0.on_access(a);
-                    self.1.on_access(a);
-                }
-                fn on_alloc(&mut self, r: Region) {
-                    self.0.on_alloc(r);
-                    self.1.on_alloc(r);
-                }
-                fn on_free(&mut self, r: Region) {
-                    self.0.on_free(r);
-                    self.1.on_free(r);
-                }
-            }
             let mut tee = Tee(&mut buf, &mut direct);
             let mut mem = TracedMemory::new(&mut tee);
             let base = mem.global(256);

@@ -1,7 +1,7 @@
 //! Frequently *accessed* value profiling.
 
+use crate::hash::ValueMap;
 use fvl_mem::{Access, AccessKind, AccessSink, Word};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Counts how often each 32-bit value is involved in a load or store —
@@ -12,7 +12,7 @@ use std::fmt;
 /// so that results are deterministic.
 #[derive(Clone, Default)]
 pub struct ValueCounter {
-    counts: HashMap<Word, u64>,
+    counts: ValueMap<u64>,
     loads: u64,
     stores: u64,
 }

@@ -42,6 +42,7 @@
 mod attribution;
 mod constancy;
 mod counter;
+mod hash;
 mod occurrence;
 mod ranking;
 mod reuse;

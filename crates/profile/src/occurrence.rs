@@ -1,7 +1,7 @@
 //! Frequently *occurring* value profiling via memory snapshots.
 
+use crate::hash::ValueMap;
 use fvl_mem::{Access, AccessSink, MemorySnapshot, Word};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Histograms the values *occupying* interesting memory locations,
@@ -14,7 +14,7 @@ use std::fmt;
 #[derive(Clone, Default)]
 pub struct OccurrenceSampler {
     /// Sum over snapshots of per-value location counts.
-    sums: HashMap<Word, u64>,
+    sums: ValueMap<u64>,
     /// Sum over snapshots of total live locations.
     total_locations: u64,
     samples: u64,

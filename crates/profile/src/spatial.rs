@@ -86,7 +86,7 @@ impl AccessSink for SpatialAnalyzer {
         if self.profile.is_some() || snapshot.access_count() < self.target_access {
             return;
         }
-        let values: Vec<Word> = snapshot.iter_sorted().map(|(_, v)| v).collect();
+        let values: Vec<Word> = snapshot.iter().map(|(_, v)| v).collect();
         let mut block_averages = Vec::new();
         for block in values.chunks_exact(self.block_words) {
             let lines = self.block_words / self.words_per_line;

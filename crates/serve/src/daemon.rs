@@ -251,14 +251,26 @@ impl DaemonHandle {
         &self.local_addr
     }
 
-    /// Capture-once statistics: `(distinct keys, executions, cache
-    /// hits)` — what the stress suite asserts capture-once with.
+    /// Capture-once statistics of the store's trace latch: `(distinct
+    /// keys, executions, cache hits)`.
     pub fn store_stats(&self) -> (usize, u64, u64) {
         let store = &self.shared.store;
         (
             store.distinct_keys(),
             store.total_misses(),
             store.total_hits(),
+        )
+    }
+
+    /// The same counts for the store's profile latch, which serves the
+    /// profile-only runners (Figures 1–2, Tables 1–2) — what the stress
+    /// suite asserts capture-once with.
+    pub fn profile_stats(&self) -> (usize, u64, u64) {
+        let stats = self.shared.store.profile_stats();
+        (
+            stats.len(),
+            stats.iter().map(|s| s.misses).sum(),
+            stats.iter().map(|s| s.hits).sum(),
         )
     }
 

@@ -108,7 +108,14 @@ fn concurrent_sessions_match_serial_and_capture_once() {
         assert_eq!(*references, refs, "session {i}: reference count diverged");
     }
 
-    let (distinct, misses, hits) = handle.store_stats();
+    // The job (Figure 1) reads only value profiles: the shared store
+    // keeps no trace, and its profile latch dedups the captures.
+    assert_eq!(
+        handle.store_stats(),
+        (0, 0, 0),
+        "a profile-only job kept a trace"
+    );
+    let (distinct, misses, hits) = handle.profile_stats();
     assert!(distinct > 0, "the job captured nothing");
     assert_eq!(
         misses,

@@ -2,7 +2,9 @@
 
 use fvl::cache::{CacheGeometry, CacheSim, Simulator};
 use fvl::core::{FrequentValueSet, HybridCache, HybridConfig, VictimHybrid};
-use fvl::mem::{Trace, TraceBuffer, TracedMemory};
+use fvl::mem::{
+    Access, AccessSink, Bus, BusExt, Region, Trace, TraceBuffer, TraceEvent, TracedMemory,
+};
 use fvl::profile::ValueCounter;
 use fvl::workloads::{by_name, InputSize};
 
@@ -129,4 +131,77 @@ fn stats_conservation_across_geometries() {
             "write-allocate fetches once per miss"
         );
     }
+}
+
+/// Forwards every event to the recorder and keeps its own copy.
+struct Tee<'a>(&'a mut TraceBuffer, Vec<TraceEvent>);
+
+impl AccessSink for Tee<'_> {
+    fn on_access(&mut self, a: Access) {
+        self.0.on_access(a);
+        self.1.push(TraceEvent::Access(a));
+    }
+    fn on_alloc(&mut self, r: Region) {
+        self.0.on_alloc(r);
+        self.1.push(TraceEvent::Alloc(r));
+    }
+    fn on_free(&mut self, r: Region) {
+        self.0.on_free(r);
+        self.1.push(TraceEvent::Free(r));
+    }
+}
+
+/// The recorder writes packed columns straight from the event stream.
+/// Uncapped, they hold exactly what a second sink saw; capped at any
+/// access count, they hold the prefix `Trace::into_prefix` cuts, with
+/// the region events that sit at the cap.
+#[test]
+fn recorder_columns_equal_the_event_stream_at_every_cap() {
+    // Heap and stack churn, so region events sit at many positions.
+    let program = |sink: &mut dyn AccessSink| {
+        let mut m = TracedMemory::new(sink);
+        let a = m.alloc(3);
+        m.fill(a, 3, 7);
+        let frame = m.push_frame(2);
+        m.store(frame, 9);
+        let b = m.alloc(1);
+        m.free(a);
+        m.pop_frame();
+        let _ = m.load(b);
+        m.free(b);
+        m.finish();
+    };
+    let mut full = TraceBuffer::new();
+    let mut tee = Tee(&mut full, Vec::new());
+    program(&mut tee);
+    let seen = Trace::from_events(tee.1);
+    assert_eq!(full.into_packed().to_trace().events(), seen.events());
+    let regions = seen
+        .events()
+        .iter()
+        .filter(|e| !matches!(e, TraceEvent::Access(_)))
+        .count();
+    assert!(regions >= 6, "{regions} region events");
+
+    for cap in 0..=seen.accesses() + 1 {
+        let mut capped = TraceBuffer::with_capacity(cap as usize).with_access_limit(cap);
+        program(&mut capped);
+        let expect = seen.clone().into_prefix(cap);
+        let packed = capped.into_packed();
+        assert_eq!(packed.to_trace().events(), expect.events(), "cap {cap}");
+        assert_eq!(packed.accesses(), expect.accesses(), "cap {cap}");
+    }
+
+    // A real workload under the smoke budget, against its tee'd stream.
+    let mut capped = TraceBuffer::with_capacity(1000).with_access_limit(1000);
+    let mut tee = Tee(&mut capped, Vec::new());
+    let mut li = by_name("li", InputSize::Test, 1).expect("known workload");
+    li.run(&mut TracedMemory::new(&mut tee));
+    let expect = Trace::from_events(tee.1).into_prefix(1000);
+    let packed = capped.into_packed();
+    assert_eq!(packed.accesses(), 1000);
+    assert_eq!(packed.to_trace().events(), expect.events());
+    // Trimmed when recording ends: 8 bytes per access.
+    let regions = std::mem::size_of_val(packed.region_events());
+    assert_eq!(packed.approx_bytes(), 8 * 1000 + regions);
 }
