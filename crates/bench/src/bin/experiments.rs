@@ -188,19 +188,24 @@ fn main() -> ExitCode {
         engine.throughput(),
     );
     let store = ctx.store();
+    let traces = store.stats();
     eprintln!(
-        "trace store: {} distinct capture{}, {} executed, {} served from cache",
-        store.distinct_keys(),
-        if store.distinct_keys() == 1 { "" } else { "s" },
-        store.total_misses(),
-        store.total_hits(),
+        "trace store: {} distinct capture{}, {} executed ({} stopped at the budget), \
+         {} served from cache",
+        traces.len(),
+        if traces.len() == 1 { "" } else { "s" },
+        traces.iter().map(|s| s.misses).sum::<u64>(),
+        traces.iter().map(|s| s.stopped).sum::<u64>(),
+        traces.iter().map(|s| s.hits).sum::<u64>(),
     );
     let profiles = store.profile_stats();
     eprintln!(
-        "profile store: {} distinct key{}, {} profiled without a trace, {} served from cache",
+        "profile store: {} distinct key{}, {} profiled without a trace ({} stopped at the \
+         budget), {} served from cache",
         profiles.len(),
         if profiles.len() == 1 { "" } else { "s" },
         profiles.iter().map(|s| s.misses).sum::<u64>(),
+        profiles.iter().map(|s| s.stopped).sum::<u64>(),
         profiles.iter().map(|s| s.hits).sum::<u64>(),
     );
     let sims = store.sim_totals();

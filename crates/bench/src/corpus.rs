@@ -43,7 +43,7 @@
 use fvl_cache::{CacheGeometry, CacheSim, CacheStats};
 use fvl_mem::{
     AccessSink, AddrCodec, ChunkCacheStats, MappedTrace, PackedTrace, Region, RegionEvent,
-    RegionKind, HEAP_BASE, STORE_BIT,
+    RegionKind, SimMemory, HEAP_BASE, STORE_BIT,
 };
 use fvl_profile::{MissCurve, ReuseProfiler};
 use fvl_runner::Pool;
@@ -693,7 +693,7 @@ pub fn synth_trace(accesses: u64, seed: u64) -> PackedTrace {
     let mut rng = (seed ^ 0x9e37_79b9_7f4a_7c15) | 1;
     let mut addrs = Vec::with_capacity(n);
     let mut values = Vec::with_capacity(n);
-    let mut shadow: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
+    let mut shadow = SimMemory::new();
     let mut word: u32 = (HEAP_BASE >> 2) + 16;
     for _ in 0..n {
         let r = xorshift(&mut rng);
@@ -711,10 +711,10 @@ pub fn synth_trace(accesses: u64, seed: u64) -> PackedTrace {
             } else {
                 (r >> 24) as u32
             };
-            shadow.insert(word, stored);
+            shadow.write(word << 2, stored);
             stored
         } else {
-            shadow.get(&word).copied().unwrap_or(0)
+            shadow.read(word << 2)
         };
         values.push(value);
     }
@@ -935,6 +935,35 @@ mod tests {
             assert_eq!(m.curve, r.curve);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn synthetic_loads_read_the_last_value_stored_at_their_word() {
+        for seed in [1, 7, 99] {
+            for accesses in [0, 1, 2_000, 60_000] {
+                let trace = synth_trace(accesses, seed);
+                assert_eq!(trace.accesses(), accesses);
+                let mut stored = std::collections::BTreeMap::new();
+                let mut rereads = 0;
+                for a in trace.iter_accesses() {
+                    if a.kind.is_store() {
+                        stored.insert(a.addr, a.value);
+                    } else {
+                        let last = stored.get(&a.addr).copied();
+                        rereads += u64::from(last.is_some_and(|v| v != 0));
+                        assert_eq!(
+                            a.value,
+                            last.unwrap_or(0),
+                            "seed {seed}, {accesses} accesses: load of {:#x}",
+                            a.addr
+                        );
+                    }
+                }
+                if accesses >= 2_000 {
+                    assert!(rereads > 0, "seed {seed}: no load reads a stored value");
+                }
+            }
+        }
     }
 
     #[test]

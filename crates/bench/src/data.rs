@@ -16,25 +16,29 @@ pub const SNAPSHOTS_PER_RUN: u64 = 20;
 
 /// Reference budget per workload in `--smoke` runs: large enough that
 /// every profile/simulation path is exercised, small enough that a
-/// full `all` sweep finishes in seconds.
+/// full `all` sweep finishes in a fraction of a second: each capture
+/// stops its workload at the budget.
 pub const SMOKE_REFS: u64 = 1000;
 
-/// Runs `workload` to completion, recording its trace straight into
-/// packed columns. With a reference budget the columns are pre-sized to
-/// it and recording stops at it (no post-hoc truncation copy); the
-/// result is identical to recording everything and taking
+/// Runs `workload`, recording its trace straight into packed columns,
+/// and returns the trace with whether the reference budget ended the
+/// run. Every capture runs through here.
+///
+/// With a budget the columns are pre-sized to it, and the program stops
+/// at its first access beyond it ([`TracedMemory::run`]), so a capped
+/// capture executes `max_refs + 1` accesses however long the workload
+/// is. The trace is identical to recording the whole run and taking
 /// [`fvl_mem::Trace::into_prefix`].
-fn record(mut workload: Box<dyn Workload>, max_refs: Option<u64>) -> PackedTrace {
+fn record(mut workload: Box<dyn Workload>, max_refs: Option<u64>) -> (PackedTrace, bool) {
     let mut buf = match max_refs {
         Some(limit) => TraceBuffer::with_capacity(limit as usize).with_access_limit(limit),
         None => TraceBuffer::new(),
     };
     let mut mem = TracedMemory::new(&mut buf);
-    workload.run(&mut mem);
-    mem.finish();
+    let stopped = mem.run(max_refs, |mem| workload.run(mem));
     // Free the workload's memory image before trimming the columns.
     drop(mem);
-    buf.into_packed()
+    (buf.into_packed(), stopped)
 }
 
 /// The built-in workload `name`.
@@ -63,13 +67,17 @@ pub struct Profiles {
     pub occ: OccurrenceSampler,
     /// Snapshot interval used for the occurrence census.
     pub sample_every: u64,
+    /// Whether the reference budget ended the run these profiles were
+    /// recorded from (the workload is longer than the budget).
+    pub stopped: bool,
 }
 
 impl Profiles {
     /// Profiles a recorded trace: one replay into the value counter and
     /// one snapshot replay into the occurrence census, which samples
-    /// memory [`SNAPSHOTS_PER_RUN`] times per run.
-    pub(crate) fn of(name: impl Into<String>, trace: &PackedTrace) -> Self {
+    /// memory [`SNAPSHOTS_PER_RUN`] times per run. `stopped` says
+    /// whether the budget ended the recorded run.
+    pub(crate) fn of(name: impl Into<String>, trace: &PackedTrace, stopped: bool) -> Self {
         let mut counter = ValueCounter::new();
         trace.replay_into(&mut counter);
         let sample_every = (trace.accesses() / SNAPSHOTS_PER_RUN).max(1);
@@ -81,6 +89,7 @@ impl Profiles {
             counter,
             occ,
             sample_every,
+            stopped,
         }
     }
 
@@ -89,7 +98,8 @@ impl Profiles {
     /// same workload and budget.
     pub fn capture_limited(workload: Box<dyn Workload>, max_refs: Option<u64>) -> Self {
         let name = workload.name().to_string();
-        Self::of(name, &record(workload, max_refs))
+        let (trace, stopped) = record(workload, max_refs);
+        Self::of(name, &trace, stopped)
     }
 
     /// The top `k` frequently accessed values (the set the FVC uses).
@@ -108,6 +118,7 @@ impl fmt::Debug for Profiles {
         f.debug_struct("Profiles")
             .field("name", &self.name)
             .field("accesses", &self.accesses)
+            .field("stopped", &self.stopped)
             .finish()
     }
 }
@@ -135,13 +146,14 @@ impl WorkloadData {
         Self::capture_limited(workload, None)
     }
 
-    /// Like [`WorkloadData::capture`], but keeps only the first
-    /// `max_refs` recorded references when a limit is given (smoke
-    /// mode); the profiles are built from the truncated trace.
+    /// Like [`WorkloadData::capture`], but with a limit the workload
+    /// stops after its first `max_refs` references, which the trace
+    /// keeps (smoke mode); the profiles are built from the truncated
+    /// trace.
     pub fn capture_limited(workload: Box<dyn Workload>, max_refs: Option<u64>) -> Self {
         let name = workload.name().to_string();
-        let trace = record(workload, max_refs);
-        let profiles = Arc::new(Profiles::of(name, &trace));
+        let (trace, stopped) = record(workload, max_refs);
+        let profiles = Arc::new(Profiles::of(name, &trace, stopped));
         Self::from_parts(trace, profiles)
     }
 
@@ -151,17 +163,17 @@ impl WorkloadData {
     ///
     /// # Panics
     ///
-    /// Panics if the recording's access count differs from the one the
-    /// profiles were built from.
+    /// Panics if the recording's access count, or whether the budget
+    /// ended it, differs from the run the profiles were built from.
     pub(crate) fn record_with(
         workload: Box<dyn Workload>,
         max_refs: Option<u64>,
         profiles: Arc<Profiles>,
     ) -> Self {
-        let trace = record(workload, max_refs);
+        let (trace, stopped) = record(workload, max_refs);
         assert_eq!(
-            trace.accesses(),
-            profiles.accesses,
+            (trace.accesses(), stopped),
+            (profiles.accesses, profiles.stopped),
             "{}: a second run recorded a different trace",
             profiles.name
         );
@@ -281,8 +293,8 @@ pub struct ExperimentContext {
     pub input: InputSize,
     /// Base deterministic seed.
     pub seed: u64,
-    /// When set, every captured trace is truncated to this many
-    /// references (the `--smoke` mode).
+    /// When set, every capture stops its workload after this many
+    /// references, which its trace keeps (the `--smoke` mode).
     pub max_refs: Option<u64>,
     /// The execution substrate (engine + store) for this batch.
     core: EngineCore,
@@ -513,6 +525,54 @@ impl ExperimentContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fvl_mem::{Bus, CountingSink, Trace};
+
+    /// The names of all fourteen built-in workloads.
+    fn every_workload() -> Vec<&'static str> {
+        let ctx = ExperimentContext::quick();
+        ctx.all_int().into_iter().chain(ctx.all_fp()).collect()
+    }
+
+    #[test]
+    fn capped_records_are_prefixes_of_the_full_run_for_every_workload() {
+        assert_eq!(every_workload().len(), 14);
+        for name in every_workload() {
+            let (full, stopped) = record(workload(name, InputSize::Test, 1), None);
+            assert!(!stopped, "{name}: an uncapped run stopped");
+            let full: Trace = full.to_trace();
+            for cap in [0, 1, SMOKE_REFS] {
+                let (capped, stopped) = record(workload(name, InputSize::Test, 1), Some(cap));
+                assert!(stopped, "{name} has more than {cap} accesses at test input");
+                let expect = PackedTrace::from_trace(&full.prefix(cap));
+                assert_eq!(capped.addrs(), expect.addrs(), "{name}, cap {cap}");
+                assert_eq!(capped.values(), expect.values(), "{name}, cap {cap}");
+                assert_eq!(
+                    capped.region_events(),
+                    expect.region_events(),
+                    "{name}, cap {cap}"
+                );
+            }
+        }
+    }
+
+    /// Counted, not timed: a capped run of a longer workload issues the
+    /// access that ends it and no other beyond the cap.
+    #[test]
+    fn a_capped_run_issues_exactly_one_access_past_its_cap() {
+        for input in [InputSize::Test, InputSize::Ref] {
+            for name in every_workload() {
+                for cap in [0, 1, SMOKE_REFS] {
+                    let mut w = workload(name, input, 1);
+                    let mut sink = CountingSink::new();
+                    let mut mem = TracedMemory::new(&mut sink);
+                    assert!(mem.run(Some(cap), |mem| w.run(mem)));
+                    assert_eq!(mem.accesses(), cap + 1, "{name} at {input}, cap {cap}");
+                    drop(mem);
+                    assert_eq!(sink.accesses(), cap, "{name} at {input}, cap {cap}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn capture_profiles_a_workload() {

@@ -161,7 +161,8 @@ pub fn json_report_with_extra(
 }
 
 /// Capture-cache statistics: distinct key count, per-key hit/miss
-/// counters of the trace latch (keys sorted, so the block itself is
+/// counters of the trace latch with the executions the key's budget
+/// ended (`stopped`; keys sorted, so the block itself is
 /// deterministic for a fixed run configuration), the resident footprint
 /// of the cached traces — events, bytes and bytes/event — the
 /// simulation-memo counts (`sims`), in total and per capture, and the
@@ -211,6 +212,7 @@ fn trace_store_block(store: &TraceStore) -> Json {
                             ("key", Json::Str(s.key.to_string())),
                             ("hits", Json::U64(s.hits)),
                             ("misses", Json::U64(s.misses)),
+                            ("stopped", Json::U64(s.stopped)),
                             ("sims", memo_block(s.sims)),
                         ])
                     })
@@ -222,7 +224,8 @@ fn trace_store_block(store: &TraceStore) -> Json {
 }
 
 /// The profile latch's counts: every key with latched profiles, with
-/// the profile requests each served (`hits`) or ran (`misses`).
+/// the profile requests each served (`hits`) or ran (`misses`) and the
+/// runs its budget ended (`stopped`).
 fn profiles_block(stats: &[ProfileStats]) -> Json {
     Json::object([
         ("distinct_keys", Json::U64(stats.len() as u64)),
@@ -238,6 +241,7 @@ fn profiles_block(stats: &[ProfileStats]) -> Json {
                             ("key", Json::Str(s.key.to_string())),
                             ("hits", Json::U64(s.hits)),
                             ("misses", Json::U64(s.misses)),
+                            ("stopped", Json::U64(s.stopped)),
                         ])
                     })
                     .collect(),
@@ -470,9 +474,17 @@ mod tests {
         });
         let timed = json_report_full(&engine, &run, Some(&store), true).render();
         assert!(timed.contains("\"repr\":\"packed\""));
+        // li runs longer than 100 accesses, so the budget stopped its
+        // one execution.
+        assert!(timed.contains(
+            "{\"key\":\"li/test/seed1/cap100\",\"hits\":0,\"misses\":1,\"stopped\":1,\"sims\""
+        ));
         // The capture filled its key's profile latch without a profile
         // request.
         assert!(timed.contains("\"profiles\":{\"distinct_keys\":1,\"hits\":0,\"misses\":0"));
+        assert!(timed.contains(
+            "\"keys\":[{\"key\":\"li/test/seed1/cap100\",\"hits\":0,\"misses\":0,\"stopped\":0}]"
+        ));
     }
 
     #[test]

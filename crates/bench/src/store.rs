@@ -29,8 +29,9 @@
 //! The store counts hits and misses per key and latch. Those counters
 //! are deterministic for a given run configuration: every distinct key
 //! misses at most once per latch no matter how many threads race for
-//! it. [`TraceStore::stats`] and the totals count the trace latch only;
-//! [`TraceStore::profile_stats`] counts the profile latch. The
+//! it. Each key also counts the executions its reference budget
+//! stopped. [`TraceStore::stats`] and the totals count the trace latch
+//! only; [`TraceStore::profile_stats`] counts the profile latch. The
 //! `experiments` binary surfaces both in the `--metrics-timing` export
 //! and on stderr.
 //!
@@ -120,6 +121,9 @@ pub struct KeyStats {
     pub hits: u64,
     /// Requests that executed the workload (always 1 per key).
     pub misses: u64,
+    /// Executions the reference budget ended (`misses` when the
+    /// workload is longer than the key's budget, else 0).
+    pub stopped: u64,
     /// Request counts of the capture's simulation memo.
     pub sims: MemoStats,
 }
@@ -135,6 +139,9 @@ pub struct ProfileStats {
     /// Profile requests that executed the workload: 1, or 0 when a
     /// trace capture filled the latch first.
     pub misses: u64,
+    /// Executions the reference budget ended (`misses` when the
+    /// workload is longer than the key's budget, else 0).
+    pub stopped: u64,
 }
 
 /// Per-key slot of a [`OnceMap`]: the once-latch plus its counters.
@@ -350,6 +357,10 @@ impl TraceStore {
                 key: entry.key,
                 hits: entry.hits,
                 misses: entry.misses,
+                stopped: match &entry.value {
+                    Some(data) if data.stopped => entry.misses,
+                    _ => 0,
+                },
                 sims: entry
                     .value
                     .map(|data| data.memo_stats())
@@ -372,6 +383,10 @@ impl TraceStore {
                 key: entry.key,
                 hits: entry.hits,
                 misses: entry.misses,
+                stopped: match &entry.value {
+                    Some(profiles) if profiles.stopped => entry.misses,
+                    _ => 0,
+                },
             })
             .collect();
         stats.sort_by(|a, b| a.key.cmp(&b.key));

@@ -180,7 +180,29 @@ fn a_profile_request_after_a_trace_request_is_a_hit() {
     let profiles = ctx.profile("li");
     assert!(Arc::ptr_eq(&profiles, data.profiles()));
     let latch = &ctx.store().profile_stats()[0];
-    assert_eq!((latch.misses, latch.hits), (0, 1));
+    assert_eq!((latch.misses, latch.hits, latch.stopped), (0, 1, 0));
+    let trace = &ctx.store().stats()[0];
+    assert_eq!((trace.misses, trace.stopped), (1, 1));
+}
+
+/// A budget the program fits in stops nothing, in either latch.
+#[test]
+fn a_budget_beyond_the_workload_stops_no_execution() {
+    let full = WorkloadData::capture(by_name("li", InputSize::Test, 1).unwrap());
+    let full = full.trace.accesses();
+    for cap in [None, Some(full), Some(full + 1)] {
+        let ctx = ExperimentContext::quick().with_max_refs(cap);
+        ctx.profile("li");
+        assert_eq!(ctx.capture("li").trace.accesses(), full);
+        let store = ctx.store();
+        let trace_runs = store.stats().into_iter().map(|s| (s.misses, s.stopped));
+        let profile_runs = store
+            .profile_stats()
+            .into_iter()
+            .map(|s| (s.misses, s.stopped));
+        let runs: Vec<(u64, u64)> = trace_runs.chain(profile_runs).collect();
+        assert_eq!(runs, [(1, 0), (1, 0)], "cap {cap:?}");
+    }
 }
 
 #[test]
@@ -207,8 +229,8 @@ fn stats_list_only_trace_keys() {
     );
 }
 
-/// A latch's `(keys, misses, hits)` and its key list.
-type Latch = ((u64, u64, u64), Vec<TraceKey>);
+/// A latch's `(keys, misses, hits, stopped)` and its key list.
+type Latch = ((u64, u64, u64, u64), Vec<TraceKey>);
 
 /// The trace latch's and the profile latch's counts after one
 /// `all --smoke` pass at `jobs` workers.
@@ -218,9 +240,14 @@ fn smoke_counts(jobs: usize) -> (Latch, Latch) {
         run(&ctx);
     }
     let store = ctx.store();
-    let latch = |counts: Vec<(TraceKey, u64, u64)>| {
-        let sum = |f: fn(&(TraceKey, u64, u64)) -> u64| counts.iter().map(f).sum();
-        let totals = (counts.len() as u64, sum(|c| c.1), sum(|c| c.2));
+    let latch = |counts: Vec<(TraceKey, u64, u64, u64)>| {
+        let sum = |f: fn(&(TraceKey, u64, u64, u64)) -> u64| counts.iter().map(f).sum();
+        let totals = (
+            counts.len() as u64,
+            sum(|c| c.1),
+            sum(|c| c.2),
+            sum(|c| c.3),
+        );
         (totals, counts.into_iter().map(|c| c.0).collect())
     };
     (
@@ -228,14 +255,14 @@ fn smoke_counts(jobs: usize) -> (Latch, Latch) {
             store
                 .stats()
                 .into_iter()
-                .map(|s| (s.key, s.misses, s.hits))
+                .map(|s| (s.key, s.misses, s.hits, s.stopped))
                 .collect(),
         ),
         latch(
             store
                 .profile_stats()
                 .into_iter()
-                .map(|s| (s.key, s.misses, s.hits))
+                .map(|s| (s.key, s.misses, s.hits, s.stopped))
                 .collect(),
         ),
     )
@@ -247,10 +274,11 @@ fn smoke_run_executes_once_per_key_and_latch_at_any_worker_count() {
     assert_eq!(serial, smoke_counts(4));
     let ((traces, trace_keys), (profiles, profile_keys)) = serial;
     // The eight integer workloads are replayed; fig1 profiled them
-    // first, so their captures only recorded.
-    assert_eq!(traces, (8, 8, 90));
+    // first, so their captures only recorded. Every execution stopped
+    // at the smoke budget.
+    assert_eq!(traces, (8, 8, 90, 8));
     // fig1's 8 and fig2's 6 keys, and table2's 12 extra seeds.
-    assert_eq!(profiles, (26, 26, 12));
+    assert_eq!(profiles, (26, 26, 12, 26));
     let ctx = ExperimentContext::smoke();
     let int: Vec<&str> = ctx.all_int().to_vec();
     assert!(trace_keys.iter().all(|k| int.contains(&k.name.as_str())));
@@ -282,6 +310,8 @@ fn assert_profiles_agree(name: &str, input: InputSize, seed: u64, cap: Option<u6
         let what = format!("{what} ({by})");
         assert_eq!(profiles.name, name, "{what}");
         assert_eq!(profiles.accesses, trace.accesses(), "{what}");
+        // Every workload is longer than the smoke budget.
+        assert_eq!(profiles.stopped, cap.is_some(), "{what}");
         assert_eq!(profiles.sample_every, sample_every, "{what}");
         let ranking = counter.ranking();
         assert_eq!(profiles.counter.ranking(), ranking, "{what}");

@@ -16,6 +16,8 @@
 //! * [`TracedMemory`] — the canonical [`Bus`] implementation; it owns the
 //!   memory, tracks *interesting* (referenced and still allocated) locations,
 //!   and forwards every event to an [`AccessSink`].
+//!   [`TracedMemory::run`] runs a program under an access budget, ending
+//!   it at its first access past the budget.
 //! * [`AccessSink`] — consumer interface implemented by profilers and cache
 //!   simulators; [`Fanout`] feeds several sinks in one pass.
 //! * [`TraceBuffer`] — the recorder: it writes the event stream straight

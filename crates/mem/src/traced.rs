@@ -9,6 +9,11 @@ use crate::live::LiveSet;
 use crate::sim_memory::SimMemory;
 use crate::snapshot::MemorySnapshot;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
+
+/// The unwind payload of a budget stop. Private, so only
+/// [`TracedMemory::run`], which raised it, can recognize and catch it.
+struct BudgetStop;
 
 /// A simulated process memory that forwards every event to an
 /// [`AccessSink`].
@@ -38,6 +43,9 @@ pub struct TracedMemory<'a> {
     global_next: Addr,
     sink: &'a mut dyn AccessSink,
     access_count: u64,
+    /// The last access count a budgeted run may reach (see
+    /// [`TracedMemory::run`]); `u64::MAX` outside one.
+    stop_at: u64,
     sample_every: Option<u64>,
     next_sample: u64,
     /// When `false`, heap frees do not clear the live set — the paper's
@@ -58,6 +66,7 @@ impl<'a> TracedMemory<'a> {
             global_next: GLOBAL_BASE,
             sink,
             access_count: 0,
+            stop_at: u64::MAX,
             sample_every: None,
             next_sample: u64::MAX,
             track_heap_free: true,
@@ -123,10 +132,72 @@ impl<'a> TracedMemory<'a> {
         }
     }
 
+    /// Runs `program` on this memory, ending it at its first access
+    /// beyond `budget` more accesses, then calls
+    /// [`TracedMemory::finish`] once. Returns whether the budget ended
+    /// the program; under `None`, or a budget the program fits in, it
+    /// runs to completion.
+    ///
+    /// The access that ends the program counts in [`Bus::accesses`] but
+    /// touches neither memory nor the sink, so the sink sees exactly the
+    /// prefix of the full event stream that
+    /// [`crate::Trace::into_prefix`] keeps, region events between access
+    /// `budget` and `budget + 1` included.
+    ///
+    /// The stop unwinds out of `program` with a payload private to this
+    /// module, raised by [`std::panic::resume_unwind`] so the panic hook
+    /// stays silent. Only this function catches it; any other panic of
+    /// `program` propagates unchanged and leaves the sink unfinished.
+    /// Unwinding stops a program at the exact access without the program
+    /// checking for it, but it relies on the default `panic = "unwind"`
+    /// strategy (under `abort` a stop would end the process), and
+    /// nothing may access this memory while `program` unwinds, from a
+    /// `Drop` impl say.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use fvl_mem::{Bus, BusExt, CountingSink, TracedMemory};
+    ///
+    /// let mut sink = CountingSink::default();
+    /// let mut mem = TracedMemory::new(&mut sink);
+    /// let stopped = mem.run(Some(3), |mem| {
+    ///     let a = mem.global(8);
+    ///     mem.fill(a, 8, 1);
+    ///     unreachable!("the fourth store ends the program");
+    /// });
+    /// assert!(stopped);
+    /// assert_eq!(mem.accesses(), 4, "the fourth store was issued");
+    /// assert_eq!(sink.stores(), 3);
+    /// assert!(sink.finished());
+    /// ```
+    pub fn run(&mut self, budget: Option<u64>, program: impl FnOnce(&mut Self)) -> bool {
+        self.stop_at = budget.map_or(u64::MAX, |b| self.access_count.saturating_add(b));
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| program(self)));
+        self.stop_at = u64::MAX;
+        let stopped = match outcome {
+            Ok(()) => false,
+            Err(payload) if payload.is::<BudgetStop>() => true,
+            Err(payload) => panic::resume_unwind(payload),
+        };
+        self.finish();
+        stopped
+    }
+
+    /// Counts an access the program issues, and ends a budgeted run at
+    /// its first access past the budget, before the access touches
+    /// memory.
+    #[inline]
+    fn issue(&mut self) {
+        self.access_count += 1;
+        if self.access_count > self.stop_at {
+            stop();
+        }
+    }
+
     #[inline]
     fn record(&mut self, addr: Addr, value: Word, kind: AccessKind) {
         self.live.mark(addr);
-        self.access_count += 1;
         self.sink.on_access(Access { addr, value, kind });
         if self.access_count >= self.next_sample {
             let every = self.sample_every.expect("sampling misconfigured");
@@ -137,10 +208,18 @@ impl<'a> TracedMemory<'a> {
     }
 }
 
+/// Ends a budgeted run (see [`TracedMemory::run`]).
+#[cold]
+#[inline(never)]
+fn stop() -> ! {
+    panic::resume_unwind(Box::new(BudgetStop))
+}
+
 impl Bus for TracedMemory<'_> {
     #[inline]
     fn load(&mut self, addr: Addr) -> Word {
         assert_eq!(addr % WORD_BYTES, 0, "unaligned load at {addr:#x}");
+        self.issue();
         let value = self.mem.read(addr);
         self.record(addr, value, AccessKind::Load);
         value
@@ -149,6 +228,7 @@ impl Bus for TracedMemory<'_> {
     #[inline]
     fn store(&mut self, addr: Addr, value: Word) {
         assert_eq!(addr % WORD_BYTES, 0, "unaligned store at {addr:#x}");
+        self.issue();
         self.mem.write(addr, value);
         self.record(addr, value, AccessKind::Store);
     }
@@ -318,6 +398,65 @@ mod tests {
         m.finish();
         m.finish();
         assert!(sink.finished());
+    }
+
+    /// Stores `words` ones into a fresh global array.
+    fn fill_ones(m: &mut TracedMemory<'_>, words: u32) {
+        let a = m.global(words);
+        m.fill(a, words, 1);
+    }
+
+    #[test]
+    fn budgeted_run_stops_at_the_first_access_past_the_budget() {
+        for budget in 0..5 {
+            let mut sink = CountingSink::new();
+            let mut m = TracedMemory::new(&mut sink);
+            assert!(m.run(Some(budget), |m| fill_ones(m, 5)));
+            assert_eq!(m.accesses(), budget + 1, "budget {budget}");
+            // The budget ends with the run: later accesses go through.
+            m.store(GLOBAL_BASE, 2);
+            assert_eq!(m.accesses(), budget + 2);
+            assert_eq!(sink.stores(), budget + 1, "budget {budget}");
+            assert!(sink.finished());
+        }
+    }
+
+    #[test]
+    fn a_budget_the_program_fits_in_runs_it_to_completion() {
+        for budget in [Some(5), Some(6), None] {
+            let mut sink = CountingSink::new();
+            let mut m = TracedMemory::new(&mut sink);
+            assert!(!m.run(budget, |m| fill_ones(m, 5)), "{budget:?}");
+            assert_eq!(m.accesses(), 5);
+            assert_eq!(sink.stores(), 5);
+            assert!(sink.finished());
+        }
+    }
+
+    #[test]
+    fn a_program_panic_before_the_budget_propagates_unchanged() {
+        let mut sink = CountingSink::new();
+        let mut m = TracedMemory::new(&mut sink);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.run(Some(10), |m| {
+                fill_ones(m, 2);
+                panic!("workload bug after {} accesses", m.accesses());
+            })
+        }))
+        .expect_err("the program's panic propagates");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("workload bug after 2 accesses")
+        );
+        assert!(!sink.finished(), "a failed program is not finished");
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned")]
+    fn a_program_panic_keeps_its_message() {
+        let mut sink = CountingSink::new();
+        let mut m = TracedMemory::new(&mut sink);
+        m.run(Some(10), |m| m.store(6, 1));
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   [`ErrorCode::OverBudget`]. Every job charges the references the
 //!   engine actually simulated for it (the same counter the local
 //!   CLI's throughput line reports), so the cost of a job is bounded
-//!   up front by the session's `with_access_limit` smoke cap and
-//!   accounted exactly afterwards. The budget is cumulative across a
+//!   up front by the session's reference cap (`smoke=1` or the
+//!   daemon's `force_max_refs`), at which every capture stops its
+//!   workload, and accounted exactly afterwards. The budget is cumulative across a
 //!   tenant's sessions for the daemon's lifetime.
 //!
 //! [`ErrorCode::Busy`]: fvl_mem::frame::ErrorCode::Busy
@@ -113,7 +114,7 @@ impl Admission {
     /// Charges `refs` simulated references to `tenant`, reporting
     /// whether the tenant may start *another* job afterwards. Charging
     /// is never refused retroactively — the job already ran under its
-    /// `with_access_limit` cap — the budget gates the next admission.
+    /// session's reference cap — the budget gates the next admission.
     pub fn charge(&self, tenant: &str, refs: u64) -> Result<(), Refusal> {
         let mut state = self.state.lock().unwrap();
         let entry = state.tenants.entry(tenant.to_string()).or_default();

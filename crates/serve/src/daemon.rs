@@ -19,6 +19,7 @@
 
 use crate::admission::Admission;
 use crate::fault::FaultPlan;
+use fvl_bench::store::ProfileStats;
 use fvl_bench::TraceStore;
 use std::fmt;
 use std::io::{self, Write};
@@ -262,16 +263,12 @@ impl DaemonHandle {
         )
     }
 
-    /// The same counts for the store's profile latch, which serves the
-    /// profile-only runners (Figures 1–2, Tables 1–2) — what the stress
-    /// suite asserts capture-once with.
-    pub fn profile_stats(&self) -> (usize, u64, u64) {
-        let stats = self.shared.store.profile_stats();
-        (
-            stats.len(),
-            stats.iter().map(|s| s.misses).sum(),
-            stats.iter().map(|s| s.hits).sum(),
-        )
+    /// Per-key counts of the store's profile latch, which serves the
+    /// profile-only runners (Figures 1–2, Tables 1–2): hits, executions
+    /// and executions the reference budget stopped — what the stress
+    /// suite asserts capture-once and the smoke budget with.
+    pub fn profile_stats(&self) -> Vec<ProfileStats> {
+        self.shared.store.profile_stats()
     }
 
     /// Currently active sessions.

@@ -115,7 +115,10 @@ fn concurrent_sessions_match_serial_and_capture_once() {
         (0, 0, 0),
         "a profile-only job kept a trace"
     );
-    let (distinct, misses, hits) = handle.profile_stats();
+    let stats = handle.profile_stats();
+    let distinct = stats.len();
+    let misses: u64 = stats.iter().map(|s| s.misses).sum();
+    let hits: u64 = stats.iter().map(|s| s.hits).sum();
     assert!(distinct > 0, "the job captured nothing");
     assert_eq!(
         misses,
@@ -127,6 +130,36 @@ fn concurrent_sessions_match_serial_and_capture_once() {
         hits >= ((THREADS * SESSIONS - 1) * distinct) as u64,
         "later sessions did not reuse the shared captures: {hits} hits for {distinct} keys"
     );
+    handle.shutdown();
+}
+
+/// A smoke session on reference inputs: the job's captures record the
+/// smoke budget's first references of the reference-size programs,
+/// and each stops at the budget rather than running to completion.
+#[test]
+fn reference_smoke_session_stops_every_capture_at_the_budget() {
+    let handle = daemon_with(ServeConfig::default());
+    let spec = SessionSpec {
+        input: "reference".to_string(),
+        ..SessionSpec::smoke("tenant-ref")
+    };
+    let mut client = RemoteClient::connect(handle.local_addr(), &spec, Duration::from_secs(60))
+        .expect("admitted");
+    let mut stdout = Vec::new();
+    client
+        .run_experiment(JOB, &mut stdout)
+        .expect("job completes");
+    client.bye().expect("clean close");
+
+    let stats = handle.profile_stats();
+    assert!(!stats.is_empty(), "the job captured nothing");
+    for s in &stats {
+        assert_eq!(
+            (s.key.input, s.key.max_refs),
+            (InputSize::Ref, Some(SMOKE_REFS))
+        );
+        assert_eq!((s.misses, s.stopped), (1, 1), "{}", s.key);
+    }
     handle.shutdown();
 }
 

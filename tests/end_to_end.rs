@@ -151,24 +151,30 @@ impl AccessSink for Tee<'_> {
     }
 }
 
+/// Heap and stack churn, so region events sit at many positions.
+fn churn(m: &mut dyn Bus) {
+    let a = m.alloc(3);
+    m.fill(a, 3, 7);
+    let frame = m.push_frame(2);
+    m.store(frame, 9);
+    let b = m.alloc(1);
+    m.free(a);
+    m.pop_frame();
+    let _ = m.load(b);
+    m.free(b);
+}
+
 /// The recorder writes packed columns straight from the event stream.
 /// Uncapped, they hold exactly what a second sink saw; capped at any
 /// access count, they hold the prefix `Trace::into_prefix` cuts, with
-/// the region events that sit at the cap.
+/// the region events that sit at the cap. A budgeted run stops the
+/// program at that cut: an unlimited recorder and a second sink then
+/// see the same prefix.
 #[test]
 fn recorder_columns_equal_the_event_stream_at_every_cap() {
-    // Heap and stack churn, so region events sit at many positions.
     let program = |sink: &mut dyn AccessSink| {
         let mut m = TracedMemory::new(sink);
-        let a = m.alloc(3);
-        m.fill(a, 3, 7);
-        let frame = m.push_frame(2);
-        m.store(frame, 9);
-        let b = m.alloc(1);
-        m.free(a);
-        m.pop_frame();
-        let _ = m.load(b);
-        m.free(b);
+        churn(&mut m);
         m.finish();
     };
     let mut full = TraceBuffer::new();
@@ -183,6 +189,7 @@ fn recorder_columns_equal_the_event_stream_at_every_cap() {
         .count();
     assert!(regions >= 6, "{regions} region events");
 
+    let mut regions_at_a_cut = 0;
     for cap in 0..=seen.accesses() + 1 {
         let mut capped = TraceBuffer::with_capacity(cap as usize).with_access_limit(cap);
         program(&mut capped);
@@ -190,7 +197,31 @@ fn recorder_columns_equal_the_event_stream_at_every_cap() {
         let packed = capped.into_packed();
         assert_eq!(packed.to_trace().events(), expect.events(), "cap {cap}");
         assert_eq!(packed.accesses(), expect.accesses(), "cap {cap}");
+
+        let mut budgeted = TraceBuffer::new();
+        let mut tee = Tee(&mut budgeted, Vec::new());
+        let mut m = TracedMemory::new(&mut tee);
+        let stopped = m.run(Some(cap), |m| churn(m));
+        assert_eq!(stopped, cap < seen.accesses(), "cap {cap}");
+        assert_eq!(m.accesses(), seen.accesses().min(cap + 1), "cap {cap}");
+        drop(m);
+        assert_eq!(tee.1, expect.events(), "cap {cap}");
+        let recorded = budgeted.into_packed();
+        assert_eq!(recorded.addrs(), packed.addrs(), "cap {cap}");
+        assert_eq!(recorded.values(), packed.values(), "cap {cap}");
+        assert_eq!(
+            recorded.region_events(),
+            packed.region_events(),
+            "cap {cap}"
+        );
+        if stopped && !matches!(expect.events().last(), Some(TraceEvent::Access(_)) | None) {
+            regions_at_a_cut += 1;
+        }
     }
+    assert!(
+        regions_at_a_cut >= 3,
+        "{regions_at_a_cut} cuts keep region events"
+    );
 
     // A real workload under the smoke budget, against its tee'd stream.
     let mut capped = TraceBuffer::with_capacity(1000).with_access_limit(1000);
