@@ -420,13 +420,11 @@ fn bench_varint(c: &mut Criterion) {
     group.finish();
 }
 
-/// Full two-pass corpus sweep over an on-disk v2.2 corpus: the
-/// decode-ahead pipelined simulation pass against the serial inline
-/// decode lane, with the fully resident in-RAM sweep as the ceiling.
-/// All three lanes produce bit-identical reports; the lanes measure
-/// how much of the decode cost the producer thread hides.
+/// The one-pass corpus sweep over an on-disk v2.2 corpus under the
+/// default residency budget: positioned chunk reads, one decode per
+/// chunk, and the sweep's simulators and reuse profiler.
 fn bench_corpus_sweep(c: &mut Criterion) {
-    use fvl_bench::corpus::{self, ChunkDecode, ReplayMode};
+    use fvl_bench::corpus;
     let dir: std::path::PathBuf = [
         env!("CARGO_MANIFEST_DIR"),
         "..",
@@ -445,41 +443,19 @@ fn bench_corpus_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("corpus");
     group.throughput(Throughput::Elements(corp.total_accesses()));
     group.sample_size(10);
-    group.bench_function(BenchmarkId::new("sweep", "pipelined"), |b| {
-        b.iter(|| {
-            corpus::sweep_corpus_with(&corp, budget, ReplayMode::Mapped, ChunkDecode::Pipelined)
-                .unwrap()
-                .summaries
-                .len()
-        })
-    });
-    group.bench_function(BenchmarkId::new("sweep", "inline"), |b| {
-        b.iter(|| {
-            corpus::sweep_corpus_with(&corp, budget, ReplayMode::Mapped, ChunkDecode::Inline)
-                .unwrap()
-                .summaries
-                .len()
-        })
-    });
-    group.bench_function(BenchmarkId::new("sweep", "in-ram"), |b| {
-        b.iter(|| {
-            corpus::sweep_corpus_with(&corp, budget, ReplayMode::InRam, ChunkDecode::Pipelined)
-                .unwrap()
-                .summaries
-                .len()
-        })
+    group.bench_function(BenchmarkId::new("sweep", "one-pass"), |b| {
+        b.iter(|| corpus::sweep_corpus(&corp, budget).unwrap().summaries.len())
     });
     group.finish();
 }
 
 /// Out-of-core replay: the big-trace digest walk fed from a v2.2 file
-/// on disk through the mapped reader vs the fully resident
-/// [`PackedTrace`]. `mmap-cold` maps, parses the footer, and walks per
-/// iteration; `mmap-warm` reuses one mapping and pays only the lazy
-/// per-chunk address decode each walk; `buffered-cold` is the no-mmap
-/// fallback that slurps the file through 64 KiB reads; `in-ram` is the
+/// on disk through positioned chunk reads vs the fully resident
+/// [`PackedTrace`]. `file-cold` opens the file, parses the footer, and
+/// walks per iteration; `file-warm` reuses one opened trace and pays
+/// the per-chunk read and address decode each walk; `in-ram` is the
 /// resident upper bound the out-of-core lanes chase.
-fn bench_mmap(c: &mut Criterion) {
+fn bench_out_of_core(c: &mut Criterion) {
     let trace = big_trace(8 << 20);
     let packed = PackedTrace::from_trace(&trace);
     let dir: std::path::PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "target", "bench-io"]
@@ -491,7 +467,7 @@ fn bench_mmap(c: &mut Criterion) {
     packed.write_v22_to(std::io::BufWriter::new(file)).unwrap();
     let warm = MappedTrace::open(&path).unwrap();
 
-    let mut group = c.benchmark_group("mmap");
+    let mut group = c.benchmark_group("out-of-core");
     group.throughput(Throughput::Elements(trace.accesses()));
     group.sample_size(10);
     group.bench_function(BenchmarkId::new("walk", "in-ram"), |b| {
@@ -501,26 +477,18 @@ fn bench_mmap(c: &mut Criterion) {
             sink.acc
         })
     });
-    group.bench_function(BenchmarkId::new("walk", "mmap-warm"), |b| {
+    group.bench_function(BenchmarkId::new("walk", "file-warm"), |b| {
         b.iter(|| {
             let mut sink = DigestSink::default();
             warm.replay_into(&mut sink).unwrap();
             sink.acc
         })
     });
-    group.bench_function(BenchmarkId::new("walk", "mmap-cold"), |b| {
+    group.bench_function(BenchmarkId::new("walk", "file-cold"), |b| {
         b.iter(|| {
-            let mapped = MappedTrace::open(black_box(&path)).unwrap();
+            let opened = MappedTrace::open(black_box(&path)).unwrap();
             let mut sink = DigestSink::default();
-            mapped.replay_into(&mut sink).unwrap();
-            sink.acc
-        })
-    });
-    group.bench_function(BenchmarkId::new("walk", "buffered-cold"), |b| {
-        b.iter(|| {
-            let mapped = MappedTrace::open_buffered(black_box(&path)).unwrap();
-            let mut sink = DigestSink::default();
-            mapped.replay_into(&mut sink).unwrap();
+            opened.replay_into(&mut sink).unwrap();
             sink.acc
         })
     });
@@ -536,7 +504,7 @@ criterion_group!(
     bench_capture,
     bench_trace_io,
     bench_varint,
-    bench_mmap,
+    bench_out_of_core,
     bench_corpus_sweep
 );
 criterion_main!(benches);

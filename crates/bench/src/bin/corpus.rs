@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! corpus gen <dir> [--traces N] [--accesses N] [--seed N] [--chunk-accesses N]
-//! corpus sweep <dir> [--budget-bytes N] [--in-ram] [--inline-decode]
+//! corpus sweep <dir> [--budget-bytes N]
 //!              [--metrics FILE] [--metrics-csv FILE] [--metrics-timing]
 //! corpus sim <file> [--size N] [--line N] [--assoc N] [--write back|through]
 //!            [--policy P] [--remote ADDR]
@@ -14,24 +14,20 @@
 //! with byte-identical stdout (CI diffs the two modes).
 //!
 //! `gen` writes a directory of deterministic synthetic chunk-indexed
-//! v2.2 trace files. `sweep` opens every `*.fvltrc` file in
-//! the directory as a memory-mapped [`fvl_mem::MappedTrace`] and runs
-//! the two-pass corpus sweep (column digests, then cache simulations
-//! plus the one-pass reuse-distance curve) with decoded-chunk
-//! residency bounded by `--budget-bytes`: half the budget funds the
-//! per-file decoded-chunk LRU caches, half bounds in-flight decodes.
-//! The simulation pass decodes one chunk ahead on a producer thread
-//! unless `--inline-decode` selects the serial decode lane.
+//! v2.2 trace files. `sweep` opens every `*.fvltrc` file in the
+//! directory as a [`fvl_mem::MappedTrace`] (nothing is memory-mapped)
+//! and runs the one-pass corpus sweep: each chunk is read with one
+//! positioned read and decoded once, and that decode feeds the column
+//! digest, the cache simulations and the reuse-distance curve. Chunk
+//! read buffers and decoded columns stay under `--budget-bytes`.
 //!
-//! Sweep reports go to stdout and are bit-identical between the
-//! default mapped mode and the `--in-ram` resident baseline, and
-//! between pipelined and inline decode — CI diffs them. Residency and
-//! cache accounting is scheduling-dependent, so it goes to stderr and,
-//! with `--metrics-timing`, into a `corpus` block of the JSON export.
+//! Sweep reports go to stdout and do not depend on the budget — CI
+//! diffs a 256 KiB sweep against a default-budget one. Residency
+//! accounting is scheduling-dependent, so it goes to stderr and, with
+//! `--metrics-timing`, into a `corpus` block of the JSON export.
 
 use fvl_bench::corpus::{
-    sweep_corpus_with, ChunkDecode, Corpus, CorpusReport, ReplayMode, DEFAULT_BUDGET_BYTES,
-    SWEEP_GEOMETRIES,
+    sweep_corpus, Corpus, CorpusReport, DEFAULT_BUDGET_BYTES, SWEEP_GEOMETRIES,
 };
 use fvl_bench::engine::{CellId, ClassStats, Completed, Engine};
 use fvl_bench::metrics::{self, RunInfo};
@@ -61,15 +57,12 @@ const CURVE_CLASSES: [&str; TOWER_LEVELS] = [
 fn usage() -> ExitCode {
     eprintln!(
         "usage: corpus gen <dir> [--traces N] [--accesses N] [--seed N] [--chunk-accesses N]\n\
-         \x20      corpus sweep <dir> [--budget-bytes N] [--in-ram] [--inline-decode]\n\
+         \x20      corpus sweep <dir> [--budget-bytes N]\n\
          \x20                  [--metrics FILE] [--metrics-csv FILE] [--metrics-timing]\n\
          gen writes N synthetic chunk-indexed v2.2 traces into <dir>\n\
-         sweep maps every *.fvltrc in <dir> and replays it chunk by chunk,\n\
-         \x20     keeping decoded chunks under --budget-bytes (default {DEFAULT_BUDGET_BYTES})\n\
-         --in-ram decodes each trace fully before replay (A/B baseline; stdout\n\
-         \x20     must be bit-identical to the mapped mode)\n\
-         --inline-decode turns off the decode-ahead pipeline (A/B lane; stdout\n\
-         \x20     must be bit-identical to the pipelined default)\n\
+         sweep reads every *.fvltrc in <dir> once, chunk by chunk, keeping chunk\n\
+         \x20     read buffers and decoded columns under --budget-bytes\n\
+         \x20     (default {DEFAULT_BUDGET_BYTES}); stdout does not depend on the budget\n\
          --metrics FILE writes the versioned JSON export; --metrics-timing adds\n\
          \x20     the scheduling-dependent corpus/residency block\n\
          \x20      corpus sim <file> [--size N] [--line N] [--assoc N]\n\
@@ -147,12 +140,8 @@ fn print_report(corpus: &Corpus, report: &CorpusReport) {
 /// Residency accounting for the timing-gated `corpus` metrics block.
 fn corpus_block(corpus: &Corpus, report: &CorpusReport) -> Json {
     let b = &report.budget;
-    let c = &report.cache;
     Json::object([
-        ("mode", Json::from(report.mode.label())),
-        ("decode", Json::from(report.decode.label())),
         ("files", Json::U64(corpus.len() as u64)),
-        ("mapped_files", Json::U64(corpus.mapped_files() as u64)),
         ("total_chunks", Json::U64(corpus.total_chunks())),
         ("total_accesses", Json::U64(corpus.total_accesses())),
         ("file_bytes", Json::U64(corpus.total_file_bytes())),
@@ -161,25 +150,16 @@ fn corpus_block(corpus: &Corpus, report: &CorpusReport) -> Json {
         ("waits", Json::U64(b.waits)),
         ("admissions", Json::U64(b.admissions)),
         ("admitted_bytes", Json::U64(b.admitted_bytes)),
-        ("cache_capacity", Json::U64(c.capacity)),
-        ("cache_peak", Json::U64(c.peak)),
-        ("cache_hits", Json::U64(c.hits)),
-        ("cache_misses", Json::U64(c.misses)),
-        ("cache_evictions", Json::U64(c.evictions)),
     ])
 }
 
 fn sweep(dir: PathBuf, mut iter: std::vec::IntoIter<String>) -> ExitCode {
     let mut budget_bytes = DEFAULT_BUDGET_BYTES;
-    let mut mode = ReplayMode::Mapped;
-    let mut decode = ChunkDecode::Pipelined;
     let mut metrics_json: Option<String> = None;
     let mut metrics_csv: Option<String> = None;
     let mut metrics_timing = false;
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--in-ram" => mode = ReplayMode::InRam,
-            "--inline-decode" => decode = ChunkDecode::Inline,
             "--metrics-timing" => metrics_timing = true,
             "--budget-bytes" => match iter.next().and_then(|s| s.parse().ok()) {
                 Some(n) => budget_bytes = n,
@@ -207,7 +187,7 @@ fn sweep(dir: PathBuf, mut iter: std::vec::IntoIter<String>) -> ExitCode {
         eprintln!("error: no *.fvltrc files in {}", dir.display());
         return ExitCode::FAILURE;
     }
-    let report = match sweep_corpus_with(&corpus, budget_bytes, mode, decode) {
+    let report = match sweep_corpus(&corpus, budget_bytes) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("error: corpus sweep failed: {err}");
@@ -219,30 +199,16 @@ fn sweep(dir: PathBuf, mut iter: std::vec::IntoIter<String>) -> ExitCode {
     // Diagnostics: scheduling-dependent, stderr only.
     let b = &report.budget;
     eprintln!(
-        "residency: mode={} decode={} budget={} peak={} waits={} admissions={} admitted={} bytes",
-        report.mode.label(),
-        report.decode.label(),
-        b.limit,
-        b.peak,
-        b.waits,
-        b.admissions,
-        b.admitted_bytes,
-    );
-    let c = &report.cache;
-    eprintln!(
-        "chunk-cache: capacity={} peak={} hits={} misses={} evictions={}",
-        c.capacity, c.peak, c.hits, c.misses, c.evictions,
-    );
-    eprintln!(
-        "mapping: {}/{} files memory-mapped",
-        corpus.mapped_files(),
-        corpus.len()
+        "residency: budget={} peak={} waits={} admissions={} admitted={} bytes",
+        b.limit, b.peak, b.waits, b.admissions, b.admitted_bytes,
     );
 
     // Re-record the summaries as engine cells so the corpus export
     // reuses the experiments' versioned metrics schema.
     if metrics_json.is_some() || metrics_csv.is_some() {
         let engine = Engine::serial();
+        // Each access is charged once per consumer: the digest fold,
+        // the reuse profiler and every sweep geometry.
         let replays = 2 + SWEEP_GEOMETRIES.len() as u64;
         engine.cells((0..report.summaries.len()).collect::<Vec<_>>(), |i| {
             let s = &report.summaries[i];

@@ -2,63 +2,39 @@
 //!
 //! Sweeps a *directory* of chunk-indexed v2.2 trace files (via
 //! [`fvl_mem::MappedTrace`]) that may collectively be far larger than
-//! memory. Files stay memory-mapped (never decoded whole, except in the
-//! explicit in-RAM baseline mode) and decode one
-//! [`fvl_mem::CHUNK_ACCESSES`]-sized chunk at a time; a shared
-//! [`ResidencyBudget`] bounds how many decoded-chunk bytes are live
-//! across all worker threads at once.
+//! memory. Nothing is memory-mapped: each file stays on disk and each
+//! [`fvl_mem::CHUNK_ACCESSES`]-sized chunk is read with one positioned
+//! read into a buffer and decoded, and a shared [`ResidencyBudget`]
+//! bounds the bytes those buffers and decoded columns hold across all
+//! worker threads at once.
 //!
-//! Two passes run over the corpus, both spread over the workers of an
-//! [`fvl_runner::Pool`] sized to the machine:
+//! The sweep is **one pass**: the files are spread over the workers of
+//! an [`fvl_runner::Pool`] sized to the machine, and each worker
+//! streams its file chunk by chunk. Every chunk is admitted to the
+//! budget, read and decoded exactly once, and that one decode feeds the
+//! chunk's column digest and store count, the [`SWEEP_GEOMETRIES`]
+//! cache simulators and a [`ReuseProfiler`] miss-rate curve. Nothing is
+//! cached and nothing is decoded ahead, so a corpus with fewer files
+//! than workers leaves workers idle.
 //!
-//! 1. **Digest pass** — chunk-granular: every `(file, chunk)` pair is an
-//!    independent work item, so a single huge trace still spreads across
-//!    all workers. Per-chunk column digests fold (in chunk order) into
-//!    one digest per file.
-//! 2. **Simulation pass** — trace-granular: each file streams chunk by
-//!    chunk through the [`SWEEP_GEOMETRIES`] cache simulators and a
-//!    [`ReuseProfiler`] miss-rate curve, all fed from the same
-//!    resident chunk. With [`ChunkDecode::Pipelined`] (the default) a
-//!    producer thread runs one chunk ahead of simulation: it issues an
-//!    `madvise(WILLNEED)` prefetch for chunk *i + 1*, then decodes
-//!    chunk *i* while the consumer is still simulating chunk *i − 1*,
-//!    handing decoded blocks over a bounded ring so decode latency
-//!    overlaps simulation instead of serialising with it.
-//!
-//! In mapped mode the byte budget is **split**: half backs the
-//! per-file decoded-chunk LRU caches
-//! ([`MappedTrace::set_chunk_cache_capacity`]) so the second pass can
-//! reuse first-pass decodes, and the other half bounds in-flight
-//! (pipelined) decodes through the [`ResidencyBudget`]. Cache-resident
-//! and in-flight bytes are accounted separately and each stays under
-//! its share, so total decoded residency stays under the configured
-//! budget.
-//!
-//! [`ReplayMode::InRam`] is the A/B baseline: each trace is decoded to a
-//! fully resident [`PackedTrace`] and replayed conventionally. Both modes
-//! must produce byte-identical [`TraceSummary`] values — only the
-//! [`BudgetStats`] and [`ChunkCacheStats`] (timing-class data) may
-//! differ.
+//! Every [`TraceSummary`] depends only on the files, never on the
+//! budget or the worker count; only the [`BudgetStats`] (timing-class
+//! data) do.
 
 use fvl_cache::{CacheGeometry, CacheSim, CacheStats};
 use fvl_mem::{
-    AccessSink, AddrCodec, ChunkCacheStats, MappedTrace, PackedTrace, Region, RegionEvent,
-    RegionKind, SimMemory, HEAP_BASE, STORE_BIT,
+    AccessSink, AddrCodec, MappedTrace, PackedTrace, Region, RegionEvent, RegionKind, SimMemory,
+    HEAP_BASE, STORE_BIT,
 };
 use fvl_profile::{MissCurve, ReuseProfiler};
 use fvl_runner::Pool;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
-/// Default bound on decoded-chunk bytes resident across all workers.
+/// Default bound on the chunk bytes (read buffers plus decoded
+/// columns) resident across all workers.
 pub const DEFAULT_BUDGET_BYTES: u64 = 4 * 1024 * 1024;
-
-/// Depth of the decode-ahead ring in [`ChunkDecode::Pipelined`] mode:
-/// how many decoded chunks may sit between the producer and the
-/// simulating consumer (each still holding its budget reservation).
-pub const PIPELINE_DEPTH: usize = 4;
 
 /// File extension the corpus manager picks up from a directory.
 pub const TRACE_EXTENSION: &str = "fvltrc";
@@ -73,14 +49,15 @@ pub const SWEEP_GEOMETRIES: [(&str, u64, u32, u32); 3] = [
 
 // ---- residency budget ----------------------------------------------------
 
-/// Counter-semaphore bounding the decoded-chunk bytes resident at once.
+/// Counter-semaphore bounding the chunk bytes resident at once.
 ///
-/// Workers call [`ResidencyBudget::admit`] before decoding a chunk and
-/// hold the returned [`ChunkGuard`] while the decoded columns are live;
-/// dropping the guard releases the bytes and wakes waiters. A chunk
-/// larger than the whole budget is still admitted once nothing else is
-/// resident, so an oversized chunk degrades to serial decode instead of
-/// deadlocking.
+/// Workers call [`ResidencyBudget::admit`] with
+/// [`MappedTrace::chunk_resident_bytes`] before reading a chunk and hold
+/// the returned [`ChunkGuard`] while its read buffer and decoded
+/// columns are live; dropping the guard releases the bytes and wakes
+/// waiters. A chunk larger than the whole budget is still admitted once
+/// nothing else is resident, so an oversized chunk degrades to serial
+/// decode instead of deadlocking.
 #[derive(Debug)]
 pub struct ResidencyBudget {
     limit: u64,
@@ -107,7 +84,7 @@ struct BudgetState {
 pub struct BudgetStats {
     /// Configured bound in bytes.
     pub limit: u64,
-    /// High-water mark of resident decoded bytes.
+    /// High-water mark of resident chunk bytes.
     pub peak: u64,
     /// Admissions that had to block for residency to drain.
     pub waits: u64,
@@ -118,7 +95,7 @@ pub struct BudgetStats {
 }
 
 impl ResidencyBudget {
-    /// Creates a budget bounding resident decoded bytes to `limit`.
+    /// Creates a budget bounding resident chunk bytes to `limit`.
     pub fn new(limit: u64) -> Self {
         ResidencyBudget {
             limit,
@@ -166,7 +143,7 @@ impl ResidencyBudget {
     }
 }
 
-/// RAII reservation of decoded-chunk bytes in a [`ResidencyBudget`].
+/// RAII reservation of chunk bytes in a [`ResidencyBudget`].
 #[derive(Debug)]
 pub struct ChunkGuard<'a> {
     budget: &'a ResidencyBudget,
@@ -185,14 +162,15 @@ impl Drop for ChunkGuard<'_> {
 // ---- corpus --------------------------------------------------------------
 
 /// One trace file of a [`Corpus`], opened as a [`MappedTrace`] (so only
-/// its chunk index and region side table are resident).
+/// its chunk index and region side table are resident, and it holds one
+/// open file descriptor).
 #[derive(Debug)]
 pub struct CorpusEntry {
     /// File stem, used as the workload name in reports.
     pub name: String,
     /// Where the file lives.
     pub path: PathBuf,
-    /// The mapped (or buffered-fallback) trace.
+    /// The opened trace.
     pub trace: MappedTrace,
 }
 
@@ -261,19 +239,14 @@ impl Corpus {
         self.entries.iter().map(|e| e.trace.chunk_count()).sum()
     }
 
-    /// Worst-case decoded bytes of any single chunk in the corpus.
+    /// Largest [`MappedTrace::chunk_resident_bytes`] of any chunk in the
+    /// corpus — the budget's unit.
     pub fn max_chunk_bytes(&self) -> u64 {
         self.entries
             .iter()
-            .flat_map(|e| (0..e.trace.chunk_count()).map(|i| e.trace.chunk_decoded_bytes(i)))
+            .flat_map(|e| (0..e.trace.chunk_count()).map(|i| e.trace.chunk_resident_bytes(i)))
             .max()
             .unwrap_or(0)
-    }
-
-    /// How many files are served by a real memory map (vs the buffered
-    /// heap fallback).
-    pub fn mapped_files(&self) -> usize {
-        self.entries.iter().filter(|e| e.trace.is_mapped()).count()
     }
 }
 
@@ -297,7 +270,7 @@ fn fold_digest(file: u64, chunk: u64) -> u64 {
     file.wrapping_mul(DIGEST_COMBINE).wrapping_add(chunk)
 }
 
-#[derive(Copy, Clone, Debug, Default)]
+#[derive(Copy, Clone, Debug)]
 struct ChunkFacts {
     digest: u64,
     stores: u64,
@@ -312,55 +285,28 @@ fn chunk_facts(addrs: &[u32], values: &[u32]) -> ChunkFacts {
 
 // ---- sweep ---------------------------------------------------------------
 
-/// How the sweep reaches trace data.
+/// How the sweep reaches trace data: always by positioned reads of one
+/// chunk at a time. A one-variant enum held only because the benchmark
+/// package (`perfbench/`) still names it (see `ROADMAP.md`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ReplayMode {
-    /// Out-of-core: mapped files, lazy chunk decode under the budget.
+    /// Lazy chunk reads and decodes under the residency budget.
     Mapped,
-    /// A/B baseline: each trace fully decoded into a resident
-    /// [`PackedTrace`] before replay. The budget is not consulted.
-    InRam,
 }
 
-impl ReplayMode {
-    /// Stable label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ReplayMode::Mapped => "mapped",
-            ReplayMode::InRam => "in-ram",
-        }
-    }
-}
-
-/// How the simulation pass obtains decoded chunks in mapped mode.
+/// How the sweep decodes chunks: always inline, once per chunk, on the
+/// worker that simulates it. A one-variant enum held only because the
+/// benchmark package (`perfbench/`) still names it (see `ROADMAP.md`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ChunkDecode {
-    /// Decode each chunk on the simulating thread, serially with the
-    /// simulation itself (the pre-pipeline behaviour; kept as the A/B
-    /// comparison lane).
-    Inline,
-    /// Decode one chunk ahead on a producer thread: prefetch chunk
-    /// `i + 1` (`madvise(WILLNEED)` on the mmap path), decode chunk `i`,
-    /// and hand decoded blocks to the simulating consumer over a
-    /// bounded ring of depth [`PIPELINE_DEPTH`]. Every in-flight block
-    /// holds its [`ResidencyBudget`] reservation until consumed.
+    /// Each chunk is read and decoded once, right before its sinks run.
     Pipelined,
 }
 
-impl ChunkDecode {
-    /// Stable label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ChunkDecode::Inline => "inline",
-            ChunkDecode::Pipelined => "pipelined",
-        }
-    }
-}
-
-/// Everything the sweep measured about one trace file. Identical
-/// between [`ReplayMode::Mapped`] and [`ReplayMode::InRam`] by
-/// construction — that invariant is what the `diff_corpus` conformance
-/// runner and the CI corpus smoke job check end to end.
+/// Everything the sweep measured about one trace file. A function of
+/// the file alone — the budget and the worker count never change it,
+/// which the in-memory oracle test and the CI corpus job (a 256 KiB
+/// against a default-budget sweep) check.
 #[derive(Clone, Debug)]
 pub struct TraceSummary {
     /// File stem.
@@ -381,292 +327,129 @@ pub struct TraceSummary {
     pub curve: MissCurve,
 }
 
+/// Decoded-chunk cache counters, always zero: the sweep decodes each
+/// chunk once and keeps no cache. Held only because the benchmark
+/// package (`perfbench/`) still reads [`CorpusReport::cache`] (see
+/// `ROADMAP.md`).
+#[derive(Copy, Clone, Default, Debug)]
+pub struct ChunkCacheStats {
+    /// Lookups served from a cache (always 0).
+    pub hits: u64,
+    /// Lookups that had to decode (always 0).
+    pub misses: u64,
+}
+
 /// Result of [`sweep_corpus`]: per-file summaries (in file-name order)
 /// plus the budget accounting for the whole run.
 #[derive(Debug)]
 pub struct CorpusReport {
-    /// How trace data was reached.
-    pub mode: ReplayMode,
-    /// How the simulation pass decoded chunks (mapped mode only).
-    pub decode: ChunkDecode,
     /// Per-file results, in corpus order.
     pub summaries: Vec<TraceSummary>,
     /// Residency accounting (timing-class: scheduling-dependent).
     pub budget: BudgetStats,
-    /// Decoded-chunk cache accounting summed over all files
-    /// (timing-class; all-zero in in-RAM mode or when the budget is
-    /// too small to fund a cache share).
+    /// All zero: there is no chunk cache (see [`ChunkCacheStats`]).
     pub cache: ChunkCacheStats,
 }
 
-/// Obtains chunk `i` of `trace`, preferring the trace's decoded-chunk
-/// cache. A cache hit carries no [`ChunkGuard`] — its bytes are already
-/// accounted against the cache's capacity share; only a fresh decode
-/// reserves in-flight budget (and is inserted into the cache for the
-/// next pass, if one is configured).
-fn fetch_chunk<'b>(
-    trace: &MappedTrace,
-    budget: &'b ResidencyBudget,
-    i: u64,
-) -> io::Result<(Arc<PackedTrace>, Option<ChunkGuard<'b>>)> {
-    if let Some(chunk) = trace.cached_chunk(i) {
-        return Ok((chunk, None));
-    }
-    let guard = budget.admit(trace.chunk_decoded_bytes(i));
-    let chunk = trace.decode_chunk_cached(i)?;
-    Ok((chunk, Some(guard)))
-}
-
-/// Streams one mapped trace into several sinks chunk by chunk, holding
-/// a budget reservation while each decoded chunk is live. Every sink
-/// sees exactly the event stream of a resident replay and is finished
-/// once. In [`ChunkDecode::Pipelined`] mode a producer thread prefetches
-/// and decodes one chunk ahead of the simulating consumer.
-fn replay_budgeted(
-    trace: &MappedTrace,
-    budget: &ResidencyBudget,
-    decode: ChunkDecode,
-    sinks: &mut [&mut dyn AccessSink],
-) -> io::Result<()> {
-    if trace.chunk_count() == 0 {
-        for event in trace.region_events() {
+/// Sweeps one file in one pass: each chunk is admitted to `budget`,
+/// read and decoded once, folded into the digest and store count, and
+/// fed to the [`SWEEP_GEOMETRIES`] simulators and the reuse profiler,
+/// which are finished once at the end.
+fn sweep_file(entry: &CorpusEntry, budget: &ResidencyBudget) -> io::Result<TraceSummary> {
+    let trace = &entry.trace;
+    let mut sims: Vec<CacheSim> = SWEEP_GEOMETRIES
+        .iter()
+        .map(|&(_, kb, line, assoc)| {
+            CacheSim::new(
+                CacheGeometry::new(kb * 1024, line, assoc)
+                    .expect("sweep geometries are valid by construction"),
+            )
+        })
+        .collect();
+    let mut profiler = ReuseProfiler::new();
+    let (mut digest, mut stores) = (DIGEST_SEED, 0u64);
+    {
+        let mut sinks: Vec<&mut dyn AccessSink> =
+            sims.iter_mut().map(|s| s as &mut dyn AccessSink).collect();
+        sinks.push(&mut profiler);
+        if trace.chunk_count() == 0 {
+            for event in trace.region_events() {
+                for sink in sinks.iter_mut() {
+                    if event.is_alloc {
+                        sink.on_alloc(event.region);
+                    } else {
+                        sink.on_free(event.region);
+                    }
+                }
+            }
+        }
+        for i in 0..trace.chunk_count() {
+            let _guard = budget.admit(trace.chunk_resident_bytes(i));
+            let chunk = trace.decode_chunk(i)?;
+            let facts = chunk_facts(chunk.addrs(), chunk.values());
+            digest = fold_digest(digest, facts.digest);
+            stores += facts.stores;
             for sink in sinks.iter_mut() {
-                if event.is_alloc {
-                    sink.on_alloc(event.region);
-                } else {
-                    sink.on_free(event.region);
-                }
+                chunk.feed_into(&mut **sink);
             }
         }
-    } else {
-        match decode {
-            ChunkDecode::Inline => {
-                for i in 0..trace.chunk_count() {
-                    let (chunk, guard) = fetch_chunk(trace, budget, i)?;
-                    for sink in sinks.iter_mut() {
-                        chunk.feed_into(&mut **sink);
-                    }
-                    drop(guard);
-                }
-            }
-            ChunkDecode::Pipelined => {
-                std::thread::scope(|scope| -> io::Result<()> {
-                    let (tx, rx) = mpsc::sync_channel(PIPELINE_DEPTH);
-                    let producer = scope.spawn(move || -> io::Result<()> {
-                        trace.prefetch_chunk(0);
-                        for i in 0..trace.chunk_count() {
-                            if i + 1 < trace.chunk_count() {
-                                trace.prefetch_chunk(i + 1);
-                            }
-                            let block = fetch_chunk(trace, budget, i)?;
-                            if tx.send(block).is_err() {
-                                break; // consumer dropped the ring
-                            }
-                        }
-                        Ok(())
-                    });
-                    for (chunk, guard) in rx {
-                        for sink in sinks.iter_mut() {
-                            chunk.feed_into(&mut **sink);
-                        }
-                        drop(guard);
-                    }
-                    producer.join().expect("corpus decode producer panicked")
-                })?;
-            }
+        for sink in sinks.iter_mut() {
+            sink.on_finish();
         }
     }
-    for sink in sinks.iter_mut() {
-        sink.on_finish();
-    }
-    Ok(())
-}
-
-/// Digest pass: chunk-granular work items in mapped mode (so even one
-/// huge file parallelizes), file-granular in the in-RAM baseline. The
-/// fold is chunk-ordered either way, so both modes agree bit for bit.
-fn digest_pass(
-    corpus: &Corpus,
-    budget: &ResidencyBudget,
-    mode: ReplayMode,
-) -> io::Result<Vec<(u64, u64)>> {
-    match mode {
-        ReplayMode::Mapped => {
-            let items: Vec<(usize, u64)> = corpus
-                .entries
-                .iter()
-                .enumerate()
-                .flat_map(|(f, e)| (0..e.trace.chunk_count()).map(move |c| (f, c)))
-                .collect();
-            let per_chunk = Pool::auto().map(items.clone(), |(f, c)| {
-                let trace = &corpus.entries[f].trace;
-                let (chunk, _guard) = fetch_chunk(trace, budget, c)?;
-                Ok::<ChunkFacts, io::Error>(chunk_facts(chunk.addrs(), chunk.values()))
-            });
-            let mut folds = vec![(DIGEST_SEED, 0u64); corpus.len()];
-            for (&(f, _), facts) in items.iter().zip(per_chunk) {
-                let facts = facts?;
-                folds[f].0 = fold_digest(folds[f].0, facts.digest);
-                folds[f].1 += facts.stores;
-            }
-            Ok(folds)
-        }
-        ReplayMode::InRam => {
-            let results = Pool::auto().map(corpus.entries.iter().collect(), |entry| {
-                let trace = &entry.trace;
-                let packed = trace.to_packed()?;
-                let (addrs, values) = (packed.addrs(), packed.values());
-                let ca = trace.chunk_accesses() as usize;
-                let mut fold = (DIGEST_SEED, 0u64);
-                for c in 0..trace.chunk_count() {
-                    let lo = (c as usize) * ca;
-                    let hi = (lo + ca).min(addrs.len());
-                    let facts = chunk_facts(&addrs[lo..hi], &values[lo..hi]);
-                    fold.0 = fold_digest(fold.0, facts.digest);
-                    fold.1 += facts.stores;
-                }
-                Ok::<(u64, u64), io::Error>(fold)
-            });
-            results.into_iter().collect()
-        }
-    }
-}
-
-/// One file's simulation-pass result: per-geometry labelled stats plus
-/// the reuse-distance curve.
-type FileSimResult = (Vec<(&'static str, CacheStats)>, MissCurve);
-
-/// Simulation pass: every file runs through the [`SWEEP_GEOMETRIES`]
-/// simulators plus the reuse-distance profiler, all fed from one
-/// decode of each chunk.
-fn sim_pass(
-    corpus: &Corpus,
-    budget: &ResidencyBudget,
-    mode: ReplayMode,
-    decode: ChunkDecode,
-) -> io::Result<Vec<FileSimResult>> {
-    let results = Pool::auto().map(corpus.entries.iter().collect(), |entry| {
-        let trace = &entry.trace;
-        let mut sims: Vec<CacheSim> = SWEEP_GEOMETRIES
-            .iter()
-            .map(|&(_, kb, line, assoc)| {
-                CacheSim::new(
-                    CacheGeometry::new(kb * 1024, line, assoc)
-                        .expect("sweep geometries are valid by construction"),
-                )
-            })
-            .collect();
-        let mut profiler = ReuseProfiler::new();
-        {
-            let mut sinks: Vec<&mut dyn AccessSink> =
-                sims.iter_mut().map(|s| s as &mut dyn AccessSink).collect();
-            sinks.push(&mut profiler);
-            match mode {
-                ReplayMode::Mapped => replay_budgeted(trace, budget, decode, &mut sinks)?,
-                ReplayMode::InRam => {
-                    let packed = trace.to_packed()?;
-                    for sink in sinks.iter_mut() {
-                        packed.replay_into(&mut **sink);
-                    }
-                }
-            }
-        }
-        let stats: Vec<(&'static str, CacheStats)> = SWEEP_GEOMETRIES
+    Ok(TraceSummary {
+        name: entry.name.clone(),
+        accesses: trace.accesses(),
+        stores,
+        chunks: trace.chunk_count(),
+        file_bytes: trace.file_bytes(),
+        digest,
+        geometries: SWEEP_GEOMETRIES
             .iter()
             .zip(&sims)
             .map(|(&(label, ..), sim)| (label, *sim.stats()))
-            .collect();
-        Ok::<_, io::Error>((stats, profiler.curve()))
-    });
-    results.into_iter().collect()
+            .collect(),
+        curve: profiler.curve(),
+    })
 }
 
-/// Runs both corpus passes under one residency budget and assembles the
-/// per-file summaries, with the default [`ChunkDecode::Pipelined`]
-/// decode-ahead simulation pass.
+/// Sweeps every file of `corpus` in one pass, the files spread over a
+/// machine-sized [`Pool`], with at most `budget_bytes` of chunk read
+/// buffers and decoded columns resident at once (a chunk larger than
+/// the budget is admitted alone).
 ///
 /// # Errors
 ///
-/// Propagates chunk-decode failures from either pass.
-pub fn sweep_corpus(
-    corpus: &Corpus,
-    budget_bytes: u64,
-    mode: ReplayMode,
-) -> io::Result<CorpusReport> {
-    sweep_corpus_with(corpus, budget_bytes, mode, ChunkDecode::Pipelined)
+/// Propagates chunk read and decode failures.
+pub fn sweep_corpus(corpus: &Corpus, budget_bytes: u64) -> io::Result<CorpusReport> {
+    let budget = ResidencyBudget::new(budget_bytes);
+    let summaries = Pool::auto()
+        .map(corpus.entries.iter().collect(), |entry| {
+            sweep_file(entry, &budget)
+        })
+        .into_iter()
+        .collect::<io::Result<Vec<_>>>()?;
+    Ok(CorpusReport {
+        summaries,
+        budget: budget.stats(),
+        cache: ChunkCacheStats::default(),
+    })
 }
 
-/// [`sweep_corpus`] with an explicit simulation-pass decode strategy.
-///
-/// In mapped mode half the byte budget funds the per-file decoded-chunk
-/// LRU caches (split evenly across files) and the other half bounds
-/// in-flight decodes; when the budget is too small to give every file a
-/// non-zero share, caching stays disabled and the whole budget bounds
-/// in-flight decodes, which degrades to the pre-cache behaviour.
+/// [`sweep_corpus`]; the mode and decode arguments each have one
+/// value. Held only because the benchmark package (`perfbench/`) still
+/// calls it (see `ROADMAP.md`).
 ///
 /// # Errors
 ///
-/// Propagates chunk-decode failures from either pass.
+/// Propagates chunk read and decode failures.
 pub fn sweep_corpus_with(
     corpus: &Corpus,
     budget_bytes: u64,
-    mode: ReplayMode,
-    decode: ChunkDecode,
+    _mode: ReplayMode,
+    _decode: ChunkDecode,
 ) -> io::Result<CorpusReport> {
-    let mut cache_share_per_file = 0u64;
-    if mode == ReplayMode::Mapped && !corpus.is_empty() {
-        cache_share_per_file = (budget_bytes / 2) / corpus.len() as u64;
-        for entry in &corpus.entries {
-            entry.trace.set_chunk_cache_capacity(cache_share_per_file);
-        }
-    }
-    let cache_share = cache_share_per_file * corpus.len() as u64;
-    let budget = ResidencyBudget::new(budget_bytes - cache_share);
-    let result = (|| -> io::Result<Vec<TraceSummary>> {
-        let folds = digest_pass(corpus, &budget, mode)?;
-        let sims = sim_pass(corpus, &budget, mode, decode)?;
-        Ok(corpus
-            .entries
-            .iter()
-            .zip(folds)
-            .zip(sims)
-            .map(
-                |((entry, (digest, stores)), (geometries, curve))| TraceSummary {
-                    name: entry.name.clone(),
-                    accesses: entry.trace.accesses(),
-                    stores,
-                    chunks: entry.trace.chunk_count(),
-                    file_bytes: entry.trace.file_bytes(),
-                    digest,
-                    geometries,
-                    curve,
-                },
-            )
-            .collect())
-    })();
-    // Snapshot cache accounting, then release the cached chunks — the
-    // corpus may be swept again (possibly in a different mode) and the
-    // caches should not outlive the sweep that funded them.
-    let mut cache = ChunkCacheStats::default();
-    for entry in &corpus.entries {
-        let st = entry.trace.chunk_cache_stats();
-        cache.capacity += st.capacity;
-        cache.resident += st.resident;
-        cache.peak += st.peak;
-        cache.hits += st.hits;
-        cache.misses += st.misses;
-        cache.evictions += st.evictions;
-        if cache_share_per_file > 0 {
-            entry.trace.set_chunk_cache_capacity(0);
-        }
-    }
-    Ok(CorpusReport {
-        mode,
-        decode,
-        summaries: result?,
-        budget: budget.stats(),
-        cache,
-    })
+    sweep_corpus(corpus, budget_bytes)
 }
 
 // ---- synthetic corpus generation -----------------------------------------
@@ -836,103 +619,73 @@ mod tests {
     fn corpus_larger_than_budget_sweeps_within_accounted_peak() {
         let dir = temp_dir("peak");
         // 4 files x ~20k accesses at 1k-access chunks: every chunk
-        // decodes to ~8KB (+ region table), while the budget is 32KB —
-        // far below the ~640KB total decoded footprint.
+        // holds ~8KB of decoded columns plus its read buffer, while the
+        // budget is 32KB — far below the corpus's decoded footprint.
         write_synthetic_corpus(&dir, 4, 20_000, 7, 1024).unwrap();
         let corpus = Corpus::open_dir(&dir).unwrap();
         assert_eq!(corpus.len(), 4);
         let budget_bytes = 32 * 1024;
         assert!(corpus.total_accesses() * 8 > 4 * budget_bytes);
         assert!(corpus.max_chunk_bytes() <= budget_bytes);
-        let report = sweep_corpus(&corpus, budget_bytes, ReplayMode::Mapped).unwrap();
-        // In-flight peak stays under the in-flight share and the cache
-        // under its share, so total decoded residency stays under the
-        // configured budget.
+        let report = sweep_corpus(&corpus, budget_bytes).unwrap();
         assert!(
-            report.budget.peak + report.cache.peak <= budget_bytes,
-            "accounted peak {} + cache peak {} exceeds budget {}",
-            report.budget.peak,
-            report.cache.peak,
-            budget_bytes
+            report.budget.peak <= budget_bytes,
+            "accounted peak {} exceeds budget {budget_bytes}",
+            report.budget.peak
         );
-        // Every chunk is admitted at most twice (once per pass); cache
-        // hits in the second pass skip admission entirely.
-        let total = corpus.total_chunks();
-        assert!(
-            (total..=2 * total).contains(&report.budget.admissions),
-            "admissions {} outside [{total}, {}]",
-            report.budget.admissions,
-            2 * total
-        );
+        assert_eq!(report.budget.admissions, corpus.total_chunks());
         assert_eq!(report.summaries.len(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The sweep against an oracle computed from the in-memory traces
+    /// with no decoder involved: a chunk-aligned fold of `chunk_facts`,
+    /// one `CacheSim` per geometry and a `ReuseProfiler` curve. At a
+    /// budget below one chunk, a few chunks, and the default, every
+    /// chunk is admitted once and the accounted peak stays within the
+    /// budget (or within one chunk, which is admitted alone).
     #[test]
-    fn big_budget_reuses_first_pass_decodes() {
-        let dir = temp_dir("cache-reuse");
-        // 64MB budget over a ~KB-scale corpus: every file's cache share
-        // holds the whole file, so the simulation pass decodes nothing.
-        write_synthetic_corpus(&dir, 3, 5_000, 11, 512).unwrap();
+    fn sweep_matches_an_in_memory_oracle_at_every_budget() {
+        let dir = temp_dir("oracle");
+        let (traces, accesses, seed, chunk) = (3usize, 5_000u64, 42u64, 512u32);
+        write_synthetic_corpus(&dir, traces, accesses, seed, chunk).unwrap();
         let corpus = Corpus::open_dir(&dir).unwrap();
-        let report = sweep_corpus(&corpus, 64 * 1024 * 1024, ReplayMode::Mapped).unwrap();
-        let total = corpus.total_chunks();
-        assert_eq!(
-            report.cache.misses, total,
-            "each chunk should decode exactly once: {:?}",
-            report.cache
-        );
-        assert_eq!(
-            report.cache.hits, total,
-            "the simulation pass should run entirely from cache: {:?}",
-            report.cache
-        );
-        assert_eq!(report.budget.admissions, total);
-        assert_eq!(report.cache.evictions, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pipelined_and_inline_decode_agree() {
-        let dir = temp_dir("decode-ab");
-        write_synthetic_corpus(&dir, 2, 8_000, 5, 256).unwrap();
-        let corpus = Corpus::open_dir(&dir).unwrap();
-        let piped = sweep_corpus_with(
-            &corpus,
-            24 * 1024,
-            ReplayMode::Mapped,
-            ChunkDecode::Pipelined,
-        )
-        .unwrap();
-        let inline =
-            sweep_corpus_with(&corpus, 24 * 1024, ReplayMode::Mapped, ChunkDecode::Inline).unwrap();
-        assert_eq!(piped.decode, ChunkDecode::Pipelined);
-        assert_eq!(inline.decode, ChunkDecode::Inline);
-        assert_eq!(piped.summaries.len(), inline.summaries.len());
-        for (p, i) in piped.summaries.iter().zip(&inline.summaries) {
-            assert_eq!(p.name, i.name);
-            assert_eq!(p.digest, i.digest);
-            assert_eq!(p.stores, i.stores);
-            assert_eq!(p.geometries, i.geometries);
-            assert_eq!(p.curve, i.curve);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mapped_and_in_ram_modes_agree() {
-        let dir = temp_dir("ab");
-        write_synthetic_corpus(&dir, 3, 5_000, 42, 512).unwrap();
-        let corpus = Corpus::open_dir(&dir).unwrap();
-        let mapped = sweep_corpus(&corpus, 16 * 1024, ReplayMode::Mapped).unwrap();
-        let in_ram = sweep_corpus(&corpus, 16 * 1024, ReplayMode::InRam).unwrap();
-        assert_eq!(mapped.summaries.len(), in_ram.summaries.len());
-        for (m, r) in mapped.summaries.iter().zip(&in_ram.summaries) {
-            assert_eq!(m.name, r.name);
-            assert_eq!(m.digest, r.digest);
-            assert_eq!(m.stores, r.stores);
-            assert_eq!(m.geometries, r.geometries);
-            assert_eq!(m.curve, r.curve);
+        let one_chunk = corpus.max_chunk_bytes();
+        for budget_bytes in [one_chunk / 2, 3 * one_chunk, DEFAULT_BUDGET_BYTES] {
+            let report = sweep_corpus(&corpus, budget_bytes).unwrap();
+            assert_eq!(report.budget.admissions, corpus.total_chunks());
+            assert!(
+                report.budget.peak <= budget_bytes.max(one_chunk),
+                "peak {} over budget {budget_bytes} (largest chunk {one_chunk})",
+                report.budget.peak
+            );
+            assert_eq!(report.summaries.len(), traces);
+            for (i, got) in (0u64..).zip(&report.summaries) {
+                let trace = synth_trace(accesses + i, seed.wrapping_add(i));
+                let ca = chunk as usize;
+                let (mut digest, mut stores) = (DIGEST_SEED, 0);
+                for (addrs, values) in trace.addrs().chunks(ca).zip(trace.values().chunks(ca)) {
+                    let facts = chunk_facts(addrs, values);
+                    digest = fold_digest(digest, facts.digest);
+                    stores += facts.stores;
+                }
+                assert_eq!(got.name, format!("synth-{i:03}"));
+                assert_eq!(got.accesses, trace.accesses());
+                assert_eq!(got.chunks, trace.accesses().div_ceil(u64::from(chunk)));
+                assert_eq!((got.digest, got.stores), (digest, stores), "{}", got.name);
+                assert_eq!(got.geometries.len(), SWEEP_GEOMETRIES.len());
+                for (&(label, kb, line, assoc), (got_label, stats)) in
+                    SWEEP_GEOMETRIES.iter().zip(&got.geometries)
+                {
+                    let mut sim =
+                        CacheSim::new(CacheGeometry::new(kb * 1024, line, assoc).unwrap());
+                    trace.replay_into(&mut sim);
+                    assert_eq!((*got_label, stats), (label, sim.stats()), "{}", got.name);
+                }
+                let mut profiler = ReuseProfiler::new();
+                trace.replay_into(&mut profiler);
+                assert_eq!(got.curve, profiler.curve(), "{}", got.name);
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -997,7 +750,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let corpus = Corpus::open_dir(&dir).unwrap();
         assert!(corpus.is_empty());
-        let report = sweep_corpus(&corpus, 1024, ReplayMode::Mapped).unwrap();
+        let report = sweep_corpus(&corpus, 1024).unwrap();
         assert!(report.summaries.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }

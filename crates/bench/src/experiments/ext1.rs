@@ -81,8 +81,8 @@ mod tests {
 
     #[test]
     fn online_learning_recovers_most_of_the_benefit() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables[0].1.len(), 6);
         assert!(report.notes[0].contains("gap"));
     }

@@ -89,8 +89,8 @@ mod tests {
 
     #[test]
     fn compression_never_explodes_the_miss_rate() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables[0].1.len(), 6);
     }
 }

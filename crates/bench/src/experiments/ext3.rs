@@ -100,8 +100,8 @@ mod tests {
 
     #[test]
     fn ablation_table_covers_all_variants() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables[0].1.len(), 6);
     }
 }

@@ -72,8 +72,8 @@ mod tests {
 
     #[test]
     fn traffic_reduction_is_nonnegative_for_fv_benchmarks() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables[0].1.len(), 6);
         assert!(report.notes[0].contains("traffic"));
     }

@@ -167,8 +167,8 @@ mod tests {
 
     #[test]
     fn sweep_covers_every_zoo_cell() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         let rows = ASSOCIATIVITIES.len() * ReplacementKind::ALL.len();
         assert_eq!(report.tables[0].1.len(), rows);
         assert_eq!(report.tables[1].1.len(), rows);

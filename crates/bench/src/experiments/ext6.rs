@@ -160,8 +160,8 @@ mod tests {
 
     #[test]
     fn tower_matches_cachesim_at_every_level() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         let workloads = ctx.fv_six().len();
         assert_eq!(report.tables[0].1.len(), workloads);
         assert_eq!(report.tables[1].1.len(), workloads);

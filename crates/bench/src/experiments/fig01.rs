@@ -54,8 +54,8 @@ mod tests {
 
     #[test]
     fn six_fv_benchmarks_are_value_local_and_controls_are_not() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables.len(), 1);
         assert_eq!(report.tables[0].1.len(), 16, "8 workloads x 2 metrics");
         // The summary note records the headline averages.

@@ -45,8 +45,8 @@ mod tests {
 
     #[test]
     fn fp_workloads_are_strongly_value_local() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables[0].1.len(), 12, "6 workloads x 2 metrics");
     }
 }

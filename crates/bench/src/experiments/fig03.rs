@@ -94,8 +94,8 @@ mod tests {
 
     #[test]
     fn timeline_covers_the_whole_run_and_is_monotone() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         let table = &report.tables[1].1;
         assert!(table.len() >= 15, "about 20 snapshot points");
         assert!(report.notes[0].contains("top-10"));

@@ -62,8 +62,8 @@ mod tests {
 
     #[test]
     fn a_large_share_of_misses_involves_frequent_values() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables[0].1.len(), 6);
         assert!(report.notes[0].contains("averages"));
     }

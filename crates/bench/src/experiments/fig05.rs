@@ -53,8 +53,8 @@ mod tests {
 
     #[test]
     fn frequent_values_are_spread_across_blocks() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert!(!report.tables[0].1.is_empty());
         assert!(report.notes[0].contains("mean"));
     }

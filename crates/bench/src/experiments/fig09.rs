@@ -78,11 +78,10 @@ pub fn run(ctx: &ExperimentContext) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::ExperimentContext;
 
     #[test]
     fn timing_relationships_match_the_paper() {
-        let report = run(&ExperimentContext::quick());
+        let report = run(crate::experiments::quick_context());
         assert_eq!(report.tables.len(), 2);
         // At least 12 configs slower than the 512-entry FVC.
         let n: u32 = report.notes[0]

@@ -74,8 +74,8 @@ mod tests {
 
     #[test]
     fn fvc_reduces_misses_for_every_fv_benchmark() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         let table = &report.tables[0].1;
         assert_eq!(table.len(), 6);
         // No strongly negative entries: the FVC never hurts.

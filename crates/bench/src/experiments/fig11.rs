@@ -63,8 +63,8 @@ mod tests {
 
     #[test]
     fn fvc_lines_are_substantially_occupied() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables[0].1.len(), 6);
         let rendered = report.tables[0].1.to_string();
         assert!(rendered.contains('x'));

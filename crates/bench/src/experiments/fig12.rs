@@ -113,8 +113,8 @@ mod tests {
 
     #[test]
     fn report_covers_six_benchmarks() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables.len(), 6);
         assert_eq!(report.tables[0].1.len(), 12);
     }

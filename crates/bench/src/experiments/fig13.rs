@@ -107,8 +107,8 @@ mod tests {
 
     #[test]
     fn fvc_beats_doubling_somewhere() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables.len(), 6, "2 benchmarks x 3 value counts");
         assert!(report.notes[0].contains("beats the doubled DMC"));
         // At least one win is required for the headline to hold.

@@ -87,8 +87,8 @@ mod tests {
 
     #[test]
     fn classification_accompanies_every_benchmark() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables[0].1.len(), 6);
     }
 }

@@ -97,8 +97,8 @@ mod tests {
 
     #[test]
     fn both_structures_help_a_small_dmc() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables.len(), 2);
         assert_eq!(report.tables[0].1.len(), 6);
     }

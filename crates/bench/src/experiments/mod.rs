@@ -32,6 +32,16 @@ use fvl_cache::{CacheGeometry, CacheStats};
 use std::fmt;
 use std::sync::Arc;
 
+/// The quick context every experiment unit test in this test binary
+/// shares, so each test-input capture and simulation runs once, through
+/// the store's latches and memo, however many tests request it. A test
+/// that inspects engine records or store counters builds its own.
+#[cfg(test)]
+pub(crate) fn quick_context() -> &'static ExperimentContext {
+    static QUICK: std::sync::OnceLock<ExperimentContext> = std::sync::OnceLock::new();
+    QUICK.get_or_init(ExperimentContext::quick)
+}
+
 /// A rendered experiment: identification, result tables, and notes.
 #[derive(Debug)]
 pub struct Report {

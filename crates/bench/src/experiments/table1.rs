@@ -59,8 +59,8 @@ mod tests {
 
     #[test]
     fn zero_tops_most_rankings() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         let table = &report.tables[0].1;
         assert_eq!(table.len(), 60);
         let rendered = table.to_string();

@@ -70,8 +70,8 @@ mod tests {
 
     #[test]
     fn inputs_share_a_meaningful_fraction_of_values() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables[0].1.len(), 6);
         // Every benchmark shares at least the value 0 across inputs.
         let rendered = report.tables[0].1.to_string();

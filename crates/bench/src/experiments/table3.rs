@@ -59,8 +59,8 @@ mod tests {
 
     #[test]
     fn rankings_stabilize_before_the_end() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables[0].1.len(), 6);
     }
 }

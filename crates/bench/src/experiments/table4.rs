@@ -51,8 +51,8 @@ mod tests {
 
     #[test]
     fn controls_are_less_constant_than_fv_benchmarks() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         assert_eq!(report.tables[0].1.len(), 8);
         assert!(report.notes[0].contains("constant"));
     }

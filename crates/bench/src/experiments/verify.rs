@@ -258,8 +258,8 @@ mod tests {
 
     #[test]
     fn all_headline_claims_pass_on_test_inputs() {
-        let ctx = ExperimentContext::quick();
-        let report = run(&ctx);
+        let ctx = crate::experiments::quick_context();
+        let report = run(ctx);
         let rendered = report.to_string();
         assert!(
             !rendered.contains("FAIL"),

@@ -33,7 +33,7 @@
 //!   `--serial` and `--jobs N`, which CI diffs. Fields that legitimately
 //!   differ between such runs (`wall_ns` per record; `jobs`,
 //!   `elapsed_ns`, `cells_per_sec`, `refs_per_sec` in the `engine`
-//!   block; the `hotpath` instrument block; the `trace_store` block
+//!   block; the `trace_store` block
 //!   with per-key capture hit/miss counts and simulation-memo counts)
 //!   appear only when timing is requested (`--metrics-timing`).
 //! * **Versioning.** Any field removal or meaning change bumps
@@ -149,9 +149,6 @@ pub fn json_report_with_extra(
     if timing {
         if let Some(store) = store {
             doc.push(("trace_store".to_string(), trace_store_block(store)));
-        }
-        if let Some(hotpath) = hotpath_block() {
-            doc.push(("hotpath".to_string(), hotpath));
         }
         if let Some((name, block)) = extra {
             doc.push((name.to_string(), block));
@@ -385,28 +382,6 @@ fn engine_block(engine: &Engine, timing: bool) -> Json {
         ));
     }
     Json::Object(fields)
-}
-
-/// Aggregate hot-path instrument readings from the simulation crates.
-/// Only available when the harness is built with `--features metrics`;
-/// returns `None` otherwise so the default export never carries a
-/// build-dependent block.
-#[cfg(feature = "metrics")]
-fn hotpath_block() -> Option<Json> {
-    let mut samples = fvl_runner::metrics::snapshot();
-    samples.extend(fvl_cache::metrics::snapshot());
-    samples.extend(fvl_core::metrics::snapshot());
-    Some(Json::Object(
-        samples
-            .into_iter()
-            .map(|s| (s.name.to_string(), Json::U64(s.value)))
-            .collect(),
-    ))
-}
-
-#[cfg(not(feature = "metrics"))]
-fn hotpath_block() -> Option<Json> {
-    None
 }
 
 #[cfg(test)]

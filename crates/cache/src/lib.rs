@@ -41,8 +41,6 @@ mod backing;
 mod classify;
 mod data_cache;
 mod geometry;
-#[cfg(feature = "metrics")]
-pub mod metrics;
 pub mod replacement;
 mod sim;
 mod simulator;

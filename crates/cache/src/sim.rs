@@ -160,8 +160,6 @@ impl CacheSim {
     /// Figure 4 miss-attribution study). [`AccessSink::on_access`]
     /// delegates here.
     pub fn access(&mut self, access: Access) -> bool {
-        #[cfg(feature = "metrics")]
-        crate::metrics::DMC_LOOKUPS.incr();
         let addr = access.addr;
         let geom = self.cache.geometry();
         let (line_addr, set) = (geom.line_addr(addr), geom.set_index(addr));

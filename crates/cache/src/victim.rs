@@ -83,8 +83,6 @@ impl VictimCache {
 
     /// Looks for the line containing `addr`. Returns its slot.
     pub fn probe(&self, addr: Addr) -> Option<usize> {
-        #[cfg(feature = "metrics")]
-        crate::metrics::VICTIM_LOOKUPS.incr();
         let line_addr = addr & self.line_mask;
         self.entries.iter().position(|e| e.line_addr == line_addr)
     }
@@ -95,8 +93,6 @@ impl VictimCache {
     ///
     /// Panics if `slot` is out of range.
     pub fn take(&mut self, slot: usize) -> EvictedLine {
-        #[cfg(feature = "metrics")]
-        crate::metrics::VICTIM_TAKES.incr();
         let e = self.entries.swap_remove(slot);
         EvictedLine {
             line_addr: e.line_addr,

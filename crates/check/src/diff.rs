@@ -20,6 +20,7 @@ use fvl_profile::{ReuseProfiler, DEFAULT_LINE_BYTES, TOWER_LEVELS};
 use fvl_runner::Pool;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The cache organizations every cache-level differential runs over:
 /// the smallest interesting direct-mapped and set-associative shapes
@@ -198,8 +199,11 @@ pub fn diff_replay(trace: &Trace) -> Option<String> {
 /// order-sensitive replay digest from lazy chunk-by-chunk delivery, and
 /// (c) yield identical [`CacheSim`] stats and traffic when the
 /// simulators are fed from the lazy stream instead of the resident one.
-/// A final transcode leg decodes the file, re-encodes it as v2.2 and
-/// requires the bytes of the direct encoding.
+/// A file leg writes each encoding to a temporary file and requires the
+/// same digest from [`MappedTrace::open`], whose chunks come from
+/// positioned reads of the file rather than from memory. A final
+/// transcode leg decodes the file, re-encodes it as v2.2 and requires
+/// the bytes of the direct encoding.
 ///
 /// The in-RAM side never touches the address codec, so a codec bug
 /// cannot cancel out of the comparison.
@@ -213,6 +217,9 @@ pub fn diff_corpus(trace: &Trace) -> Option<String> {
         packed
             .write_v22_with(&mut encoded, chunk_accesses)
             .expect("in-memory write cannot fail");
+        if let Some(msg) = diff_v22_file(&encoded, &reference) {
+            return Some(format!("v2.2 (chunk {chunk_accesses}) {msg}"));
+        }
         let mapped = match MappedTrace::from_bytes(encoded) {
             Ok(mapped) => mapped,
             Err(e) => return Some(format!("v2.2 (chunk {chunk_accesses}) failed to open: {e}")),
@@ -286,6 +293,31 @@ pub fn diff_corpus(trace: &Trace) -> Option<String> {
         return Some("v2.2 decode and re-encode is not byte-identical".to_string());
     }
     None
+}
+
+/// The file leg of [`diff_corpus`]: `encoded` written to a temporary
+/// file, opened with [`MappedTrace::open`] and replayed lazily, must
+/// give the `reference` digest.
+fn diff_v22_file(encoded: &[u8], reference: &DigestSink) -> Option<String> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "fvl-check-corpus-{}-{}.fvltrc",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    if let Err(e) = std::fs::write(&path, encoded) {
+        return Some(format!("file leg cannot write {}: {e}", path.display()));
+    }
+    let mut from_file = DigestSink::new();
+    let outcome = MappedTrace::open(&path).and_then(|t| t.replay_into(&mut from_file));
+    let _ = std::fs::remove_file(&path);
+    match outcome {
+        Err(e) => Some(format!("file leg failed: {e}")),
+        Ok(()) if from_file != *reference => Some(format!(
+            "file leg replay digest diverged: {from_file:?} vs {reference:?}"
+        )),
+        Ok(()) => None,
+    }
 }
 
 /// Diffs the `fvl-serve` wire path against in-process execution.

@@ -23,8 +23,6 @@ impl FvcLine {
     /// Encodes an uncompressed line: each word holding a frequent value
     /// gets its code, every other word the infrequent marker.
     pub fn encode(line_addr: Addr, data: &[Word], values: &FrequentValueSet) -> Self {
-        #[cfg(feature = "metrics")]
-        crate::metrics::LINES_ENCODED.incr();
         let mut codes = CodeArray::new(values.width_bits(), data.len() as u32);
         let marker = codes.infrequent_code();
         for (i, &w) in data.iter().enumerate() {
@@ -51,8 +49,6 @@ impl FvcLine {
     ///
     /// Panics if `data` has a different word count than the line.
     pub fn merge_into(&self, data: &mut [Word], values: &FrequentValueSet) {
-        #[cfg(feature = "metrics")]
-        crate::metrics::LINES_DECODED.incr();
         assert_eq!(data.len() as u32, self.codes.len(), "line length mismatch");
         let marker = self.codes.infrequent_code();
         for (i, slot) in data.iter_mut().enumerate() {
@@ -255,8 +251,6 @@ impl Fvc {
     /// frequent — check the code).
     #[inline]
     pub fn probe(&self, addr: Addr) -> Option<usize> {
-        #[cfg(feature = "metrics")]
-        crate::metrics::FVC_LOOKUPS.incr();
         let line_addr = self.line_addr_of(addr);
         let slots = self.set_range(line_addr);
         self.tags[slots.clone()]

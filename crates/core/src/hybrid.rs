@@ -204,8 +204,6 @@ impl HybridCache {
                     memory.write_line(victim.line_addr, words);
                     stats.overall.writebacks += 1;
                 }
-                #[cfg(feature = "metrics")]
-                crate::metrics::LINES_ENCODED.incr();
                 let mut frequent = 0;
                 for (code, &word) in code_buf.iter_mut().zip(words.iter()) {
                     *code = values.encode(word).unwrap_or(*marker);
@@ -238,8 +236,6 @@ impl HybridCache {
         self.stats.transfer_moves += 1;
         self.memory.read_line(line_addr, &mut self.line_buf);
         self.stats.overall.fetches += 1;
-        #[cfg(feature = "metrics")]
-        crate::metrics::LINES_DECODED.incr();
         for (word, &code) in self.line_buf.iter_mut().zip(self.fvc.codes(fslot)) {
             if let Some(value) = self.values.decode(code) {
                 *word = value;
@@ -441,8 +437,6 @@ fn retire_fvc_victim(
 impl AccessSink for HybridCache {
     #[inline]
     fn on_access(&mut self, access: Access) {
-        #[cfg(feature = "metrics")]
-        crate::metrics::HYBRID_DISPATCHES.incr();
         self.handle(access);
     }
 

@@ -45,8 +45,6 @@ mod config;
 mod fvc;
 mod hybrid;
 mod hybrid_stats;
-#[cfg(feature = "metrics")]
-pub mod metrics;
 mod online;
 mod value_set;
 mod victim_hybrid;

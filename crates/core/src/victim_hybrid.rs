@@ -175,8 +175,6 @@ impl VictimHybrid {
 impl AccessSink for VictimHybrid {
     #[inline]
     fn on_access(&mut self, access: Access) {
-        #[cfg(feature = "metrics")]
-        crate::metrics::VICTIM_HYBRID_DISPATCHES.incr();
         self.handle(access);
     }
 

@@ -28,10 +28,10 @@
 //!   access instead of 16 and branchless replay. Every capture the
 //!   experiment harness keeps is packed.
 //! * [`MappedTrace`] — out-of-core access to the chunk-indexed v2.2
-//!   trace-file format: the file stays memory-mapped (with a buffered
-//!   fallback) and [`CHUNK_ACCESSES`]-sized chunks decode lazily, so one
-//!   chunk's columns are resident at a time no matter how large the
-//!   trace is.
+//!   trace-file format: the file stays on disk (nothing is mapped) and
+//!   each [`CHUNK_ACCESSES`]-sized chunk is read with one positioned
+//!   read and decoded lazily, so one chunk's buffer and columns are
+//!   resident at a time no matter how large the trace is.
 //! * [`MemorySnapshot`] — a periodic view of live memory contents used by
 //!   the paper's "frequently *occurring* value" sampling (every 10M
 //!   instructions in the paper; every N accesses here).
@@ -52,6 +52,7 @@
 //! assert_eq!(sink.accesses(), 6);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
@@ -62,7 +63,6 @@ pub mod frame;
 mod layout;
 mod live;
 mod mapped;
-mod mmap;
 mod packed;
 mod page_table;
 mod repr;
@@ -79,8 +79,7 @@ pub use alloc::{HeapAllocator, StackAllocator};
 pub use bus::{Bus, BusExt};
 pub use layout::{Addr, Region, RegionKind, Word, GLOBAL_BASE, HEAP_BASE, STACK_BASE, WORD_BYTES};
 pub use live::LiveSet;
-pub use mapped::{ChunkCacheStats, MappedTrace};
-pub use mmap::MapSource;
+pub use mapped::MappedTrace;
 pub use packed::{PackedTrace, RegionEvent, STORE_BIT};
 pub use repr::{TraceRepr, TraceReprKind};
 pub use sim_memory::SimMemory;

@@ -1,47 +1,41 @@
 //! Out-of-core trace access: lazy, chunk-granular decode of
-//! chunk-indexed (`FVLTRC22`) trace files through a memory mapping.
+//! chunk-indexed (`FVLTRC22`) trace files through positioned reads.
 //!
 //! [`PackedTrace::read_from`] materializes a whole trace in RAM, which
 //! caps corpus studies at resident-set size. [`MappedTrace`] instead
-//! parses only the fixed header, the region side table, and the footer
-//! chunk index (all small), keeps the column payloads as mapped file
-//! bytes, and decodes one [`crate::CHUNK_ACCESSES`]-access chunk at a
-//! time into a throwaway [`PackedTrace`] that feeds the ordinary
-//! block-replay path. Sequential replay therefore holds one chunk's
-//! columns resident regardless of trace size, and random access
-//! (`decode_chunk`) is O(chunk) — the primitives the corpus manager in
-//! `fvl-bench` builds its bounded-residency sweeps on.
+//! reads only the fixed header, the region side table, and the footer
+//! chunk index (all small) at open, and leaves the column payloads on
+//! disk. Each [`MappedTrace::decode_chunk`] reads one
+//! [`crate::CHUNK_ACCESSES`]-access chunk's payload into a fresh buffer
+//! with one positioned read and decodes it into a throwaway
+//! [`PackedTrace`] that feeds the ordinary replay path. Nothing is
+//! memory-mapped and nothing is cached: sequential replay holds one
+//! chunk's read buffer and columns no matter how large the trace is,
+//! and random access is O(chunk) — the primitives the corpus manager in
+//! `fvl-bench` builds its one-pass, bounded-residency sweep on.
 //!
-//! The mapping comes from [`MapSource::open`], which falls back to a
-//! buffered whole-file read when mapping is unavailable; every offset
-//! and length in the index is bounds-checked against the file before
-//! use, so hostile files fail with `InvalidData` instead of reading
-//! out of bounds or allocating unboundedly. The index must also
+//! Every offset and length in the index is bounds-checked against the
+//! file before use, so hostile files fail with `InvalidData` instead of
+//! reading out of bounds or allocating unboundedly. The index must also
 //! describe exactly the layout the writer produces — chunks back to
 //! back from the end of the header, the region table right after the
 //! last one — so the lazy path decodes the same bytes as the
-//! sequential [`PackedTrace::read_from`].
-//!
-//! Two additions serve multi-pass, pipelined sweeps:
-//! [`MappedTrace::prefetch_chunk`] issues `madvise(MADV_WILLNEED)` for
-//! a chunk's payload so page-in overlaps with simulating the previous
-//! chunk, and an opt-in decoded-chunk LRU
-//! ([`MappedTrace::decode_chunk_cached`], capacity via
-//! [`MappedTrace::set_chunk_cache_capacity`]) lets a digest pass and a
-//! simulation pass share one decode per chunk.
+//! sequential [`PackedTrace::read_from`]. A file truncated after open
+//! fails its next read with an `UnexpectedEof` error.
 
 use crate::access::AccessSink;
 use crate::layout::Region;
-use crate::mmap::MapSource;
 use crate::packed::{PackedTrace, RegionEvent};
 use crate::trace_io::{
     bad_data, byte_to_kind, check_codec_id, ChunkedHeader, CHUNKED_HEADER_BYTES, INDEX_ENTRY_BYTES,
     MAGIC_V22, REGION_RECORD_BYTES,
 };
 use crate::varint;
+use std::borrow::Cow;
+#[cfg(unix)]
+use std::fs::File;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 /// One validated footer-index entry.
 #[derive(Copy, Clone, Debug)]
@@ -54,7 +48,75 @@ struct ChunkEntry {
     addr_bytes: u32,
 }
 
+impl ChunkEntry {
+    /// Bytes of the address and value columns after the inline header.
+    fn payload_bytes(&self) -> u64 {
+        u64::from(self.addr_bytes) + 4 * u64::from(self.chunk_len)
+    }
+}
+
+/// Where a [`MappedTrace`]'s bytes come from.
+#[derive(Debug)]
+enum Source {
+    /// An open file, read with positioned reads; `len` is its size at
+    /// open.
+    #[cfg(unix)]
+    File { file: File, len: u64 },
+    /// Bytes in memory: [`MappedTrace::from_bytes`], and the whole file
+    /// on targets without positioned reads.
+    Bytes(Vec<u8>),
+}
+
+impl Source {
+    fn len(&self) -> u64 {
+        match self {
+            #[cfg(unix)]
+            Source::File { len, .. } => *len,
+            Source::Bytes(bytes) => bytes.len() as u64,
+        }
+    }
+
+    /// The `len` bytes at offset `off`, bounds-checked against the size
+    /// at open: one positioned read into a fresh buffer from a file, a
+    /// borrowed slice from memory.
+    fn read_at(&self, off: u64, len: u64) -> io::Result<Cow<'_, [u8]>> {
+        let end = off
+            .checked_add(len)
+            .ok_or_else(|| bad_data("file offset overflows"))?;
+        if end > self.len() {
+            return Err(bad_data(format!(
+                "range {off}..{end} outside the {}-byte file",
+                self.len()
+            )));
+        }
+        match self {
+            #[cfg(unix)]
+            Source::File { file, .. } => {
+                use std::os::unix::fs::FileExt;
+                let len = usize::try_from(len)
+                    .map_err(|_| bad_data(format!("a {len}-byte read does not fit in memory")))?;
+                let mut buf = vec![0; len];
+                file.read_exact_at(&mut buf, off)?;
+                Ok(Cow::Owned(buf))
+            }
+            Source::Bytes(bytes) => Ok(Cow::Borrowed(&bytes[off as usize..end as usize])),
+        }
+    }
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte slice"))
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
+}
+
 /// A v2.2 trace file opened for lazy, chunk-at-a-time decoding.
+///
+/// A trace opened from a path keeps its file open and holds one file
+/// descriptor until it is dropped (a memory mapping held none after
+/// open), so a sweep over `n` files holds `n` descriptors.
 ///
 /// # Example
 ///
@@ -76,121 +138,33 @@ struct ChunkEntry {
 /// ```
 #[derive(Debug)]
 pub struct MappedTrace {
-    source: MapSource,
+    source: Source,
     header: ChunkedHeader,
     chunks: Vec<ChunkEntry>,
     regions: Vec<RegionEvent>,
-    cache: Mutex<ChunkCache>,
-}
-
-/// Counters describing a [`MappedTrace`] decoded-chunk cache — all
-/// byte figures are in decoded (resident) bytes, the same unit as
-/// [`MappedTrace::chunk_decoded_bytes`].
-#[derive(Copy, Clone, Default, Debug)]
-pub struct ChunkCacheStats {
-    /// Configured capacity (0 = caching disabled, the default).
-    pub capacity: u64,
-    /// Decoded bytes currently held.
-    pub resident: u64,
-    /// High-water mark of `resident`.
-    pub peak: u64,
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to decode.
-    pub misses: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-}
-
-/// One cached decoded chunk.
-#[derive(Debug)]
-struct CacheEntry {
-    index: u64,
-    bytes: u64,
-    stamp: u64,
-    chunk: Arc<PackedTrace>,
-}
-
-/// A small LRU over decoded chunks, so multi-pass corpus sweeps decode
-/// each chunk once. Linear-scan recency (entries are few — chunks are
-/// 32 KiB-class) with a monotone stamp; disabled until a capacity is
-/// set.
-#[derive(Default, Debug)]
-struct ChunkCache {
-    capacity: u64,
-    stamp: u64,
-    resident: u64,
-    peak: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    entries: Vec<CacheEntry>,
-}
-
-impl ChunkCache {
-    /// Evicts least-recently-stamped entries until `resident <= target`.
-    fn evict_to(&mut self, target: u64) {
-        while self.resident > target && !self.entries.is_empty() {
-            let oldest = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                .expect("non-empty entries");
-            let evicted = self.entries.swap_remove(oldest);
-            self.resident -= evicted.bytes;
-            self.evictions += 1;
-        }
-    }
-}
-
-/// Bounds-checked subslice at a (file-offset, length) pair.
-fn slice(bytes: &[u8], off: u64, len: u64) -> io::Result<&[u8]> {
-    let end = off
-        .checked_add(len)
-        .ok_or_else(|| bad_data("file offset overflows"))?;
-    if end > bytes.len() as u64 {
-        return Err(bad_data(format!(
-            "range {off}..{end} outside the {}-byte file",
-            bytes.len()
-        )));
-    }
-    Ok(&bytes[off as usize..end as usize])
-}
-
-fn get_u32(bytes: &[u8], off: u64) -> io::Result<u32> {
-    let b = slice(bytes, off, 4)?;
-    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-fn get_u64(bytes: &[u8], off: u64) -> io::Result<u64> {
-    let b = slice(bytes, off, 8)?;
-    Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
 }
 
 impl MappedTrace {
-    /// Opens a v2.2 trace file, memory-mapping it when the platform
-    /// allows and falling back to a buffered read otherwise.
+    /// Opens a v2.2 trace file and validates its header, region table
+    /// and chunk index; chunk payloads stay on disk until decoded. On
+    /// targets without positioned reads the whole file is read into
+    /// memory instead.
     ///
     /// # Errors
     ///
     /// Fails with the underlying I/O error if the file cannot be
-    /// opened, and `InvalidData` if it is not a structurally valid
-    /// `FVLTRC22` file (see [`MappedTrace::from_bytes`]).
+    /// opened or read, and `InvalidData` if it is not a structurally
+    /// valid `FVLTRC22` file (see [`MappedTrace::from_bytes`]).
     pub fn open(path: &Path) -> io::Result<MappedTrace> {
-        MappedTrace::parse(MapSource::open(path)?)
-    }
-
-    /// Opens a v2.2 trace file through a buffered whole-file read,
-    /// never mapping — the explicit fallback (and the mmap-vs-read A/B
-    /// baseline).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MappedTrace::open`].
-    pub fn open_buffered(path: &Path) -> io::Result<MappedTrace> {
-        MappedTrace::parse(MapSource::read(path)?)
+        #[cfg(unix)]
+        let source = {
+            let file = File::open(path)?;
+            let len = file.metadata()?.len();
+            Source::File { file, len }
+        };
+        #[cfg(not(unix))]
+        let source = Source::Bytes(std::fs::read(path)?);
+        MappedTrace::parse(source)
     }
 
     /// Wraps in-memory v2.2 bytes for lazy decoding — the hermetic
@@ -205,35 +179,36 @@ impl MappedTrace {
     /// of the header up to the region table, or a region table out of
     /// order.
     pub fn from_bytes(bytes: Vec<u8>) -> io::Result<MappedTrace> {
-        MappedTrace::parse(MapSource::Heap(bytes))
+        MappedTrace::parse(Source::Bytes(bytes))
     }
 
-    /// Validates the header, footer index, and region table; column
-    /// payloads are only bounds-checked here and decoded lazily.
-    fn parse(source: MapSource) -> io::Result<MappedTrace> {
-        let bytes = source.bytes();
-        let len = bytes.len() as u64;
-        if bytes.len() < CHUNKED_HEADER_BYTES + 8 {
+    /// Validates the header, footer index, and region table, reading
+    /// each with one read; column payloads are only bounds-checked
+    /// here and decoded lazily.
+    fn parse(source: Source) -> io::Result<MappedTrace> {
+        let len = source.len();
+        if len < CHUNKED_HEADER_BYTES as u64 + 8 {
             return Err(bad_data("file too short for a chunk-indexed trace"));
         }
-        if &bytes[..8] != MAGIC_V22 {
+        let head = source.read_at(0, CHUNKED_HEADER_BYTES as u64)?;
+        if &head[..8] != MAGIC_V22 {
             return Err(bad_data(
-                "not an FVLTRC22 file (only the chunk-indexed format supports mapped reads)",
+                "not an FVLTRC22 file (only the chunk-indexed format supports lazy reads)",
             ));
         }
         let header = ChunkedHeader {
-            accesses: get_u64(bytes, 8)?,
-            region_count: get_u64(bytes, 16)?,
-            chunk_count: get_u64(bytes, 24)?,
-            chunk_accesses: get_u32(bytes, 32)?,
+            accesses: u64_at(&head, 8),
+            region_count: u64_at(&head, 16),
+            chunk_count: u64_at(&head, 24),
+            chunk_accesses: u32_at(&head, 32),
         }
         .validate()?;
-        check_codec_id(get_u32(bytes, 36)?)?;
+        check_codec_id(u32_at(&head, 36))?;
 
         // Footer: the trailing u64 locates the index, whose size the
         // header fixes; both must agree exactly.
         let index_bytes = header.chunk_count * INDEX_ENTRY_BYTES as u64;
-        let index_offset = get_u64(bytes, len - 8)?;
+        let index_offset = u64_at(&source.read_at(len - 8, 8)?, 0);
         let expected_offset = len
             .checked_sub(8 + index_bytes)
             .ok_or_else(|| bad_data("file too short for its chunk index"))?;
@@ -244,23 +219,22 @@ impl MappedTrace {
         }
 
         // Region side table, immediately before the index.
+        let region_bytes = header.region_count * REGION_RECORD_BYTES as u64;
         let regions_offset = index_offset
-            .checked_sub(header.region_count * REGION_RECORD_BYTES as u64)
+            .checked_sub(region_bytes)
             .filter(|&off| off >= CHUNKED_HEADER_BYTES as u64)
             .ok_or_else(|| bad_data("region table overlaps the header"))?;
-        let mut regions = Vec::with_capacity(header.region_count.min(1 << 20) as usize);
+        let table = source.read_at(regions_offset, region_bytes)?;
+        let mut regions = Vec::with_capacity(header.region_count as usize);
         let mut prev_pos = 0u64;
-        for i in 0..header.region_count {
-            let off = regions_offset + i * REGION_RECORD_BYTES as u64;
-            let pos = get_u64(bytes, off)?;
-            let is_alloc = match slice(bytes, off + 8, 1)?[0] {
+        for record in table.chunks_exact(REGION_RECORD_BYTES) {
+            let pos = u64_at(record, 0);
+            let is_alloc = match record[8] {
                 0 => false,
                 1 => true,
                 other => return Err(bad_data(format!("bad region event flag {other}"))),
             };
-            let kind = byte_to_kind(slice(bytes, off + 9, 1)?[0])?;
-            let base = get_u32(bytes, off + 10)?;
-            let words = get_u32(bytes, off + 14)?;
+            let kind = byte_to_kind(record[9])?;
             if pos < prev_pos || pos > header.accesses {
                 return Err(bad_data(format!(
                     "region event position {pos} out of order"
@@ -270,7 +244,7 @@ impl MappedTrace {
             regions.push(RegionEvent {
                 pos,
                 is_alloc,
-                region: Region::new(base, words, kind),
+                region: Region::new(u32_at(record, 10), u32_at(record, 14), kind),
             });
         }
 
@@ -281,14 +255,14 @@ impl MappedTrace {
         // else is accepted, so no two entries can share a payload and no
         // bytes can hide between chunks: the lazy decode reads exactly
         // the bytes the sequential reader does.
-        let mut chunks = Vec::with_capacity(header.chunk_count.min(1 << 20) as usize);
+        let index = source.read_at(index_offset, index_bytes)?;
+        let mut chunks = Vec::with_capacity(header.chunk_count as usize);
         let mut next_offset = CHUNKED_HEADER_BYTES as u64;
-        for i in 0..header.chunk_count {
-            let off = index_offset + i * INDEX_ENTRY_BYTES as u64;
+        for (i, record) in (0u64..).zip(index.chunks_exact(INDEX_ENTRY_BYTES)) {
             let entry = ChunkEntry {
-                payload_offset: get_u64(bytes, off)?,
-                chunk_len: get_u32(bytes, off + 8)?,
-                addr_bytes: get_u32(bytes, off + 12)?,
+                payload_offset: u64_at(record, 0),
+                chunk_len: u32_at(record, 8),
+                addr_bytes: u32_at(record, 12),
             };
             header.check_chunk(i, entry.chunk_len, entry.addr_bytes)?;
             if entry.payload_offset != next_offset {
@@ -297,16 +271,15 @@ impl MappedTrace {
                     entry.payload_offset
                 )));
             }
-            next_offset += 8 + u64::from(entry.addr_bytes) + 4 * u64::from(entry.chunk_len);
+            next_offset += 8 + entry.payload_bytes();
             if next_offset > regions_offset {
                 return Err(bad_data(format!(
                     "chunk {i} payload {}..{next_offset} outside the payload area",
                     entry.payload_offset
                 )));
             }
-            let inline_len = get_u32(bytes, entry.payload_offset)?;
-            let inline_bytes = get_u32(bytes, entry.payload_offset + 4)?;
-            if inline_len != entry.chunk_len || inline_bytes != entry.addr_bytes {
+            let inline = source.read_at(entry.payload_offset, 8)?;
+            if u32_at(&inline, 0) != entry.chunk_len || u32_at(&inline, 4) != entry.addr_bytes {
                 return Err(bad_data(format!(
                     "chunk {i} index entry disagrees with its inline header"
                 )));
@@ -319,13 +292,14 @@ impl MappedTrace {
                 regions_offset - next_offset
             )));
         }
+        // In-memory reads borrow `source`, which moves into the trace.
+        drop((head, table, index));
 
         Ok(MappedTrace {
             source,
             header,
             chunks,
             regions,
-            cache: Mutex::new(ChunkCache::default()),
         })
     }
 
@@ -350,7 +324,7 @@ impl MappedTrace {
     ///
     /// Panics if `i >= self.chunk_count()`.
     pub fn chunk_len(&self, i: u64) -> u32 {
-        self.chunks[usize::try_from(i).expect("chunk index")].chunk_len
+        self.entry(i).chunk_len
     }
 
     /// The region-event side table (decoded eagerly — it is tiny).
@@ -360,27 +334,28 @@ impl MappedTrace {
 
     /// Total bytes of the underlying file (or buffer).
     pub fn file_bytes(&self) -> u64 {
-        self.source.bytes().len() as u64
+        self.source.len()
     }
 
-    /// Whether the payload bytes come from a kernel memory mapping
-    /// (false on the buffered-read fallback and for in-memory bytes).
-    pub fn is_mapped(&self) -> bool {
-        self.source.is_mapped()
+    fn entry(&self, i: u64) -> ChunkEntry {
+        self.chunks[usize::try_from(i).expect("chunk index")]
     }
 
-    /// Resident heap bytes decoding chunk `i` will allocate: the two
-    /// `u32` columns plus its slice of the region table. This is the
-    /// unit the corpus manager's residency budget accounts in.
+    /// Heap bytes chunk `i` holds while it is live: the buffer its
+    /// payload is read into, plus the two decoded `u32` columns and its
+    /// slice of the region table. This is the unit the corpus manager's
+    /// residency budget accounts in.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.chunk_count()`.
-    pub fn chunk_decoded_bytes(&self, i: u64) -> u64 {
-        let entry = self.chunks[usize::try_from(i).expect("chunk index")];
+    pub fn chunk_resident_bytes(&self, i: u64) -> u64 {
+        let entry = self.entry(i);
         let (lo, hi) = self.header.chunk_range(i);
         let regions = self.chunk_regions(i, lo, hi).count() as u64;
-        8 * u64::from(entry.chunk_len) + regions * std::mem::size_of::<RegionEvent>() as u64
+        entry.payload_bytes()
+            + 8 * u64::from(entry.chunk_len)
+            + regions * std::mem::size_of::<RegionEvent>() as u64
     }
 
     /// The region events belonging to chunk `i` (positions in
@@ -396,9 +371,10 @@ impl MappedTrace {
             })
     }
 
-    /// Decodes chunk `i` into a standalone [`PackedTrace`]: split
-    /// address column expanded, raw values copied, and the chunk's
-    /// region events rebased to chunk-local positions.
+    /// Reads chunk `i`'s payload with one positioned read and decodes
+    /// it into a standalone [`PackedTrace`]: split address column
+    /// expanded, raw values copied, and the chunk's region events
+    /// rebased to chunk-local positions.
     ///
     /// # Panics
     ///
@@ -408,144 +384,22 @@ impl MappedTrace {
     ///
     /// Fails with `InvalidData` when the chunk's payload bytes are
     /// corrupt (truncated or malformed streams, deltas leaving the
-    /// address space).
+    /// address space), and with the read's I/O error — `UnexpectedEof`
+    /// when the file was truncated after open.
     pub fn decode_chunk(&self, i: u64) -> io::Result<PackedTrace> {
-        let entry = self.chunks[usize::try_from(i).expect("chunk index")];
-        let bytes = self.source.bytes();
+        let entry = self.entry(i);
         let (lo, hi) = self.header.chunk_range(i);
-        let addr_off = entry.payload_offset + 8;
-        let encoded = slice(bytes, addr_off, u64::from(entry.addr_bytes))?;
+        let payload = self
+            .source
+            .read_at(entry.payload_offset + 8, entry.payload_bytes())?;
+        let (encoded, raw_values) = payload.split_at(entry.addr_bytes as usize);
         let addrs = varint::decode_addr_chunk_split(encoded, entry.chunk_len as usize)?;
-        let values_off = addr_off + u64::from(entry.addr_bytes);
-        let values: Vec<u32> = slice(bytes, values_off, 4 * u64::from(entry.chunk_len))?
+        let values: Vec<u32> = raw_values
             .chunks_exact(4)
             .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
             .collect();
         let regions: Vec<RegionEvent> = self.chunk_regions(i, lo, hi).collect();
         PackedTrace::from_columns(addrs, values, regions).map_err(bad_data)
-    }
-
-    /// Hints the kernel to page in chunk `i`'s payload bytes ahead of
-    /// its decode (`madvise(MADV_WILLNEED)` on the mapped path, no-op
-    /// otherwise). Purely advisory — never fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.chunk_count()`.
-    pub fn prefetch_chunk(&self, i: u64) {
-        let entry = self.chunks[usize::try_from(i).expect("chunk index")];
-        let len = 8 + u64::from(entry.addr_bytes) + 4 * u64::from(entry.chunk_len);
-        self.source.advise_willneed(entry.payload_offset, len);
-    }
-
-    /// Enables (or resizes) the decoded-chunk LRU cache used by
-    /// [`MappedTrace::decode_chunk_cached`], evicting immediately if
-    /// the current contents exceed the new capacity. Capacity 0 (the
-    /// default) disables caching. The unit is decoded bytes, as
-    /// returned by [`MappedTrace::chunk_decoded_bytes`].
-    ///
-    /// Each call starts a fresh accounting epoch: the hit/miss/eviction
-    /// counters reset and `peak` rebases to the surviving residency, so
-    /// [`MappedTrace::chunk_cache_stats`] describes only the use since
-    /// the capacity was last set.
-    pub fn set_chunk_cache_capacity(&self, bytes: u64) {
-        let mut cache = self.cache.lock().expect("chunk cache poisoned");
-        cache.capacity = bytes;
-        let target = cache.capacity;
-        cache.evict_to(target);
-        cache.hits = 0;
-        cache.misses = 0;
-        cache.evictions = 0;
-        cache.peak = cache.resident;
-    }
-
-    /// Snapshot of the decoded-chunk cache counters.
-    pub fn chunk_cache_stats(&self) -> ChunkCacheStats {
-        let cache = self.cache.lock().expect("chunk cache poisoned");
-        ChunkCacheStats {
-            capacity: cache.capacity,
-            resident: cache.resident,
-            peak: cache.peak,
-            hits: cache.hits,
-            misses: cache.misses,
-            evictions: cache.evictions,
-        }
-    }
-
-    /// Returns chunk `i` from the decoded-chunk cache without decoding
-    /// anything: `Some` (counted as a hit) when resident, `None` when
-    /// absent or the cache is disabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.chunk_count()`.
-    pub fn cached_chunk(&self, i: u64) -> Option<Arc<PackedTrace>> {
-        assert!(i < self.header.chunk_count, "chunk index out of range");
-        let mut cache = self.cache.lock().expect("chunk cache poisoned");
-        if cache.capacity == 0 {
-            return None;
-        }
-        cache.stamp += 1;
-        let stamp = cache.stamp;
-        if let Some(entry) = cache.entries.iter_mut().find(|e| e.index == i) {
-            entry.stamp = stamp;
-            let chunk = Arc::clone(&entry.chunk);
-            cache.hits += 1;
-            return Some(chunk);
-        }
-        None
-    }
-
-    /// [`MappedTrace::decode_chunk`] through the decoded-chunk cache:
-    /// a resident chunk is returned without touching the file; a miss
-    /// decodes, inserts (evicting least-recently-used entries to make
-    /// room), and returns the fresh chunk. Chunks larger than the whole
-    /// capacity are returned uncached. With the cache disabled this is
-    /// exactly `decode_chunk` plus an `Arc`.
-    ///
-    /// Concurrent misses on the same chunk may decode it twice; both
-    /// results are identical and the first insert wins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.chunk_count()`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MappedTrace::decode_chunk`].
-    pub fn decode_chunk_cached(&self, i: u64) -> io::Result<Arc<PackedTrace>> {
-        if let Some(chunk) = self.cached_chunk(i) {
-            return Ok(chunk);
-        }
-        // Decode outside the lock so concurrent misses on different
-        // chunks proceed in parallel.
-        let decoded = Arc::new(self.decode_chunk(i)?);
-        let bytes = self.chunk_decoded_bytes(i);
-        let mut cache = self.cache.lock().expect("chunk cache poisoned");
-        if cache.capacity == 0 {
-            return Ok(decoded);
-        }
-        cache.misses += 1;
-        if bytes > cache.capacity {
-            return Ok(decoded);
-        }
-        if let Some(entry) = cache.entries.iter().find(|e| e.index == i) {
-            // Lost a decode race; keep the incumbent.
-            return Ok(Arc::clone(&entry.chunk));
-        }
-        let target = cache.capacity - bytes;
-        cache.evict_to(target);
-        cache.stamp += 1;
-        let stamp = cache.stamp;
-        cache.entries.push(CacheEntry {
-            index: i,
-            bytes,
-            stamp,
-            chunk: Arc::clone(&decoded),
-        });
-        cache.resident += bytes;
-        cache.peak = cache.peak.max(cache.resident);
-        Ok(decoded)
     }
 
     /// Streams the whole trace into `sink` chunk by chunk, decoding
@@ -555,8 +409,9 @@ impl MappedTrace {
     ///
     /// # Errors
     ///
-    /// Propagates chunk-decode failures; the sink may have consumed a
-    /// prefix of the trace (and is not finished) when that happens.
+    /// Propagates chunk read and decode failures; the sink may have
+    /// consumed a prefix of the trace (and is not finished) when that
+    /// happens.
     pub fn replay_into(&self, sink: &mut (impl AccessSink + ?Sized)) -> io::Result<()> {
         if self.header.chunk_count == 0 {
             for event in &self.regions {
@@ -575,14 +430,14 @@ impl MappedTrace {
         Ok(())
     }
 
-    /// Decodes the entire trace into one resident [`PackedTrace`] (the
-    /// in-RAM A/B baseline for the lazy path).
+    /// Reads the whole file with one read and decodes it into one
+    /// resident [`PackedTrace`] through the sequential reader.
     ///
     /// # Errors
     ///
-    /// Propagates decode failures.
+    /// Propagates read and decode failures.
     pub fn to_packed(&self) -> io::Result<PackedTrace> {
-        PackedTrace::read_from(self.source.bytes())
+        PackedTrace::read_from(&*self.source.read_at(0, self.source.len())?)
     }
 }
 
@@ -592,7 +447,6 @@ mod tests {
     use crate::access::{Access, CountingSink};
     use crate::layout::RegionKind;
     use crate::trace::{Trace, TraceEvent};
-    use std::io::Write;
 
     fn mixed_trace(accesses: u32) -> Trace {
         let mut events: Vec<TraceEvent> = (0..accesses)
@@ -624,6 +478,15 @@ mod tests {
         bytes
     }
 
+    fn temp_file(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "fvl-mapped-test-{tag}-{}.fvltrc",
+            std::process::id()
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
     #[test]
     fn lazy_replay_matches_resident_replay() {
         for accesses in [0u32, 1, 15, 16, 17, 100, 1000] {
@@ -651,7 +514,9 @@ mod tests {
         for i in 0..mapped.chunk_count() {
             let chunk = mapped.decode_chunk(i).unwrap();
             assert_eq!(u64::from(mapped.chunk_len(i)), chunk.accesses());
-            assert!(mapped.chunk_decoded_bytes(i) >= 8 * chunk.accesses());
+            // Read buffer (at least one byte per address plus the raw
+            // values) and the two decoded columns.
+            assert!(mapped.chunk_resident_bytes(i) >= 13 * chunk.accesses());
             addrs.extend_from_slice(chunk.addrs());
             values.extend_from_slice(chunk.values());
             regions += chunk.region_events().len();
@@ -664,32 +529,48 @@ mod tests {
     }
 
     #[test]
-    fn open_maps_and_matches_from_bytes() {
+    fn open_matches_from_bytes() {
         let trace = mixed_trace(500);
         let bytes = v22_bytes(&trace, 64);
-        let mut path = std::env::temp_dir();
-        path.push(format!("fvl-mapped-test-{}.fvltrc", std::process::id()));
-        std::fs::File::create(&path)
-            .unwrap()
-            .write_all(&bytes)
-            .unwrap();
-
-        let mapped = MappedTrace::open(&path).unwrap();
-        let buffered = MappedTrace::open_buffered(&path).unwrap();
-        #[cfg(target_os = "linux")]
-        assert!(mapped.is_mapped());
-        assert!(!buffered.is_mapped());
-        assert_eq!(mapped.file_bytes(), bytes.len() as u64);
-
+        let path = temp_file("open", &bytes);
+        let opened = MappedTrace::open(&path).unwrap();
+        assert_eq!(opened.file_bytes(), bytes.len() as u64);
         let hermetic = MappedTrace::from_bytes(bytes).unwrap();
         let mut a = CountingSink::new();
         let mut b = CountingSink::new();
-        let mut c = CountingSink::new();
-        mapped.replay_into(&mut a).unwrap();
-        buffered.replay_into(&mut b).unwrap();
-        hermetic.replay_into(&mut c).unwrap();
+        opened.replay_into(&mut a).unwrap();
+        hermetic.replay_into(&mut b).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a, c);
+        assert_eq!(
+            opened.to_packed().unwrap().values(),
+            hermetic.to_packed().unwrap().values()
+        );
+        std::fs::remove_file(&path).unwrap();
+        assert!(MappedTrace::open(&path).is_err(), "a missing file opens");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_file_truncated_after_open_fails_with_an_error() {
+        // Several pages, so the cut drops whole pages: a memory mapping
+        // of this file raised SIGBUS on the first read past the cut.
+        let trace = mixed_trace(20_000);
+        let bytes = v22_bytes(&trace, 1024);
+        let path = temp_file("truncated", &bytes);
+        let opened = MappedTrace::open(&path).unwrap();
+        let last = opened.chunk_count() - 1;
+        opened.decode_chunk(last).unwrap();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(bytes.len() as u64 / 2)
+            .unwrap();
+        let err = opened.decode_chunk(last).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        let mut sink = CountingSink::new();
+        assert!(opened.replay_into(&mut sink).is_err());
+        assert!(opened.to_packed().is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -701,67 +582,5 @@ mod tests {
         let err = MappedTrace::from_bytes(v2).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(MappedTrace::from_bytes(Vec::new()).is_err());
-    }
-
-    #[test]
-    fn prefetch_is_harmless_on_every_source() {
-        let trace = mixed_trace(100);
-        let mapped = MappedTrace::from_bytes(v22_bytes(&trace, 16)).unwrap();
-        for i in 0..mapped.chunk_count() {
-            mapped.prefetch_chunk(i);
-        }
-        let mut sink = CountingSink::new();
-        mapped.replay_into(&mut sink).unwrap();
-        assert_eq!(sink.accesses(), mapped.accesses());
-    }
-
-    #[test]
-    fn chunk_cache_hits_evicts_and_respects_capacity() {
-        let trace = mixed_trace(200);
-        let mapped = MappedTrace::from_bytes(v22_bytes(&trace, 16)).unwrap();
-        let n = mapped.chunk_count();
-        assert!(n >= 4, "test wants several chunks, got {n}");
-        // Disabled by default: no hits, nothing retained.
-        assert!(mapped.cached_chunk(0).is_none());
-        let first = mapped.decode_chunk_cached(0).unwrap();
-        assert_eq!(mapped.chunk_cache_stats().resident, 0);
-        assert!(mapped.cached_chunk(0).is_none());
-
-        // Capacity for roughly two chunks.
-        let per_chunk = mapped.chunk_decoded_bytes(0);
-        mapped.set_chunk_cache_capacity(2 * per_chunk);
-        let again = mapped.decode_chunk_cached(0).unwrap();
-        assert_eq!(first.addrs(), again.addrs());
-        assert!(mapped.cached_chunk(0).is_some(), "0 should now be resident");
-        let stats = mapped.chunk_cache_stats();
-        assert_eq!(stats.misses, 1);
-        assert!(stats.hits >= 1);
-        assert_eq!(stats.resident, per_chunk);
-
-        // Filling past capacity evicts the least recently used.
-        mapped.decode_chunk_cached(1).unwrap();
-        mapped.cached_chunk(0); // refresh 0 so 1 is the LRU victim
-        mapped.decode_chunk_cached(2).unwrap();
-        let stats = mapped.chunk_cache_stats();
-        assert!(stats.evictions >= 1, "{stats:?}");
-        assert!(stats.resident <= stats.capacity, "{stats:?}");
-        assert!(stats.peak <= stats.capacity, "{stats:?}");
-        assert!(mapped.cached_chunk(1).is_none(), "LRU victim survived");
-        assert!(mapped.cached_chunk(0).is_some());
-        assert!(mapped.cached_chunk(2).is_some());
-
-        // Cached decode still yields correct chunks everywhere.
-        for i in 0..n {
-            assert_eq!(
-                mapped.decode_chunk_cached(i).unwrap().addrs(),
-                mapped.decode_chunk(i).unwrap().addrs(),
-                "chunk {i}"
-            );
-        }
-
-        // Shrinking to zero flushes and disables.
-        mapped.set_chunk_cache_capacity(0);
-        assert_eq!(mapped.chunk_cache_stats().resident, 0);
-        assert!(mapped.cached_chunk(0).is_none());
     }
 }

@@ -20,9 +20,9 @@
 //!   [`crate::varint::encode_addr_chunk_split`] (a control stream of
 //!   2-bit length codes, then the trimmed little-endian token bytes,
 //!   which decodes branch-free), and a footer index records every
-//!   chunk's file offset so the memory-mapped reader
-//!   ([`crate::MappedTrace`]) can decode chunks lazily and out of
-//!   order. Layout:
+//!   chunk's file offset so the lazy reader ([`crate::MappedTrace`])
+//!   can read and decode chunks one at a time and out of order.
+//!   Layout:
 //!
 //!   ```text
 //!   magic "FVLTRC22"
@@ -39,7 +39,7 @@
 //!   The inline chunk headers make the stream self-delimiting, so the
 //!   sequential readers below never look at the footer (trailing bytes
 //!   stay tolerated, as for v1/v2); the footer is validated only by the
-//!   random-access mapped reader. An `FVLTRC21` file — the same
+//!   random-access lazy reader. An `FVLTRC21` file — the same
 //!   container with LEB128 address columns, from an earlier version —
 //!   is rejected as an unknown format.
 //!
@@ -67,10 +67,10 @@ pub(crate) const MAGIC_V22: &[u8; 8] = b"FVLTRC22";
 /// moves about this many bytes, not one field's worth.
 pub const CHUNK_BYTES: usize = 64 * 1024;
 
-/// Default accesses per v2.2 chunk — the unit of lazy decode for the
-/// mapped reader and of residency accounting for the corpus manager.
-/// 8192 accesses is 32 KiB of resident columns and a few pages of
-/// mapped file per decode.
+/// Default accesses per v2.2 chunk — the unit of lazy reads and decodes
+/// for [`crate::MappedTrace`] and of residency accounting for the
+/// corpus manager. 8192 accesses is 64 KiB of decoded columns plus a
+/// read buffer of a few tens of KiB per chunk.
 pub const CHUNK_ACCESSES: u32 = 8192;
 
 /// Bytes of the v2.2 fixed header: magic + accesses + region_count +

@@ -17,7 +17,7 @@
 //! ```
 //!
 //! The delta chain restarts at zero for every chunk, so chunks decode
-//! independently — the property the memory-mapped lazy reader
+//! independently — the property the lazy reader
 //! ([`crate::MappedTrace`]) relies on.
 //!
 //! The tokens are stored **stream-split** (Stream-VByte style): a

@@ -31,9 +31,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-#[cfg(feature = "metrics")]
-pub mod metrics;
-
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -124,21 +121,10 @@ impl Pool {
         if n == 0 {
             return Vec::new();
         }
-        #[cfg(feature = "metrics")]
-        {
-            metrics::MAPS.incr();
-            metrics::ITEMS.add(n as u64);
-            metrics::QUEUE_DEPTH.set(n as u64);
-        }
         let extra = if n > 1 { self.acquire(n - 1) } else { 0 };
         if extra == 0 {
-            #[cfg(feature = "metrics")]
-            metrics::INLINE_MAPS.incr();
             return items.into_iter().map(f).collect();
         }
-        #[cfg(feature = "metrics")]
-        metrics::WORKERS_SPAWNED.add(extra as u64);
-
         let queue: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);

@@ -21,9 +21,9 @@ use std::time::Duration;
 /// Set by the SIGTERM/SIGINT handler; polled by the main thread.
 static DRAIN_REQUESTED: AtomicBool = AtomicBool::new(false);
 
-// The repo is zero-dependency: like `fvl_mem`'s mmap support, declare
-// the one libc symbol needed (libc is already linked by std) instead
-// of pulling in a signal-handling crate.
+// The repo is zero-dependency: declare the one libc symbol needed
+// (libc is already linked by std) instead of pulling in a
+// signal-handling crate.
 #[cfg(unix)]
 mod sys {
     pub const SIGINT: i32 = 2;

@@ -25,7 +25,7 @@
 //! * [`runner`] — the worker pool that shards (workload × config)
 //!   simulation cells for the evaluation sweeps (infrastructure; no
 //!   paper counterpart).
-//! * [`obs`] — metrics/instrumentation primitives behind the
+//! * [`obs`] — the JSON and CSV writers behind the
 //!   `experiments --metrics` export (infrastructure).
 //!
 //! The experiment harness regenerating every figure and table lives in
