@@ -249,60 +249,26 @@ fn bench_layout(c: &mut Criterion) {
     group.finish();
 }
 
-/// Chunked trace-file IO: encode and decode throughput for the v1
-/// per-event format, the v2 columnar format and the chunk-indexed v2.2
-/// format with stream-split address columns, all staged through 64 KiB
-/// blocks. The v2.2 decode lanes cover both the streaming reader and
-/// the mapped reader's strict-footer path.
+/// Trace-file IO: encode and decode throughput of the one format,
+/// chunk-indexed v2.2 with stream-split address columns. The decode
+/// lane is [`MappedTrace`]'s validation and per-chunk decode over
+/// borrowed bytes, the path `corpus sim`, `fvl-trace` and daemon
+/// uploads take.
 fn bench_trace_io(c: &mut Criterion) {
     let trace = capture_trace();
     let packed = PackedTrace::from_trace(&trace);
-    let mut v1 = Vec::new();
-    trace.write_to(&mut v1).unwrap();
-    let mut v2 = Vec::new();
-    packed.write_to(&mut v2).unwrap();
     let mut v22 = Vec::new();
     packed.write_v22_to(&mut v22).unwrap();
     let events = trace.len() as u64;
     eprintln!(
-        "trace-io sizes over {events} events: v1 {} B ({:.2} B/event), \
-         v2 {} B ({:.2} B/event), v2.2 {} B ({:.2} B/event, {:.0}% of v2)",
-        v1.len(),
-        v1.len() as f64 / events as f64,
-        v2.len(),
-        v2.len() as f64 / events as f64,
+        "trace-io size over {events} events: v2.2 {} B ({:.2} B/event)",
         v22.len(),
         v22.len() as f64 / events as f64,
-        100.0 * v22.len() as f64 / v2.len() as f64,
     );
 
     let mut group = c.benchmark_group("trace-io");
     group.throughput(Throughput::Elements(trace.len() as u64));
     group.sample_size(10);
-    group.bench_function(BenchmarkId::new("encode", "v1"), |b| {
-        b.iter(|| {
-            let mut out = Vec::with_capacity(v1.len());
-            trace.write_to(&mut out).unwrap();
-            out.len()
-        })
-    });
-    group.bench_function(BenchmarkId::new("encode", "v2"), |b| {
-        b.iter(|| {
-            let mut out = Vec::with_capacity(v2.len());
-            packed.write_to(&mut out).unwrap();
-            out.len()
-        })
-    });
-    group.bench_function(BenchmarkId::new("decode", "v1"), |b| {
-        b.iter(|| Trace::read_from(black_box(&v1[..])).unwrap().accesses())
-    });
-    group.bench_function(BenchmarkId::new("decode", "v2"), |b| {
-        b.iter(|| {
-            PackedTrace::read_from(black_box(&v2[..]))
-                .unwrap()
-                .accesses()
-        })
-    });
     group.bench_function(BenchmarkId::new("encode", "v22"), |b| {
         b.iter(|| {
             let mut out = Vec::with_capacity(v22.len());
@@ -312,16 +278,8 @@ fn bench_trace_io(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("decode", "v22"), |b| {
         b.iter(|| {
-            PackedTrace::read_from(black_box(&v22[..]))
-                .unwrap()
-                .accesses()
-        })
-    });
-    group.bench_function(BenchmarkId::new("decode", "v22-mapped"), |b| {
-        b.iter(|| {
-            MappedTrace::from_bytes(black_box(v22.clone()))
-                .unwrap()
-                .to_packed()
+            MappedTrace::from_bytes(black_box(&v22[..]))
+                .and_then(|m| m.to_packed())
                 .unwrap()
                 .accesses()
         })
@@ -334,11 +292,8 @@ fn bench_trace_io(c: &mut Criterion) {
 /// 8192-access chunks and decoded chunk by chunk into one shared
 /// column, exactly as the readers do. The delta distribution is a
 /// locality mixture (70% cache-local steps, 25% region-sized jumps, 5%
-/// working-set jumps), so token lengths are data-dependent. Lanes: the
-/// v2 raw-column copy exactly as the container reader stages it (64 KiB
-/// staging buffer, then lane-by-lane conversion — see
-/// `take_u32_column_into`), and the v2.2 stream-split decode. Column
-/// sizes go to stderr so the throughput numbers can be weighed against
+/// working-set jumps), so token lengths are data-dependent. Column
+/// sizes go to stderr so the throughput number can be weighed against
 /// density.
 fn bench_varint(c: &mut Criterion) {
     const N: usize = 64 << 20;
@@ -371,11 +326,10 @@ fn bench_varint(c: &mut Criterion) {
         fvl_mem::varint::encode_addr_chunk_split(chunk, &mut split);
         split_bounds.push(split.len());
     }
-    let raw: Vec<u8> = addrs.iter().flat_map(|a| a.to_le_bytes()).collect();
     eprintln!(
         "address columns over {} addrs: raw {} B, split {} B ({:.2} B/addr)",
         addrs.len(),
-        raw.len(),
+        4 * addrs.len(),
         split.len(),
         split.len() as f64 / addrs.len() as f64,
     );
@@ -383,25 +337,6 @@ fn bench_varint(c: &mut Criterion) {
     let mut group = c.benchmark_group("varint");
     group.throughput(Throughput::Elements(addrs.len() as u64));
     group.sample_size(10);
-    group.bench_function(BenchmarkId::new("decode", "v2-raw-copy"), |b| {
-        let mut out: Vec<u32> = Vec::with_capacity(addrs.len());
-        let mut stage = vec![0u8; 64 * 1024];
-        b.iter(|| {
-            out.clear();
-            let mut src = black_box(&raw[..]);
-            while !src.is_empty() {
-                let n = src.len().min(stage.len());
-                stage[..n].copy_from_slice(&src[..n]);
-                out.extend(
-                    stage[..n]
-                        .chunks_exact(4)
-                        .map(|b| u32::from_le_bytes(b.try_into().unwrap())),
-                );
-                src = &src[n..];
-            }
-            out.len()
-        })
-    });
     group.bench_function(BenchmarkId::new("decode", "v22-split"), |b| {
         let mut out: Vec<u32> = Vec::with_capacity(addrs.len());
         b.iter(|| {

@@ -25,7 +25,9 @@
 //!
 //! A local run exits 1, after printing every report and writing the
 //! exports, when an experiment's cross-check between two independent
-//! computations disagrees (ext6's one-pass tower against `CacheSim`).
+//! computations disagrees (ext6's one-pass tower against `CacheSim`),
+//! or when `verify` finds a headline claim failing on uncapped
+//! captures (`--smoke` runs are exempt).
 
 use fvl_bench::engine::Engine;
 use fvl_bench::experiments;

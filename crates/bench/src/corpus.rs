@@ -171,7 +171,7 @@ pub struct CorpusEntry {
     /// Where the file lives.
     pub path: PathBuf,
     /// The opened trace.
-    pub trace: MappedTrace,
+    pub trace: MappedTrace<'static>,
 }
 
 /// A directory of v2.2 trace files swept as one unit.

@@ -53,10 +53,13 @@ pub struct Report {
     pub tables: Vec<(String, Table)>,
     /// Observations/caveats recorded with the results.
     pub notes: Vec<String>,
-    /// Whether a cross-check between two independent computations in
-    /// this experiment disagreed (ext6: the one-pass tower against
-    /// `CacheSim`). Not rendered; the `experiments` binary exits
-    /// nonzero after printing every report when any has it set.
+    /// Whether a check in this experiment failed: a cross-check
+    /// between two independent computations disagreed (ext6: the
+    /// one-pass tower against `CacheSim`), or a headline claim failed
+    /// on uncapped captures (`verify`; smoke-capped captures are exempt,
+    /// since several claims fail there by construction). Not rendered;
+    /// the `experiments` binary exits nonzero after printing every
+    /// report when any has it set.
     pub cross_check_failed: bool,
 }
 

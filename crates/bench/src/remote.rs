@@ -18,7 +18,7 @@ use fvl_cache::{CacheGeometry, CacheSim, ReplacementKind, WritePolicy};
 use fvl_mem::frame::{
     kv_get, parse_kv, read_frame, write_frame, ErrorCode, Frame, FrameKind, FrameReadError,
 };
-use fvl_mem::PackedTrace;
+use fvl_mem::{MappedTrace, PackedTrace};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -444,17 +444,19 @@ impl RemoteRunner {
     }
 }
 
-/// Parses a complete trace file in any on-disk FVLTRC format (v1, v2
-/// or v2.2) into a resident [`PackedTrace`] with the sniffing
-/// [`PackedTrace::read_from`]. This is the one decoder both the
-/// `corpus sim` local mode and the daemon's trace-upload handler use,
-/// so a file means the same thing on both sides by construction.
+/// Parses a complete `FVLTRC22` trace file into a resident
+/// [`PackedTrace`]: [`MappedTrace`]'s layout validation and chunk
+/// decode, run on the borrowed bytes without copying them first. This
+/// is the one decoder both the `corpus sim` local mode and the daemon's
+/// trace-upload handler use, so a file means the same thing on both
+/// sides by construction.
 ///
 /// # Errors
 ///
-/// The reader's validation error when no format accepts the bytes.
+/// The reader's validation or decode error when the bytes are not a
+/// well-formed `FVLTRC22` file.
 pub fn parse_trace_bytes(bytes: &[u8]) -> io::Result<PackedTrace> {
-    PackedTrace::read_from(bytes)
+    MappedTrace::from_bytes(bytes)?.to_packed()
 }
 
 /// Largest cache, in bytes, [`simulate_packed`] builds: 256× the

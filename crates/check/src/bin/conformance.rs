@@ -3,9 +3,10 @@
 //! Runs the fixed-seed differential corpus (64 traces by default,
 //! rotating through every adversarial pattern) and exits non-zero on
 //! the first divergence between an optimized path and its reference
-//! oracle. Each failing trace is greedily shrunk and written to
-//! `target/conformance/repro-<index>.fvltrc` so CI can upload it as an
-//! artifact and a developer can replay it locally.
+//! oracle. Each failing trace is greedily shrunk and written as an
+//! `FVLTRC22` file to `target/conformance/repro-<index>.fvltrc` so CI
+//! can upload it as an artifact and a developer can replay it locally
+//! (`fvl_mem::MappedTrace::open`, or `fvl-trace simulate`).
 //!
 //! Usage: `conformance [--policy <lru|random|rrip|pinned>] [--serve] [cases] [accesses-per-trace]`
 //!
@@ -22,6 +23,7 @@ use fvl_check::{
     run_boundary_corpus, run_corpus, run_policy_corpus, run_serve_corpus, CorpusReport,
     DEFAULT_CASES, DEFAULT_TRACE_ACCESSES, SERVE_CASES,
 };
+use fvl_mem::PackedTrace;
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
@@ -115,7 +117,8 @@ fn report_failures(report: &CorpusReport) -> ExitCode {
             eprintln!("  {message}");
         }
         let path = out_dir.join(format!("repro-{}.fvltrc", failure.index));
-        match fs::File::create(&path).and_then(|f| failure.shrunk.write_to(f)) {
+        let shrunk = PackedTrace::from_trace(&failure.shrunk);
+        match fs::File::create(&path).and_then(|f| shrunk.write_v22_to(f)) {
             Ok(()) => eprintln!("  repro written to {}", path.display()),
             Err(e) => eprintln!("  could not write repro: {e}"),
         }

@@ -140,11 +140,10 @@ fn mirror(kind: ReplacementKind) -> OracleReplacement {
     }
 }
 
-/// Diffs every replay path against the one-event-at-a-time scalar
-/// reference: monomorphized `Trace` replay, `PackedTrace` replay, the
-/// packed round-trip, and replay after the chunked v2 binary
-/// round-trip (the corpus includes lengths straddling the 64 KiB chunk
-/// boundary).
+/// Diffs every in-memory replay path against the one-event-at-a-time
+/// scalar reference: monomorphized `Trace` replay, `PackedTrace`
+/// replay, and the packed round-trip. The file round-trip is
+/// [`diff_corpus`]'s.
 pub fn diff_replay(trace: &Trace) -> Option<String> {
     let mut reference = DigestSink::new();
     scalar_replay(trace, &mut reference);
@@ -169,23 +168,6 @@ pub fn diff_replay(trace: &Trace) -> Option<String> {
     let round_trip = packed.to_trace();
     if round_trip.events() != trace.events() {
         return Some("PackedTrace round-trip changed the event stream".to_string());
-    }
-
-    let mut encoded = Vec::new();
-    packed
-        .write_to(&mut encoded)
-        .expect("in-memory write cannot fail");
-    match PackedTrace::read_from(encoded.as_slice()) {
-        Ok(decoded) => {
-            let mut from_io = DigestSink::new();
-            decoded.replay_into(&mut from_io);
-            if from_io != reference {
-                return Some(format!(
-                    "replay after v2 round-trip diverged: {from_io:?} vs {reference:?}"
-                ));
-            }
-        }
-        Err(e) => return Some(format!("v2 round-trip failed to decode: {e}")),
     }
     None
 }
@@ -323,12 +305,12 @@ fn diff_v22_file(encoded: &[u8], reference: &DigestSink) -> Option<String> {
 /// Diffs the `fvl-serve` wire path against in-process execution.
 ///
 /// Two legs. The **codec leg** writes representative frames — the
-/// session hello, the trace's own packed bytes as a `Trace` payload,
+/// session hello, the trace's own v2.2 bytes as a `Trace` payload,
 /// and a simulation request — and reads each back through the serve
 /// frame decoder, byte-comparing against the payload that was written.
 /// The oracle is the written buffer itself, so no decode is trusted on
 /// either side. The **end-to-end leg** spawns a loopback daemon,
-/// uploads the packed trace over the socket, requests one simulation
+/// uploads the v2.2 trace over the socket, requests one simulation
 /// per [`GEOMETRIES`] cell, and requires the daemon's counters to
 /// equal, key for key, what the shared in-process simulator computes
 /// from the same bytes.
@@ -341,7 +323,7 @@ pub fn diff_serve(trace: &Trace) -> Option<String> {
     let packed = PackedTrace::from_trace(trace);
     let mut trace_bytes = Vec::new();
     packed
-        .write_to(&mut trace_bytes)
+        .write_v22_to(&mut trace_bytes)
         .expect("in-memory write cannot fail");
 
     // Codec leg: every frame must read back byte for byte. Runs first

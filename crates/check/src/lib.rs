@@ -30,8 +30,9 @@
 //!   bucketed `ReuseProfiler` stack vs a `Vec` stack —
 //!   asserting stat-for-stat equality.
 //!
-//! The `conformance` binary runs the fixed-seed corpus and writes a
-//! shrunk repro trace to `target/conformance/repro.fvltrc` on failure;
+//! The `conformance` binary runs the fixed-seed corpus and writes each
+//! shrunk repro as an `FVLTRC22` file to
+//! `target/conformance/repro-<index>.fvltrc` on failure;
 //! with `--serve` it instead runs the serve corpus ([`run_serve_corpus`]),
 //! diffing the `fvl-serve` wire path — frame-codec byte round-trips and
 //! loopback daemon sessions — against in-process execution.

@@ -34,8 +34,8 @@
 #![cfg(feature = "mutation")]
 
 use fvl_cache::ReplacementKind;
-use fvl_check::{diff, generate, run_corpus, Pattern};
-use fvl_mem::{Access, Trace, TraceEvent};
+use fvl_check::{diff, generate, run_corpus, DigestSink, Pattern};
+use fvl_mem::{Access, AccessSink, PackedTrace, Trace, TraceEvent};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Bug 1 — set-index mask. Load-only trace (so the dirty-bit bug is
@@ -175,16 +175,29 @@ fn split_control_table_bug_is_caught() {
     // Attribution: the cache differential never touches an address
     // codec and stays clean on this trace...
     assert_eq!(diff::diff_cache(&trace), None);
-    // ...and the v2 raw-column container, which has no address codec,
-    // round-trips the columns exactly, so none of the other mutations
+    // ...and diff_corpus's chunked replay without the address codec
+    // (the resident columns cut into chunks with no encoding, each fed
+    // in turn, the sink finished once) reproduces the resident digest
+    // with every seeded bug compiled in, so none of the other mutations
     // fires on this trace — the diff_corpus failure is attributable to
     // the v2.2 stream-split decoder alone.
-    let packed = fvl_mem::PackedTrace::from_trace(&trace);
-    let mut v2 = Vec::new();
-    packed.write_to(&mut v2).unwrap();
-    let resident = fvl_mem::PackedTrace::read_from(v2.as_slice()).unwrap();
-    assert_eq!(resident.addrs(), packed.addrs());
-    assert_eq!(resident.values(), packed.values());
+    let packed = PackedTrace::from_trace(&trace);
+    let mut resident = DigestSink::new();
+    packed.replay_into(&mut resident);
+    for chunk in 1..=packed.addrs().len() {
+        let mut chunked = DigestSink::new();
+        for (addrs, values) in packed
+            .addrs()
+            .chunks(chunk)
+            .zip(packed.values().chunks(chunk))
+        {
+            PackedTrace::from_columns(addrs.to_vec(), values.to_vec(), Vec::new())
+                .unwrap()
+                .feed_into(&mut chunked);
+        }
+        chunked.on_finish();
+        assert_eq!(chunked, resident, "chunks of {chunk}");
+    }
 }
 
 /// Bug 6 — frame-length off-by-one in the serve codec. `diff_serve`'s

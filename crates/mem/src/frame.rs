@@ -26,10 +26,10 @@
 //! *connection's* job (the codec only carries the number), because the
 //! counter is per-direction state.
 //!
-//! Trace payloads ([`FrameKind::Trace`]) carry a complete trace file in
-//! any on-disk format this crate can read (FVLTRC1/2/2.1/2.2); the
-//! receiver revalidates them with the normal sniffing readers, so a
-//! frame that survives the codec can still be rejected as a bad trace.
+//! Trace payloads ([`FrameKind::Trace`]) carry a complete `FVLTRC22`
+//! trace file; the receiver revalidates it with the one trace reader
+//! ([`crate::MappedTrace`]), so a frame that survives the codec can
+//! still be rejected as a bad trace.
 //!
 //! # Example
 //!
@@ -73,8 +73,8 @@ pub enum FrameKind {
     /// Client → server: run one named experiment. Payload: the
     /// experiment name (e.g. `fig10`).
     Job = 0x02,
-    /// Client → server: upload a trace file (any FVLTRC format the
-    /// sniffing readers accept). Payload: the file bytes.
+    /// Client → server: upload a trace file. Payload: the bytes of one
+    /// `FVLTRC22` file.
     Trace = 0x03,
     /// Client → server: simulate the uploaded trace. Payload:
     /// `key=value` lines (`size`, `line`, `assoc`, `write`, `policy`).

@@ -27,11 +27,13 @@
 //! * [`PackedTrace`] — the same log in columnar (SoA) form: ~8 bytes per
 //!   access instead of 16 and branchless replay. Every capture the
 //!   experiment harness keeps is packed.
-//! * [`MappedTrace`] — out-of-core access to the chunk-indexed v2.2
-//!   trace-file format: the file stays on disk (nothing is mapped) and
-//!   each [`CHUNK_ACCESSES`]-sized chunk is read with one positioned
-//!   read and decoded lazily, so one chunk's buffer and columns are
-//!   resident at a time no matter how large the trace is.
+//! * [`MappedTrace`] — the one reader of the one trace-file format,
+//!   chunk-indexed v2.2 (`FVLTRC22`, written by
+//!   [`PackedTrace::write_v22_to`]): the file stays on disk (nothing is
+//!   mapped) and each [`CHUNK_ACCESSES`]-sized chunk is read with one
+//!   positioned read and decoded lazily, so one chunk's buffer and
+//!   columns are resident at a time no matter how large the trace is;
+//!   [`MappedTrace::to_packed`] decodes a whole file or byte buffer.
 //! * [`MemorySnapshot`] — a periodic view of live memory contents used by
 //!   the paper's "frequently *occurring* value" sampling (every 10M
 //!   instructions in the paper; every N accesses here).

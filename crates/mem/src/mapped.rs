@@ -1,34 +1,36 @@
-//! Out-of-core trace access: lazy, chunk-granular decode of
-//! chunk-indexed (`FVLTRC22`) trace files through positioned reads.
+//! The one trace reader: validation and chunk-granular decode of
+//! `FVLTRC22` trace files, from a file through positioned reads or from
+//! bytes in memory.
 //!
-//! [`PackedTrace::read_from`] materializes a whole trace in RAM, which
-//! caps corpus studies at resident-set size. [`MappedTrace`] instead
-//! reads only the fixed header, the region side table, and the footer
-//! chunk index (all small) at open, and leaves the column payloads on
-//! disk. Each [`MappedTrace::decode_chunk`] reads one
-//! [`crate::CHUNK_ACCESSES`]-access chunk's payload into a fresh buffer
-//! with one positioned read and decodes it into a throwaway
-//! [`PackedTrace`] that feeds the ordinary replay path. Nothing is
-//! memory-mapped and nothing is cached: sequential replay holds one
-//! chunk's read buffer and columns no matter how large the trace is,
-//! and random access is O(chunk) — the primitives the corpus manager in
-//! `fvl-bench` builds its one-pass, bounded-residency sweep on.
+//! [`MappedTrace`] reads only the fixed header, the region side table,
+//! and the footer chunk index (all small) at open, and leaves the
+//! column payloads where they are. Each [`MappedTrace::decode_chunk`]
+//! reads one [`crate::CHUNK_ACCESSES`]-access chunk's payload (one
+//! positioned read from a file, a borrowed slice from memory) and
+//! decodes it into a throwaway [`PackedTrace`] that feeds the ordinary
+//! replay path. Nothing is memory-mapped and nothing is cached:
+//! sequential replay holds one chunk's read buffer and columns no
+//! matter how large the trace is, and random access is O(chunk) — the
+//! primitives the corpus manager in `fvl-bench` builds its one-pass,
+//! bounded-residency sweep on. [`MappedTrace::to_packed`] runs the same
+//! per-chunk decode into one resident pair of columns; it is how every
+//! tool loads a whole trace (`fvl-trace`, `corpus sim` and the daemon's
+//! uploads, which borrow the payload instead of copying it).
 //!
 //! Every offset and length in the index is bounds-checked against the
 //! file before use, so hostile files fail with `InvalidData` instead of
 //! reading out of bounds or allocating unboundedly. The index must also
 //! describe exactly the layout the writer produces — chunks back to
 //! back from the end of the header, the region table right after the
-//! last one — so the lazy path decodes the same bytes as the
-//! sequential [`PackedTrace::read_from`]. A file truncated after open
-//! fails its next read with an `UnexpectedEof` error.
+//! last one, the index right after the table and nothing after it — so
+//! a file has one meaning however it is read. A file truncated after
+//! open fails its next read with an `UnexpectedEof` error.
 
 use crate::access::AccessSink;
-use crate::layout::Region;
+use crate::layout::{Region, RegionKind, WORD_BYTES};
 use crate::packed::{PackedTrace, RegionEvent};
 use crate::trace_io::{
-    bad_data, byte_to_kind, check_codec_id, ChunkedHeader, CHUNKED_HEADER_BYTES, INDEX_ENTRY_BYTES,
-    MAGIC_V22, REGION_RECORD_BYTES,
+    AddrCodec, CHUNKED_HEADER_BYTES, INDEX_ENTRY_BYTES, MAGIC, REGION_RECORD_BYTES,
 };
 use crate::varint;
 use std::borrow::Cow;
@@ -36,6 +38,93 @@ use std::borrow::Cow;
 use std::fs::File;
 use std::io;
 use std::path::Path;
+
+fn bad_data(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+fn byte_to_kind(b: u8) -> io::Result<RegionKind> {
+    match b {
+        0 => Ok(RegionKind::Global),
+        1 => Ok(RegionKind::Heap),
+        2 => Ok(RegionKind::Stack),
+        other => Err(bad_data(format!("bad region kind byte {other}"))),
+    }
+}
+
+/// The fixed v2.2 header fields (minus the magic and the codec id),
+/// validated.
+#[derive(Copy, Clone, Debug)]
+struct ChunkedHeader {
+    /// Total access events across all chunks.
+    accesses: u64,
+    /// Region-event records after the chunk payloads.
+    region_count: u64,
+    /// Number of chunks; always `accesses.div_ceil(chunk_accesses)`.
+    chunk_count: u64,
+    /// Accesses per chunk (every chunk but the last is exactly full).
+    chunk_accesses: u32,
+}
+
+impl ChunkedHeader {
+    /// Validates the header invariants hostile inputs could break:
+    /// counts in range, chunk geometry consistent with the access
+    /// count, and a nonzero chunk size whenever there are accesses.
+    fn validate(self) -> io::Result<ChunkedHeader> {
+        if self.accesses > u64::from(u32::MAX) || self.region_count > 1 << 32 {
+            return Err(bad_data("v2.2 trace header counts out of range"));
+        }
+        let expect_chunks = if self.accesses == 0 {
+            0
+        } else if self.chunk_accesses == 0 {
+            return Err(bad_data("v2.2 chunk size is zero"));
+        } else {
+            self.accesses.div_ceil(u64::from(self.chunk_accesses))
+        };
+        if self.chunk_count != expect_chunks {
+            return Err(bad_data(format!(
+                "v2.2 chunk count {} inconsistent with {} accesses of {} per chunk",
+                self.chunk_count, self.accesses, self.chunk_accesses
+            )));
+        }
+        Ok(self)
+    }
+
+    /// The access-column range `[lo, hi)` chunk `i` covers.
+    fn chunk_range(&self, i: u64) -> (u64, u64) {
+        let lo = i * u64::from(self.chunk_accesses);
+        let hi = (lo + u64::from(self.chunk_accesses)).min(self.accesses);
+        (lo, hi)
+    }
+
+    /// Checks one chunk's index entry against the geometry this header
+    /// promises, bounding `addr_bytes` before any allocation happens.
+    fn check_chunk(&self, i: u64, chunk_len: u32, addr_bytes: u32) -> io::Result<()> {
+        let (lo, hi) = self.chunk_range(i);
+        if u64::from(chunk_len) != hi - lo {
+            return Err(bad_data(format!(
+                "v2.2 chunk {i} declares {chunk_len} accesses, expected {}",
+                hi - lo
+            )));
+        }
+        // Split columns carry ceil(len/4) control bytes plus 1–4
+        // payload bytes per address; both bounds hold for every
+        // well-formed column, so a hostile field outside them is
+        // rejected before any allocation.
+        let len = u64::from(chunk_len);
+        let control = len.div_ceil(4);
+        let (min, max) = (
+            control + len,
+            control + varint::MAX_SPLIT_BYTES_PER_ADDR as u64 * len,
+        );
+        if u64::from(addr_bytes) < min || u64::from(addr_bytes) > max {
+            return Err(bad_data(format!(
+                "v2.2 chunk {i} declares {addr_bytes} address bytes for {chunk_len} accesses"
+            )));
+        }
+        Ok(())
+    }
+}
 
 /// One validated footer-index entry.
 #[derive(Copy, Clone, Debug)]
@@ -57,17 +146,17 @@ impl ChunkEntry {
 
 /// Where a [`MappedTrace`]'s bytes come from.
 #[derive(Debug)]
-enum Source {
+enum Source<'a> {
     /// An open file, read with positioned reads; `len` is its size at
     /// open.
     #[cfg(unix)]
     File { file: File, len: u64 },
-    /// Bytes in memory: [`MappedTrace::from_bytes`], and the whole file
-    /// on targets without positioned reads.
-    Bytes(Vec<u8>),
+    /// Bytes in memory, owned or borrowed: [`MappedTrace::from_bytes`],
+    /// and the whole file on targets without positioned reads.
+    Bytes(Cow<'a, [u8]>),
 }
 
-impl Source {
+impl Source<'_> {
     fn len(&self) -> u64 {
         match self {
             #[cfg(unix)]
@@ -112,11 +201,12 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
 }
 
-/// A v2.2 trace file opened for lazy, chunk-at-a-time decoding.
+/// A v2.2 trace opened for chunk-at-a-time decoding, over a file, an
+/// owned buffer, or borrowed bytes (`'a`).
 ///
 /// A trace opened from a path keeps its file open and holds one file
-/// descriptor until it is dropped (a memory mapping held none after
-/// open), so a sweep over `n` files holds `n` descriptors.
+/// descriptor until it is dropped, so a sweep over `n` files holds `n`
+/// descriptors.
 ///
 /// # Example
 ///
@@ -130,21 +220,22 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
 /// let mut bytes = Vec::new();
 /// packed.write_v22_with(&mut bytes, 16).unwrap();
 ///
-/// let mapped = MappedTrace::from_bytes(bytes).unwrap();
+/// let mapped = MappedTrace::from_bytes(bytes.as_slice()).unwrap();
 /// assert_eq!(mapped.chunk_count(), 7);
 /// let mut sink = CountingSink::new();
 /// mapped.replay_into(&mut sink).unwrap();
 /// assert_eq!(sink.accesses(), 100);
+/// assert_eq!(mapped.to_packed().unwrap().addrs(), packed.addrs());
 /// ```
 #[derive(Debug)]
-pub struct MappedTrace {
-    source: Source,
+pub struct MappedTrace<'a> {
+    source: Source<'a>,
     header: ChunkedHeader,
     chunks: Vec<ChunkEntry>,
     regions: Vec<RegionEvent>,
 }
 
-impl MappedTrace {
+impl MappedTrace<'static> {
     /// Opens a v2.2 trace file and validates its header, region table
     /// and chunk index; chunk payloads stay on disk until decoded. On
     /// targets without positioned reads the whole file is read into
@@ -155,7 +246,7 @@ impl MappedTrace {
     /// Fails with the underlying I/O error if the file cannot be
     /// opened or read, and `InvalidData` if it is not a structurally
     /// valid `FVLTRC22` file (see [`MappedTrace::from_bytes`]).
-    pub fn open(path: &Path) -> io::Result<MappedTrace> {
+    pub fn open(path: &Path) -> io::Result<MappedTrace<'static>> {
         #[cfg(unix)]
         let source = {
             let file = File::open(path)?;
@@ -163,12 +254,15 @@ impl MappedTrace {
             Source::File { file, len }
         };
         #[cfg(not(unix))]
-        let source = Source::Bytes(std::fs::read(path)?);
+        let source = Source::Bytes(Cow::Owned(std::fs::read(path)?));
         MappedTrace::parse(source)
     }
+}
 
-    /// Wraps in-memory v2.2 bytes for lazy decoding — the hermetic
-    /// entry point differential tests use.
+impl<'a> MappedTrace<'a> {
+    /// Wraps v2.2 bytes in memory, owned (`Vec<u8>`) or borrowed
+    /// (`&[u8]`, which is never copied), and validates them as
+    /// [`MappedTrace::open`] validates a file.
     ///
     /// # Errors
     ///
@@ -176,25 +270,23 @@ impl MappedTrace {
     /// `FVLTRC22` file: wrong magic or codec id, inconsistent header
     /// geometry, a footer index whose entries disagree with the inline
     /// chunk headers or do not lay the chunks back to back from the end
-    /// of the header up to the region table, or a region table out of
-    /// order.
-    pub fn from_bytes(bytes: Vec<u8>) -> io::Result<MappedTrace> {
-        MappedTrace::parse(Source::Bytes(bytes))
+    /// of the header up to the region table, bytes after the index, or
+    /// a region table out of order.
+    pub fn from_bytes(bytes: impl Into<Cow<'a, [u8]>>) -> io::Result<MappedTrace<'a>> {
+        MappedTrace::parse(Source::Bytes(bytes.into()))
     }
 
     /// Validates the header, footer index, and region table, reading
     /// each with one read; column payloads are only bounds-checked
     /// here and decoded lazily.
-    fn parse(source: Source) -> io::Result<MappedTrace> {
+    fn parse(source: Source<'a>) -> io::Result<MappedTrace<'a>> {
         let len = source.len();
         if len < CHUNKED_HEADER_BYTES as u64 + 8 {
-            return Err(bad_data("file too short for a chunk-indexed trace"));
+            return Err(bad_data("file too short for an FVLTRC22 trace"));
         }
         let head = source.read_at(0, CHUNKED_HEADER_BYTES as u64)?;
-        if &head[..8] != MAGIC_V22 {
-            return Err(bad_data(
-                "not an FVLTRC22 file (only the chunk-indexed format supports lazy reads)",
-            ));
+        if &head[..8] != MAGIC {
+            return Err(bad_data("not an FVLTRC22 trace"));
         }
         let header = ChunkedHeader {
             accesses: u64_at(&head, 8),
@@ -203,7 +295,14 @@ impl MappedTrace {
             chunk_accesses: u32_at(&head, 32),
         }
         .validate()?;
-        check_codec_id(u32_at(&head, 36))?;
+        // The codec word must name the split codec, so a magic/codec
+        // mismatch cannot decode garbage.
+        let (codec, split) = (u32_at(&head, 36), AddrCodec::Split.id());
+        if codec != split {
+            return Err(bad_data(format!(
+                "FVLTRC22 header declares codec id {codec}, expected {split}"
+            )));
+        }
 
         // Footer: the trailing u64 locates the index, whose size the
         // header fixes; both must agree exactly.
@@ -241,10 +340,19 @@ impl MappedTrace {
                 )));
             }
             prev_pos = pos;
+            // Checked here because `Region::new` panics on either fault.
+            let (base, words) = (u32_at(record, 10), u32_at(record, 14));
+            if base % WORD_BYTES != 0
+                || u64::from(base) + u64::from(words) * u64::from(WORD_BYTES) > 1 << 32
+            {
+                return Err(bad_data(format!(
+                    "region of {words} words at {base:#x} is misaligned or wraps the address space"
+                )));
+            }
             regions.push(RegionEvent {
                 pos,
                 is_alloc,
-                region: Region::new(u32_at(record, 10), u32_at(record, 14), kind),
+                region: Region::new(base, words, kind),
             });
         }
 
@@ -253,8 +361,7 @@ impl MappedTrace {
         // from the end of the header in index order, ending where the
         // region table starts — the layout the writer produces. Nothing
         // else is accepted, so no two entries can share a payload and no
-        // bytes can hide between chunks: the lazy decode reads exactly
-        // the bytes the sequential reader does.
+        // bytes can hide between chunks.
         let index = source.read_at(index_offset, index_bytes)?;
         let mut chunks = Vec::with_capacity(header.chunk_count as usize);
         let mut next_offset = CHUNKED_HEADER_BYTES as u64;
@@ -371,10 +478,33 @@ impl MappedTrace {
             })
     }
 
-    /// Reads chunk `i`'s payload with one positioned read and decodes
-    /// it into a standalone [`PackedTrace`]: split address column
-    /// expanded, raw values copied, and the chunk's region events
-    /// rebased to chunk-local positions.
+    /// The one chunk-column decode: reads chunk `i`'s payload and
+    /// appends its expanded split address column to `addrs` and its raw
+    /// values to `values`.
+    fn decode_columns_into(
+        &self,
+        i: u64,
+        addrs: &mut Vec<u32>,
+        values: &mut Vec<u32>,
+    ) -> io::Result<()> {
+        let entry = self.entry(i);
+        let payload = self
+            .source
+            .read_at(entry.payload_offset + 8, entry.payload_bytes())?;
+        let (encoded, raw_values) = payload.split_at(entry.addr_bytes as usize);
+        varint::decode_addr_chunk_split_into(encoded, entry.chunk_len as usize, addrs)?;
+        values.extend(
+            raw_values
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+        );
+        Ok(())
+    }
+
+    /// Reads chunk `i`'s payload and decodes it into a standalone
+    /// [`PackedTrace`]: split address column expanded, raw values
+    /// copied, and the chunk's region events rebased to chunk-local
+    /// positions.
     ///
     /// # Panics
     ///
@@ -387,25 +517,18 @@ impl MappedTrace {
     /// address space), and with the read's I/O error — `UnexpectedEof`
     /// when the file was truncated after open.
     pub fn decode_chunk(&self, i: u64) -> io::Result<PackedTrace> {
-        let entry = self.entry(i);
+        let len = self.entry(i).chunk_len as usize;
+        let (mut addrs, mut values) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        self.decode_columns_into(i, &mut addrs, &mut values)?;
         let (lo, hi) = self.header.chunk_range(i);
-        let payload = self
-            .source
-            .read_at(entry.payload_offset + 8, entry.payload_bytes())?;
-        let (encoded, raw_values) = payload.split_at(entry.addr_bytes as usize);
-        let addrs = varint::decode_addr_chunk_split(encoded, entry.chunk_len as usize)?;
-        let values: Vec<u32> = raw_values
-            .chunks_exact(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect();
         let regions: Vec<RegionEvent> = self.chunk_regions(i, lo, hi).collect();
         PackedTrace::from_columns(addrs, values, regions).map_err(bad_data)
     }
 
     /// Streams the whole trace into `sink` chunk by chunk, decoding
     /// each chunk lazily and finishing the sink exactly once — the
-    /// event stream is identical to replaying the fully resident
-    /// [`PackedTrace`], but only one chunk's columns are ever live.
+    /// event stream is identical to replaying [`MappedTrace::to_packed`],
+    /// but only one chunk's columns are ever live.
     ///
     /// # Errors
     ///
@@ -430,14 +553,22 @@ impl MappedTrace {
         Ok(())
     }
 
-    /// Reads the whole file with one read and decodes it into one
-    /// resident [`PackedTrace`] through the sequential reader.
+    /// Decodes every chunk, in index order, straight into one resident
+    /// pair of columns and attaches the region table: the whole trace
+    /// as one [`PackedTrace`].
     ///
     /// # Errors
     ///
-    /// Propagates read and decode failures.
+    /// Propagates chunk read and decode failures.
     pub fn to_packed(&self) -> io::Result<PackedTrace> {
-        PackedTrace::read_from(&*self.source.read_at(0, self.source.len())?)
+        // Parsing proved every chunk's payload lies inside the file, so
+        // the access count is bounded by the input length.
+        let accesses = self.header.accesses as usize;
+        let (mut addrs, mut values) = (Vec::with_capacity(accesses), Vec::with_capacity(accesses));
+        for i in 0..self.header.chunk_count {
+            self.decode_columns_into(i, &mut addrs, &mut values)?;
+        }
+        PackedTrace::from_columns(addrs, values, self.regions.clone()).map_err(bad_data)
     }
 }
 
@@ -576,11 +707,26 @@ mod tests {
 
     #[test]
     fn non_v22_files_are_refused() {
-        let packed = PackedTrace::from_trace(&mixed_trace(10));
-        let mut v2 = Vec::new();
-        packed.write_to(&mut v2).unwrap();
-        let err = MappedTrace::from_bytes(v2).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let bytes = v22_bytes(&mixed_trace(10), 4);
+        for magic in [b"FVLTRC1\n", b"FVLTRC2\n", b"FVLTRC21"] {
+            let mut old = bytes.clone();
+            old[..8].copy_from_slice(magic);
+            let err = MappedTrace::from_bytes(old).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
         assert!(MappedTrace::from_bytes(Vec::new()).is_err());
+    }
+
+    #[test]
+    fn borrowed_and_owned_bytes_decode_alike() {
+        let trace = mixed_trace(300);
+        let bytes = v22_bytes(&trace, 16);
+        let borrowed = MappedTrace::from_bytes(bytes.as_slice()).unwrap();
+        let owned = MappedTrace::from_bytes(bytes.clone()).unwrap();
+        let (a, b) = (borrowed.to_packed().unwrap(), owned.to_packed().unwrap());
+        assert_eq!(a.addrs(), b.addrs());
+        assert_eq!(a.values(), b.values());
+        assert_eq!(a.region_events(), b.region_events());
+        assert_eq!(a.to_trace().events(), trace.events());
     }
 }

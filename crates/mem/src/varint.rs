@@ -135,7 +135,8 @@ fn split_streams(bytes: &[u8], count: usize) -> io::Result<(&[u8], &[u8])> {
 }
 
 /// Decodes exactly `count` addresses from an [`encode_addr_chunk_split`]
-/// column, requiring the payload to be fully consumed.
+/// column, requiring the payload to be fully consumed, and appends them
+/// to a caller-owned column; on error nothing is appended to `out`.
 ///
 /// # Errors
 ///
@@ -143,18 +144,6 @@ fn split_streams(bytes: &[u8], count: usize) -> io::Result<(&[u8], &[u8])> {
 /// and `InvalidData` when a delta walks outside the 30-bit word space,
 /// the final control byte has non-canonical padding, or payload bytes
 /// are left over after the last address.
-pub fn decode_addr_chunk_split(bytes: &[u8], count: usize) -> io::Result<Vec<u32>> {
-    let mut addrs = Vec::new();
-    decode_addr_chunk_split_into(bytes, count, &mut addrs)?;
-    Ok(addrs)
-}
-
-/// [`decode_addr_chunk_split`] appending into a caller-owned column; on
-/// error nothing is appended to `out`.
-///
-/// # Errors
-///
-/// Same conditions as [`decode_addr_chunk_split`].
 pub fn decode_addr_chunk_split_into(
     bytes: &[u8],
     count: usize,
@@ -250,6 +239,12 @@ fn decode_split(
 mod tests {
     use super::*;
 
+    fn decode(bytes: &[u8], count: usize) -> io::Result<Vec<u32>> {
+        let mut addrs = Vec::new();
+        decode_addr_chunk_split_into(bytes, count, &mut addrs)?;
+        Ok(addrs)
+    }
+
     #[test]
     fn zigzag_round_trips_and_orders_by_magnitude() {
         for v in [0i64, -1, 1, -2, 2, i64::from(i32::MAX), i64::from(i32::MIN)] {
@@ -309,7 +304,7 @@ mod tests {
 
     #[test]
     fn split_truncated_control_is_eof() {
-        let err = decode_addr_chunk_split(&[], 1).unwrap_err();
+        let err = decode(&[], 1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
@@ -318,7 +313,7 @@ mod tests {
         let mut bytes = Vec::new();
         encode_addr_chunk_split(&[4, 8, 0x4000_0000, 12, 16], &mut bytes);
         bytes.pop();
-        let err = decode_addr_chunk_split(&bytes, 5).unwrap_err();
+        let err = decode(&bytes, 5).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
@@ -328,7 +323,7 @@ mod tests {
         let mut bytes = Vec::new();
         encode_addr_chunk_split(&[4, 8], &mut bytes);
         bytes.push(0);
-        let err = decode_addr_chunk_split(&bytes, 2).unwrap_err();
+        let err = decode(&bytes, 2).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -339,7 +334,7 @@ mod tests {
         // Three addresses: lane 3 of the single control byte is unused
         // padding and must be zero.
         bytes[0] |= 0b11 << 6;
-        let err = decode_addr_chunk_split(&bytes, 3).unwrap_err();
+        let err = decode(&bytes, 3).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -372,6 +367,6 @@ mod tests {
         // Small deltas: one payload byte plus a quarter control byte
         // per address vs 4 raw.
         assert_eq!(split.len(), addrs.len() + addrs.len().div_ceil(4));
-        assert_eq!(decode_addr_chunk_split(&split, addrs.len()).unwrap(), addrs);
+        assert_eq!(decode(&split, addrs.len()).unwrap(), addrs);
     }
 }

@@ -219,30 +219,9 @@ proptest! {
         prop_assert_eq!(columnar.frees(), legacy.frees());
     }
 
-    /// The v2 columnar file format round-trips any trace, and both
-    /// decoders accept both formats.
-    #[test]
-    fn trace_format_v2_round_trips(events in arb_events()) {
-        let trace = Trace::from_events(events);
-        let packed = PackedTrace::from_trace(&trace);
-        let mut v2 = Vec::new();
-        packed.write_to(&mut v2).unwrap();
-        prop_assert_eq!(v2.len() as u64, packed.encoded_len());
-        let reloaded = PackedTrace::read_from(v2.as_slice()).unwrap();
-        prop_assert_eq!(reloaded.to_trace().events(), trace.events());
-        // The v2 bytes also load through the legacy decoder, and the
-        // v1 bytes through the packed one.
-        let via_legacy = Trace::read_from(v2.as_slice()).unwrap();
-        prop_assert_eq!(via_legacy.events(), trace.events());
-        let mut v1 = Vec::new();
-        trace.write_to(&mut v1).unwrap();
-        let via_packed = PackedTrace::read_from(v1.as_slice()).unwrap();
-        prop_assert_eq!(via_packed.to_trace().events(), trace.events());
-    }
-
     /// The chunk-indexed v2.2 format round-trips any trace at any chunk
-    /// size, through both the streaming decoder and the mapped reader's
-    /// lazy chunk-by-chunk replay. Small chunk sizes put region events
+    /// size, through both the resident decode and the lazy
+    /// chunk-by-chunk replay. Small chunk sizes put region events
     /// on and around chunk boundaries; the generated access counts land
     /// on exact-multiple and straggler chunk splits.
     #[test]
@@ -252,19 +231,14 @@ proptest! {
         let mut v22 = Vec::new();
         packed.write_v22_with(&mut v22, chunk_accesses).unwrap();
 
-        // Streaming decoder.
-        let streamed = PackedTrace::read_from(v22.as_slice()).unwrap();
-        prop_assert_eq!(streamed.addrs(), packed.addrs());
-        prop_assert_eq!(streamed.values(), packed.values());
-        prop_assert_eq!(streamed.region_events(), packed.region_events());
-
-        // Mapped reader: strict footer validation, chunk concatenation,
-        // and lazy replay must all reproduce the resident trace.
+        // Strict layout validation, the resident decode, chunk
+        // concatenation and lazy replay must all reproduce the trace.
         let mapped = MappedTrace::from_bytes(v22).unwrap();
         prop_assert_eq!(mapped.accesses(), packed.accesses());
         let resident = mapped.to_packed().unwrap();
         prop_assert_eq!(resident.addrs(), packed.addrs());
         prop_assert_eq!(resident.values(), packed.values());
+        prop_assert_eq!(resident.region_events(), packed.region_events());
         let mut concat_addrs: Vec<u32> = Vec::new();
         for i in 0..mapped.chunk_count() {
             concat_addrs.extend_from_slice(mapped.decode_chunk(i).unwrap().addrs());
@@ -291,7 +265,8 @@ proptest! {
         varint::encode_addr_chunk_split(&addrs, &mut encoded);
         let control = addrs.len().div_ceil(4);
         prop_assert!(encoded.len() <= control + addrs.len() * varint::MAX_SPLIT_BYTES_PER_ADDR);
-        let decoded = varint::decode_addr_chunk_split(&encoded, addrs.len()).unwrap();
+        let mut decoded = Vec::new();
+        varint::decode_addr_chunk_split_into(&encoded, addrs.len(), &mut decoded).unwrap();
         prop_assert_eq!(decoded, addrs);
     }
 
@@ -368,32 +343,6 @@ proptest! {
             }
         }
         prop_assert_eq!(heap.live_allocs(), live.len());
-    }
-
-    /// Any recorded trace round-trips through the binary format.
-    #[test]
-    fn trace_io_round_trips_arbitrary_events(
-        events in prop::collection::vec(
-            prop_oneof![
-                (0u32..1 << 16, any::<u32>(), any::<bool>()).prop_map(|(slot, v, st)| {
-                    let a = slot * 4;
-                    TraceEvent::Access(if st { Access::store(a, v) } else { Access::load(a, v) })
-                }),
-                (0u32..1 << 16, 1u32..64).prop_map(|(slot, w)| {
-                    TraceEvent::Alloc(Region::new(slot * 4, w, RegionKind::Heap))
-                }),
-                (0u32..1 << 16, 1u32..64).prop_map(|(slot, w)| {
-                    TraceEvent::Free(Region::new(slot * 4, w, RegionKind::Stack))
-                }),
-            ],
-            0..200,
-        ),
-    ) {
-        let trace = Trace::from_events(events);
-        let mut bytes = Vec::new();
-        trace.write_to(&mut bytes).unwrap();
-        let loaded = Trace::read_from(bytes.as_slice()).unwrap();
-        prop_assert_eq!(loaded.events(), trace.events());
     }
 
     /// A TracedMemory run replayed from its trace delivers the identical

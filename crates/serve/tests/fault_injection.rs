@@ -156,7 +156,7 @@ fn dropped_done_frame_is_retried_to_success() {
     ]);
     let mut bytes = Vec::new();
     PackedTrace::from_trace(&trace)
-        .write_to(&mut bytes)
+        .write_v22_to(&mut bytes)
         .expect("in-memory write");
 
     let handle = daemon_with_faults("drop:2");

@@ -300,43 +300,102 @@ fn oversized_cache_configs_are_refused_before_allocating() {
     handle.shutdown();
 }
 
-/// An `FVLTRC21` file — the chunk-indexed container with LEB128 address
-/// columns that earlier versions wrote — is an unknown format now: the
-/// sequential reader and the mapped reader both fail with
-/// `InvalidData`, and an upload of it is refused with a typed BAD_TRACE
-/// error while the session keeps serving.
-#[test]
-fn fvltrc21_files_are_rejected_everywhere() {
-    let trace = fvl_bench::corpus::synth_trace(1000, 7);
+/// Builds the hand-made files the one-format rule refuses, beside the
+/// clean v2.2 trace they are variants of: the retired `FVLTRC1`
+/// (per-event records), `FVLTRC2` (raw columns) and `FVLTRC21`
+/// (LEB128 address columns) layouts, a v2.2 file with trailing bytes,
+/// and a v2.2 file whose chunk index aliases one chunk's payload for
+/// another's.
+fn refused_trace_files() -> (Vec<u8>, Vec<(&'static str, Vec<u8>)>) {
+    // Four loads at two accesses per chunk: both chunks hold two
+    // one-byte address tokens, so their inline headers are identical
+    // and an aliased index entry passes the inline cross-check.
+    let trace = fvl_mem::PackedTrace::from_trace(&fvl_mem::Trace::from_events(
+        [0x10, 0x14, 0x40, 0x44]
+            .into_iter()
+            .map(|addr| fvl_mem::TraceEvent::Access(fvl_mem::Access::load(addr, 0)))
+            .collect(),
+    ));
     let mut v22 = Vec::new();
-    trace
-        .write_v22_with(&mut v22, 256)
-        .expect("in-memory write");
+    trace.write_v22_with(&mut v22, 2).expect("in-memory write");
+
+    let mut v1 = b"FVLTRC1\n".to_vec();
+    v1.extend_from_slice(&1u64.to_le_bytes()); // one event
+    v1.push(0); // a load
+    v1.extend_from_slice(&0x10u32.to_le_bytes());
+    v1.extend_from_slice(&0u32.to_le_bytes());
+
+    let mut v2 = b"FVLTRC2\n".to_vec();
+    v2.extend_from_slice(&1u64.to_le_bytes()); // one access
+    v2.extend_from_slice(&0u64.to_le_bytes()); // no region events
+    v2.extend_from_slice(&0x10u32.to_le_bytes()); // address column
+    v2.extend_from_slice(&0u32.to_le_bytes()); // value column
+
     // The v2.1 header: its magic and a zero reserved word where v2.2
     // keeps its codec id.
     let mut v21 = v22.clone();
     v21[..8].copy_from_slice(b"FVLTRC21");
     v21[36..40].copy_from_slice(&0u32.to_le_bytes());
 
-    let err = fvl_mem::PackedTrace::read_from(v21.as_slice()).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-    let err = fvl_mem::MappedTrace::from_bytes(v21.clone()).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let mut trailing = v22.clone();
+    trailing.extend_from_slice(b"TRAILING");
+
+    // The index's second entry (16 bytes before the trailing index
+    // offset) points at chunk 0's payload, right after the 40-byte
+    // header.
+    let mut aliased = v22.clone();
+    let at = aliased.len() - 8 - 16;
+    aliased[at..at + 8].copy_from_slice(&40u64.to_le_bytes());
+
+    let refused = vec![
+        ("FVLTRC1", v1),
+        ("FVLTRC2", v2),
+        ("FVLTRC21", v21),
+        ("v2.2 with trailing bytes", trailing),
+        ("v2.2 with an aliased chunk index", aliased),
+    ];
+    (v22, refused)
+}
+
+/// The retired trace formats (`FVLTRC1`, `FVLTRC2`, `FVLTRC21`) are
+/// unknown formats now, and a v2.2 file is accepted only in exactly the
+/// layout the writer produces: trailing bytes or an aliased chunk index
+/// are refused too. Each file fails with `InvalidData` in the reader
+/// and in `parse_trace_bytes` (the local `corpus sim` path), and an
+/// upload of it is refused with a typed BAD_TRACE error, after which
+/// the same session still accepts and simulates a clean v2.2 trace.
+#[test]
+fn fvltrc21_files_are_rejected_everywhere() {
+    let (v22, refused) = refused_trace_files();
+    let config = "size=1024\nline=16\nassoc=1\n";
+    let clean = fvl_bench::remote::parse_trace_bytes(&v22).expect("clean v2.2 parses");
+    let want = frame::parse_kv(
+        fvl_bench::remote::simulate_packed(&clean, config)
+            .expect("valid config")
+            .as_bytes(),
+    );
 
     let handle = daemon();
     let mut client = RemoteClient::connect(
         handle.local_addr(),
-        &SessionSpec::smoke("v21"),
+        &SessionSpec::smoke("formats"),
         Duration::from_secs(10),
     )
     .expect("session opens");
-    match client.upload_trace(&v21) {
-        Err(RemoteError::Rejected(code, msg)) => {
-            assert_eq!(code, ErrorCode::BadTrace, "{msg}");
+    for (what, bytes) in refused {
+        let err = fvl_mem::MappedTrace::from_bytes(bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+        let err = fvl_bench::remote::parse_trace_bytes(&bytes).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+        match client.upload_trace(&bytes) {
+            Err(RemoteError::Rejected(code, msg)) => {
+                assert_eq!(code, ErrorCode::BadTrace, "{what}: {msg}");
+            }
+            other => panic!("{what}: expected a BAD_TRACE refusal, got {other:?}"),
         }
-        other => panic!("expected a BAD_TRACE refusal, got {other:?}"),
+        assert_eq!(client.upload_trace(&v22).expect("v2.2 upload"), 4, "{what}");
+        assert_eq!(client.simulate(config).expect("sim"), want, "{what}");
     }
-    assert_eq!(client.upload_trace(&v22).expect("v2.2 upload"), 1000);
     client.bye().expect("clean close");
     handle.shutdown();
 }

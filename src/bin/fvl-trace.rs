@@ -6,17 +6,21 @@
 //! fvl-trace simulate <file> [--kb N] [--line N] [--assoc N] [--fvc ENTRIES] [--values K]
 //! ```
 //!
-//! Traces use the dependency-free `FVLTRC1` binary format from
-//! `fvl::mem::Trace::{write_to, read_from}`, so externally collected
-//! traces can be converted and fed to the simulators too.
+//! Traces are `FVLTRC22` files, the one format every tool in this
+//! repository writes and reads: `record` writes them with
+//! `fvl::mem::PackedTrace::write_v22_to`, and `info` and `simulate`
+//! load them with `fvl::mem::MappedTrace`. Files from `corpus gen` and
+//! conformance repros load here too, a recorded file can be simulated
+//! by `corpus sim` or uploaded to a daemon, and externally collected
+//! traces can be converted and fed to the simulators.
 
 use fvl::cache::{CacheGeometry, CacheSim, Simulator};
 use fvl::core::{FrequentValueSet, HybridCache, HybridConfig};
-use fvl::mem::{Trace, TraceBuffer, TracedMemory};
+use fvl::mem::{MappedTrace, PackedTrace, TraceBuffer, TracedMemory};
 use fvl::profile::ValueCounter;
 use fvl::workloads::{by_name, InputSize};
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::path::Path;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -108,7 +112,7 @@ fn main() -> ExitCode {
                 workload.run(&mut mem);
                 mem.finish();
             }
-            let trace = buf.into_trace();
+            let trace = buf.into_packed();
             let file = match File::create(path) {
                 Ok(f) => f,
                 Err(e) => {
@@ -116,7 +120,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            if let Err(e) = trace.write_to(BufWriter::new(file)) {
+            if let Err(e) = trace.write_v22_to(file) {
                 eprintln!("write failed: {e}");
                 return ExitCode::FAILURE;
             }
@@ -195,13 +199,11 @@ fn main() -> ExitCode {
     }
 }
 
-fn load(path: &str) -> Result<Trace, ExitCode> {
-    let file = File::open(path).map_err(|e| {
-        eprintln!("cannot open {path}: {e}");
-        ExitCode::FAILURE
-    })?;
-    Trace::read_from(BufReader::new(file)).map_err(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        ExitCode::FAILURE
-    })
+fn load(path: &str) -> Result<PackedTrace, ExitCode> {
+    MappedTrace::open(Path::new(path))
+        .and_then(|trace| trace.to_packed())
+        .map_err(|e| {
+            eprintln!("cannot load {path}: {e}");
+            ExitCode::FAILURE
+        })
 }

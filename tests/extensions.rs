@@ -3,7 +3,7 @@
 
 use fvl::cache::{CacheGeometry, CacheSim, Simulator, WritePolicy};
 use fvl::core::{CompressedCache, FrequentValueSet, OnlineHybrid};
-use fvl::mem::{Trace, TraceBuffer, TracedMemory};
+use fvl::mem::{MappedTrace, PackedTrace, Trace, TraceBuffer, TracedMemory};
 use fvl::profile::ValueCounter;
 use fvl::workloads::{by_name, InputSize};
 
@@ -18,14 +18,19 @@ fn capture(name: &str) -> Trace {
     buf.into_trace()
 }
 
-/// A trace written to bytes and reloaded must drive a simulator to the
-/// exact same statistics.
+/// A trace written to `FVLTRC22` bytes and reloaded must drive a
+/// simulator to the exact same statistics.
 #[test]
 fn serialized_traces_simulate_identically() {
     let trace = capture("gcc");
     let mut bytes = Vec::new();
-    trace.write_to(&mut bytes).expect("in-memory write");
-    let reloaded = Trace::read_from(bytes.as_slice()).expect("reload");
+    PackedTrace::from_trace(&trace)
+        .write_v22_to(&mut bytes)
+        .expect("in-memory write");
+    let reloaded = MappedTrace::from_bytes(bytes)
+        .and_then(|m| m.to_packed())
+        .expect("reload")
+        .to_trace();
     let geom = CacheGeometry::new(8 * 1024, 32, 1).unwrap();
     let run = |t: &Trace| {
         let mut sim = CacheSim::new(geom);
