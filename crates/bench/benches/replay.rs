@@ -54,9 +54,11 @@ fn bench_dyn_vs_generic(c: &mut Criterion) {
     group.finish();
 }
 
-/// The per-access frequent-value lookup: the sorted-array binary search
-/// inside [`FrequentValueSet::encode`] vs an equivalent `HashMap`
-/// probe (the data structure it replaced).
+/// The frequent-value encoder, one scan of the values in code order:
+/// per word ([`FrequentValueSet::encode`], as a store into the FVC
+/// uses it) against an equivalent `HashMap` probe, and per 8-word line
+/// ([`FrequentValueSet::encode_line`], as a DMC victim entering the
+/// FVC uses it).
 fn bench_encode(c: &mut Criterion) {
     let ctx = ExperimentContext::quick();
     let data = ctx.capture("li");
@@ -77,11 +79,21 @@ fn bench_encode(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("encode");
     group.throughput(Throughput::Elements(probes.len() as u64));
-    group.bench_function(BenchmarkId::new("top7", "array"), |b| {
+    group.bench_function(BenchmarkId::new("top7", "scan"), |b| {
         b.iter(|| {
             let mut frequent = 0u64;
             for &v in &probes {
                 frequent += u64::from(set.encode(black_box(v)).is_some());
+            }
+            frequent
+        })
+    });
+    group.bench_function(BenchmarkId::new("top7", "line"), |b| {
+        let mut codes = [0u8; 8];
+        b.iter(|| {
+            let mut frequent = 0u64;
+            for line in probes.chunks_exact(8) {
+                frequent += u64::from(set.encode_line(black_box(line), &mut codes));
             }
             frequent
         })

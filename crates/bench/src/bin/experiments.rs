@@ -23,11 +23,12 @@
 //! deterministic too, unless `--metrics-timing` opts into wall-clock
 //! and cache hit/miss fields (see `fvl_bench::metrics`).
 //!
-//! A local run exits 1, after printing every report and writing the
+//! A run exits 1, after printing every report and writing the
 //! exports, when an experiment's cross-check between two independent
 //! computations disagrees (ext6's one-pass tower against `CacheSim`),
 //! or when `verify` finds a headline claim failing on uncapped
-//! captures (`--smoke` runs are exempt).
+//! captures (`--smoke` runs are exempt). A `--remote` run reads the
+//! verdict from each job's `Done` frame and exits the same way.
 
 use fvl_bench::engine::Engine;
 use fvl_bench::experiments;
@@ -302,14 +303,20 @@ fn run_remote(
         if smoke { ", smoke" } else { "" },
     );
     let stdout = std::io::stdout();
-    for name in names {
+    let mut failed_checks = Vec::new();
+    for &name in names {
         let start = Instant::now();
         match client.run_experiment(name, stdout.lock()) {
-            Ok(summary) => eprintln!(
-                "{name} completed in {:.1?} (remote, {} refs)",
-                start.elapsed(),
-                summary.references,
-            ),
+            Ok(summary) => {
+                eprintln!(
+                    "{name} completed in {:.1?} (remote, {} refs)",
+                    start.elapsed(),
+                    summary.references,
+                );
+                if summary.cross_check_failed {
+                    failed_checks.push(name);
+                }
+            }
             Err(err) => {
                 eprintln!("error: remote job {name} failed: {err}");
                 return ExitCode::FAILURE;
@@ -333,5 +340,9 @@ fn run_remote(
         }
     }
     let _ = client.bye();
+    if !failed_checks.is_empty() {
+        eprintln!("error: cross-check failed in {}", failed_checks.join(", "));
+        return ExitCode::FAILURE;
+    }
     ExitCode::SUCCESS
 }

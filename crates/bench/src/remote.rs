@@ -206,6 +206,34 @@ pub struct JobSummary {
     /// Latest incremental schema-v1 metrics document pushed after the
     /// job (JSON bytes), if any.
     pub metrics: Option<Vec<u8>>,
+    /// Whether the job's report failed its cross-check (a `verify`
+    /// claim on uncapped captures, ext6's cross-check): the local CLI
+    /// exits 1 on it, and so does a `--remote` run.
+    pub cross_check_failed: bool,
+}
+
+impl JobSummary {
+    /// Reads a job's `Done` payload (see [`job_done_payload`]).
+    /// Unknown keys are ignored, and a missing key leaves its default.
+    fn read_done(&mut self, payload: &[u8]) {
+        let kv = parse_kv(payload);
+        self.references = kv_get(&kv, "refs")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
+        self.cross_check_failed = kv_get(&kv, "cross_check_failed") == Some("1");
+    }
+}
+
+/// The `Done` payload that ends a job: `refs=N`, the references the
+/// daemon charged, then `cross_check_failed=1` only when the report's
+/// cross-check failed. Both are `key=value` lines, so a client that
+/// reads only `refs` parses either form.
+pub fn job_done_payload(references: u64, cross_check_failed: bool) -> String {
+    let mut payload = format!("refs={references}\n");
+    if cross_check_failed {
+        payload.push_str("cross_check_failed=1\n");
+    }
+    payload
 }
 
 /// An authenticated (welcomed) session with the daemon.
@@ -289,10 +317,7 @@ impl RemoteClient {
                 FrameKind::Stdout => out.write_all(&frame.payload).map_err(RemoteError::Io)?,
                 FrameKind::Metrics => summary.metrics = Some(frame.payload),
                 FrameKind::Done => {
-                    let kv = parse_kv(&frame.payload);
-                    summary.references = kv_get(&kv, "refs")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0);
+                    summary.read_done(&frame.payload);
                     return Ok(summary);
                 }
                 _ => return Err(reject_or_protocol(&frame, "stdout/metrics/done")),
@@ -518,4 +543,28 @@ pub fn simulate_packed(trace: &PackedTrace, config: &str) -> Result<String, Stri
         stats.misses(),
         sim.traffic_words(),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn done_payload_carries_the_cross_check_flag_after_refs() {
+        let clean = job_done_payload(1234, false);
+        let failed = job_done_payload(1234, true);
+        assert_eq!(clean, "refs=1234\n");
+        assert_eq!(failed, "refs=1234\ncross_check_failed=1\n");
+        for (payload, flag) in [(&clean, false), (&failed, true)] {
+            let mut summary = JobSummary::default();
+            summary.read_done(payload.as_bytes());
+            assert_eq!(
+                (summary.references, summary.cross_check_failed),
+                (1234, flag)
+            );
+            // A client that reads only `refs` still parses both forms.
+            let kv = parse_kv(payload.as_bytes());
+            assert_eq!(kv_get(&kv, "refs"), Some("1234"));
+        }
+    }
 }

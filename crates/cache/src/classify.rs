@@ -6,8 +6,8 @@
 //! and a *conflict* miss if that cache would hit. This supports the
 //! paper's Figure 14 discussion of which miss classes the FVC removes.
 
-use fvl_mem::Addr;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use crate::replacement::{ReplacementPolicy, TrueLru};
+use fvl_mem::{Addr, LineTable, LiveSet};
 use std::fmt;
 
 /// The class of a cache miss.
@@ -33,6 +33,20 @@ impl fmt::Display for MissClass {
 
 /// Online classifier fed with every access of a simulation.
 ///
+/// Every access costs O(1) plain-array work and no hashing. The lines
+/// ever touched are one bit each in a [`LiveSet`] keyed by line
+/// address. The fully-associative LRU model is one set of
+/// `capacity_lines` ways under [`TrueLru`], its ways' lines in an
+/// array and a [`LineTable`] from line to way, so a model hit is a
+/// table lookup and a recency promotion, and a model miss evicts the
+/// list's least recent way.
+///
+/// Memory: the bitmap of lines ever touched, 128 bytes per 4 KiB page
+/// the trace touches, plus the page tables of it and of the
+/// [`LineTable`]; and the model's `capacity_lines` ways at 12 bytes
+/// each, plus one [`LineTable`] leaf per page holding a modelled line
+/// (see its memory bound), at most `capacity_lines` of them.
+///
 /// # Example
 ///
 /// ```
@@ -47,11 +61,14 @@ impl fmt::Display for MissClass {
 pub struct MissClassifier {
     line_mask: Addr,
     capacity_lines: usize,
-    seen: HashSet<Addr>,
-    /// Fully-associative LRU model: line -> stamp, stamp -> line.
-    stamps: HashMap<Addr, u64>,
-    order: BTreeMap<u64, Addr>,
-    clock: u64,
+    /// One bit per line ever touched, at the line's address.
+    seen: LiveSet,
+    /// The model's ways: the line each holds, filled in order.
+    lines: Vec<Addr>,
+    /// Recency of the model's ways, one set of `capacity_lines`.
+    lru: TrueLru,
+    /// Line → way of every line the model holds.
+    ways: LineTable,
     compulsory: u64,
     capacity: u64,
     conflict: u64,
@@ -63,10 +80,11 @@ impl MissClassifier {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity_lines` is zero or `line_bytes` is not a power
-    /// of two.
+    /// Panics if `capacity_lines` is zero or does not fit in a `u32`,
+    /// or `line_bytes` is not a power of two of at least 4.
     pub fn new(capacity_lines: usize, line_bytes: u32) -> Self {
         assert!(capacity_lines > 0, "capacity must be positive");
+        let ways = u32::try_from(capacity_lines).expect("capacity fits in a u32");
         assert!(
             line_bytes.is_power_of_two() && line_bytes >= 4,
             "bad line size"
@@ -74,10 +92,10 @@ impl MissClassifier {
         MissClassifier {
             line_mask: !(line_bytes - 1),
             capacity_lines,
-            seen: HashSet::new(),
-            stamps: HashMap::new(),
-            order: BTreeMap::new(),
-            clock: 0,
+            seen: LiveSet::new(),
+            lines: Vec::new(),
+            lru: TrueLru::new(1, ways),
+            ways: LineTable::new(line_bytes),
             compulsory: 0,
             capacity: 0,
             conflict: 0,
@@ -88,23 +106,15 @@ impl MissClassifier {
     /// studied missed. Returns the class when it missed.
     pub fn observe(&mut self, addr: Addr, subject_missed: bool) -> Option<MissClass> {
         let line = addr & self.line_mask;
-        let first = self.seen.insert(line);
-        let fa_hit = self.stamps.contains_key(&line);
-        // Update the fully-associative LRU model with this reference.
-        self.clock += 1;
-        if let Some(old) = self.stamps.insert(line, self.clock) {
-            self.order.remove(&old);
-        }
-        self.order.insert(self.clock, line);
-        if self.stamps.len() > self.capacity_lines {
-            let (&stamp, &victim) = self.order.iter().next().expect("nonempty");
-            self.order.remove(&stamp);
-            self.stamps.remove(&victim);
-        }
+        let first = self.seen.mark(line);
+        let fa_hit = self.model(line);
         if !subject_missed {
             return None;
         }
-        let class = if first {
+        // `seeded-bugs` is a TEST-ONLY mutation used by the `fvl-check`
+        // conformance harness: a first-touch miss is counted as a
+        // capacity miss instead of a compulsory one.
+        let class = if first && !cfg!(feature = "seeded-bugs") {
             self.compulsory += 1;
             MissClass::Compulsory
         } else if fa_hit {
@@ -115,6 +125,29 @@ impl MissClassifier {
             MissClass::Capacity
         };
         Some(class)
+    }
+
+    /// References `line` in the fully-associative LRU model and
+    /// reports whether the model held it. A line it did not hold takes
+    /// the next unfilled way, or the least recently used one's.
+    #[inline]
+    fn model(&mut self, line: Addr) -> bool {
+        if let Some(way) = self.ways.get(line) {
+            self.lru.touch(0, way);
+            return true;
+        }
+        let way = if self.lines.len() < self.capacity_lines {
+            self.lines.push(line);
+            (self.lines.len() - 1) as u32
+        } else {
+            let way = self.lru.victim(0);
+            let evicted = std::mem::replace(&mut self.lines[way as usize], line);
+            self.ways.remove(evicted);
+            way
+        };
+        self.ways.insert(line, way);
+        self.lru.fill(0, way, line, &[]);
+        false
     }
 
     /// Compulsory misses counted so far.
@@ -148,7 +181,7 @@ impl fmt::Debug for MissClassifier {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, not(feature = "seeded-bugs")))]
 mod tests {
     use super::*;
 

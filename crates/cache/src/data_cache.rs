@@ -55,11 +55,19 @@ pub struct LineRef<'a> {
 /// in place: the victim's words go to memory straight from the arena
 /// and the new line's words come back into the same slice, so its miss
 /// path allocates nothing. The DMC+FVC hybrid in `fvl-core` fills its
-/// misses through the same [`DataCache::fill_with`]. Above
-/// [`DataCache::INDEXED_ASSOC`] ways the cache also keeps a line-address
-/// → slot map, so probes and the duplicate-install check stay O(1);
-/// with true LRU's O(1) recency list, the cost per access no longer
-/// grows with the associativity.
+/// misses through the same [`DataCache::fill_with`]. A direct-mapped
+/// probe is one tag compare. Above [`DataCache::INDEXED_ASSOC`] ways
+/// the cache also keeps a line-address → slot map, so probes and the
+/// duplicate-install check stay O(1); with true LRU's O(1) recency
+/// list, the cost per access no longer grows with the associativity.
+///
+/// That wide index stays a std `HashMap` (with its collision-resistant
+/// default hasher), not the page-keyed [`fvl_mem::LineTable`] the miss
+/// classifier and the reuse profiler use. Daemon uploads reach it: a
+/// client sets the associativity and may ask for caches up to 16 MiB,
+/// so its lines can be scattered one per page, and a page-keyed table
+/// would then spend a leaf of `4096 / line_bytes` slots per line
+/// instead of keeping its memory O(lines).
 ///
 /// `DataCache` is a passive structure: it never talks to memory itself.
 /// Controllers ([`crate::CacheSim`], the hybrid controllers in
@@ -182,9 +190,10 @@ impl DataCache {
     /// [`DataCache::probe`] with the address already split into `set`
     /// and `line_addr` (as [`CacheGeometry::set_index`] and
     /// [`CacheGeometry::line_addr`] compute them), so a caller that
-    /// needs both for its miss path extracts them once. Above
-    /// [`DataCache::INDEXED_ASSOC`] ways the map answers from
-    /// `line_addr` alone.
+    /// needs both for its miss path extracts them once. A
+    /// direct-mapped probe is one tag compare: the set's one slot is
+    /// the set index. Above [`DataCache::INDEXED_ASSOC`] ways the map
+    /// answers from `line_addr` alone.
     ///
     /// # Panics
     ///
@@ -193,8 +202,12 @@ impl DataCache {
     #[inline]
     pub fn probe_at(&self, set: u32, line_addr: Addr) -> Option<usize> {
         debug_assert_ne!(line_addr, INVALID, "not a line address");
+        if self.way_bits == 0 {
+            let slot = set as usize;
+            return (self.tags[slot] == line_addr).then_some(slot);
+        }
         if let Some(index) = &self.index {
-            return index.get(&line_addr).map(|&slot| slot as usize);
+            return probe_indexed(index, line_addr);
         }
         let start = (set as usize) << self.way_bits;
         self.tags[start..start + (1 << self.way_bits)]
@@ -436,6 +449,15 @@ impl DataCache {
         }
         out
     }
+}
+
+/// The map-indexed probe above [`DataCache::INDEXED_ASSOC`] ways. It
+/// stays a call: inlined with the rest of [`DataCache::probe_at`] into
+/// every replay loop, the hashed lookup made ext6's fully-associative
+/// caches slower than the inlining made them faster.
+#[inline(never)]
+fn probe_indexed(index: &HashMap<Addr, u32>, line_addr: Addr) -> Option<usize> {
+    index.get(&line_addr).map(|&slot| slot as usize)
 }
 
 impl fmt::Debug for DataCache {

@@ -6,7 +6,7 @@ use crate::data_cache::DataCache;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementKind;
 use crate::stats::CacheStats;
-use fvl_mem::{Access, AccessKind, AccessSink};
+use fvl_mem::{Access, AccessKind, AccessSink, Addr};
 use std::fmt;
 
 /// How stores propagate to memory.
@@ -158,7 +158,9 @@ impl CacheSim {
     /// Simulates one access and reports whether it **missed** — the
     /// entry point for callers that need per-access outcomes (e.g. the
     /// Figure 4 miss-attribution study). [`AccessSink::on_access`]
-    /// delegates here.
+    /// delegates here. The probe and the hit path are inlined into the
+    /// caller's replay loop; a miss calls out to the fill.
+    #[inline]
     pub fn access(&mut self, access: Access) -> bool {
         let addr = access.addr;
         let geom = self.cache.geometry();
@@ -197,43 +199,50 @@ impl CacheSim {
                     }
                 }
             }
-            (None, AccessKind::Store) if self.policy == WritePolicy::WriteThrough => {
-                // No write-allocate: the store bypasses the cache.
-                self.stats.write_misses += 1;
-                self.memory.write_word(addr, access.value);
-            }
-            (None, kind) => {
-                match kind {
-                    AccessKind::Load => self.stats.read_misses += 1,
-                    AccessKind::Store => self.stats.write_misses += 1,
-                }
-                self.stats.fetches += 1;
-                let (memory, stats) = (&mut self.memory, &mut self.stats);
-                let slot = self
-                    .cache
-                    .fill_with(set, line_addr, false, |victim, words| {
-                        if let Some(victim) = victim.filter(|v| v.dirty) {
-                            memory.write_line(victim.line_addr, words);
-                            stats.writebacks += 1;
-                        }
-                        memory.read_line(line_addr, words);
-                    });
-                match kind {
-                    AccessKind::Load => {
-                        let value = self.cache.read_word(slot, addr);
-                        if self.verify_values {
-                            assert_eq!(
-                                value, access.value,
-                                "memory returned {value:#x} but trace expects {:#x} at {addr:#x}",
-                                access.value
-                            );
-                        }
-                    }
-                    AccessKind::Store => self.cache.write_word(slot, addr, access.value),
-                }
-            }
+            (None, _) => self.miss(access, set, line_addr),
         }
         missed
+    }
+
+    /// Completes an access that missed: a write-through store goes
+    /// straight to memory, anything else fills `line_addr`'s way in
+    /// `set` and is served there.
+    fn miss(&mut self, access: Access, set: u32, line_addr: Addr) {
+        let addr = access.addr;
+        if access.kind == AccessKind::Store && self.policy == WritePolicy::WriteThrough {
+            // No write-allocate: the store bypasses the cache.
+            self.stats.write_misses += 1;
+            self.memory.write_word(addr, access.value);
+            return;
+        }
+        match access.kind {
+            AccessKind::Load => self.stats.read_misses += 1,
+            AccessKind::Store => self.stats.write_misses += 1,
+        }
+        self.stats.fetches += 1;
+        let (memory, stats) = (&mut self.memory, &mut self.stats);
+        let slot = self
+            .cache
+            .fill_with(set, line_addr, false, |victim, words| {
+                if let Some(victim) = victim.filter(|v| v.dirty) {
+                    memory.write_line(victim.line_addr, words);
+                    stats.writebacks += 1;
+                }
+                memory.read_line(line_addr, words);
+            });
+        match access.kind {
+            AccessKind::Load => {
+                let value = self.cache.read_word(slot, addr);
+                if self.verify_values {
+                    assert_eq!(
+                        value, access.value,
+                        "memory returned {value:#x} but trace expects {:#x} at {addr:#x}",
+                        access.value
+                    );
+                }
+            }
+            AccessKind::Store => self.cache.write_word(slot, addr, access.value),
+        }
     }
 }
 

@@ -9,11 +9,14 @@
 //! result to the boolean the shrinker needs.
 
 use crate::oracle_cache::{OracleCache, OraclePolicy, OracleReplacement, OracleStats};
+use crate::oracle_classify::OracleClassifier;
 use crate::oracle_encode::LinearScanEncoder;
 use crate::oracle_hybrid::{OracleHybrid, OracleHybridOptions, OracleHybridStats};
 use crate::oracle_replay::{scalar_replay, DigestSink};
 use crate::oracle_reuse::OracleReuse;
-use fvl_cache::{CacheGeometry, CacheSim, CacheStats, ReplacementKind, Simulator, WritePolicy};
+use fvl_cache::{
+    CacheGeometry, CacheSim, CacheStats, MissClassifier, ReplacementKind, Simulator, WritePolicy,
+};
 use fvl_core::{FrequentValueSet, HybridCache, HybridConfig, HybridStats, OnlineHybrid};
 use fvl_mem::{AccessSink, Addr, MappedTrace, PackedTrace, Trace, Word, CHUNK_ACCESSES};
 use fvl_profile::{ReuseProfiler, DEFAULT_LINE_BYTES, TOWER_LEVELS};
@@ -51,6 +54,14 @@ pub const ZOO_GEOMETRIES: [(u64, u32, u32); 5] = [
 /// corpus sweep uses.
 pub const REUSE_SHAPES: [(u32, usize); 4] =
     [(4, 1), (4, 4), (4, 8), (DEFAULT_LINE_BYTES, TOWER_LEVELS)];
+
+/// The `(line bytes, capacity in lines)` shapes the 3C classifier
+/// differential runs over. A 1-line and a 4-line fully-associative
+/// shadow evict on almost every new line of a generated trace, and a
+/// 512-line one (Figure 14's 16 KB cache at 32-byte lines) never
+/// fills, so conflict, capacity and compulsory misses all occur.
+pub const CLASSIFY_SHAPES: [(u32, usize); 6] =
+    [(16, 1), (16, 4), (16, 512), (32, 1), (32, 4), (32, 512)];
 
 /// The DMC shapes the hybrid oracle differential runs over: every
 /// [`ZOO_GEOMETRIES`] shape (4-word lines) plus a direct-mapped cache
@@ -484,10 +495,11 @@ pub fn value_ranking(trace: &Trace, k: usize) -> Vec<Word> {
     pairs.into_iter().map(|(v, _)| v).collect()
 }
 
-/// Diffs the branchless binary-search [`FrequentValueSet`] against the
-/// [`LinearScanEncoder`] over the trace's own top-7 value ranking:
-/// construction, width, every code round-trip, and the encoding of
-/// every value the trace mentions (frequent or not).
+/// Diffs the [`FrequentValueSet`] against the [`LinearScanEncoder`]
+/// over the trace's own top-7 value ranking: construction, width,
+/// every code round-trip, the encoding of every value the trace
+/// mentions (frequent or not), and [`FrequentValueSet::encode_line`]
+/// over the trace's value stream cut into lines of 1, 4 and 8 words.
 pub fn diff_encode(trace: &Trace) -> Option<String> {
     let ranking = value_ranking(trace, 7);
     if ranking.is_empty() {
@@ -522,6 +534,25 @@ pub fn diff_encode(trace: &Trace) -> Option<String> {
                 optimized.encode(value),
                 oracle.encode(value)
             ));
+        }
+    }
+    let stream: Vec<Word> = trace.iter_accesses().map(|a| a.value).collect();
+    let marker = optimized.infrequent_code();
+    for words_per_line in [1, 4, 8] {
+        for line in stream.chunks(words_per_line) {
+            let mut codes = vec![0; line.len()];
+            let frequent = optimized.encode_line(line, &mut codes);
+            let want: Vec<u8> = line
+                .iter()
+                .map(|&w| oracle.encode(w).unwrap_or(marker))
+                .collect();
+            let want_frequent = want.iter().filter(|&&c| c != marker).count() as u32;
+            if (&codes, frequent) != (&want, want_frequent) {
+                return Some(format!(
+                    "encode_line({line:x?}) mismatch: optimized {codes:?} ({frequent} frequent) \
+                     vs oracle {want:?} ({want_frequent} frequent)"
+                ));
+            }
         }
     }
     None
@@ -863,6 +894,53 @@ pub fn diff_reuse(trace: &Trace) -> Option<String> {
     None
 }
 
+/// Diffs the [`MissClassifier`] against the [`OracleClassifier`] over
+/// every [`CLASSIFY_SHAPES`] shape: both see the same subject-miss
+/// stream, a direct-mapped [`CacheSim`] of the shape's capacity, and
+/// must give every access the same class.
+pub fn diff_classify(trace: &Trace) -> Option<String> {
+    diff_classify_with(trace, &CLASSIFY_SHAPES)
+}
+
+/// [`diff_classify`] over the given `(line bytes, capacity in lines)`
+/// shapes, so a mutation test can pick a shape whose shadow never
+/// evicts.
+pub fn diff_classify_with(trace: &Trace, shapes: &[(u32, usize)]) -> Option<String> {
+    for &(line_bytes, lines) in shapes {
+        let size = line_bytes as u64 * lines as u64;
+        let mut subject = CacheSim::new(
+            CacheGeometry::new(size, line_bytes, 1).expect("valid direct-mapped geometry"),
+        );
+        let mut classifier = MissClassifier::new(lines, line_bytes);
+        let mut oracle = OracleClassifier::new(lines, line_bytes);
+        for (i, access) in trace.iter_accesses().enumerate() {
+            let missed = subject.access(access);
+            let got = classifier.observe(access.addr, missed);
+            let want = oracle.observe(access.addr, missed);
+            if got != want {
+                return Some(format!(
+                    "MissClassifier {line_bytes}B x {lines} lines diverged at access {i} \
+                     ({:#x}, subject missed: {missed}): optimized {got:?} vs oracle {want:?}",
+                    access.addr
+                ));
+            }
+        }
+        let got = (
+            classifier.compulsory(),
+            classifier.capacity(),
+            classifier.conflict(),
+        );
+        if got != oracle.counts() {
+            return Some(format!(
+                "MissClassifier {line_bytes}B x {lines} lines counted \
+                 (compulsory, capacity, conflict) {got:?} vs oracle {:?}",
+                oracle.counts()
+            ));
+        }
+    }
+    None
+}
+
 /// Runs every differential runner over one trace and collects the
 /// divergences. Each runner is wrapped in a panic guard: a broken
 /// optimized path may trip an internal assertion (e.g. the load-value
@@ -870,7 +948,7 @@ pub fn diff_reuse(trace: &Trace) -> Option<String> {
 /// divergence.
 pub fn check_trace(trace: &Trace) -> Vec<String> {
     type Runner = fn(&Trace) -> Option<String>;
-    let runners: [(&str, Runner); 8] = [
+    let runners: [(&str, Runner); 9] = [
         ("replay", diff_replay),
         ("cache", diff_cache),
         ("encode", diff_encode),
@@ -879,6 +957,7 @@ pub fn check_trace(trace: &Trace) -> Vec<String> {
         ("sweep", diff_sweep),
         ("corpus", diff_corpus),
         ("reuse", diff_reuse),
+        ("classify", diff_classify),
     ];
     let mut failures = Vec::new();
     for (name, runner) in runners {

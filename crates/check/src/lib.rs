@@ -7,10 +7,11 @@
 //! This crate closes the loop with independent machinery:
 //!
 //! * **Reference oracles** ([`OracleCache`], [`LinearScanEncoder`],
-//!   [`scalar_replay`], [`OracleReuse`], [`OracleHybrid`]) —
-//!   deliberately naive, obviously-correct reimplementations of the
-//!   cache simulator, the frequent-value encoder, the trace replayer,
-//!   the reuse-distance profiler, and the DMC+FVC hybrid. Written for
+//!   [`scalar_replay`], [`OracleReuse`], [`OracleHybrid`],
+//!   [`OracleClassifier`]) — deliberately naive, obviously-correct
+//!   reimplementations of the cache simulator, the frequent-value
+//!   encoder, the trace replayer, the reuse-distance profiler, the
+//!   DMC+FVC hybrid, and Figure 14's 3C miss classifier. Written for
 //!   readability, not speed, and sharing no code with the optimized
 //!   paths.
 //! * A **deterministic trace generator** ([`generate`], [`corpus`]) —
@@ -27,7 +28,8 @@
 //!   offline-profiled hybrid, `HybridCache` vs the decoded-word
 //!   `OracleHybrid`, a parallel sweep on the engine's pool vs a serial
 //!   oracle sweep, the mapped v2.2 reader vs resident replay, the
-//!   bucketed `ReuseProfiler` stack vs a `Vec` stack —
+//!   bucketed `ReuseProfiler` stack vs a `Vec` stack, the
+//!   `MissClassifier` vs a `Vec`-scan shadow —
 //!   asserting stat-for-stat equality.
 //!
 //! The `conformance` binary runs the fixed-seed corpus and writes each
@@ -37,7 +39,7 @@
 //! diffing the `fvl-serve` wire path — frame-codec byte round-trips and
 //! loopback daemon sessions — against in-process execution.
 //! `tests/mutation_smoke.rs` (behind the `mutation` feature) proves the
-//! net has teeth by catching seven deliberately seeded simulator bugs.
+//! net has teeth by catching eight deliberately seeded simulator bugs.
 //!
 //! # Example
 //!
@@ -57,6 +59,7 @@
 pub mod diff;
 mod gen;
 mod oracle_cache;
+mod oracle_classify;
 mod oracle_encode;
 mod oracle_hybrid;
 mod oracle_replay;
@@ -67,6 +70,7 @@ mod shrink;
 
 pub use gen::{corpus, generate, Pattern};
 pub use oracle_cache::{OracleCache, OraclePolicy, OracleReplacement, OracleStats};
+pub use oracle_classify::OracleClassifier;
 pub use oracle_encode::LinearScanEncoder;
 pub use oracle_hybrid::{OracleHybrid, OracleHybridOptions, OracleHybridStats};
 pub use oracle_replay::{scalar_replay, DigestSink};

@@ -1,10 +1,11 @@
 //! A deliberately naive reference frequent-value encoder.
 //!
-//! The optimized [`fvl_core::FrequentValueSet`] encodes with a
-//! branchless binary search over a sorted `(value, code)` array. This
-//! oracle is the obvious formulation: a plain `Vec` of values in rank
-//! order, a nested-loop duplicate check at construction, and
-//! `Iterator::position` as the whole encode path.
+//! The optimized [`fvl_core::FrequentValueSet`] encodes a whole line at
+//! a time with a fixed-trip, value-major scan that compiles to vector
+//! compares, and checks duplicates by sorting. This oracle is the
+//! obvious formulation: a plain `Vec` of values in rank order, a
+//! nested-loop duplicate check at construction, and
+//! `Iterator::position` on one word as the whole encode path.
 
 use fvl_mem::Word;
 

@@ -1,6 +1,6 @@
 //! Mutation smoke test: prove the differential net has teeth.
 //!
-//! Compiled only under the `mutation` feature, which turns on seven
+//! Compiled only under the `mutation` feature, which turns on eight
 //! deliberately seeded bugs in the optimized crates:
 //!
 //! 1. an off-by-one set-index mask in `fvl-cache`'s geometry (the top
@@ -21,10 +21,13 @@
 //!    (`read_frame` shortens every declared payload length by one), so
 //!    each non-empty frame read back over the wire loses its final
 //!    byte and leaves a stray byte in the stream that desynchronizes
-//!    every later header, and
+//!    every later header,
 //! 7. a skipped partial write-back in `fvl-core`'s DMC+FVC hybrid (a
 //!    dirty FVC victim's frequent words are dropped instead of written
-//!    back), so the values the FVC absorbed are lost from memory.
+//!    back), so the values the FVC absorbed are lost from memory, and
+//! 8. a first-touch miss counted as a capacity miss in `fvl-cache`'s
+//!    3C classifier (Figure 14's split), so compulsory misses vanish
+//!    into the capacity class.
 //!
 //! Each test below isolates one bug with a trace (and, for the
 //! cache-level bugs, a geometry/policy scope) constructed so the others
@@ -277,6 +280,35 @@ fn skipped_fvc_write_back_is_caught() {
         diff::diff_hybrid_oracle_with(&trace, &[(1024, 16, 1)], &[two_way]),
         None
     );
+}
+
+/// Bug 8 — a first-touch miss counted as capacity. Three loads of two
+/// lines (dirty-bit bug inert), replayed as a plain `Trace` (decoder
+/// and frame-codec bugs inert) through the 512-line shapes alone,
+/// whose fully-associative shadow never fills on two lines, so its
+/// victim choice, which shares the inverted LRU of bug 4, never runs.
+/// Both classifiers see the same subject-miss stream, so the
+/// set-index mask (bug 1) cannot split them either: the first access
+/// is compulsory in the oracle and capacity in the mutant.
+#[test]
+fn first_touch_counted_as_capacity_is_caught() {
+    diff::silence_panics();
+    let trace = Trace::from_events(vec![
+        TraceEvent::Access(Access::load(0x000, 0)),
+        TraceEvent::Access(Access::load(0x010, 0)),
+        TraceEvent::Access(Access::load(0x000, 0)),
+    ]);
+    let divergence = diff::diff_classify_with(&trace, &[(16, 512), (32, 512)]);
+    assert!(
+        divergence
+            .as_deref()
+            .is_some_and(|d| d.contains("at access 0")),
+        "first-touch miss counted as capacity went undetected: {divergence:?}"
+    );
+    // Attribution: the cache differential, which replays the same
+    // trace through every zoo geometry and policy, is clean on it, so
+    // none of the other cache-level mutations fires here.
+    assert_eq!(diff::diff_cache(&trace), None);
 }
 
 /// End to end: a small corpus run must go red, and every failure must

@@ -23,15 +23,12 @@ impl FvcLine {
     /// Encodes an uncompressed line: each word holding a frequent value
     /// gets its code, every other word the infrequent marker.
     pub fn encode(line_addr: Addr, data: &[Word], values: &FrequentValueSet) -> Self {
-        let mut codes = CodeArray::new(values.width_bits(), data.len() as u32);
-        let marker = codes.infrequent_code();
-        for (i, &w) in data.iter().enumerate() {
-            codes.set(i as u32, values.encode(w).unwrap_or(marker));
-        }
+        let mut codes = vec![0; data.len()];
+        values.encode_line(data, &mut codes);
         FvcLine {
             line_addr,
             dirty: false,
-            codes,
+            codes: pack(values.width_bits(), &codes),
         }
     }
 
@@ -84,7 +81,10 @@ const INVALID: Addr = Addr::MAX;
 /// Its layout mirrors the `DataCache` one too: struct-of-arrays state
 /// indexed by slot (`set × associativity + way`) — a tag array whose
 /// invalid ways hold a sentinel no line address can equal, dirty bits,
-/// LRU stamps, and one byte arena holding a code per word. Each slot
+/// LRU stamps, and one byte arena holding a code per word. Every
+/// power-of-two size is a shift or a mask, as in
+/// [`fvl_cache::CacheGeometry`]: an address picks its set with a shift
+/// and a mask, never a division. Each slot
 /// also keeps its count of frequent codes, and the cache their running
 /// total, so the Figure 11 occupancy reads in O(1). Misses fill in
 /// place through [`Fvc::fill_with`]; [`FvcLine`] and its bit-packed
@@ -109,10 +109,13 @@ const INVALID: Addr = Addr::MAX;
 pub struct Fvc {
     entries: u32,
     associativity: u32,
-    sets: u32,
     words_per_line: u32,
     line_bytes: u32,
     width: u32,
+    /// log2(line bytes): a line's number is `line_addr >> line_shift`.
+    line_shift: u32,
+    /// `sets - 1`: a line's set is its number's low bits.
+    set_mask: u32,
     /// log2(associativity): `slot = set << way_bits | way`.
     way_bits: u32,
     /// log2(words per line): a slot's codes start at `slot << word_bits`.
@@ -170,13 +173,15 @@ impl Fvc {
             "bad FVC associativity"
         );
         let slots = entries as usize;
+        let line_bytes = words_per_line * WORD_BYTES;
         Fvc {
             entries,
             associativity,
-            sets: entries / associativity,
             words_per_line,
-            line_bytes: words_per_line * WORD_BYTES,
+            line_bytes,
             width: values.width_bits(),
+            line_shift: line_bytes.trailing_zeros(),
+            set_mask: (entries >> associativity.trailing_zeros()) - 1,
             way_bits: associativity.trailing_zeros(),
             word_bits: words_per_line.trailing_zeros(),
             tags: vec![INVALID; slots],
@@ -230,7 +235,7 @@ impl Fvc {
     /// The slots of the set `line_addr` maps to.
     #[inline]
     fn set_range(&self, line_addr: Addr) -> std::ops::Range<usize> {
-        let set = ((line_addr / self.line_bytes) % self.sets) as usize;
+        let set = ((line_addr >> self.line_shift) & self.set_mask) as usize;
         set << self.way_bits..(set + 1) << self.way_bits
     }
 
@@ -328,12 +333,12 @@ impl Fvc {
         dirty: bool,
         load: impl FnOnce(Option<Victim>, &mut [u8]),
     ) -> usize {
-        assert_eq!(line_addr % self.line_bytes, 0, "not a line address");
+        assert_eq!(line_addr & (self.line_bytes - 1), 0, "not a line address");
+        let slots = self.set_range(line_addr);
         assert!(
-            self.probe(line_addr).is_none(),
+            !self.tags[slots.clone()].contains(&line_addr),
             "line already resident in FVC"
         );
-        let slots = self.set_range(line_addr);
         let slot = match self.tags[slots.clone()].iter().position(|&t| t == INVALID) {
             Some(way) => slots.start + way,
             None => slots

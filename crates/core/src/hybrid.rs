@@ -29,12 +29,15 @@ use std::fmt;
 /// Every miss fills in place and allocates nothing. A DMC miss goes
 /// through [`DataCache::fill_with`], the fill `fvl_cache::CacheSim`
 /// uses: the dirty victim is written back from the DMC's line arena,
-/// its words are encoded once into a reusable code buffer, and the
-/// codes enter the FVC through [`Fvc::fill_with`], which hands over the
-/// FVC victim's codes for their partial write-back. The new line is
-/// then fetched into the victim's words, and the access is served on
-/// the slot the fill returns. The Figure 11 occupancy sample reads the
-/// FVC's running count of frequent codes instead of scanning its lines.
+/// its words are encoded with one [`FrequentValueSet::encode_line`]
+/// call into a reusable code buffer, and the codes enter the FVC
+/// through [`Fvc::fill_with`], which hands over the FVC victim's codes
+/// for their partial write-back. The new line is then fetched into the
+/// victim's words, and the access is served on the slot the fill
+/// returns. The DMC probe and hit are inlined into the caller's replay
+/// loop; everything past a DMC miss is one call out. The Figure 11
+/// occupancy sample reads the FVC's running count of frequent codes
+/// instead of scanning its lines.
 ///
 /// # Known defect
 ///
@@ -190,7 +193,6 @@ impl HybridCache {
             dmc,
             fvc,
             values,
-            marker,
             memory,
             stats,
             min_frequent,
@@ -204,12 +206,7 @@ impl HybridCache {
                     memory.write_line(victim.line_addr, words);
                     stats.overall.writebacks += 1;
                 }
-                let mut frequent = 0;
-                for (code, &word) in code_buf.iter_mut().zip(words.iter()) {
-                    *code = values.encode(word).unwrap_or(*marker);
-                    frequent += u32::from(*code != *marker);
-                }
-                if frequent >= *min_frequent {
+                if values.encode_line(words, code_buf) >= *min_frequent {
                     // The line was just made consistent with memory, so
                     // it enters the FVC clean.
                     stats.dmc_to_fvc_inserts += 1;
@@ -307,6 +304,7 @@ impl HybridCache {
         }
     }
 
+    #[inline]
     fn handle(&mut self, access: Access) {
         self.accesses += 1;
         let addr = access.addr;
@@ -334,7 +332,22 @@ impl HybridCache {
                     self.dmc.write_word(slot, addr, access.value);
                 }
             }
-        } else if let Some(fslot) = self.fvc.probe(addr) {
+        } else {
+            self.dmc_miss(access, set, line_addr);
+        }
+
+        if self.accesses >= self.next_sample {
+            self.next_sample = self.accesses + self.sample_every;
+            self.sample_occupancy();
+        }
+    }
+
+    /// Serves an access the DMC missed: from the FVC, by moving its
+    /// line to the DMC, by a write-allocation in the FVC, or by a DMC
+    /// fill.
+    fn dmc_miss(&mut self, access: Access, set: u32, line_addr: Addr) {
+        let addr = access.addr;
+        if let Some(fslot) = self.fvc.probe(addr) {
             // The code that would serve the access: the word's own on a
             // load, the stored value's on a store.
             let code = match access.kind {
@@ -397,11 +410,6 @@ impl HybridCache {
                 let slot = self.fill_dmc(set, line_addr, false, false);
                 self.serve_on_dmc(slot, access);
             }
-        }
-
-        if self.accesses >= self.next_sample {
-            self.next_sample = self.accesses + self.sample_every;
-            self.sample_occupancy();
         }
     }
 }

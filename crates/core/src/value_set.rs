@@ -45,6 +45,14 @@ impl Error for ValueSetError {}
 /// three configurations are top-1 (1 bit), top-3 (2 bits) and top-7
 /// (3 bits).
 ///
+/// There is one encoder: a scan of the values in code order, comparing
+/// each with the word, the way a hardware FVC matches a word against
+/// its value table. [`FrequentValueSet::encode`] scans for one word;
+/// [`FrequentValueSet::encode_line`] encodes a whole line, the DMC
+/// victim a hybrid moves into its FVC, with a fixed-trip loop over the
+/// at most 127 values and no early exit, which the compiler turns into
+/// vector compares over the line's words.
+///
 /// # Example
 ///
 /// ```
@@ -59,11 +67,8 @@ impl Error for ValueSetError {}
 /// ```
 #[derive(Clone, Eq, PartialEq, Debug)]
 pub struct FrequentValueSet {
+    /// The values, most frequent first: a value's code is its index.
     values: Vec<Word>,
-    /// `(value, code)` sorted by value. With at most 127 entries a
-    /// branchless binary search over this array beats a hash lookup on
-    /// the per-access encode path (no hashing, one cache line or two).
-    sorted: Vec<(Word, u8)>,
     width_bits: u32,
 }
 
@@ -81,25 +86,17 @@ impl FrequentValueSet {
         if values.len() > 127 {
             return Err(ValueSetError::TooMany { got: values.len() });
         }
-        let mut sorted: Vec<(Word, u8)> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i as u8))
-            .collect();
+        let mut sorted = values.clone();
         sorted.sort_unstable();
-        if let Some(w) = sorted.windows(2).find(|w| w[0].0 == w[1].0) {
-            return Err(ValueSetError::Duplicate { value: w[0].0 });
+        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            return Err(ValueSetError::Duplicate { value: w[0] });
         }
         // Smallest width leaving one spare code for "infrequent".
         let mut width_bits = 1;
         while (1u32 << width_bits) - 1 < values.len() as u32 {
             width_bits += 1;
         }
-        Ok(FrequentValueSet {
-            values,
-            sorted,
-            width_bits,
-        })
+        Ok(FrequentValueSet { values, width_bits })
     }
 
     /// Builds the paper's standard configurations by truncating a
@@ -146,24 +143,39 @@ impl FrequentValueSet {
         self.encode(value).is_some()
     }
 
-    /// The code for `value`, or `None` when it is not frequent.
-    ///
-    /// This runs once per simulated word access: a branchless binary
-    /// search over the sorted `(value, code)` array (≤ 7 steps for 127
-    /// values, the comparison compiling to a conditional move).
+    /// The code for `value`, or `None` when it is not frequent: the
+    /// scan of the values in code order, stopping at the match.
     #[inline]
     pub fn encode(&self, value: Word) -> Option<u8> {
-        let mut lo = 0usize;
-        let mut size = self.sorted.len();
-        while size > 1 {
-            let half = size / 2;
-            let mid = lo + half;
-            // Branchless select: always safe, `mid < sorted.len()`.
-            lo = if self.sorted[mid].0 <= value { mid } else { lo };
-            size -= half;
+        self.values
+            .iter()
+            .position(|&v| v == value)
+            .map(|i| i as u8)
+    }
+
+    /// Encodes a line: `codes[i]` becomes the code of `words[i]`, or
+    /// the infrequent marker. Returns how many words are frequent.
+    ///
+    /// The same scan as [`FrequentValueSet::encode`], turned inside
+    /// out: every value is compared with every word, in code order and
+    /// without an early exit. Values are distinct, so at most one
+    /// matches a word, and the loop over the words is a fixed run of
+    /// compares and selects that vectorizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` and `codes` differ in length.
+    #[inline]
+    pub fn encode_line(&self, words: &[Word], codes: &mut [u8]) -> u32 {
+        assert_eq!(words.len(), codes.len(), "one code per word");
+        let marker = self.infrequent_code();
+        codes.fill(marker);
+        for (code, &value) in (0u8..).zip(&self.values) {
+            for (slot, &word) in codes.iter_mut().zip(words) {
+                *slot = if word == value { code } else { *slot };
+            }
         }
-        let (v, code) = self.sorted[lo];
-        (v == value).then_some(code)
+        codes.iter().map(|&c| u32::from(c != marker)).sum()
     }
 
     /// The value for `code`, or `None` for the infrequent code or any
@@ -272,9 +284,47 @@ mod tests {
     }
 
     #[test]
+    fn encode_line_equals_per_word_encode() {
+        // Sets of 1, 3, 7 and 127 values (widths 1, 2, 3 and 7), lines
+        // of 1 to 32 words mixing every value, their neighbours and
+        // words no set holds.
+        for len in [1u32, 3, 7, 127] {
+            let values: Vec<Word> = (0..len)
+                .map(|i| i.wrapping_mul(0x9e37_79b9) ^ 0x55)
+                .collect();
+            let set = FrequentValueSet::new(values.clone()).unwrap();
+            let mut pool = values.clone();
+            pool.extend(values.iter().map(|v| v.wrapping_add(1)));
+            pool.extend([0, u32::MAX, 0x55 ^ 1]);
+            for words_per_line in 1..=32usize {
+                for start in 0..pool.len().min(40) {
+                    let words: Vec<Word> = (0..words_per_line)
+                        .map(|i| pool[(start + i * 7) % pool.len()])
+                        .collect();
+                    let mut codes = vec![0xaa; words_per_line];
+                    let frequent = set.encode_line(&words, &mut codes);
+                    let want: Vec<u8> = words
+                        .iter()
+                        .map(|&w| set.encode(w).unwrap_or(set.infrequent_code()))
+                        .collect();
+                    assert_eq!(codes, want, "{len} values, {words:?}");
+                    let count = want.iter().filter(|&&c| c != set.infrequent_code()).count();
+                    assert_eq!(frequent as usize, count, "{len} values, {words:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one code per word")]
+    fn encode_line_rejects_mismatched_lengths() {
+        let set = FrequentValueSet::new(vec![0]).unwrap();
+        set.encode_line(&[0, 0], &mut [0]);
+    }
+
+    #[test]
     fn encode_matches_a_linear_scan_at_every_size() {
-        // Set sizes from one value to the 127-value maximum, so the
-        // binary search runs every depth from 0 to 7 steps.
+        // Set sizes from one value to the 127-value maximum.
         for len in [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32, 33, 64, 127] {
             let values: Vec<Word> = (0..len as u32)
                 .map(|i| i.wrapping_mul(0x9e37_79b9) ^ 0xdead_beef)

@@ -10,7 +10,8 @@
 //!
 //! * [`SimMemory`] — sparse paged storage for the full 32-bit address space,
 //!   its pages located through a flat two-level page table that
-//!   [`LiveSet`] shares.
+//!   [`LiveSet`] and [`LineTable`] (a hash-free line → `u32` map for
+//!   the cache models) share.
 //! * [`Bus`] — the interface workloads program against: word loads/stores
 //!   plus heap allocation and stack-frame management.
 //! * [`TracedMemory`] — the canonical [`Bus`] implementation; it owns the
@@ -63,6 +64,7 @@ mod alloc;
 mod bus;
 pub mod frame;
 mod layout;
+mod line_table;
 mod live;
 mod mapped;
 mod packed;
@@ -80,6 +82,7 @@ pub use access::{Access, AccessKind, AccessSink, CountingSink, Fanout, NullSink}
 pub use alloc::{HeapAllocator, StackAllocator};
 pub use bus::{Bus, BusExt};
 pub use layout::{Addr, Region, RegionKind, Word, GLOBAL_BASE, HEAP_BASE, STACK_BASE, WORD_BYTES};
+pub use line_table::LineTable;
 pub use live::LiveSet;
 pub use mapped::MappedTrace;
 pub use packed::{PackedTrace, RegionEvent, STORE_BIT};

@@ -58,9 +58,10 @@ impl LiveSet {
         (page, word / WORDS_PER_LIMB, 1u64 << (word % WORDS_PER_LIMB))
     }
 
-    /// Marks the word at `addr` as referenced.
+    /// Marks the word at `addr` as referenced; returns whether it was
+    /// unmarked before.
     #[inline]
-    pub fn mark(&mut self, addr: Addr) {
+    pub fn mark(&mut self, addr: Addr) -> bool {
         let (page, limb, bit) = Self::split(addr);
         let slot = match self.table.get(page) {
             Some(slot) => slot as usize,
@@ -73,10 +74,12 @@ impl LiveSet {
             }
         };
         let bm = &mut self.pages[slot];
-        if bm[limb] & bit == 0 {
-            bm[limb] |= bit;
-            self.len += 1;
+        if bm[limb] & bit != 0 {
+            return false;
         }
+        bm[limb] |= bit;
+        self.len += 1;
+        true
     }
 
     /// Whether the word at `addr` is currently interesting.
@@ -158,9 +161,9 @@ mod tests {
     fn mark_and_contains() {
         let mut s = LiveSet::new();
         assert!(s.is_empty());
-        s.mark(0x100);
-        s.mark(0x100); // idempotent
-        s.mark(0x2000);
+        assert!(s.mark(0x100));
+        assert!(!s.mark(0x100)); // idempotent
+        assert!(s.mark(0x2000));
         assert_eq!(s.len(), 2);
         assert!(s.contains(0x100));
         assert!(s.contains(0x2000));

@@ -1,6 +1,7 @@
-//! The flat page table behind [`crate::SimMemory`] and [`crate::LiveSet`].
+//! The flat page table behind [`crate::SimMemory`], [`crate::LiveSet`]
+//! and [`crate::LineTable`].
 //!
-//! Both keep one arena of per-page records and locate a 4 KiB page's
+//! Each keeps one arena of per-page records and locates a 4 KiB page's
 //! record through a [`PageTable`]: the 2^20 page numbers of the 32-bit
 //! address space split into a 1024-entry top level, one entry per
 //! 4 MiB of address space, and 1024-entry leaves that map a page to
@@ -81,6 +82,16 @@ impl PageTable {
         self.leaves[leaf][lo] = slot.checked_add(1).expect("arena slot fits the table");
     }
 
+    /// Unmaps `page`, if it is mapped. The leaf that held it stays, so
+    /// the table keeps at most one 4 KiB leaf per 4 MiB of address
+    /// space ever mapped.
+    pub(crate) fn remove(&mut self, page: u32) {
+        let (hi, lo) = Self::split(page);
+        if let Some(leaf) = self.top[hi].checked_sub(1) {
+            self.leaves[leaf as usize][lo] = 0;
+        }
+    }
+
     /// Every mapped `(page, slot)` pair, in ascending page order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.top
@@ -134,6 +145,11 @@ mod tests {
         assert_eq!(table.get(7), Some(0));
         table.insert(7, 3);
         assert_eq!(table.get(7), Some(3));
+        table.remove(7);
+        table.remove(0x12_3456 & 0xf_ffff); // a page of a region never mapped
+        assert_eq!(table.get(7), None);
+        assert_eq!(table.iter().count(), 0);
+        table.insert(7, 3);
         let copy = table.clone();
         table.insert(8, 4);
         assert_eq!(copy.get(8), None, "a clone does not share leaves");

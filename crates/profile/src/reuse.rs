@@ -22,16 +22,21 @@
 //! each bucket. Moving a line from bucket `B` to the front pushes every
 //! shallower line one step deeper, which changes the bucket of exactly
 //! one line per bucket below `B` — its deepest — so an access costs one
-//! hash lookup plus O(B) index updates. A miss on a full stack evicts
-//! the deepest line of the top bucket.
+//! [`LineTable`] lookup (no hashing) plus O(B) index updates. A miss
+//! on a full stack evicts the deepest line of the top bucket.
 //!
 //! State grows with the distinct lines seen, up to the top capacity,
-//! and nothing is reserved up front, so the profiler streams over
+//! and no node is reserved up front, so the profiler streams over
 //! corpora of any size (it is an [`AccessSink`], so the out-of-core
-//! chunked replay feeds it directly).
+//! chunked replay feeds it directly). Its memory is bounded by the
+//! stack, not by the trace's footprint: at most 2^(L-1) resident
+//! lines of 16 bytes each, and the [`LineTable`] leaves of the pages
+//! holding them, at most one leaf of `4 × max(1, 4096 / line_bytes)`
+//! bytes per resident line (512 B at 32-byte lines), recycled when a
+//! page's last resident line is evicted. The table's own page-table
+//! levels add at most 4 MiB over the whole address space.
 
-use fvl_mem::{Access, AccessSink, WORD_BYTES};
-use std::collections::HashMap;
+use fvl_mem::{Access, AccessSink, Addr, LineTable, WORD_BYTES};
 use std::fmt;
 
 /// Levels in the default profiler: capacities 2^0 .. 2^10 lines, i.e.
@@ -48,7 +53,8 @@ const NIL: u32 = u32::MAX;
 /// list (most recent first) plus the line's log2 depth bucket.
 #[derive(Copy, Clone)]
 struct Node {
-    line: u32,
+    /// The line's address.
+    line: Addr,
     prev: u32,
     next: u32,
     bucket: u32,
@@ -102,7 +108,7 @@ pub struct MissCurve {
 /// assert_eq!(curve.points[1].misses, 2); // capacity 2: cold misses only
 /// ```
 pub struct ReuseProfiler {
-    line_shift: u32,
+    line_mask: Addr,
     accesses: u64,
     /// Hits whose stack depth fell in each log2 bucket.
     bucket_hits: Vec<u64>,
@@ -113,7 +119,7 @@ pub struct ReuseProfiler {
     /// which an evicted line's slot is reused.
     nodes: Vec<Node>,
     /// Line → slot of every resident line.
-    slots: HashMap<u32, u32>,
+    slots: LineTable,
     /// Slot of the most recently used line (`NIL` while empty).
     head: u32,
 }
@@ -139,19 +145,19 @@ impl ReuseProfiler {
         );
         assert!((1..=24).contains(&levels), "tower levels out of range");
         ReuseProfiler {
-            line_shift: line_bytes.trailing_zeros(),
+            line_mask: !(line_bytes - 1),
             accesses: 0,
             bucket_hits: vec![0; levels],
             deepest: vec![NIL; levels],
             nodes: Vec::new(),
-            slots: HashMap::new(),
+            slots: LineTable::new(line_bytes),
             head: NIL,
         }
     }
 
     /// Line size in bytes.
     pub fn line_bytes(&self) -> u32 {
-        1 << self.line_shift
+        self.slots.line_bytes()
     }
 
     /// Number of levels (capacities) reported.
@@ -260,7 +266,7 @@ impl ReuseProfiler {
 
     /// Puts non-resident `line` at depth 0, evicting the deepest line
     /// when the stack is full.
-    fn insert(&mut self, line: u32) {
+    fn insert(&mut self, line: Addr) {
         let top = self.levels() - 1;
         let resident = self.nodes.len();
         if resident < 1 << top {
@@ -287,7 +293,7 @@ impl ReuseProfiler {
             let victim = self.deepest[top];
             let node = &mut self.nodes[victim as usize];
             let evicted = std::mem::replace(&mut node.line, line);
-            self.slots.remove(&evicted);
+            self.slots.remove(evicted);
             self.slots.insert(line, victim);
             self.move_to_front(victim, top);
         }
@@ -301,8 +307,9 @@ impl Default for ReuseProfiler {
 }
 
 impl AccessSink for ReuseProfiler {
+    #[inline]
     fn on_access(&mut self, access: Access) {
-        let line = access.addr >> self.line_shift;
+        let line = access.addr & self.line_mask;
         self.accesses += 1;
         // A repeat of the most recent line is a depth-0 hit that moves
         // nothing: skip the lookup.
@@ -310,8 +317,8 @@ impl AccessSink for ReuseProfiler {
             self.bucket_hits[0] += 1;
             return;
         }
-        match self.slots.get(&line) {
-            Some(&slot) => {
+        match self.slots.get(line) {
+            Some(slot) => {
                 let bucket = self.nodes[slot as usize].bucket as usize;
                 self.bucket_hits[bucket] += 1;
                 self.move_to_front(slot, bucket);
@@ -467,15 +474,33 @@ mod tests {
 
     #[test]
     fn state_grows_with_the_lines_seen() {
-        // The largest shape reserves nothing before the first access.
+        // The largest shape reserves no node or leaf before the first
+        // access.
         let mut p = ReuseProfiler::with_shape(32, 24);
         assert_eq!(p.nodes.capacity(), 0);
-        assert_eq!(p.slots.capacity(), 0);
+        assert_eq!(p.slots.allocated_leaves(), 0);
         for line in 0..100u32 {
             p.on_access(Access::load(line * 32, 0));
         }
         assert_eq!(p.nodes.len(), 100);
         assert_eq!(p.slots.len(), 100);
+        // 100 consecutive 32-byte lines share one page's leaf.
+        assert_eq!(p.slots.allocated_leaves(), 1);
+    }
+
+    #[test]
+    fn memory_is_bounded_by_the_stack_not_the_footprint() {
+        // 4 levels: at most 8 resident lines. A sweep over 4,096 pages,
+        // one line each, keeps at most 8 leaves live, and an evicted
+        // line's leaf is recycled for the line that displaced it.
+        let mut p = ReuseProfiler::with_shape(32, 4);
+        for page in 0..4096u32 {
+            p.on_access(Access::load(page << 12, 0));
+            assert!(p.slots.live_leaves() <= 8);
+        }
+        assert_eq!(p.nodes.len(), 8);
+        assert_eq!(p.slots.len(), 8);
+        assert_eq!(p.slots.allocated_leaves(), 8);
     }
 
     #[test]

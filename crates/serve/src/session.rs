@@ -12,7 +12,12 @@
 //! The protocol is strictly request/response: the client sends one
 //! frame, the session answers with one or more frames (a job streams
 //! `Stdout`* `Metrics` `Done`), and only then is the next request
-//! read. Every refusal is an explicit typed [`FrameKind::Error`]
+//! read. A job's `Done` payload is `key=value` lines: `refs=N`, the
+//! references charged to the tenant, then `cross_check_failed=1` only
+//! when the report failed its cross-check (a `verify` claim on
+//! uncapped captures, ext6's cross-check), which makes a `--remote`
+//! CLI run exit 1 as a local one does. A client that reads only
+//! `refs` parses both forms ([`fvl_bench::remote::job_done_payload`]). Every refusal is an explicit typed [`FrameKind::Error`]
 //! frame; the connection fails *closed* — after a grammar violation
 //! (bad kind byte, hostile length, truncated frame) nothing more is
 //! read from the peer.
@@ -359,11 +364,8 @@ fn handle_job<S: Read + Write>(
         session.id,
         if over { " (budget exhausted)" } else { "" },
     ));
-    resp.send(
-        &mut *stream,
-        FrameKind::Done,
-        format!("refs={refs}\n").as_bytes(),
-    )
+    let done = remote::job_done_payload(refs, report.cross_check_failed);
+    resp.send(&mut *stream, FrameKind::Done, done.as_bytes())
 }
 
 fn handle_trace<S: Read + Write>(

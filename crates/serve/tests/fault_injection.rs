@@ -36,6 +36,10 @@ fn clean_stdout() -> Vec<u8> {
     let runner = RemoteRunner::new(handle.local_addr(), SessionSpec::smoke("clean"));
     let job = runner.run_experiment(JOB).expect("clean run");
     assert_eq!(job.attempts, 1, "clean daemon required a retry");
+    assert!(
+        !job.summary.cross_check_failed,
+        "fig1 has no cross-check to fail"
+    );
     handle.shutdown();
     job.stdout
 }
