@@ -11,25 +11,15 @@ use std::fmt;
 /// word, so no line address can equal it.
 const INVALID: Addr = Addr::MAX;
 
-/// A line evicted from a cache, carrying everything needed to write it
-/// back or to forward it to a victim/frequent-value cache.
-#[derive(Clone, Eq, PartialEq, Debug)]
-pub struct EvictedLine {
-    /// Address of the first byte of the line.
-    pub line_addr: Addr,
-    /// Whether the line was modified since it was fetched.
-    pub dirty: bool,
-    /// The line's words.
-    pub data: Vec<Word>,
-}
-
-/// The valid line a [`DataCache::fill_with`] displaces. Its words are
-/// the slice handed to the fill closure alongside it.
+/// A valid line leaving a cache: the one a [`DataCache::fill_with`]
+/// displaces, or one [`DataCache::take_with`] or
+/// [`DataCache::drain_with`] removes. Its words are the slice handed to
+/// the closure alongside it.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub struct Victim {
-    /// Address of the first byte of the displaced line.
+    /// Address of the first byte of the leaving line.
     pub line_addr: Addr,
-    /// Whether the displaced line was modified since it was fetched.
+    /// Whether the leaving line was modified since it was fetched.
     pub dirty: bool,
 }
 
@@ -51,11 +41,14 @@ pub struct LineRef<'a> {
 /// Line state is struct-of-arrays, indexed by slot (`set ×
 /// associativity + way`): a tag array whose invalid ways hold a
 /// sentinel no line address can equal, a dirty-bit array, and one word
-/// arena of `lines × words_per_line`. [`crate::CacheSim`] fills a miss
-/// in place: the victim's words go to memory straight from the arena
-/// and the new line's words come back into the same slice, so its miss
-/// path allocates nothing. The DMC+FVC hybrid in `fvl-core` fills its
-/// misses through the same [`DataCache::fill_with`]. A direct-mapped
+/// arena of `lines × words_per_line`, the one store of the cache's
+/// lines. Every line enters and leaves in place: [`DataCache::fill_with`]
+/// hands the victim's words to the caller straight from the arena and
+/// takes the new line's words into the same slice, and
+/// [`DataCache::take_with`] and [`DataCache::drain_with`] hand a
+/// leaving line's words over the same way, so no miss, swap or flush
+/// allocates. [`crate::CacheSim`], the DMC+FVC hybrid and the
+/// DMC + victim-cache pair in `fvl-core` all use them. A direct-mapped
 /// probe is one tag compare. Above [`DataCache::INDEXED_ASSOC`] ways
 /// the cache also keeps a line-address → slot map, so probes and the
 /// duplicate-install check stay O(1); with true LRU's O(1) recency
@@ -79,11 +72,19 @@ pub struct LineRef<'a> {
 /// ```
 /// use fvl_cache::{CacheGeometry, DataCache};
 ///
-/// let mut dmc = DataCache::new(CacheGeometry::new(1024, 16, 1)?);
+/// let geom = CacheGeometry::new(1024, 16, 1)?;
+/// let mut dmc = DataCache::new(geom);
 /// assert!(dmc.probe(0x40).is_none());
-/// dmc.install(0x40, &[1, 2, 3, 4], false);
+/// dmc.fill_with(geom.set_index(0x40), 0x40, false, |victim, words| {
+///     assert_eq!(victim, None, "an empty cache displaces nothing");
+///     words.copy_from_slice(&[1, 2, 3, 4]); // the fetch
+/// });
 /// let idx = dmc.probe(0x44).expect("line resident");
 /// assert_eq!(dmc.read_word(idx, 0x44), 2);
+/// let mut flushed = Vec::new();
+/// dmc.drain_with(|line, words| flushed.push((line.line_addr, words.to_vec())));
+/// assert_eq!(flushed, [(0x40, vec![1, 2, 3, 4])]);
+/// assert_eq!(dmc.valid_lines(), 0);
 /// # Ok::<(), fvl_cache::GeometryError>(())
 /// ```
 #[derive(Clone)]
@@ -265,13 +266,17 @@ impl DataCache {
 
     /// Makes room for `line_addr` in `set` and fills the chosen way in
     /// place — the miss path of [`crate::CacheSim`] and of the DMC+FVC
-    /// hybrid. `load` receives the displaced line's [`Victim`] (if the
+    /// hybrids. `load` receives the displaced line's [`Victim`] (if the
     /// way held a valid line) and the way's words: the victim's on
-    /// entry, to be written back (or re-encoded) from there, and the
-    /// new line's on return, fetched straight into them. The line is
-    /// then resident with the given dirty bit. Returns its slot. The
-    /// way is chosen as [`DataCache::install`] documents, and nothing
-    /// is allocated.
+    /// entry, to be written back (or re-encoded, or moved to a victim
+    /// cache) from there, and the new line's on return, fetched
+    /// straight into them. The line is then resident with the given
+    /// dirty bit. Returns its slot; nothing is allocated.
+    ///
+    /// Invalid ways are always filled first, lowest index first; the
+    /// replacement policy only picks among full sets. This rule is part
+    /// of the [`crate::replacement`] contract the conformance oracle
+    /// mirrors.
     ///
     /// `set` and `line_addr` must come from the same address, as
     /// [`CacheGeometry::set_index`] and [`CacheGeometry::line_addr`]
@@ -337,49 +342,6 @@ impl DataCache {
         slot
     }
 
-    /// Installs a line, evicting the policy's chosen victim if the set
-    /// is full. Returns the evicted line (valid victims only): the
-    /// allocating wrapper over [`DataCache::fill_with`], for
-    /// controllers that keep the evicted line.
-    ///
-    /// Invalid ways are always filled first, lowest index first; the
-    /// replacement policy only picks among full sets. This rule is part
-    /// of the [`crate::replacement`] contract the conformance oracle
-    /// mirrors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly one line long, if `line_addr` is
-    /// not a line address, or if the line is already resident
-    /// (installing a duplicate would break the one-copy invariant).
-    pub fn install(&mut self, line_addr: Addr, data: &[Word], dirty: bool) -> Option<EvictedLine> {
-        assert_eq!(
-            data.len(),
-            self.geom.words_per_line() as usize,
-            "wrong line length"
-        );
-        assert_eq!(
-            line_addr,
-            self.geom.line_addr(line_addr),
-            "not a line address"
-        );
-        let mut evicted = None;
-        self.fill_with(
-            self.geom.set_index(line_addr),
-            line_addr,
-            dirty,
-            |victim, words| {
-                evicted = victim.map(|v| EvictedLine {
-                    line_addr: v.line_addr,
-                    dirty: v.dirty,
-                    data: words.to_vec(),
-                });
-                words.copy_from_slice(data);
-            },
-        );
-        evicted
-    }
-
     /// Clears the dirty bit of the line in `slot` (write-through mode
     /// keeps lines clean because memory was updated in the same cycle).
     ///
@@ -391,19 +353,21 @@ impl DataCache {
         self.dirty[slot] = false;
     }
 
-    /// Removes and returns the line in `slot` (used for victim-cache
-    /// swaps).
+    /// Removes the line in `slot` in place (a victim-cache swap): `f`
+    /// receives its [`Victim`] and its words, straight from the arena,
+    /// and its result is returned. The way is then invalid, and the
+    /// policy is told ([`ReplacementPolicy::invalidate`]).
     ///
     /// # Panics
     ///
     /// Panics if the slot is invalid.
-    pub fn take(&mut self, slot: usize) -> EvictedLine {
+    pub fn take_with<R>(&mut self, slot: usize, f: impl FnOnce(Victim, &[Word]) -> R) -> R {
         assert_ne!(self.tags[slot], INVALID, "take on invalid line");
-        let taken = EvictedLine {
+        let victim = Victim {
             line_addr: self.tags[slot],
             dirty: self.dirty[slot],
-            data: self.line(slot).to_vec(),
         };
+        let taken = f(victim, self.line(slot));
         self.invalidate(slot);
         taken
     }
@@ -438,16 +402,15 @@ impl DataCache {
             })
     }
 
-    /// Drains every valid line (end-of-simulation flush). The cache is
-    /// left empty.
-    pub fn drain(&mut self) -> Vec<EvictedLine> {
-        let mut out = Vec::new();
+    /// Removes every valid line in slot order (the end-of-simulation
+    /// flush), handing each to `f` as [`DataCache::take_with`] does.
+    /// The cache is left empty, and nothing is allocated.
+    pub fn drain_with(&mut self, mut f: impl FnMut(Victim, &[Word])) {
         for slot in 0..self.tags.len() {
             if self.tags[slot] != INVALID {
-                out.push(self.take(slot));
+                self.take_with(slot, &mut f);
             }
         }
-        out
     }
 }
 
@@ -478,11 +441,39 @@ mod tests {
         DataCache::new(CacheGeometry::new(1024, 16, 1).unwrap())
     }
 
+    /// Fills `line_addr` with `data` through [`DataCache::fill_with`],
+    /// returning the displaced line and its words.
+    fn fill(
+        c: &mut DataCache,
+        line_addr: Addr,
+        data: &[Word],
+        dirty: bool,
+    ) -> Option<(Victim, Vec<Word>)> {
+        let set = c.geometry().set_index(line_addr);
+        let mut evicted = None;
+        c.fill_with(set, line_addr, dirty, |victim, words| {
+            evicted = victim.map(|v| (v, words.to_vec()));
+            words.copy_from_slice(data);
+        });
+        evicted
+    }
+
+    /// Every line [`DataCache::drain_with`] hands over, in order.
+    fn drain(c: &mut DataCache) -> Vec<(Victim, Vec<Word>)> {
+        let mut out = Vec::new();
+        c.drain_with(|line, words| out.push((line, words.to_vec())));
+        out
+    }
+
+    fn victim(line_addr: Addr, dirty: bool) -> Victim {
+        Victim { line_addr, dirty }
+    }
+
     #[test]
     fn probe_miss_then_install_then_hit() {
         let mut c = dm_1k();
         assert!(c.probe(0x100).is_none());
-        assert!(c.install(0x100, &[1, 2, 3, 4], false).is_none());
+        assert!(fill(&mut c, 0x100, &[1, 2, 3, 4], false).is_none());
         let slot = c.probe(0x108).unwrap();
         assert_eq!(c.read_word(slot, 0x108), 3);
         assert_eq!(c.valid_lines(), 1);
@@ -491,8 +482,8 @@ mod tests {
     #[test]
     fn probe_at_matches_probe() {
         let mut c = DataCache::new(CacheGeometry::new(512, 16, 2).unwrap());
-        c.install(0x100, &[1; 4], false);
-        c.install(0x300, &[2; 4], true);
+        fill(&mut c, 0x100, &[1; 4], false);
+        fill(&mut c, 0x300, &[2; 4], true);
         let g = *c.geometry();
         for addr in (0u32..0x500).step_by(4) {
             assert_eq!(
@@ -506,40 +497,37 @@ mod tests {
     #[test]
     fn conflicting_install_evicts_and_reports() {
         let mut c = dm_1k();
-        c.install(0x100, &[1, 1, 1, 1], false);
+        fill(&mut c, 0x100, &[1, 1, 1, 1], false);
         let slot = c.probe(0x100).unwrap();
         c.write_word(slot, 0x104, 9);
         // 0x100 + 1024 maps to the same set in a 1KB DM cache.
-        let evicted = c.install(0x100 + 1024, &[2, 2, 2, 2], false).unwrap();
-        assert_eq!(evicted.line_addr, 0x100);
-        assert!(evicted.dirty);
-        assert_eq!(evicted.data, vec![1, 9, 1, 1]);
+        let evicted = fill(&mut c, 0x100 + 1024, &[2, 2, 2, 2], false).unwrap();
+        assert_eq!(evicted, (victim(0x100, true), vec![1, 9, 1, 1]));
         assert!(c.probe(0x100).is_none());
         assert!(c.probe(0x100 + 1024).is_some());
     }
 
     #[test]
     fn lru_evicts_least_recent_in_set() {
-        // 2-way, one set touches both ways.
+        // 64B, 2-way, 16B lines: two sets; 0x00, 0x40 and 0x80 share set 0.
         let mut c = DataCache::new(CacheGeometry::new(64, 16, 2).unwrap());
-        // Two sets; addresses 0x00 and 0x20 share set 0.
-        c.install(0x00, &[0; 4], false);
-        c.install(0x40, &[1; 4], false); // also set 0 (64B cache, 2 sets? verify below)
+        fill(&mut c, 0x00, &[0; 4], false);
+        fill(&mut c, 0x40, &[1; 4], false);
         let s0 = c.geometry().set_index(0x00);
         let s1 = c.geometry().set_index(0x40);
         assert_eq!(s0, s1, "test assumes same set");
         // Touch 0x00 so 0x40 becomes LRU.
         let slot = c.probe(0x00).unwrap();
         c.touch(slot);
-        let evicted = c.install(0x80, &[2; 4], false).unwrap();
-        assert_eq!(evicted.line_addr, 0x40);
+        let evicted = fill(&mut c, 0x80, &[2; 4], false).unwrap();
+        assert_eq!(evicted.0.line_addr, 0x40);
         assert!(c.probe(0x00).is_some());
     }
 
     #[test]
     fn write_marks_dirty_and_data_round_trips() {
         let mut c = dm_1k();
-        c.install(0x200, &[5, 6, 7, 8], false);
+        fill(&mut c, 0x200, &[5, 6, 7, 8], false);
         let slot = c.probe(0x204).unwrap();
         c.write_word(slot, 0x204, 66);
         assert_eq!(c.read_word(slot, 0x204), 66);
@@ -551,11 +539,10 @@ mod tests {
     #[test]
     fn take_removes_line() {
         let mut c = dm_1k();
-        c.install(0x300, &[1, 2, 3, 4], true);
+        fill(&mut c, 0x300, &[1, 2, 3, 4], true);
         let slot = c.probe(0x300).unwrap();
-        let line = c.take(slot);
-        assert_eq!(line.line_addr, 0x300);
-        assert!(line.dirty);
+        let taken = c.take_with(slot, |line, words| (line, words.to_vec()));
+        assert_eq!(taken, (victim(0x300, true), vec![1, 2, 3, 4]));
         assert!(c.probe(0x300).is_none());
         assert_eq!(c.valid_lines(), 0);
     }
@@ -563,12 +550,59 @@ mod tests {
     #[test]
     fn drain_empties_cache() {
         let mut c = dm_1k();
-        c.install(0x000, &[0; 4], false);
-        c.install(0x010, &[0; 4], true);
-        let drained = c.drain();
-        assert_eq!(drained.len(), 2);
+        fill(&mut c, 0x000, &[0; 4], false);
+        fill(&mut c, 0x010, &[0; 4], true);
+        assert_eq!(drain(&mut c).len(), 2);
         assert_eq!(c.valid_lines(), 0);
-        assert!(c.drain().is_empty());
+        assert!(drain(&mut c).is_empty());
+    }
+
+    /// `take_with` and `drain_with` at `assoc` ways of one set: each
+    /// valid line is handed over once, with its words and dirty bit,
+    /// and leaves its way free for the next fill, lowest way first.
+    fn take_and_drain_hand_each_line_over_once(assoc: u32) {
+        let mut c = DataCache::new(CacheGeometry::fully_associative(assoc, 16).unwrap());
+        let line = |i: u32| (i + 1) * 0x10;
+        for i in 0..assoc {
+            fill(&mut c, line(i), &[i; 4], i % 2 == 1);
+        }
+        // Take the line in way 2: the next fill takes that way.
+        let slot = c.probe(line(2)).unwrap();
+        assert_eq!(slot, 2);
+        let taken = c.take_with(slot, |v, words| (v, words.to_vec()));
+        assert_eq!(taken, (victim(line(2), false), vec![2; 4]));
+        assert_eq!(c.valid_lines(), assoc - 1);
+        assert_eq!(fill(&mut c, 0x1_0000, &[7; 4], true), None, "a free way");
+        assert_eq!(c.probe(0x1_0000), Some(2));
+        let drained = drain(&mut c);
+        let want: Vec<_> = (0..assoc)
+            .map(|i| match i {
+                2 => (victim(0x1_0000, true), vec![7; 4]),
+                _ => (victim(line(i), i % 2 == 1), vec![i; 4]),
+            })
+            .collect();
+        assert_eq!(drained, want, "every line once, in slot order");
+        assert_eq!(c.valid_lines(), 0);
+        assert!(drain(&mut c).is_empty());
+        assert!(c.probe(line(0)).is_none());
+        // After the drain the cache is empty: fills start at way 0 and
+        // displace nothing until the set is full again.
+        for i in 0..assoc {
+            assert_eq!(fill(&mut c, 0x2_0000 + i * 0x10, &[i; 4], false), None);
+            assert_eq!(c.probe(0x2_0000 + i * 0x10), Some(i as usize));
+        }
+        assert!(fill(&mut c, 0x3_0000, &[0; 4], false).is_some());
+    }
+
+    #[test]
+    fn take_and_drain_hand_each_line_over_once_below_the_indexed_associativity() {
+        take_and_drain_hand_each_line_over_once(4);
+        take_and_drain_hand_each_line_over_once(DataCache::INDEXED_ASSOC);
+    }
+
+    #[test]
+    fn take_and_drain_hand_each_line_over_once_above_the_indexed_associativity() {
+        take_and_drain_hand_each_line_over_once(2 * DataCache::INDEXED_ASSOC);
     }
 
     #[test]
@@ -615,7 +649,7 @@ mod tests {
         let assoc = 4 * DataCache::INDEXED_ASSOC;
         let mut c = DataCache::new(CacheGeometry::fully_associative(assoc, 16).unwrap());
         for i in 0..assoc {
-            assert!(c.install(i * 0x10, &[i; 4], false).is_none());
+            assert!(fill(&mut c, i * 0x10, &[i; 4], false).is_none());
         }
         for i in 0..assoc {
             let slot = c.probe(i * 0x10 + 4).expect("resident");
@@ -626,22 +660,23 @@ mod tests {
         for i in (0..assoc).filter(|&i| i != 2) {
             c.touch(c.probe(i * 0x10).unwrap());
         }
-        let evicted = c.install(0x1_0000, &[7; 4], false).unwrap();
-        assert_eq!((evicted.line_addr, evicted.data), (0x20, vec![2; 4]));
+        let evicted = fill(&mut c, 0x1_0000, &[7; 4], false).unwrap();
+        assert_eq!(evicted, (victim(0x20, false), vec![2; 4]));
         assert!(c.probe(0x20).is_none());
         assert_eq!(c.probe(0x1_0000), Some(2));
         // Holes refill lowest way first, and a full set goes back to
         // the policy.
         let high = c.probe(0x50).unwrap();
-        c.take(high);
-        c.take(c.probe(0x10).unwrap());
+        c.take_with(high, |_, _| ());
+        c.take_with(c.probe(0x10).unwrap(), |_, _| ());
         assert_eq!(c.valid_lines(), assoc - 2);
-        c.install(0x2_0000, &[0; 4], false);
-        c.install(0x3_0000, &[0; 4], false);
+        fill(&mut c, 0x2_0000, &[0; 4], false);
+        fill(&mut c, 0x3_0000, &[0; 4], false);
         assert_eq!(c.probe(0x2_0000), Some(1));
         assert_eq!(c.probe(0x3_0000), Some(high));
-        assert_eq!(c.install(0x4_0000, &[0; 4], false).unwrap().line_addr, 0x00);
-        assert_eq!(c.drain().len(), assoc as usize);
+        let evicted = fill(&mut c, 0x4_0000, &[0; 4], false).unwrap();
+        assert_eq!(evicted.0.line_addr, 0x00);
+        assert_eq!(drain(&mut c).len(), assoc as usize);
         assert!(c.probe(0x4_0000).is_none());
     }
 
@@ -649,8 +684,8 @@ mod tests {
     #[should_panic(expected = "already resident")]
     fn duplicate_install_panics() {
         let mut c = dm_1k();
-        c.install(0x100, &[0; 4], false);
-        c.install(0x100, &[0; 4], false);
+        fill(&mut c, 0x100, &[0; 4], false);
+        fill(&mut c, 0x100, &[0; 4], false);
     }
 
     #[test]
@@ -658,15 +693,8 @@ mod tests {
     fn duplicate_install_panics_above_the_indexed_associativity() {
         let assoc = 2 * DataCache::INDEXED_ASSOC;
         let mut c = DataCache::new(CacheGeometry::fully_associative(assoc, 16).unwrap());
-        c.install(0x100, &[0; 4], false);
-        c.install(0x200, &[0; 4], false);
-        c.install(0x100, &[0; 4], false);
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong line length")]
-    fn wrong_length_install_panics() {
-        let mut c = dm_1k();
-        c.install(0x100, &[0; 3], false);
+        fill(&mut c, 0x100, &[0; 4], false);
+        fill(&mut c, 0x200, &[0; 4], false);
+        fill(&mut c, 0x100, &[0; 4], false);
     }
 }

@@ -6,12 +6,13 @@
 //! * [`CacheGeometry`] — size / line size / associativity arithmetic.
 //! * [`DataCache`] — a set-associative cache that stores real line
 //!   *data* (the frequent value cache needs values, not just tags) in
-//!   flat per-line arrays, filling misses in place.
+//!   flat per-line arrays, filling, removing and flushing lines in
+//!   place. Fully associative under LRU it is also Jouppi's victim
+//!   cache, the Figure 15 baseline `fvl-core`'s `VictimHybrid` pairs
+//!   with a direct-mapped cache.
 //! * [`replacement`] — the replacement-policy zoo ([`ReplacementKind`]:
 //!   true LRU, seeded random, SHiP-lite RRIP, value-pinned LRU).
 //! * [`MainMemory`] — backing store with word-level traffic accounting.
-//! * [`VictimCache`] — Jouppi's fully-associative swap-on-hit buffer
-//!   (the Figure 15 baseline).
 //! * [`MissClassifier`] — compulsory / capacity / conflict attribution
 //!   (the Figure 14 discussion).
 //! * [`CacheSim`] — an [`fvl_mem::AccessSink`] driving one conventional
@@ -45,14 +46,12 @@ pub mod replacement;
 mod sim;
 mod simulator;
 mod stats;
-mod victim;
 
 pub use backing::MainMemory;
 pub use classify::{MissClass, MissClassifier};
-pub use data_cache::{DataCache, EvictedLine, LineRef, Victim};
+pub use data_cache::{DataCache, LineRef, Victim};
 pub use geometry::{CacheGeometry, GeometryError};
 pub use replacement::{Replacement, ReplacementKind, ReplacementPolicy};
 pub use sim::{CacheSim, WritePolicy};
 pub use simulator::Simulator;
 pub use stats::CacheStats;
-pub use victim::VictimCache;

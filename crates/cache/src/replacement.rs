@@ -17,11 +17,14 @@
 //!
 //! A policy is pure per-set bookkeeping: it never touches line data or
 //! talks to memory. [`crate::DataCache`] drives it through five hooks —
-//! [`fill`](ReplacementPolicy::fill) when a line is installed,
+//! [`fill`](ReplacementPolicy::fill) when
+//! [`fill_with`](crate::DataCache::fill_with) installs a line,
 //! [`touch`](ReplacementPolicy::touch) on every hit,
 //! [`write`](ReplacementPolicy::write) after a store changes a resident
 //! line's words, [`invalidate`](ReplacementPolicy::invalidate) when a
-//! line is removed outside eviction (victim-cache swaps, drains), and
+//! line is removed outside eviction
+//! ([`take_with`](crate::DataCache::take_with) for a victim-cache swap,
+//! [`drain_with`](crate::DataCache::drain_with) for the flush), and
 //! [`victim`](ReplacementPolicy::victim) to pick a way. `victim` is
 //! called **only when every way of the set is valid**: the cache always
 //! fills the lowest-index invalid way first, so policies never see
@@ -50,10 +53,19 @@
 //!     (ReplacementKind::PinnedLru, 0x400),
 //! ] {
 //!     let mut cache = DataCache::with_replacement(geom, kind);
-//!     cache.install(0x000, &[0, 0, 0, 0], false); // all-zero: pinnable
-//!     cache.install(0x400, &[5, 6, 7, 8], false);
-//!     let evicted = cache.install(0x800, &[1; 4], false).unwrap();
-//!     assert_eq!(evicted.line_addr, expect_victim, "{kind}");
+//!     let mut evicted = None;
+//!     for (line_addr, data) in [
+//!         (0x000, [0, 0, 0, 0]), // all-zero: pinnable
+//!         (0x400, [5, 6, 7, 8]),
+//!         (0x800, [1; 4]),
+//!     ] {
+//!         let set = geom.set_index(line_addr);
+//!         cache.fill_with(set, line_addr, false, |victim, words| {
+//!             evicted = victim.map(|v| v.line_addr);
+//!             words.copy_from_slice(&data);
+//!         });
+//!     }
+//!     assert_eq!(evicted, Some(expect_victim), "{kind}");
 //! }
 //! # Ok::<(), fvl_cache::GeometryError>(())
 //! ```

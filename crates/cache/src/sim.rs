@@ -145,14 +145,16 @@ impl CacheSim {
         self.memory.total_traffic_words()
     }
 
-    /// Writes every dirty line back to memory and empties the cache.
+    /// Writes every dirty line back to memory, straight from the
+    /// cache's arena, and empties the cache.
     pub fn flush(&mut self) {
-        for line in self.cache.drain() {
+        let (memory, stats) = (&mut self.memory, &mut self.stats);
+        self.cache.drain_with(|line, words| {
             if line.dirty {
-                self.memory.write_line(line.line_addr, &line.data);
-                self.stats.writebacks += 1;
+                memory.write_line(line.line_addr, words);
+                stats.writebacks += 1;
             }
-        }
+        });
     }
 
     /// Simulates one access and reports whether it **missed** — the

@@ -125,13 +125,26 @@ proptest! {
     }
 }
 
+/// Fills the clean line `line_addr` with `data` through
+/// `DataCache::fill_with`, returning the displaced line's address and
+/// words.
+fn fill(cache: &mut DataCache, line_addr: u32, data: &[u32]) -> Option<(u32, Vec<u32>)> {
+    let set = cache.geometry().set_index(line_addr);
+    let mut evicted = None;
+    cache.fill_with(set, line_addr, false, |victim, words| {
+        evicted = victim.map(|v| (v.line_addr, words.to_vec()));
+        words.copy_from_slice(data);
+    });
+    evicted
+}
+
 /// A 1KB 4-way cache (16 sets of 16B lines) with set 0 filled by lines
 /// 0x000, 0x400, 0x800, 0xc00 in that order.
 fn filled_4way(kind: ReplacementKind) -> DataCache {
     let geom = CacheGeometry::new(1024, 16, 4).unwrap();
     let mut cache = DataCache::with_replacement(geom, kind);
     for way in 0u32..4 {
-        cache.install(way * 0x400, &[way + 1; 4], false);
+        fill(&mut cache, way * 0x400, &[way + 1; 4]);
     }
     cache
 }
@@ -142,10 +155,10 @@ fn lru_evicts_in_recency_order() {
     // Touch 0x000 and 0x400; the least recent is now 0x800.
     cache.touch(cache.probe(0x000).unwrap());
     cache.touch(cache.probe(0x400).unwrap());
-    let evicted = cache.install(0x1000, &[9; 4], false).unwrap();
-    assert_eq!(evicted.line_addr, 0x800);
-    let evicted = cache.install(0x1400, &[9; 4], false).unwrap();
-    assert_eq!(evicted.line_addr, 0xc00);
+    let evicted = fill(&mut cache, 0x1000, &[9; 4]).unwrap();
+    assert_eq!(evicted.0, 0x800);
+    let evicted = fill(&mut cache, 0x1400, &[9; 4]).unwrap();
+    assert_eq!(evicted.0, 0xc00);
     // The replacement handle survives on the cache.
     assert_eq!(cache.replacement(), ReplacementKind::Lru);
 }
@@ -156,10 +169,9 @@ fn random_eviction_is_reproducible_for_equal_seeds() {
         let mut cache = filled_4way(ReplacementKind::Random(seed));
         (0..8u32)
             .map(|i| {
-                cache
-                    .install(0x1000 + i * 0x400, &[7; 4], false)
+                fill(&mut cache, 0x1000 + i * 0x400, &[7; 4])
                     .expect("set full")
-                    .line_addr
+                    .0
             })
             .collect()
     };
@@ -175,23 +187,23 @@ fn rrip_evicts_never_rereferenced_lines_first() {
     for addr in [0x000u32, 0x800, 0xc00] {
         cache.touch(cache.probe(addr).unwrap());
     }
-    let evicted = cache.install(0x1000, &[9; 4], false).unwrap();
-    assert_eq!(evicted.line_addr, 0x400);
+    let evicted = fill(&mut cache, 0x1000, &[9; 4]).unwrap();
+    assert_eq!(evicted.0, 0x400);
 }
 
 #[test]
 fn pinned_lru_never_evicts_frequent_value_lines() {
     let geom = CacheGeometry::new(1024, 16, 4).unwrap();
     let mut cache = DataCache::with_replacement(geom, ReplacementKind::PinnedLru);
-    cache.install(0x000, &[0; 4], false); // all zeros: pinned
-    cache.install(0x400, &[u32::MAX; 4], false); // all ones: pinned
-    cache.install(0x800, &[3; 4], false);
-    cache.install(0xc00, &[4; 4], false);
+    fill(&mut cache, 0x000, &[0; 4]); // all zeros: pinned
+    fill(&mut cache, 0x400, &[u32::MAX; 4]); // all ones: pinned
+    fill(&mut cache, 0x800, &[3; 4]);
+    fill(&mut cache, 0xc00, &[4; 4]);
     // Oldest unpinned is 0x800, then 0xc00; pinned lines outlive both.
-    let evicted = cache.install(0x1000, &[5; 4], false).unwrap();
-    assert_eq!(evicted.line_addr, 0x800);
-    let evicted = cache.install(0x1400, &[6; 4], false).unwrap();
-    assert_eq!(evicted.line_addr, 0xc00);
+    let evicted = fill(&mut cache, 0x1000, &[5; 4]).unwrap();
+    assert_eq!(evicted.0, 0x800);
+    let evicted = fill(&mut cache, 0x1400, &[6; 4]).unwrap();
+    assert_eq!(evicted.0, 0xc00);
     assert!(cache.probe(0x000).is_some(), "all-zero line pinned");
     assert!(cache.probe(0x400).is_some(), "all-ones line pinned");
 }
@@ -200,17 +212,17 @@ fn pinned_lru_never_evicts_frequent_value_lines() {
 fn pinned_lru_unpins_on_overwrite() {
     let geom = CacheGeometry::new(64, 16, 4).unwrap(); // one set
     let mut cache = DataCache::with_replacement(geom, ReplacementKind::PinnedLru);
-    cache.install(0x00, &[0; 4], false);
+    fill(&mut cache, 0x00, &[0; 4]);
     for way in 1u32..4 {
-        cache.install(way * 0x10, &[way; 4], false);
+        fill(&mut cache, way * 0x10, &[way; 4]);
     }
     // Storing a non-frequent word unpins the all-zero line, and it is
     // the oldest, so it becomes the victim.
     let slot = cache.probe(0x04).unwrap();
     cache.write_word(slot, 0x04, 123);
-    let evicted = cache.install(0x40, &[9; 4], false).unwrap();
-    assert_eq!(evicted.line_addr, 0x00);
-    assert_eq!(evicted.data, vec![0, 123, 0, 0]);
+    let evicted = fill(&mut cache, 0x40, &[9; 4]).unwrap();
+    assert_eq!(evicted.0, 0x00);
+    assert_eq!(evicted.1, vec![0, 123, 0, 0]);
 }
 
 #[test]

@@ -10,14 +10,19 @@
 
 use crate::oracle_cache::{OracleCache, OraclePolicy, OracleReplacement, OracleStats};
 use crate::oracle_classify::OracleClassifier;
+use crate::oracle_compressed::OracleCompressed;
 use crate::oracle_encode::LinearScanEncoder;
 use crate::oracle_hybrid::{OracleHybrid, OracleHybridOptions, OracleHybridStats};
 use crate::oracle_replay::{scalar_replay, DigestSink};
 use crate::oracle_reuse::OracleReuse;
+use crate::oracle_victim::OracleVictim;
 use fvl_cache::{
     CacheGeometry, CacheSim, CacheStats, MissClassifier, ReplacementKind, Simulator, WritePolicy,
 };
-use fvl_core::{FrequentValueSet, HybridCache, HybridConfig, HybridStats, OnlineHybrid};
+use fvl_core::{
+    CompressedCache, FrequentValueSet, HybridCache, HybridConfig, HybridStats, OnlineHybrid,
+    VictimHybrid,
+};
 use fvl_mem::{AccessSink, Addr, MappedTrace, PackedTrace, Trace, Word, CHUNK_ACCESSES};
 use fvl_profile::{ReuseProfiler, DEFAULT_LINE_BYTES, TOWER_LEVELS};
 use fvl_runner::Pool;
@@ -78,6 +83,25 @@ pub const HYBRID_GEOMETRIES: [(u64, u32, u32); 6] = [
 /// FVC lines in the hybrid oracle differential: few enough that the
 /// generated corpus displaces FVC lines, dirty ones included.
 pub const HYBRID_FVC_ENTRIES: u32 = 8;
+
+/// The DMC shapes the victim-cache differential runs over: each
+/// [`GEOMETRIES`] shape plus Figure 15's 4 KB direct-mapped cache of
+/// 32-byte lines.
+pub const VICTIM_DMCS: [(u64, u32, u32); 3] = [GEOMETRIES[0], GEOMETRIES[1], (4096, 32, 1)];
+
+/// Victim-cache sizes the victim-cache differential pairs with every
+/// [`VICTIM_DMCS`] shape: from a one-line buffer, which every new
+/// conflict flushes, to Figure 15's 16 entries.
+pub const VICTIM_ENTRIES: [usize; 4] = [1, 2, 4, 16];
+
+/// The direct-mapped `(bytes, line bytes)` frame arrays the
+/// compressed-cache differential runs over: 4- and 8-word lines in 1 KB
+/// (64 and 32 frames) and 8-word lines in 4 KB.
+pub const COMPRESSED_FRAMES: [(u64, u32); 3] = [(1024, 16), (1024, 32), (4096, 32)];
+
+/// How many of the trace's top values the compressed-cache
+/// differential compresses against: code widths of 1, 2 and 3 bits.
+pub const COMPRESSED_TOPS: [usize; 3] = [1, 3, 7];
 
 /// Accesses between occupancy samples in the hybrid oracle
 /// differential, small enough that a generated trace samples the FVC
@@ -786,10 +810,6 @@ pub fn diff_hybrid_oracle_with(
     };
     for &(size, line, assoc) in geometries {
         let geom = CacheGeometry::new(size, line, assoc).expect("valid geometry");
-        let lines: BTreeSet<Addr> = trace
-            .iter_accesses()
-            .map(|a| geom.line_addr(a.addr))
-            .collect();
         for &(name, options) in variants {
             let shape = format!("{size}B/{line}B/{assoc}-way {name}");
             let mut hybrid = hybrid_like(geom, values.clone(), &options);
@@ -810,16 +830,165 @@ pub fn diff_hybrid_oracle_with(
                     "HybridCache {shape} moved {got} words vs oracle {want}"
                 ));
             }
-            let words = lines
-                .iter()
-                .flat_map(|&line_addr| (0..line / 4).map(move |w| line_addr + 4 * w));
-            for addr in words {
-                let (got, want) = (hybrid.memory().peek(addr), oracle.peek(addr));
-                if got != want {
-                    return Some(format!(
-                        "HybridCache {shape} flushed {got:#x} at {addr:#x}, oracle {want:#x}"
-                    ));
-                }
+            if let Some((addr, got, want)) =
+                image_mismatch(trace, line, |a| hybrid.memory().peek(a), |a| oracle.peek(a))
+            {
+                return Some(format!(
+                    "HybridCache {shape} flushed {got:#x} at {addr:#x}, oracle {want:#x}"
+                ));
+            }
+        }
+    }
+    None
+}
+
+/// The first word of a `line_bytes` line the trace touches where two
+/// flushed memory images differ, as `(address, optimized, oracle)`.
+fn image_mismatch(
+    trace: &Trace,
+    line_bytes: u32,
+    got: impl Fn(Addr) -> Word,
+    want: impl Fn(Addr) -> Word,
+) -> Option<(Addr, Word, Word)> {
+    let lines: BTreeSet<Addr> = trace
+        .iter_accesses()
+        .map(|a| a.addr - a.addr % line_bytes)
+        .collect();
+    lines
+        .into_iter()
+        .flat_map(|line_addr| (0..line_bytes / 4).map(move |w| line_addr + 4 * w))
+        .map(|addr| (addr, got(addr), want(addr)))
+        .find(|&(_, got, want)| got != want)
+}
+
+/// The six [`CacheStats`] counters beside the oracle's, as `(name,
+/// optimized, oracle)`.
+fn stats_fields(got: &CacheStats, want: &OracleStats) -> [(&'static str, u64, u64); 6] {
+    [
+        ("read_hits", got.read_hits, want.read_hits),
+        ("read_misses", got.read_misses, want.read_misses),
+        ("write_hits", got.write_hits, want.write_hits),
+        ("write_misses", got.write_misses, want.write_misses),
+        ("writebacks", got.writebacks, want.writebacks),
+        ("fetches", got.fetches, want.fetches),
+    ]
+}
+
+/// Diffs the optimized [`VictimHybrid`] against the naive
+/// [`OracleVictim`] over [`VICTIM_DMCS`] × [`VICTIM_ENTRIES`]; see
+/// [`diff_victim_with`].
+pub fn diff_victim(trace: &Trace) -> Option<String> {
+    diff_victim_with(trace, &VICTIM_DMCS, &VICTIM_ENTRIES)
+}
+
+/// Diffs the optimized [`VictimHybrid`] against the naive
+/// [`OracleVictim`] for every DMC shape paired with every victim-cache
+/// size. After the flush the two must agree on every [`CacheStats`]
+/// counter, on the victim-cache hits, on the traffic in words, and on
+/// the memory image: every word of every line the trace touches.
+///
+/// Exposed separately from [`diff_victim`] so mutation tests can
+/// attribute a divergence to one (shape, size) cell.
+pub fn diff_victim_with(
+    trace: &Trace,
+    dmcs: &[(u64, u32, u32)],
+    entries: &[usize],
+) -> Option<String> {
+    for &(size, line, assoc) in dmcs {
+        let geom = CacheGeometry::new(size, line, assoc).expect("valid geometry");
+        for &vc in entries {
+            let shape = format!("{size}B/{line}B/{assoc}-way + {vc}-entry VC");
+            let mut sim = VictimHybrid::new(geom, vc);
+            trace.replay_into(&mut sim);
+            let mut oracle = OracleVictim::new(size, line, assoc, vc);
+            scalar_replay(trace, &mut oracle);
+            let extra = [
+                ("vc_hits", sim.vc_hits(), oracle.vc_hits()),
+                ("traffic words", sim.traffic_words(), oracle.traffic_words()),
+            ];
+            if let Some((field, got, want)) = stats_fields(sim.stats(), oracle.stats())
+                .into_iter()
+                .chain(extra)
+                .find(|&(_, got, want)| got != want)
+            {
+                return Some(format!(
+                    "VictimHybrid {shape} diverged on {field}: optimized {got} vs oracle {want}"
+                ));
+            }
+            if let Some((addr, got, want)) =
+                image_mismatch(trace, line, |a| sim.memory().peek(a), |a| oracle.peek(a))
+            {
+                return Some(format!(
+                    "VictimHybrid {shape} flushed {got:#x} at {addr:#x}, oracle {want:#x}"
+                ));
+            }
+        }
+    }
+    None
+}
+
+/// Diffs the optimized [`CompressedCache`] against the naive
+/// [`OracleCompressed`] over [`COMPRESSED_FRAMES`] ×
+/// [`COMPRESSED_TOPS`]; see [`diff_compressed_with`].
+pub fn diff_compressed(trace: &Trace) -> Option<String> {
+    diff_compressed_with(trace, &COMPRESSED_FRAMES, &COMPRESSED_TOPS)
+}
+
+/// Diffs the optimized [`CompressedCache`] against the naive
+/// [`OracleCompressed`] for every direct-mapped `(bytes, line bytes)`
+/// frame array paired with the trace's top `k` values
+/// ([`value_ranking`]) for every `k` of `tops`. After the flush the two
+/// must agree on every [`CacheStats`] counter, on the expansions, on
+/// the average compressed fraction bit for bit, on the traffic in
+/// words, and on the memory image of every line the trace touches.
+///
+/// Exposed separately from [`diff_compressed`] so mutation tests can
+/// attribute a divergence to one (frames, values) cell.
+pub fn diff_compressed_with(
+    trace: &Trace,
+    frames: &[(u64, u32)],
+    tops: &[usize],
+) -> Option<String> {
+    for &k in tops {
+        let ranking = value_ranking(trace, k);
+        if ranking.is_empty() {
+            return None; // no accesses: nothing to cache
+        }
+        let values = match FrequentValueSet::new(ranking.clone()) {
+            Ok(set) => set,
+            Err(e) => return Some(format!("FrequentValueSet rejected the ranking: {e}")),
+        };
+        for &(size, line) in frames {
+            let shape = format!("{size}B/{line}B top-{k}");
+            let geom = CacheGeometry::new(size, line, 1).expect("valid geometry");
+            let mut sim = CompressedCache::new(geom, values.clone());
+            trace.replay_into(&mut sim);
+            let mut oracle = OracleCompressed::new(size, line, &ranking);
+            scalar_replay(trace, &mut oracle);
+            let extra = [
+                ("expansions", sim.expansions(), oracle.expansions()),
+                (
+                    "avg_compressed_fraction (bits)",
+                    sim.avg_compressed_fraction().to_bits(),
+                    oracle.avg_compressed_fraction().to_bits(),
+                ),
+                ("traffic words", sim.traffic_words(), oracle.traffic_words()),
+            ];
+            if let Some((field, got, want)) = stats_fields(sim.stats(), oracle.stats())
+                .into_iter()
+                .chain(extra)
+                .find(|&(_, got, want)| got != want)
+            {
+                return Some(format!(
+                    "CompressedCache {shape} diverged on {field}: optimized {got} vs oracle {want}"
+                ));
+            }
+            if let Some((addr, got, want)) =
+                image_mismatch(trace, line, |a| sim.memory().peek(a), |a| oracle.peek(a))
+            {
+                return Some(format!(
+                    "CompressedCache {shape} flushed {got:#x} at {addr:#x}, oracle {want:#x}"
+                ));
             }
         }
     }
@@ -948,7 +1117,7 @@ pub fn diff_classify_with(trace: &Trace, shapes: &[(u32, usize)]) -> Option<Stri
 /// divergence.
 pub fn check_trace(trace: &Trace) -> Vec<String> {
     type Runner = fn(&Trace) -> Option<String>;
-    let runners: [(&str, Runner); 9] = [
+    let runners: [(&str, Runner); 11] = [
         ("replay", diff_replay),
         ("cache", diff_cache),
         ("encode", diff_encode),
@@ -958,6 +1127,8 @@ pub fn check_trace(trace: &Trace) -> Vec<String> {
         ("corpus", diff_corpus),
         ("reuse", diff_reuse),
         ("classify", diff_classify),
+        ("victim", diff_victim),
+        ("compressed", diff_compressed),
     ];
     let mut failures = Vec::new();
     for (name, runner) in runners {

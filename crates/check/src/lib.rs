@@ -8,12 +8,13 @@
 //!
 //! * **Reference oracles** ([`OracleCache`], [`LinearScanEncoder`],
 //!   [`scalar_replay`], [`OracleReuse`], [`OracleHybrid`],
-//!   [`OracleClassifier`]) — deliberately naive, obviously-correct
-//!   reimplementations of the cache simulator, the frequent-value
-//!   encoder, the trace replayer, the reuse-distance profiler, the
-//!   DMC+FVC hybrid, and Figure 14's 3C miss classifier. Written for
-//!   readability, not speed, and sharing no code with the optimized
-//!   paths.
+//!   [`OracleClassifier`], [`OracleVictim`], [`OracleCompressed`]) —
+//!   deliberately naive, obviously-correct reimplementations of the
+//!   cache simulator, the frequent-value encoder, the trace replayer,
+//!   the reuse-distance profiler, the DMC+FVC hybrid, Figure 14's 3C
+//!   miss classifier, Figure 15's DMC + victim cache, and ext2's
+//!   compressed cache. Written for readability, not speed, and sharing
+//!   no code with the optimized paths.
 //! * A **deterministic trace generator** ([`generate`], [`corpus`]) —
 //!   seeded, wall-clock-free, producing adversarial access patterns:
 //!   DMC index aliasing, values at the frequent/non-frequent boundary,
@@ -29,8 +30,9 @@
 //!   `OracleHybrid`, a parallel sweep on the engine's pool vs a serial
 //!   oracle sweep, the mapped v2.2 reader vs resident replay, the
 //!   bucketed `ReuseProfiler` stack vs a `Vec` stack, the
-//!   `MissClassifier` vs a `Vec`-scan shadow —
-//!   asserting stat-for-stat equality.
+//!   `MissClassifier` vs a `Vec`-scan shadow, `VictimHybrid` vs a
+//!   `Vec` victim buffer, `CompressedCache` vs frames of decoded words
+//!   — asserting stat-for-stat equality.
 //!
 //! The `conformance` binary runs the fixed-seed corpus and writes each
 //! shrunk repro as an `FVLTRC22` file to
@@ -39,7 +41,7 @@
 //! diffing the `fvl-serve` wire path — frame-codec byte round-trips and
 //! loopback daemon sessions — against in-process execution.
 //! `tests/mutation_smoke.rs` (behind the `mutation` feature) proves the
-//! net has teeth by catching eight deliberately seeded simulator bugs.
+//! net has teeth by catching ten deliberately seeded simulator bugs.
 //!
 //! # Example
 //!
@@ -60,10 +62,12 @@ pub mod diff;
 mod gen;
 mod oracle_cache;
 mod oracle_classify;
+mod oracle_compressed;
 mod oracle_encode;
 mod oracle_hybrid;
 mod oracle_replay;
 mod oracle_reuse;
+mod oracle_victim;
 mod rng;
 mod runner;
 mod shrink;
@@ -71,10 +75,12 @@ mod shrink;
 pub use gen::{corpus, generate, Pattern};
 pub use oracle_cache::{OracleCache, OraclePolicy, OracleReplacement, OracleStats};
 pub use oracle_classify::OracleClassifier;
+pub use oracle_compressed::OracleCompressed;
 pub use oracle_encode::LinearScanEncoder;
 pub use oracle_hybrid::{OracleHybrid, OracleHybridOptions, OracleHybridStats};
 pub use oracle_replay::{scalar_replay, DigestSink};
 pub use oracle_reuse::OracleReuse;
+pub use oracle_victim::OracleVictim;
 pub use rng::SplitMix64;
 pub use runner::{
     run_boundary_corpus, run_corpus, run_policy_corpus, run_serve_corpus, CaseFailure,

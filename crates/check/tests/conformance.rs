@@ -123,7 +123,11 @@ fn every_runner_individually_passes_an_adversarial_trace() {
     assert_eq!(diff::diff_hybrid(&trace), None);
     assert_eq!(diff::diff_hybrid_oracle(&trace), None);
     assert_eq!(diff::diff_sweep(&trace), None);
+    assert_eq!(diff::diff_corpus(&trace), None);
     assert_eq!(diff::diff_reuse(&trace), None);
+    assert_eq!(diff::diff_classify(&trace), None);
+    assert_eq!(diff::diff_victim(&trace), None);
+    assert_eq!(diff::diff_compressed(&trace), None);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Mutation smoke test: prove the differential net has teeth.
 //!
-//! Compiled only under the `mutation` feature, which turns on eight
+//! Compiled only under the `mutation` feature, which turns on ten
 //! deliberately seeded bugs in the optimized crates:
 //!
 //! 1. an off-by-one set-index mask in `fvl-cache`'s geometry (the top
@@ -27,7 +27,13 @@
 //!    back), so the values the FVC absorbed are lost from memory, and
 //! 8. a first-touch miss counted as a capacity miss in `fvl-cache`'s
 //!    3C classifier (Figure 14's split), so compulsory misses vanish
-//!    into the capacity class.
+//!    into the capacity class,
+//! 9. a victim-cache swap in `fvl-core`'s `VictimHybrid` that drops
+//!    the line it displaces from the DMC instead of moving it into the
+//!    victim cache (Figure 15's baseline), and
+//! 10. a store that breaks a compressed line's compressibility in
+//!     `fvl-core`'s `CompressedCache` (ext2) neither expanding the line
+//!     nor evicting its frame partner.
 //!
 //! Each test below isolates one bug with a trace (and, for the
 //! cache-level bugs, a geometry/policy scope) constructed so the others
@@ -309,6 +315,73 @@ fn first_touch_counted_as_capacity_is_caught() {
     // trace through every zoo geometry and policy, is clean on it, so
     // none of the other cache-level mutations fires here.
     assert_eq!(diff::diff_cache(&trace), None);
+}
+
+/// Bug 9 — a victim-cache swap drops the displaced DMC line. Four
+/// loads (dirty-bit bug 2 inert) of two lines that conflict in the
+/// direct-mapped 1 KiB DMC, replayed as a plain `Trace` (decoder and
+/// frame-codec bugs inert). Both lines keep the top set-index bit
+/// clear (mask bug 1 inert), and the victim cache has one entry, so
+/// its LRU victim has a single way to choose (bug 4 inert). The third
+/// load swaps 0x000 back from the victim cache: the correct hybrid
+/// moves 0x400 into the freed entry and serves the fourth load from
+/// there, the mutant has dropped it and misses.
+#[test]
+fn dropped_swap_victim_is_caught() {
+    diff::silence_panics();
+    let trace = Trace::from_events(vec![
+        TraceEvent::Access(Access::load(0x000, 0)),
+        TraceEvent::Access(Access::load(0x400, 0)),
+        TraceEvent::Access(Access::load(0x000, 0)),
+        TraceEvent::Access(Access::load(0x400, 0)),
+    ]);
+    let divergence = diff::diff_victim_with(&trace, &[(1024, 16, 1)], &[1]);
+    assert!(
+        divergence
+            .as_deref()
+            .is_some_and(|d| d.contains("vc_hits") || d.contains("read_") || d.contains("fetches")),
+        "dropped swap victim went undetected: {divergence:?}"
+    );
+    // Attribution: the cache differential replays the same trace
+    // through every zoo geometry and policy and stays clean, so none
+    // of the other cache-level mutations fires here.
+    assert_eq!(diff::diff_cache(&trace), None);
+}
+
+/// Bug 10 — a store that breaks compression neither expands the line
+/// nor evicts its partner. Value 0 is the trace's most frequent value,
+/// so with its top 1 value (1-bit codes) an 8-word line fits half a
+/// frame with at most three other words. Lines 0x000 and 0x400 share
+/// frame 0 of the 1 KiB, 32-byte-line frames, compressed side by
+/// side; four stores of other values then make 0x000 incompressible.
+/// The correct cache expands it and evicts 0x400, so the last load
+/// misses; the mutant keeps both. `CompressedCache` shares no code
+/// with the seeded `fvl-cache` data array, replacement policy or
+/// classifier; the trace keeps the top set-index bit clear (bug 1
+/// inert) and is replayed as a plain `Trace` (bugs 3, 5 and 6 inert).
+#[test]
+fn unexpanded_incompressible_line_is_caught() {
+    diff::silence_panics();
+    let mut events: Vec<_> = [0x000, 0x400, 0x004, 0x404, 0x008, 0x408]
+        .into_iter()
+        .map(|addr| TraceEvent::Access(Access::load(addr, 0)))
+        .collect();
+    events.extend((0..4).map(|i| TraceEvent::Access(Access::store(4 * i, 100 + i))));
+    events.push(TraceEvent::Access(Access::load(0x400, 0)));
+    let trace = Trace::from_events(events);
+    let divergence = diff::diff_compressed_with(&trace, &[(1024, 32)], &[1]);
+    assert!(
+        divergence
+            .as_deref()
+            .is_some_and(|d| d.contains("top-1 diverged on")),
+        "unexpanded incompressible line went undetected: {divergence:?}"
+    );
+    // Attribution: with the trace's top 7 values the stored values are
+    // frequent, nothing expands, and the same frames are clean.
+    assert_eq!(
+        diff::diff_compressed_with(&trace, &[(1024, 32)], &[7]),
+        None
+    );
 }
 
 /// End to end: a small corpus run must go red, and every failure must

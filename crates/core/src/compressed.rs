@@ -37,17 +37,9 @@ fn compressible(data: &[Word], values: &FrequentValueSet) -> bool {
     fits_half_frame(data.len() as u32, infrequent_words(data, values), values)
 }
 
-#[derive(Clone)]
-struct StoredLine {
-    line_addr: Addr,
-    dirty: bool,
-    compressed: bool,
-    data: Vec<Word>,
-    /// How many of `data`'s words are not frequent values, kept up to
-    /// date on every store so the compressibility check is O(1).
-    infrequent: u32,
-    stamp: u64,
-}
+/// Tag of an invalid subslot. Line addresses are word aligned, so no
+/// line address can equal it.
+const INVALID: Addr = Addr::MAX;
 
 /// A direct-mapped-frame cache whose frames hold either one
 /// uncompressed line or two compressed lines.
@@ -55,6 +47,18 @@ struct StoredLine {
 /// The controller implements the same write-back, write-allocate policy
 /// as [`fvl_cache::CacheSim`], so miss rates are directly comparable;
 /// the only difference is the storage model.
+///
+/// Each frame has two subslots, and their state is struct-of-arrays,
+/// indexed by subslot (`frame × 2 + 0 or 1`): a tag array whose invalid
+/// subslots hold a sentinel no line address can equal, dirty and
+/// compressed flags, each line's count of infrequent words (kept up to
+/// date on every store, so the compressibility check is O(1)) and its
+/// last-use stamp, plus one word arena of `frames × 2 ×
+/// words_per_line`. An uncompressed line lives alone in its frame's
+/// first subslot. A miss fetches into a reusable buffer, picks its
+/// subslot, writes the lines it evicts back from the arena and copies
+/// the buffer in; the flush writes back from the arena too. Neither
+/// allocates.
 ///
 /// # Example
 ///
@@ -73,8 +77,22 @@ struct StoredLine {
 pub struct CompressedCache {
     geom: CacheGeometry,
     values: FrequentValueSet,
-    /// frames × 2 subslots.
-    slots: Vec<Option<StoredLine>>,
+    /// log2(words per line): a subslot's words start at
+    /// `subslot << word_bits`.
+    word_bits: u32,
+    /// Per subslot: the resident line address, or [`INVALID`].
+    tags: Vec<Addr>,
+    /// Per subslot: whether the resident line is dirty.
+    dirty: Vec<bool>,
+    /// Per subslot: whether the resident line is held compressed.
+    compressed: Vec<bool>,
+    /// Per subslot: how many of the line's words are not frequent.
+    infrequent: Vec<u32>,
+    /// Per subslot: the clock at the line's last install or hit (LRU
+    /// between frame partners).
+    stamps: Vec<u64>,
+    /// Every subslot's words, `words_per_line` per subslot.
+    words: Vec<Word>,
     memory: MainMemory,
     stats: CacheStats,
     clock: u64,
@@ -85,6 +103,7 @@ pub struct CompressedCache {
     compressed_line_samples: u64,
     resident_line_samples: u64,
     accesses: u64,
+    /// A fetched line, before it has a subslot.
     line_buf: Vec<Word>,
     flushed: bool,
 }
@@ -104,10 +123,17 @@ impl CompressedCache {
             "compressed cache frames are direct mapped"
         );
         let wpl = geom.words_per_line() as usize;
+        let subslots = geom.lines() as usize * 2;
         CompressedCache {
             geom,
             values,
-            slots: vec![None; geom.lines() as usize * 2],
+            word_bits: geom.words_per_line().trailing_zeros(),
+            tags: vec![INVALID; subslots],
+            dirty: vec![false; subslots],
+            compressed: vec![false; subslots],
+            infrequent: vec![0; subslots],
+            stamps: vec![0; subslots],
+            words: vec![0; subslots * wpl],
             memory: MainMemory::new(),
             stats: CacheStats::new(),
             clock: 0,
@@ -145,87 +171,105 @@ impl CompressedCache {
         }
     }
 
-    fn frame_of(&self, addr: Addr) -> usize {
-        self.geom.set_index(addr) as usize
-    }
-
-    fn subslots(&self, frame: usize) -> [usize; 2] {
-        [frame * 2, frame * 2 + 1]
+    /// Where the words of `subslot` sit in the arena.
+    fn line_range(&self, subslot: usize) -> std::ops::Range<usize> {
+        subslot << self.word_bits..(subslot + 1) << self.word_bits
     }
 
     fn probe(&self, addr: Addr) -> Option<usize> {
         let line_addr = self.geom.line_addr(addr);
-        self.subslots(self.frame_of(addr)).into_iter().find(|&s| {
-            self.slots[s]
-                .as_ref()
-                .is_some_and(|l| l.line_addr == line_addr)
-        })
+        let a = self.geom.set_index(addr) as usize * 2;
+        (a..a + 2).find(|&s| self.tags[s] == line_addr)
     }
 
-    fn write_back(&mut self, line: &StoredLine) {
-        if line.dirty {
-            self.memory.write_line(line.line_addr, &line.data);
+    /// Empties `subslot`, writing its line back from the arena if
+    /// dirty. An invalid subslot stays as it is.
+    fn evict(&mut self, subslot: usize) {
+        let line_addr = std::mem::replace(&mut self.tags[subslot], INVALID);
+        if line_addr != INVALID && self.dirty[subslot] {
+            let range = self.line_range(subslot);
+            self.memory.write_line(line_addr, &self.words[range]);
             self.stats.writebacks += 1;
         }
     }
 
-    /// Installs a fetched line into `frame`, compressed when possible.
-    /// Evicts as needed: an uncompressed newcomer needs the whole frame;
-    /// a compressed newcomer needs one free subslot (evicting the LRU
-    /// partner if both are taken, or the resident uncompressed line).
-    fn install(&mut self, frame: usize, line_addr: Addr, data: &[Word], dirty: bool) {
-        let infrequent = infrequent_words(data, &self.values);
-        let is_compressed = fits_half_frame(data.len() as u32, infrequent, &self.values);
-        let [a, b] = self.subslots(frame);
+    /// Installs the fetched line in `line_buf` into `frame`, compressed
+    /// when possible. Evicts as needed: an uncompressed newcomer needs
+    /// the whole frame; a compressed newcomer needs one free subslot
+    /// (evicting the LRU partner if both are taken, or the resident
+    /// uncompressed line).
+    fn install(&mut self, frame: usize, line_addr: Addr, dirty: bool) {
+        let infrequent = infrequent_words(&self.line_buf, &self.values);
+        let is_compressed = fits_half_frame(self.line_buf.len() as u32, infrequent, &self.values);
+        let (a, b) = (frame * 2, frame * 2 + 1);
         self.clock += 1;
-        let newcomer = StoredLine {
-            line_addr,
-            dirty,
-            compressed: is_compressed,
-            data: data.to_vec(),
-            infrequent,
-            stamp: self.clock,
-        };
         // An uncompressed resident occupies both subslots logically: it
-        // is stored in subslot `a` with `compressed == false` and `b`
-        // kept empty.
-        let resident_uncompressed = self.slots[a].as_ref().is_some_and(|l| !l.compressed);
-        if !is_compressed || resident_uncompressed {
+        // is stored in subslot `a` with `b` kept empty.
+        let resident_uncompressed = self.tags[a] != INVALID && !self.compressed[a];
+        let target = if !is_compressed || resident_uncompressed {
             // Whole frame turnover.
-            for s in [a, b] {
-                if let Some(old) = self.slots[s].take() {
-                    self.write_back(&old);
-                }
-            }
-            self.slots[a] = Some(newcomer);
-            return;
-        }
-        // Compressed newcomer into a frame holding 0..=2 compressed
-        // lines: take a free subslot, else evict the LRU one.
-        let target = if self.slots[a].is_none() {
+            self.evict(a);
+            self.evict(b);
             a
-        } else if self.slots[b].is_none() {
+        } else if self.tags[a] == INVALID {
+            // Compressed newcomer into a frame holding 0..=2 compressed
+            // lines: take a free subslot, else evict the LRU one.
+            a
+        } else if self.tags[b] == INVALID || self.stamps[a] > self.stamps[b] {
             b
         } else {
-            let sa = self.slots[a].as_ref().expect("checked").stamp;
-            let sb = self.slots[b].as_ref().expect("checked").stamp;
-            if sa <= sb {
-                a
-            } else {
-                b
-            }
+            a
         };
-        if let Some(old) = self.slots[target].take() {
-            self.write_back(&old);
+        self.evict(target);
+        self.tags[target] = line_addr;
+        self.dirty[target] = dirty;
+        self.compressed[target] = is_compressed;
+        self.infrequent[target] = infrequent;
+        self.stamps[target] = self.clock;
+        let range = self.line_range(target);
+        self.words[range].copy_from_slice(&self.line_buf);
+    }
+
+    /// A store hit on `subslot`: updates the word and its infrequent
+    /// count, and expands a compressed line the store made
+    /// incompressible, which displaces its frame partner.
+    fn store(&mut self, subslot: usize, offset: usize, value: Word) {
+        let i = (subslot << self.word_bits) + offset;
+        let old = std::mem::replace(&mut self.words[i], value);
+        let values = &self.values;
+        self.infrequent[subslot] = self.infrequent[subslot] + u32::from(!values.contains(value))
+            - u32::from(!values.contains(old));
+        self.dirty[subslot] = true;
+        let words = 1 << self.word_bits;
+        // `seeded-bugs` is a TEST-ONLY mutation used by the `fvl-check`
+        // conformance harness: a store that breaks a compressed line's
+        // compressibility neither expands it nor evicts its partner.
+        if self.compressed[subslot]
+            && !fits_half_frame(words, self.infrequent[subslot], values)
+            && !cfg!(feature = "seeded-bugs")
+        {
+            self.compressed[subslot] = false;
+            self.expansions += 1;
+            let a = subslot & !1;
+            self.evict(subslot ^ 1);
+            // Normalize: the uncompressed line lives in `a`.
+            if subslot != a {
+                self.tags.swap(a, subslot);
+                self.dirty.swap(a, subslot);
+                self.compressed.swap(a, subslot);
+                self.infrequent.swap(a, subslot);
+                self.stamps.swap(a, subslot);
+                let range = self.line_range(subslot);
+                self.words.copy_within(range, a << self.word_bits);
+            }
         }
-        self.slots[target] = Some(newcomer);
     }
 
     fn sample_occupancy(&mut self) {
-        for slot in self.slots.iter().flatten() {
-            self.resident_line_samples += 1;
-            if slot.compressed {
-                self.compressed_line_samples += 1;
+        for (&tag, &compressed) in self.tags.iter().zip(&self.compressed) {
+            if tag != INVALID {
+                self.resident_line_samples += 1;
+                self.compressed_line_samples += u64::from(compressed);
             }
         }
     }
@@ -234,15 +278,13 @@ impl CompressedCache {
         self.accesses += 1;
         let addr = access.addr;
         let offset = self.geom.word_offset(addr) as usize;
-        if let Some(slot) = self.probe(addr) {
+        if let Some(subslot) = self.probe(addr) {
             self.clock += 1;
-            let values = &self.values;
-            let line = self.slots[slot].as_mut().expect("probed");
-            line.stamp = self.clock;
+            self.stamps[subslot] = self.clock;
             match access.kind {
                 AccessKind::Load => {
                     self.stats.read_hits += 1;
-                    let value = line.data[offset];
+                    let value = self.words[(subslot << self.word_bits) + offset];
                     assert_eq!(
                         value, access.value,
                         "compressed cache returned {value:#x}, trace expects {:#x} at {addr:#x}",
@@ -251,27 +293,7 @@ impl CompressedCache {
                 }
                 AccessKind::Store => {
                     self.stats.write_hits += 1;
-                    let old = std::mem::replace(&mut line.data[offset], access.value);
-                    line.infrequent = line.infrequent + u32::from(!values.contains(access.value))
-                        - u32::from(!values.contains(old));
-                    line.dirty = true;
-                    // A store can break compressibility: expand, which
-                    // may displace the frame partner.
-                    let words = line.data.len() as u32;
-                    if line.compressed && !fits_half_frame(words, line.infrequent, values) {
-                        line.compressed = false;
-                        self.expansions += 1;
-                        let frame = slot / 2;
-                        let [a, b] = self.subslots(frame);
-                        let partner = if slot == a { b } else { a };
-                        if let Some(old) = self.slots[partner].take() {
-                            self.write_back(&old);
-                        }
-                        // Normalize: the uncompressed line lives in `a`.
-                        if slot == b {
-                            self.slots.swap(a, b);
-                        }
-                    }
+                    self.store(subslot, offset, access.value);
                 }
             }
         } else {
@@ -282,26 +304,22 @@ impl CompressedCache {
             let line_addr = self.geom.line_addr(addr);
             self.memory.read_line(line_addr, &mut self.line_buf);
             self.stats.fetches += 1;
-            let mut data = std::mem::take(&mut self.line_buf);
-            let mut dirty = false;
-            if access.kind == AccessKind::Store {
-                data[offset] = access.value;
-                dirty = true;
+            let dirty = access.kind == AccessKind::Store;
+            if dirty {
+                self.line_buf[offset] = access.value;
             }
-            let frame = self.frame_of(addr);
-            self.install(frame, line_addr, &data, dirty);
-            self.line_buf = data;
+            self.install(self.geom.set_index(addr) as usize, line_addr, dirty);
         }
         if self.accesses.is_multiple_of(4096) {
             self.sample_occupancy();
         }
     }
 
-    /// Writes all dirty lines back and empties the cache.
+    /// Writes all dirty lines back, straight from the arena, and
+    /// empties the cache.
     pub fn flush(&mut self) {
-        let lines: Vec<StoredLine> = self.slots.iter_mut().filter_map(Option::take).collect();
-        for line in lines {
-            self.write_back(&line);
+        for subslot in 0..self.tags.len() {
+            self.evict(subslot);
         }
     }
 }
@@ -440,14 +458,15 @@ mod tests {
         assert!(c.avg_compressed_fraction() > 0.9, "all-zero lines compress");
     }
 
-    /// Every resident line's running count against a full scan.
+    /// Every resident line's running count against a full scan of its
+    /// words in the arena.
     fn assert_counts_match_scan(c: &CompressedCache) {
-        for line in c.slots.iter().flatten() {
+        for subslot in (0..c.tags.len()).filter(|&s| c.tags[s] != INVALID) {
             assert_eq!(
-                line.infrequent,
-                infrequent_words(&line.data, &c.values),
+                c.infrequent[subslot],
+                infrequent_words(&c.words[c.line_range(subslot)], &c.values),
                 "line {:#x}",
-                line.line_addr
+                c.tags[subslot]
             );
         }
     }

@@ -1,73 +1,9 @@
 //! The value-centric frequent value cache structure.
 
-use crate::code_array::CodeArray;
 use crate::value_set::FrequentValueSet;
 use fvl_cache::Victim;
-use fvl_mem::{Addr, Word, WORD_BYTES};
+use fvl_mem::{Addr, WORD_BYTES};
 use std::fmt;
-
-/// One FVC line: a tag plus a bit-packed code per word of the
-/// corresponding DMC line.
-#[derive(Clone, Eq, PartialEq, Debug)]
-pub struct FvcLine {
-    /// Address of the first byte of the (uncompressed) line.
-    pub line_addr: Addr,
-    /// Whether any code was updated since the line entered the FVC
-    /// (dirty frequent words must be written back on eviction).
-    pub dirty: bool,
-    /// The per-word codes.
-    pub codes: CodeArray,
-}
-
-impl FvcLine {
-    /// Encodes an uncompressed line: each word holding a frequent value
-    /// gets its code, every other word the infrequent marker.
-    pub fn encode(line_addr: Addr, data: &[Word], values: &FrequentValueSet) -> Self {
-        let mut codes = vec![0; data.len()];
-        values.encode_line(data, &mut codes);
-        FvcLine {
-            line_addr,
-            dirty: false,
-            codes: pack(values.width_bits(), &codes),
-        }
-    }
-
-    /// Number of words this line can serve (non-infrequent codes).
-    pub fn frequent_count(&self) -> u32 {
-        self.codes.frequent_count()
-    }
-
-    /// Overlays this line's frequent values onto `data` (which must hold
-    /// the memory image of the same line). Words marked infrequent are
-    /// left untouched. This is the merge the paper performs when an
-    /// access to an infrequent word moves a line from FVC back to DMC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` has a different word count than the line.
-    pub fn merge_into(&self, data: &mut [Word], values: &FrequentValueSet) {
-        assert_eq!(data.len() as u32, self.codes.len(), "line length mismatch");
-        let marker = self.codes.infrequent_code();
-        for (i, slot) in data.iter_mut().enumerate() {
-            let code = self.codes.get(i as u32);
-            if code != marker {
-                *slot = values.decode(code).expect("valid code");
-            }
-        }
-    }
-
-    /// Iterates over `(word_index, value)` for every frequent word.
-    pub fn frequent_words<'a>(
-        &'a self,
-        values: &'a FrequentValueSet,
-    ) -> impl Iterator<Item = (u32, Word)> + 'a {
-        let marker = self.codes.infrequent_code();
-        (0..self.codes.len()).filter_map(move |i| {
-            let code = self.codes.get(i);
-            (code != marker).then(|| (i, values.decode(code).expect("valid code")))
-        })
-    }
-}
 
 /// Tag of an invalid FVC way. Line addresses are word aligned, so no
 /// line address can equal it.
@@ -86,23 +22,26 @@ const INVALID: Addr = Addr::MAX;
 /// [`fvl_cache::CacheGeometry`]: an address picks its set with a shift
 /// and a mask, never a division. Each slot
 /// also keeps its count of frequent codes, and the cache their running
-/// total, so the Figure 11 occupancy reads in O(1). Misses fill in
-/// place through [`Fvc::fill_with`]; [`FvcLine`] and its bit-packed
-/// [`crate::CodeArray`] stay the exchange form of [`Fvc::install`],
-/// [`Fvc::take`] and [`Fvc::drain`], and [`Fvc::data_bytes`] reports
-/// the packed size the paper quotes.
+/// total, so the Figure 11 occupancy reads in O(1). Lines enter in
+/// place through [`Fvc::fill_with`] and leave in place through it or
+/// [`Fvc::drain_with`], so no line is ever copied out of the arena.
+/// The arena keeps a byte per code; [`Fvc::data_bytes`] reports the
+/// bit-packed size the paper quotes.
 ///
 /// # Example
 ///
 /// ```
-/// use fvl_core::{FrequentValueSet, Fvc, FvcLine};
+/// use fvl_core::{FrequentValueSet, Fvc};
 ///
 /// let values = FrequentValueSet::new(vec![0, 1, 2])?;
 /// let mut fvc = Fvc::new(64, 8, &values);
-/// let line = FvcLine::encode(0x100, &[0, 1, 2, 3, 4, 0, 0, 1], &values);
-/// assert_eq!(line.frequent_count(), 6);
-/// fvc.install(line);
-/// assert!(fvc.probe(0x104).is_some());
+/// let slot = fvc.fill_with(0x100, false, |victim, codes| {
+///     assert!(victim.is_none());
+///     let frequent = values.encode_line(&[0, 1, 2, 3, 4, 0, 0, 1], codes);
+///     assert_eq!(frequent, 6);
+/// });
+/// assert_eq!(fvc.probe(0x104), Some(slot));
+/// assert_eq!(fvc.code_at(slot, 0x10c), values.infrequent_code()); // the 3
 /// # Ok::<(), fvl_core::ValueSetError>(())
 /// ```
 #[derive(Clone)]
@@ -374,35 +313,6 @@ impl Fvc {
         slot
     }
 
-    /// Installs a line, returning the evicted victim if one was valid:
-    /// the allocating wrapper over [`Fvc::fill_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is already resident or has mismatched
-    /// width/length.
-    pub fn install(&mut self, line: FvcLine) -> Option<FvcLine> {
-        assert_eq!(
-            line.codes.len(),
-            self.words_per_line,
-            "line length mismatch"
-        );
-        assert_eq!(line.codes.width(), self.width, "encoding width mismatch");
-        let mut evicted = None;
-        let width = self.width;
-        self.fill_with(line.line_addr, line.dirty, |victim, codes| {
-            evicted = victim.map(|v| FvcLine {
-                line_addr: v.line_addr,
-                dirty: v.dirty,
-                codes: pack(width, codes),
-            });
-            for (code, packed) in codes.iter_mut().zip(line.codes.iter()) {
-                *code = packed;
-            }
-        });
-        evicted
-    }
-
     /// Empties the valid `slot` without writing anything back.
     ///
     /// # Panics
@@ -415,22 +325,6 @@ impl Fvc {
         self.valid -= 1;
         self.frequent_total -= u64::from(self.frequent[slot]);
         self.frequent[slot] = 0;
-    }
-
-    /// Removes and returns the line in `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is invalid.
-    pub fn take(&mut self, slot: usize) -> FvcLine {
-        assert_ne!(self.tags[slot], INVALID, "take on invalid FVC slot");
-        let line = FvcLine {
-            line_addr: self.tags[slot],
-            dirty: self.dirty[slot],
-            codes: pack(self.width, self.codes(slot)),
-        };
-        self.invalidate(slot);
-        line
     }
 
     /// Number of valid lines.
@@ -456,25 +350,22 @@ impl Fvc {
             })
     }
 
-    /// Drains every valid line (end-of-simulation flush).
-    pub fn drain(&mut self) -> Vec<FvcLine> {
-        let mut out = Vec::new();
+    /// Removes every valid line in slot order (the end-of-simulation
+    /// flush), handing `f` each line's [`Victim`] and codes straight
+    /// from the arena. The cache is left empty, and nothing is
+    /// allocated.
+    pub fn drain_with(&mut self, mut f: impl FnMut(Victim, &[u8])) {
         for slot in 0..self.tags.len() {
             if self.tags[slot] != INVALID {
-                out.push(self.take(slot));
+                let line = Victim {
+                    line_addr: self.tags[slot],
+                    dirty: self.dirty[slot],
+                };
+                f(line, self.codes(slot));
+                self.invalidate(slot);
             }
         }
-        out
     }
-}
-
-/// Packs one line's byte codes into a [`CodeArray`] of `width` bits.
-fn pack(width: u32, codes: &[u8]) -> CodeArray {
-    let mut packed = CodeArray::new(width, codes.len() as u32);
-    for (i, &code) in (0u32..).zip(codes) {
-        packed.set(i, code);
-    }
-    packed
 }
 
 impl fmt::Debug for Fvc {
@@ -491,46 +382,74 @@ impl fmt::Debug for Fvc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fvl_mem::Word;
 
     fn top7() -> FrequentValueSet {
         FrequentValueSet::new(vec![0, u32::MAX, 1, 2, 4, 8, 10]).unwrap()
     }
 
+    /// Fills the clean line `line_addr` with the codes of `data`
+    /// through [`Fvc::fill_with`], returning the displaced line.
+    fn fill(
+        fvc: &mut Fvc,
+        line_addr: Addr,
+        data: &[Word],
+        values: &FrequentValueSet,
+    ) -> Option<Victim> {
+        let mut displaced = None;
+        fvc.fill_with(line_addr, false, |victim, codes| {
+            displaced = victim;
+            values.encode_line(data, codes);
+        });
+        displaced
+    }
+
+    /// Every line [`Fvc::drain_with`] hands over, in order.
+    fn drain(fvc: &mut Fvc) -> Vec<(Victim, Vec<u8>)> {
+        let mut out = Vec::new();
+        fvc.drain_with(|line, codes| out.push((line, codes.to_vec())));
+        out
+    }
+
     #[test]
-    fn encode_merge_round_trip() {
+    fn drained_codes_merge_back_onto_memory() {
+        // The paper's Figure 7 line: six frequent words, two not.
         let values = top7();
         let data = [0u32, 1000, 0, 99999, u32::MAX, 10, 1, u32::MAX];
-        let line = FvcLine::encode(0x100, &data, &values);
-        assert_eq!(line.frequent_count(), 6);
-        // Merging onto the memory image reproduces the full line.
-        let mut mem_image = data; // memory agrees here
-        line.merge_into(&mut mem_image, &values);
+        let mut fvc = Fvc::new(16, 8, &values);
+        fill(&mut fvc, 0x100, &data, &values);
+        let drained = drain(&mut fvc);
+        assert_eq!(drained.len(), 1);
+        let (line, codes) = &drained[0];
+        assert_eq!(line.line_addr, 0x100);
+        assert_eq!(codes, &[0, 7, 0, 7, 1, 6, 2, 1]);
+        // Overlaying the codes onto the memory image reproduces the
+        // line; onto stale memory, only the frequent words.
+        let merge = |image: &mut [Word]| {
+            for (word, &code) in image.iter_mut().zip(codes) {
+                if let Some(value) = values.decode(code) {
+                    *word = value;
+                }
+            }
+        };
+        let mut mem_image = data;
+        merge(&mut mem_image);
         assert_eq!(mem_image, data);
-        // Merging onto stale memory restores only frequent words.
         let mut stale = [7u32; 8];
-        line.merge_into(&mut stale, &values);
+        merge(&mut stale);
         assert_eq!(stale, [0, 7, 0, 7, u32::MAX, 10, 1, u32::MAX]);
     }
 
     #[test]
-    fn frequent_words_lists_decoded_values() {
-        let values = top7();
-        let line = FvcLine::encode(0, &[5, 0, 4, 9], &values);
-        let words: Vec<_> = line.frequent_words(&values).collect();
-        assert_eq!(words, vec![(1, 0), (2, 4)]);
-    }
-
-    #[test]
-    fn probe_install_take() {
+    fn probe_fill_and_drain() {
         let values = top7();
         let mut fvc = Fvc::new(16, 8, &values);
         assert_eq!(fvc.data_bytes(), 16.0 * 8.0 * 3.0 / 8.0);
-        let line = FvcLine::encode(0x200, &[0; 8], &values);
-        assert!(fvc.install(line.clone()).is_none());
+        assert!(fill(&mut fvc, 0x200, &[0; 8], &values).is_none());
         let slot = fvc.probe(0x21c).unwrap();
         assert_eq!(fvc.code_at(slot, 0x200), 0); // code for value 0
-        let taken = fvc.take(slot);
-        assert_eq!(taken.line_addr, 0x200);
+        let drained = drain(&mut fvc);
+        assert_eq!(drained[0].0.line_addr, 0x200);
         assert!(fvc.probe(0x200).is_none());
     }
 
@@ -539,10 +458,8 @@ mod tests {
         let values = top7();
         let mut fvc = Fvc::new(4, 8, &values);
         // 4 entries x 32B lines => addresses 128 bytes apart conflict.
-        fvc.install(FvcLine::encode(0x000, &[0; 8], &values));
-        let evicted = fvc
-            .install(FvcLine::encode(0x080, &[1; 8], &values))
-            .unwrap();
+        fill(&mut fvc, 0x000, &[0; 8], &values);
+        let evicted = fill(&mut fvc, 0x080, &[1; 8], &values).unwrap();
         assert_eq!(evicted.line_addr, 0x000);
         assert!(fvc.probe(0x000).is_none());
         assert!(fvc.probe(0x080).is_some());
@@ -552,10 +469,8 @@ mod tests {
     fn set_associative_fvc_keeps_conflicting_lines() {
         let values = top7();
         let mut fvc = Fvc::with_associativity(4, 8, &values, 2);
-        fvc.install(FvcLine::encode(0x000, &[0; 8], &values));
-        assert!(fvc
-            .install(FvcLine::encode(0x040, &[0; 8], &values))
-            .is_none());
+        fill(&mut fvc, 0x000, &[0; 8], &values);
+        assert!(fill(&mut fvc, 0x040, &[0; 8], &values).is_none());
         assert!(fvc.probe(0x000).is_some());
         assert!(fvc.probe(0x040).is_some());
     }
@@ -564,27 +479,29 @@ mod tests {
     fn set_code_marks_dirty_and_updates() {
         let values = top7();
         let mut fvc = Fvc::new(4, 8, &values);
-        fvc.install(FvcLine::encode(0x000, &[999; 8], &values));
+        fill(&mut fvc, 0x000, &[999; 8], &values);
         let slot = fvc.probe(0x004).unwrap();
         assert_eq!(fvc.code_at(slot, 0x004), 0b111);
+        assert!(!fvc.is_dirty(slot));
         fvc.set_code(slot, 0x004, values.encode(1).unwrap());
         assert_eq!(fvc.code_at(slot, 0x004), 2);
-        let line = fvc.take(slot);
-        assert!(line.dirty);
+        let drained = drain(&mut fvc);
+        assert!(drained[0].0.dirty);
     }
 
     #[test]
     fn drain_and_occupancy() {
         let values = top7();
         let mut fvc = Fvc::new(8, 8, &values);
-        fvc.install(FvcLine::encode(0x000, &[0, 0, 9, 9, 9, 9, 9, 9], &values));
-        fvc.install(FvcLine::encode(0x020, &[0; 8], &values));
+        fill(&mut fvc, 0x000, &[0, 0, 9, 9, 9, 9, 9, 9], &values);
+        fill(&mut fvc, 0x020, &[0; 8], &values);
         let occ: Vec<_> = fvc.iter_valid().collect();
         assert_eq!(occ.len(), 2);
         let total_frequent: u32 = occ.iter().map(|&(_, _, n)| n).sum();
         assert_eq!(total_frequent, 2 + 8);
-        assert_eq!(fvc.drain().len(), 2);
+        assert_eq!(drain(&mut fvc).len(), 2);
         assert_eq!(fvc.valid_lines(), 0);
+        assert!(drain(&mut fvc).is_empty());
     }
 
     #[test]
@@ -607,7 +524,7 @@ mod tests {
         };
         // Fills `frequent` leading words with code 0, the rest
         // infrequent; returns the victim and its frequent code count.
-        let fill = |fvc: &mut Fvc, line_addr: Addr, dirty: bool, frequent: usize| {
+        let fill_frequent = |fvc: &mut Fvc, line_addr: Addr, dirty: bool, frequent: usize| {
             let mut seen = None;
             fvc.fill_with(line_addr, dirty, |victim, codes| {
                 seen = Some((victim, codes.iter().filter(|&&c| c != marker).count()));
@@ -616,10 +533,10 @@ mod tests {
             });
             seen.expect("the fill closure runs once")
         };
-        fill(&mut fvc, 0x00, true, 8);
+        fill_frequent(&mut fvc, 0x00, true, 8);
         check(&fvc, "a fill into an empty set");
-        fill(&mut fvc, 0x40, false, 3);
-        fill(&mut fvc, 0x20, true, 1);
+        fill_frequent(&mut fvc, 0x40, false, 3);
+        fill_frequent(&mut fvc, 0x20, true, 1);
         check(&fvc, "fills of both sets");
         let slot = fvc.probe(0x00).unwrap();
         fvc.set_code(slot, 0x04, marker);
@@ -629,7 +546,7 @@ mod tests {
         fvc.set_code(slot, 0x5c, 4);
         check(&fvc, "set_code over an infrequent word");
         // Set 0 is full: 0x80 displaces its LRU line, the dirty 0x00.
-        let (victim, codes) = fill(&mut fvc, 0x80, false, 0);
+        let (victim, codes) = fill_frequent(&mut fvc, 0x80, false, 0);
         check(&fvc, "a fill over a dirty victim");
         assert!(fvc.probe(0x00).is_none());
         assert_eq!(
@@ -640,16 +557,15 @@ mod tests {
             })
         );
         assert_eq!(codes, 7, "the victim's codes are handed over");
-        fill(&mut fvc, 0x00, true, 5);
+        fill_frequent(&mut fvc, 0x00, true, 5);
         check(&fvc, "a fill over a clean victim");
         fvc.invalidate(fvc.probe(0x20).unwrap());
         check(&fvc, "invalidate");
-        fvc.take(fvc.probe(0x00).unwrap());
-        check(&fvc, "take");
-        fvc.install(FvcLine::encode(0x60, &[0, 1, 99, 99, 2, 4, 8, 10], &values));
-        check(&fvc, "install");
-        fvc.drain();
-        check(&fvc, "drain");
+        fill(&mut fvc, 0x60, &[0, 1, 99, 99, 2, 4, 8, 10], &values);
+        check(&fvc, "an encoded fill into a freed way");
+        let drained = drain(&mut fvc);
+        check(&fvc, "drain_with");
+        assert_eq!(drained.len(), 3);
         assert_eq!(fvc.frequent_total(), 0);
     }
 
@@ -692,7 +608,7 @@ mod tests {
     fn duplicate_install_panics() {
         let values = top7();
         let mut fvc = Fvc::new(4, 8, &values);
-        fvc.install(FvcLine::encode(0x0, &[0; 8], &values));
-        fvc.install(FvcLine::encode(0x0, &[0; 8], &values));
+        fill(&mut fvc, 0x0, &[0; 8], &values);
+        fill(&mut fvc, 0x0, &[0; 8], &values);
     }
 }

@@ -167,21 +167,34 @@ impl HybridCache {
             .all(|l| self.fvc.probe(l.line_addr).is_none())
     }
 
-    /// Writes all dirty state back to memory and empties both caches.
+    /// Writes all dirty state back to memory and empties both caches,
+    /// in place: a dirty DMC line is written from the DMC's arena, and
+    /// a dirty FVC line writes its frequent words back, decoded from
+    /// its codes, one word of traffic each.
     pub fn flush(&mut self) {
-        for line in self.dmc.drain() {
+        let HybridCache {
+            dmc,
+            fvc,
+            values,
+            memory,
+            stats,
+            ..
+        } = self;
+        dmc.drain_with(|line, words| {
             if line.dirty {
-                self.memory.write_line(line.line_addr, &line.data);
-                self.stats.overall.writebacks += 1;
+                memory.write_line(line.line_addr, words);
+                stats.overall.writebacks += 1;
             }
-        }
-        for line in self.fvc.drain() {
+        });
+        fvc.drain_with(|line, codes| {
             if line.dirty {
-                for (i, v) in line.frequent_words(&self.values) {
-                    self.memory.write_word(line.line_addr + i * WORD_BYTES, v);
+                for (i, &code) in (0u32..).zip(codes) {
+                    if let Some(value) = values.decode(code) {
+                        memory.write_word(line.line_addr + i * WORD_BYTES, value);
+                    }
                 }
             }
-        }
+        });
     }
 
     /// Fills the DMC way for `line_addr` in place and returns its slot.

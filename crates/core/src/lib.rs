@@ -10,14 +10,19 @@
 //! turns a disproportionate share of would-be misses back into hits at a
 //! fraction of the SRAM cost.
 //!
-//! * [`FrequentValueSet`] — the ≤127 frequent values and their encoding.
-//! * [`CodeArray`] — a bit-packed per-word code vector (a compressed
-//!   line: 8 words × 3 bits = 24 bits, the paper's Figure 7).
-//! * [`Fvc`] — the value-centric cache structure itself.
+//! * [`FrequentValueSet`] — the ≤127 frequent values and their encoding
+//!   (a line of 8 words × 3 bits = 24 bits, the paper's Figure 7).
+//! * [`Fvc`] — the value-centric cache structure itself, one code per
+//!   word in a flat arena.
 //! * [`HybridCache`] — the DMC+FVC controller with the paper's exact
 //!   transfer policy (Section 3).
-//! * [`VictimHybrid`] — a DMC+victim-cache controller, the Figure 15
-//!   baseline.
+//! * [`VictimHybrid`] — a DMC+victim-cache controller on two
+//!   `DataCache`s, the Figure 15 baseline.
+//! * [`CompressedCache`] — frames holding one line or two compressed
+//!   ones, in flat arrays (the paper's reference \[11\], ext2).
+//!
+//! Every cache model keeps its resident lines in one store and fills,
+//! swaps and flushes them in place: no miss, swap or flush allocates.
 //!
 //! # Example
 //!
@@ -39,7 +44,6 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-mod code_array;
 mod compressed;
 mod config;
 mod fvc;
@@ -49,10 +53,9 @@ mod online;
 mod value_set;
 mod victim_hybrid;
 
-pub use code_array::CodeArray;
 pub use compressed::CompressedCache;
 pub use config::HybridConfig;
-pub use fvc::{Fvc, FvcLine};
+pub use fvc::Fvc;
 pub use hybrid::HybridCache;
 pub use hybrid_stats::HybridStats;
 pub use online::{OnlineHybrid, ValueSketch, ALWAYS_RESIDENT};

@@ -1,8 +1,8 @@
 //! A DMC + victim-cache controller (Jouppi), the paper's Figure 15
 //! comparison baseline.
 
-use fvl_cache::{CacheGeometry, CacheStats, DataCache, MainMemory, Simulator, VictimCache};
-use fvl_mem::{Access, AccessKind, AccessSink, Word};
+use fvl_cache::{CacheGeometry, CacheStats, DataCache, MainMemory, Simulator, Victim};
+use fvl_mem::{Access, AccessKind, AccessSink, Addr, Word};
 use std::fmt;
 
 /// A write-back direct-mapped (or set-associative) cache backed by a
@@ -11,6 +11,21 @@ use std::fmt;
 /// On a main-cache miss that hits in the victim cache the two lines are
 /// swapped, which the paper (following Jouppi) counts as a hit: the data
 /// was on chip and no off-chip fetch occurs.
+///
+/// Both caches are [`DataCache`]s, and lines move between them in
+/// place. The victim cache (VC) is a fully-associative, true-LRU
+/// `DataCache` of `vc_entries` lines. A miss in both is one fill of the
+/// DMC: its closure moves a valid DMC victim into the VC with one VC
+/// fill (dirty bit kept), which writes the VC's displaced dirty line
+/// back from the VC's arena, and then fetches the new line. A VC hit
+/// copies the line out with [`DataCache::take_with`] and fills the DMC
+/// the same way, keeping the line's dirty bit. Nothing is allocated
+/// after construction.
+///
+/// The controller never touches a VC line: a VC hit swaps it out. So
+/// the VC's LRU order is its fill order. The VC fills its lowest
+/// invalid way first and, once full, evicts its least recently filled
+/// line, which is Jouppi's displacement in insertion order.
 ///
 /// # Example
 ///
@@ -28,32 +43,39 @@ use std::fmt;
 /// ```
 pub struct VictimHybrid {
     dmc: DataCache,
-    vc: VictimCache,
+    vc: DataCache,
     memory: MainMemory,
     stats: CacheStats,
     vc_hits: u64,
     verify: bool,
+    /// A line swapped out of the VC on its way into the DMC.
     line_buf: Vec<Word>,
     flushed: bool,
 }
 
 impl VictimHybrid {
     /// Creates a hybrid of a main cache of geometry `geom` and a
-    /// fully-associative victim cache of `vc_entries` lines.
+    /// fully-associative LRU victim cache of `vc_entries` lines of the
+    /// same size.
     ///
     /// # Panics
     ///
-    /// Panics if `vc_entries` is zero.
+    /// Panics unless `vc_entries` is a positive power of two.
     pub fn new(geom: CacheGeometry, vc_entries: usize) -> Self {
-        let wpl = geom.words_per_line();
+        let vc_geom = u32::try_from(vc_entries)
+            .ok()
+            .and_then(|entries| CacheGeometry::fully_associative(entries, geom.line_bytes()).ok())
+            .unwrap_or_else(|| {
+                panic!("victim cache entries must be a positive power of two, not {vc_entries}")
+            });
         VictimHybrid {
             dmc: DataCache::new(geom),
-            vc: VictimCache::new(vc_entries, wpl),
+            vc: DataCache::new(vc_geom),
             memory: MainMemory::new(),
             stats: CacheStats::new(),
             vc_hits: 0,
             verify: true,
-            line_buf: vec![0; wpl as usize],
+            line_buf: vec![0; geom.words_per_line() as usize],
             flushed: false,
         }
     }
@@ -68,8 +90,9 @@ impl VictimHybrid {
         self.vc_hits
     }
 
-    /// The victim cache (for inspection).
-    pub fn victim_cache(&self) -> &VictimCache {
+    /// The victim cache (for inspection): a fully-associative LRU
+    /// [`DataCache`] of the configured number of lines.
+    pub fn victim_cache(&self) -> &DataCache {
         &self.vc
     }
 
@@ -78,97 +101,104 @@ impl VictimHybrid {
         &self.memory
     }
 
-    /// Flushes all dirty state to memory.
+    /// Flushes all dirty state to memory, straight from both caches'
+    /// arenas, and empties both.
     pub fn flush(&mut self) {
-        for line in self.dmc.drain() {
+        let VictimHybrid {
+            dmc,
+            vc,
+            memory,
+            stats,
+            ..
+        } = self;
+        let mut write_back = |line: Victim, words: &[Word]| {
             if line.dirty {
-                self.memory.write_line(line.line_addr, &line.data);
-                self.stats.writebacks += 1;
+                memory.write_line(line.line_addr, words);
+                stats.writebacks += 1;
             }
-        }
-        for line in self.vc.drain() {
-            if line.dirty {
-                self.memory.write_line(line.line_addr, &line.data);
-                self.stats.writebacks += 1;
-            }
-        }
+        };
+        dmc.drain_with(&mut write_back);
+        vc.drain_with(write_back);
     }
 
-    fn serve(&mut self, access: Access) {
-        let slot = self.dmc.probe(access.addr).expect("resident");
-        self.dmc.touch(slot);
-        match access.kind {
-            AccessKind::Load => {
-                let value = self.dmc.read_word(slot, access.addr);
-                if self.verify {
-                    assert_eq!(
-                        value, access.value,
-                        "victim hybrid returned {value:#x}, trace expects {:#x} at {:#x}",
-                        access.value, access.addr
-                    );
+    /// Fills the DMC with `line_addr` and returns its slot. A valid DMC
+    /// victim moves into the VC with its dirty bit, and a dirty line it
+    /// displaces there is written back. The new line's words come from
+    /// `line_buf` when `swapped` (a VC hit), else from memory.
+    fn fill_dmc(&mut self, line_addr: Addr, dirty: bool, swapped: bool) -> usize {
+        let VictimHybrid {
+            dmc,
+            vc,
+            memory,
+            stats,
+            line_buf,
+            ..
+        } = self;
+        let set = dmc.geometry().set_index(line_addr);
+        dmc.fill_with(set, line_addr, dirty, |victim, words| {
+            if let Some(victim) = victim {
+                // `seeded-bugs` is a TEST-ONLY mutation used by the
+                // `fvl-check` conformance harness: a swap drops the
+                // displaced DMC line instead of moving it into the VC.
+                let dropped = cfg!(feature = "seeded-bugs") && swapped;
+                if !dropped {
+                    vc.fill_with(0, victim.line_addr, victim.dirty, |displaced, vc_words| {
+                        if let Some(displaced) = displaced.filter(|d| d.dirty) {
+                            memory.write_line(displaced.line_addr, vc_words);
+                            stats.writebacks += 1;
+                        }
+                        vc_words.copy_from_slice(words);
+                    });
                 }
             }
-            AccessKind::Store => self.dmc.write_word(slot, access.addr, access.value),
-        }
-    }
-
-    fn insert_into_vc(&mut self, line: fvl_cache::EvictedLine) {
-        if let Some(displaced) = self.vc.insert(line) {
-            if displaced.dirty {
-                self.memory.write_line(displaced.line_addr, &displaced.data);
-                self.stats.writebacks += 1;
+            if swapped {
+                words.copy_from_slice(line_buf);
+            } else {
+                memory.read_line(line_addr, words);
             }
-        }
+        })
     }
 
     fn handle(&mut self, access: Access) {
         let addr = access.addr;
-        if let Some(slot) = self.dmc.probe(addr) {
-            match access.kind {
-                AccessKind::Load => self.stats.read_hits += 1,
-                AccessKind::Store => self.stats.write_hits += 1,
-            }
+        let (slot, hit) = if let Some(slot) = self.dmc.probe(addr) {
             self.dmc.touch(slot);
-            match access.kind {
-                AccessKind::Load => {
-                    let value = self.dmc.read_word(slot, addr);
-                    if self.verify {
-                        assert_eq!(value, access.value, "DMC value mismatch at {addr:#x}");
-                    }
-                }
-                AccessKind::Store => self.dmc.write_word(slot, addr, access.value),
-            }
-            return;
-        }
-        if let Some(vslot) = self.vc.probe(addr) {
+            (slot, true)
+        } else if let Some(vslot) = self.vc.probe(addr) {
             // Swap: the VC line enters the DMC, the displaced DMC line
             // (if any) takes its place in the VC. Counted as a hit.
             self.vc_hits += 1;
-            match access.kind {
-                AccessKind::Load => self.stats.read_hits += 1,
-                AccessKind::Store => self.stats.write_hits += 1,
-            }
-            let line = self.vc.take(vslot);
-            let evicted = self.dmc.install(line.line_addr, &line.data, line.dirty);
-            if let Some(ev) = evicted {
-                self.insert_into_vc(ev);
-            }
-            self.serve(access);
-            return;
+            let line_buf = &mut self.line_buf;
+            let line = self.vc.take_with(vslot, |line, words| {
+                line_buf.copy_from_slice(words);
+                line
+            });
+            (self.fill_dmc(line.line_addr, line.dirty, true), true)
+        } else {
+            // Miss everywhere: fetch, fill, displaced line -> VC.
+            self.stats.fetches += 1;
+            let line_addr = self.dmc.geometry().line_addr(addr);
+            (self.fill_dmc(line_addr, false, false), false)
+        };
+        match (access.kind, hit) {
+            (AccessKind::Load, true) => self.stats.read_hits += 1,
+            (AccessKind::Load, false) => self.stats.read_misses += 1,
+            (AccessKind::Store, true) => self.stats.write_hits += 1,
+            (AccessKind::Store, false) => self.stats.write_misses += 1,
         }
-        // Miss everywhere: fetch, install, displaced line -> VC.
         match access.kind {
-            AccessKind::Load => self.stats.read_misses += 1,
-            AccessKind::Store => self.stats.write_misses += 1,
+            AccessKind::Load => {
+                let value = self.dmc.read_word(slot, addr);
+                if self.verify {
+                    assert_eq!(
+                        value, access.value,
+                        "victim hybrid returned {value:#x}, trace expects {:#x} at {addr:#x}",
+                        access.value
+                    );
+                }
+            }
+            AccessKind::Store => self.dmc.write_word(slot, addr, access.value),
         }
-        let line_addr = self.dmc.geometry().line_addr(addr);
-        self.memory.read_line(line_addr, &mut self.line_buf);
-        self.stats.fetches += 1;
-        let evicted = self.dmc.install(line_addr, &self.line_buf, false);
-        if let Some(ev) = evicted {
-            self.insert_into_vc(ev);
-        }
-        self.serve(access);
     }
 }
 
@@ -196,7 +226,11 @@ impl Simulator for VictimHybrid {
     }
 
     fn label(&self) -> String {
-        format!("{} + {}-entry VC", self.dmc.geometry(), self.vc.capacity())
+        format!(
+            "{} + {}-entry VC",
+            self.dmc.geometry(),
+            self.vc.geometry().lines()
+        )
     }
 }
 

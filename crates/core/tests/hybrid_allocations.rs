@@ -3,10 +3,15 @@
 //! counting global allocator checks it over 20,000 accesses through a
 //! warmed `HybridCache` and through a latched `OnlineHybrid`, with DMC
 //! evictions, FVC evictions, transfers and write-allocates all firing
-//! inside the measured window.
+//! inside the measured window. The same allocator checks that the
+//! other cache models' misses, victim-cache swaps and flushes allocate
+//! nothing either.
 
-use fvl_cache::CacheGeometry;
-use fvl_core::{FrequentValueSet, HybridCache, HybridConfig, HybridStats, OnlineHybrid};
+use fvl_cache::{CacheGeometry, CacheSim, Simulator};
+use fvl_core::{
+    CompressedCache, FrequentValueSet, HybridCache, HybridConfig, HybridStats, OnlineHybrid,
+    VictimHybrid,
+};
 use fvl_mem::{Access, AccessSink, Addr, Word};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -148,4 +153,42 @@ fn latched_online_hybrid_misses_allocate_nothing() {
     let allocated = allocations_during(&mut online, measured);
     assert_paths_fired(&before, online.hybrid_stats().expect("latched"));
     assert_eq!(allocated, 0, "allocations in {MEASURED} online accesses");
+}
+
+/// Warms `sink`, then returns the allocations of the measured window
+/// and of the flush that ends it.
+fn window_and_flush_allocations(sink: &mut dyn AccessSink) -> (u64, u64) {
+    let accesses = stream(20_000 + MEASURED);
+    let (warm, measured) = accesses.split_at(accesses.len() - MEASURED);
+    for &access in warm {
+        sink.on_access(access);
+    }
+    let window = allocations_during(sink, measured);
+    let before = allocations();
+    sink.on_finish();
+    (window, allocations() - before)
+}
+
+#[test]
+fn every_cache_models_misses_swaps_and_flushes_allocate_nothing() {
+    let values = FrequentValueSet::new(vec![0, u32::MAX, 1, 2, 4, 8, 10]).unwrap();
+    let mut dmc = CacheSim::new(geometry());
+    assert_eq!(window_and_flush_allocations(&mut dmc), (0, 0), "CacheSim");
+    let mut victim = VictimHybrid::new(geometry(), 4);
+    assert_eq!(
+        window_and_flush_allocations(&mut victim),
+        (0, 0),
+        "VictimHybrid"
+    );
+    assert!(victim.vc_hits() > 0 && victim.stats().writebacks > 0);
+    let mut compressed = CompressedCache::new(geometry(), values.clone());
+    let counts = window_and_flush_allocations(&mut compressed);
+    assert_eq!(counts, (0, 0), "CompressedCache");
+    assert!(compressed.expansions() > 0);
+    let mut hybrid = HybridCache::new(HybridConfig::new(geometry(), 64, values));
+    assert_eq!(
+        window_and_flush_allocations(&mut hybrid),
+        (0, 0),
+        "HybridCache"
+    );
 }

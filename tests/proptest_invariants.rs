@@ -5,9 +5,7 @@
 #![cfg(feature = "proptest")]
 
 use fvl::cache::{CacheGeometry, CacheSim, Simulator};
-use fvl::core::{
-    CodeArray, CompressedCache, FrequentValueSet, FvcLine, HybridCache, HybridConfig, VictimHybrid,
-};
+use fvl::core::{CompressedCache, FrequentValueSet, HybridCache, HybridConfig, VictimHybrid};
 use fvl::mem::{Access, AccessSink};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -29,27 +27,6 @@ fn any_geometry() -> impl Strategy<Value = CacheGeometry> {
 }
 
 proptest! {
-    /// CodeArray is a faithful packed vector for every width.
-    #[test]
-    fn code_array_round_trips(
-        width in 1u32..=7,
-        writes in prop::collection::vec((0u32..64, 0u8..128), 1..200),
-    ) {
-        let mut array = CodeArray::new(width, 64);
-        let mut shadow = [0u8; 64];
-        for (idx, code) in writes {
-            let code = code % (1 << width);
-            array.set(idx, code);
-            shadow[idx as usize] = code;
-        }
-        for i in 0..64 {
-            prop_assert_eq!(array.get(i), shadow[i as usize]);
-        }
-        let marker = array.infrequent_code();
-        let expected = shadow.iter().filter(|&&c| c != marker).count() as u32;
-        prop_assert_eq!(array.frequent_count(), expected);
-    }
-
     /// encode/decode are inverse on members; encode rejects non-members.
     #[test]
     fn value_set_encoding_is_consistent(values in prop::collection::hash_set(any::<u32>(), 1..40)) {
@@ -67,21 +44,31 @@ proptest! {
         }
     }
 
-    /// Encoding a line and merging it back over its own memory image is
-    /// the identity; merging over garbage restores exactly the frequent
-    /// words.
+    /// Encoding a line with `encode_line` and merging the decoded codes
+    /// back over its own memory image is the identity; merging over
+    /// garbage restores exactly the frequent words.
     #[test]
     fn fvc_line_encode_merge_identity(
         line in prop::collection::vec(0u32..16, 8),
         freq in prop::collection::hash_set(0u32..16, 1..8),
     ) {
         let values = FrequentValueSet::new(freq.iter().copied().collect()).unwrap();
-        let encoded = FvcLine::encode(0x100, &line, &values);
+        let mut codes = vec![0u8; line.len()];
+        let frequent = values.encode_line(&line, &mut codes);
+        let expected = line.iter().filter(|w| freq.contains(w)).count() as u32;
+        prop_assert_eq!(frequent, expected);
+        let merge = |image: &mut [u32]| {
+            for (word, &code) in image.iter_mut().zip(&codes) {
+                if let Some(value) = values.decode(code) {
+                    *word = value;
+                }
+            }
+        };
         let mut image = line.clone();
-        encoded.merge_into(&mut image, &values);
+        merge(&mut image);
         prop_assert_eq!(&image, &line);
         let mut garbage = vec![0xdead_beefu32; 8];
-        encoded.merge_into(&mut garbage, &values);
+        merge(&mut garbage);
         for (i, (&orig, &merged)) in line.iter().zip(garbage.iter()).enumerate() {
             if freq.contains(&orig) {
                 prop_assert_eq!(merged, orig, "frequent word {}", i);
